@@ -10,9 +10,8 @@ polite to produce these shapes:
   transport (``read_timeout_ms``) the server must cut the connection
   loose instead of parking a thread or buffer on it forever.
 * :func:`torn_body` — declares ``Content-Length: N``, sends fewer than
-  ``N`` bytes, then half-closes. The server must answer 400 (threaded
-  transport) or drop the connection (async transport) — never hand a
-  truncated body to the app.
+  ``N`` bytes, then half-closes. The server must answer 400 — never hand
+  a truncated body to the app.
 * :func:`oversized_body` — declares a huge ``Content-Length`` without
   sending the body. A capped transport answers 413 *before* reading
   (and before allocating) anything.
@@ -136,11 +135,10 @@ def torn_body(
     """Declare ``declared`` body bytes, send fewer, then half-close.
 
     Returns ``{"status": int|None, "body": bytes}`` — the transport's
-    verdict on the torn request. A hardened threaded transport answers
-    400 (``incomplete_body``); the async transport may simply drop the
-    connection (``status=None``), which is also a safe outcome. What
-    must never happen is a 2xx: that would mean a truncated body was
-    parsed and applied.
+    verdict on the torn request. The server answers 400
+    (``incomplete_body``); ``status=None`` means it dropped the
+    connection. What must never happen is a 2xx: that would mean a
+    truncated body was parsed and applied.
     """
     sock = _connect(host, port, timeout_s)
     try:

@@ -8,7 +8,6 @@ Subcommands::
     fisql-repro run table2 --workers 4 --worker-mode process \
         --suite-dir /tmp/suites                     # multi-core sweep
     fisql-repro serve --port 8080 --scale small     # session server
-    fisql-repro serve --transport async --port 8080 # asyncio transport
     fisql-repro top --port 8080 --interval 2        # live /statusz dashboard
     fisql-repro cache stats --cache-dir /tmp/cache  # cache store ops
     fisql-repro semcache replay --semantic-cache-dir /tmp/sc  # replay log
@@ -265,26 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="bind port (0 = ephemeral)"
     )
     serve.add_argument(
-        "--transport",
-        choices=("thread", "async"),
-        default="thread",
-        help=(
-            "HTTP transport: 'thread' = one thread per connection "
-            "(stdlib ThreadingHTTPServer), 'async' = one asyncio event "
-            "loop + a bounded request executor (default: thread)"
-        ),
-    )
-    serve.add_argument(
-        "--async-workers",
-        type=int,
-        metavar="N",
-        help=(
-            "request-executor threads under --transport async "
-            "(default: 8; LLM-bound requests beyond 5N queued or "
-            "running are shed)"
-        ),
-    )
-    serve.add_argument(
         "--scale",
         choices=sorted(SCALES),
         default="small",
@@ -459,9 +438,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="MS",
         help=(
-            "per-read socket deadline on both transports: a peer that "
-            "trickles its request (slow loris) gets 408/closed instead "
-            "of holding a thread or buffer (default: no deadline)"
+            "deadline for reading the whole request head, then again "
+            "for the whole body: a peer that trickles its request (slow "
+            "loris) is cut off (408 mid-body) instead of holding a "
+            "thread (default: no deadline)"
         ),
     )
     serve.add_argument(
@@ -1024,22 +1004,15 @@ def _cmd_serve(
 ) -> int:
     """Preload the context, build the app, and serve until signalled."""
     from repro.serve import (
-        DEFAULT_ASYNC_WORKERS,
         ServeApp,
         SessionManager,
         SessionStore,
         TenantPolicy,
-        run_async_server,
         run_server,
     )
 
     if args.max_sessions < 1:
         parser.error(f"--max-sessions must be >= 1: {args.max_sessions}")
-    if args.async_workers is not None:
-        if args.transport != "async":
-            parser.error("--async-workers requires --transport async")
-        if args.async_workers < 1:
-            parser.error(f"--async-workers must be >= 1: {args.async_workers}")
     if args.llm_timeout is not None and args.llm_timeout <= 0:
         parser.error(f"--llm-timeout must be > 0 ms: {args.llm_timeout}")
     if args.batch_max < 1:
@@ -1171,20 +1144,6 @@ def _cmd_serve(
         # rotation without waiting for live traffic to trip a probe.
         pool.start_probing()
     try:
-        if args.transport == "async":
-            return run_async_server(
-                app,
-                host=args.host,
-                port=args.port,
-                drain_grace=args.drain_grace,
-                workers=(
-                    args.async_workers
-                    if args.async_workers is not None
-                    else DEFAULT_ASYNC_WORKERS
-                ),
-                read_timeout_ms=args.read_timeout_ms,
-                max_body_bytes=args.max_body_bytes,
-            )
         return run_server(
             app,
             host=args.host,

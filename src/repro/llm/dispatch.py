@@ -32,12 +32,12 @@ shape once, for every layer above it:
 
 Metric names: ``llm.batch_size`` (histogram, one observation per batch
 dispatch), ``cache.hit`` / ``cache.miss`` (counters, labelled by prompt
-kind).
+kind; each lookup is also a structured-log event of the same name, which
+carries the request id in serve traffic).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import threading
@@ -164,17 +164,6 @@ def settle_batch(model: ChatModel, prompts: Sequence[Prompt]) -> list[BatchOutco
         return []
     obs.observe("llm.batch_size", len(prompts))
     return _settle_batch(model, prompts)
-
-
-def _cache_labels(kind: str) -> dict:
-    """Cache counter labels: prompt kind, plus the correlation id when a
-    request context is active (serve traffic) — batch runs stay without
-    the label, so their metric snapshots are byte-identical to pre-
-    telemetry output."""
-    request_id = current_request_id()
-    if request_id is None:
-        return {"kind": kind}
-    return {"kind": kind, "request_id": request_id}
 
 
 # -- completion cache --------------------------------------------------------------
@@ -367,7 +356,12 @@ class CachingChatModel:
         return self._cache
 
     def _lookup(self, hit: bool, kind: str) -> None:
-        obs.count("cache.hit" if hit else "cache.miss", **_cache_labels(kind))
+        # The counter is labelled by kind only: a per-request label would
+        # add a series per miss for the life of a serve process. The
+        # request id rides the structured-log event instead.
+        name = "cache.hit" if hit else "cache.miss"
+        obs.count(name, kind=kind)
+        obs.event(name, kind=kind)
         if self._on_lookup is not None:
             self._on_lookup(hit)
 
@@ -635,201 +629,3 @@ def _explicit_batch_event(size: int) -> None:
         coalesced=False,
         request_ids=[request_id] if request_id is not None else [],
     )
-
-
-# -- event-loop-tick request coalescing --------------------------------------------
-
-
-class LoopBatchingChatModel:
-    """Coalesces concurrent ``complete`` calls on an asyncio event loop.
-
-    The same contract as :class:`BatchingChatModel` — concurrent callers
-    on one model share a settled batch dispatch, with ``max_batch`` /
-    ``max_wait_ms`` / ``max_queue`` bounds, drain semantics, and the same
-    counters — but the grouping mechanism fits the async transport:
-    instead of request threads electing a leader and blocking each other
-    on a condition variable, each ``complete`` call (made from one of the
-    transport's executor threads) hands its prompt to the **event loop**
-    via ``call_soon_threadsafe`` and parks on a
-    :class:`concurrent.futures.Future`. On the loop, prompts accumulate
-    until the batch fills or one ``max_wait_ms`` timer tick fires; the
-    collected batch is then dispatched on a *separate* executor (never the
-    loop thread, never the request executor — that separation is what
-    makes the design deadlock-free), and the done-callback distributes
-    per-item outcomes back to the parked callers.
-
-    All queue/timer state is loop-confined — mutated only from loop
-    callbacks — so the batcher itself needs no lock.
-    """
-
-    def __init__(
-        self,
-        inner: ChatModel,
-        loop,
-        dispatch_executor,
-        max_batch: int = 8,
-        max_wait_ms: float = 5.0,
-        max_queue: Optional[int] = None,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1: {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0: {max_wait_ms}")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1: {max_queue}")
-        self._inner = inner
-        self._loop = loop
-        self._executor = dispatch_executor
-        self._max_batch = max_batch
-        self._max_wait = max_wait_ms / 1000.0
-        self._max_queue = max_queue
-        #: Loop-confined: (prompt, waiter, request_id) triples.
-        self._queue: list = []
-        self._timer = None
-        self._dispatching = 0
-        self._draining = False
-        self.dispatches = 0
-        self.coalesced = 0
-        self.shed = 0
-
-    @property
-    def inner(self) -> ChatModel:
-        return self._inner
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def queued(self) -> int:
-        # Racy when read off-loop, but it only feeds status gauges.
-        return len(self._queue)
-
-    def _shed(self, reason: str) -> OverloadError:
-        self.shed += 1
-        obs.count("llm.batch.shed", reason=reason)
-        if reason == "draining":
-            return OverloadError(
-                "batcher is draining; not accepting new prompts",
-                reason="draining",
-            )
-        return OverloadError(
-            f"batch queue is full ({self._max_queue} waiting); shedding",
-            reason="queue_full",
-        )
-
-    # -- caller side (executor threads) ------------------------------------------
-
-    def complete(self, prompt: Prompt) -> Completion:
-        if self._draining:
-            raise self._shed("draining")
-        waiter: "concurrent.futures.Future" = concurrent.futures.Future()
-        request_id = current_request_id()
-        self._loop.call_soon_threadsafe(
-            self._enqueue, prompt, waiter, request_id
-        )
-        outcome = waiter.result()
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        """An explicit batch bypasses coalescing: it already is one."""
-        if self._draining:
-            raise self._shed("draining")
-        self.dispatches += 1
-        self.coalesced += len(prompts)
-        _explicit_batch_event(len(prompts))
-        return complete_batch(self._inner, prompts)
-
-    def complete_batch_settled(
-        self, prompts: Sequence[Prompt]
-    ) -> list[BatchOutcome]:
-        if self._draining:
-            raise self._shed("draining")
-        self.dispatches += 1
-        self.coalesced += len(prompts)
-        _explicit_batch_event(len(prompts))
-        return settle_batch(self._inner, prompts)
-
-    # -- drain --------------------------------------------------------------------
-
-    def begin_drain(self) -> None:
-        """Reject new prompts; enqueued ones still dispatch and settle."""
-        self._draining = True
-        try:
-            self._loop.call_soon_threadsafe(self._drain_on_loop)
-        except RuntimeError:
-            # Loop already closed; with it gone, nothing can be queued.
-            pass
-
-    def _drain_on_loop(self) -> None:
-        if self._queue:
-            self._flush()
-
-    def await_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until the queue is empty and no dispatch is in flight."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self._queue or self._dispatching:
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.005)
-        return True
-
-    # -- loop side ----------------------------------------------------------------
-
-    def _enqueue(self, prompt: Prompt, waiter, request_id) -> None:
-        if self._draining:
-            waiter.set_result(self._shed("draining"))
-            return
-        if self._max_queue is not None and len(self._queue) >= self._max_queue:
-            waiter.set_result(self._shed("queue_full"))
-            return
-        self._queue.append((prompt, waiter, request_id))
-        if len(self._queue) >= self._max_batch:
-            self._flush()
-        elif self._timer is None:
-            self._timer = self._loop.call_later(self._max_wait, self._flush)
-
-    def _flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._queue:
-            return
-        batch = self._queue[: self._max_batch]
-        del self._queue[: self._max_batch]
-        if self._queue:
-            # Overflow beyond one batch: dispatch the rest next tick.
-            self._loop.call_soon(self._flush)
-        self._dispatching += 1
-        prompts = [prompt for prompt, _waiter, _rid in batch]
-        future = self._loop.run_in_executor(
-            self._executor, settle_batch, self._inner, prompts
-        )
-        future.add_done_callback(
-            lambda done, batch=batch: self._distribute(batch, done)
-        )
-
-    def _distribute(self, batch, future) -> None:
-        self._dispatching -= 1
-        error = future.exception()
-        if error is not None:
-            # A non-LLM dispatch failure: deliver it to every caller
-            # (settle_batch already converts per-item LLMErrors).
-            outcomes = [error] * len(batch)
-        else:
-            outcomes = future.result()
-        obs.event(
-            "llm.batch",
-            size=len(batch),
-            coalesced=True,
-            request_ids=sorted(
-                {rid for _p, _w, rid in batch if rid is not None}
-            ),
-        )
-        self.dispatches += 1
-        self.coalesced += len(batch)
-        for (_prompt, waiter, _rid), outcome in zip(batch, outcomes):
-            if not waiter.done():
-                waiter.set_result(outcome)

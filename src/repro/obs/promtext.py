@@ -103,7 +103,6 @@ def render_prometheus(
     telemetry: Optional[dict] = None,
     up: bool = True,
     backends: Optional[dict] = None,
-    loop: Optional[dict] = None,
 ) -> str:
     """The full ``/metrics`` page.
 
@@ -111,9 +110,8 @@ def render_prometheus(
     is disabled); ``telemetry`` is a ``TelemetryHub.snapshot()`` dict (or
     None when the server has no hub); ``backends`` is a
     ``BackendPool.health_snapshot()`` dict (or None for single-model
-    serving); ``loop`` is the async transport's loop-health snapshot (or
-    None under the threaded transport). Any source may be absent — the
-    page is valid exposition regardless.
+    serving). Any source may be absent — the page is valid exposition
+    regardless.
     """
     families: dict[str, _Family] = {}
 
@@ -153,9 +151,6 @@ def render_prometheus(
 
     if backends is not None:
         _backend_families(backends, family)
-
-    if loop is not None:
-        _loop_families(loop, family)
 
     blocks: list[str] = []
     for name in sorted(families):
@@ -278,30 +273,6 @@ def _telemetry_families(telemetry: dict, family) -> None:
         )
         for window in sorted(table):
             entry.add({"window": window}, table[window].get("total", 0.0))
-
-
-def _loop_families(loop: dict, family) -> None:
-    """Event-loop health gauges from the async transport's snapshot."""
-    lag = family(
-        "fisql_serve_loop_lag_ms",
-        "gauge",
-        "Event-loop scheduling lag measured by sleep overshoot "
-        "(milliseconds).",
-    )
-    lag.add({"stat": "last"}, loop.get("loop_lag_ms", 0.0))
-    lag.add({"stat": "max"}, loop.get("loop_lag_max_ms", 0.0))
-    queue = family(
-        "fisql_serve_executor_queue",
-        "gauge",
-        "Requests queued behind the async transport's request executor.",
-    )
-    queue.add({}, loop.get("executor_queue", 0))
-    inflight = family(
-        "fisql_serve_executor_inflight",
-        "gauge",
-        "Requests currently running on the async transport's executor.",
-    )
-    inflight.add({}, loop.get("executor_inflight", 0))
 
 
 #: Breaker states exported as a one-hot gauge per backend.

@@ -21,26 +21,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.obs.export import read_trace_jsonl
+from repro.obs.reporting import _ms, _table
 
 #: Width of the proportional share bar in the flame rollup.
 _BAR_WIDTH = 24
-
-
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-
-    def fmt(row: list[str]) -> str:
-        return " | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-
-    rule = "-+-".join("-" * w for w in widths)
-    return "\n".join([fmt(headers), rule] + [fmt(row) for row in rows])
-
-
-def _ms(value: float) -> str:
-    return f"{value:.2f}"
 
 
 class _PathNode:

@@ -16,9 +16,6 @@ Layers:
   per-session locks, TTL + LRU eviction, and a max-sessions gate.
 * :mod:`repro.serve.server`  — the routes, per-tenant resilience stacks,
   graceful drain, and the stdlib ``ThreadingHTTPServer`` binding.
-* :mod:`repro.serve.aserver` — the ``asyncio`` transport: one event loop
-  owns the sockets, a bounded executor runs the app, and loop health is
-  exported to ``/statusz`` and ``/metrics``.
 * :mod:`repro.serve.client`  — a blocking client over a real socket or an
   in-process transport (same bytes either way).
 
@@ -34,13 +31,6 @@ Start one from the CLI with ``fisql-repro serve`` or in code::
     client.feedback(session["id"], "we are in 2024")
 """
 
-from repro.serve.aserver import (
-    DEFAULT_ASYNC_WORKERS,
-    AsyncServeServer,
-    LoopHealth,
-    run_async_server,
-    start_async_in_thread,
-)
 from repro.serve.client import (
     HttpTransport,
     InProcessTransport,
@@ -85,12 +75,10 @@ from repro.serve.sessions import (
 )
 
 __all__ = [
-    "DEFAULT_ASYNC_WORKERS",
     "DEFAULT_DRAIN_GRACE",
     "DEFAULT_MAX_SESSIONS",
     "PROTOCOL_VERSION",
     "AskRequest",
-    "AsyncServeServer",
     "CatalogEntry",
     "CreateSessionRequest",
     "FeedbackRequest",
@@ -98,7 +86,6 @@ __all__ = [
     "IdempotencyIndex",
     "InProcessTransport",
     "LoadShedGate",
-    "LoopHealth",
     "MAX_IDEMPOTENCY_KEY_LENGTH",
     "MAX_REQUEST_ID_LENGTH",
     "ProtocolError",
@@ -120,9 +107,7 @@ __all__ = [
     "json_encode",
     "normalize_idempotency_key",
     "normalize_request_id",
-    "run_async_server",
     "run_server",
-    "start_async_in_thread",
     "start_in_thread",
     "turn_view",
 ]

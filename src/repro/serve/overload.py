@@ -112,17 +112,6 @@ class LoadShedGate:
             message, reason=reason, retry_after_s=self.retry_after_s(reason)
         )
 
-    def shed(self, reason: str, message: str) -> OverloadError:
-        """Count and build a shed error for a transport-level refusal.
-
-        The async transport refuses LLM-bound work on the event loop when
-        its executor backlog is full — before the request ever consumes a
-        worker thread — but the shed still belongs in this gate's
-        counters and ``/readyz``/``/statusz`` surfaces.
-        """
-        with self._lock:
-            return self._shed_locked(reason, message)
-
     @contextmanager
     def admit(self, tenant: str) -> Iterator[None]:
         """Hold one inflight slot for a tenant's LLM-bound request.

@@ -28,7 +28,8 @@ Routes::
 **Correlation ids.** Every request runs under a request id — honored from
 a well-formed ``X-Request-Id`` header, minted otherwise — bound in a
 context-local (:mod:`repro.obs.context`) for the whole dispatch, so spans,
-structured events, cache counters, and journal appends all carry it. The
+structured events (cache lookups included), and journal appends all
+carry it; metric labels do not, so ``/metrics`` stays bounded. The
 id is echoed back in the ``X-Request-Id`` response header (never in the
 body: response bytes stay transport-independent).
 
@@ -53,6 +54,7 @@ wires SIGINT/SIGTERM to exactly that sequence before closing the socket.
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import signal
@@ -73,7 +75,6 @@ from repro.llm.dispatch import (
     BatchingChatModel,
     CachingChatModel,
     CompletionCache,
-    LoopBatchingChatModel,
 )
 from repro.serve.overload import LoadShedGate
 from repro.llm.interface import ChatModel
@@ -112,7 +113,7 @@ TEXT = "text/plain; charset=utf-8"
 DEFAULT_DRAIN_GRACE = 10.0
 
 #: Hard ceiling on request bodies when no ``--max-body-bytes`` is set.
-#: A ``Content-Length`` is attacker-controlled input that both transports
+#: A ``Content-Length`` is attacker-controlled input that the transport
 #: would otherwise trust with an allocation, so "unlimited" is never the
 #: default; real protocol traffic is a few KB.
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -238,9 +239,6 @@ class ServeApp:
         self._draining = False
         self._inflight = 0
         self._idle = threading.Condition()
-        # Async-transport context: set by the adapter before serving.
-        self._loop_batching: Optional[tuple] = None
-        self._loop_health: Optional[Callable[[], dict]] = None
 
     # -- construction ---------------------------------------------------------
 
@@ -297,28 +295,6 @@ class ServeApp:
         """The shared semantic answer store (None when not enabled)."""
         return self._semcache
 
-    # -- async-transport wiring -------------------------------------------------
-
-    def enable_loop_batching(self, loop, dispatch_executor) -> None:
-        """Coalesce tenant batches by event-loop tick instead of threads.
-
-        The async transport calls this before serving: tenant stacks built
-        afterwards use :class:`LoopBatchingChatModel` (batches form on the
-        loop, dispatch on ``dispatch_executor``) instead of the
-        cross-thread leader/follower coalescer. Must be called before the
-        first session is created — stacks are built lazily per tenant and
-        are not rebuilt.
-        """
-        self._loop_batching = (loop, dispatch_executor)
-
-    def set_loop_health(self, provider: Optional[Callable[[], dict]]) -> None:
-        """Install the transport's loop-health snapshot (lag, queue depth).
-
-        Surfaces on ``/statusz`` (``loop`` section) and ``/metrics``
-        (``fisql_serve_loop_lag_ms``, ``fisql_serve_executor_queue``).
-        """
-        self._loop_health = provider
-
     # -- tenant isolation -----------------------------------------------------------
 
     def policy_for_tenant(self, tenant: str) -> TenantPolicy:
@@ -363,16 +339,6 @@ class ServeApp:
             )
         if policy.batch_max <= 1:
             return model
-        if self._loop_batching is not None:
-            loop, dispatch_executor = self._loop_batching
-            return LoopBatchingChatModel(
-                model,
-                loop,
-                dispatch_executor,
-                max_batch=policy.batch_max,
-                max_wait_ms=policy.batch_wait_ms,
-                max_queue=policy.batch_max_queue,
-            )
         return BatchingChatModel(
             model,
             max_batch=policy.batch_max,
@@ -401,7 +367,7 @@ class ServeApp:
         with self._tenant_lock:
             models = list(self._tenant_llms.values())
         for model in models:
-            if isinstance(model, (BatchingChatModel, LoopBatchingChatModel)):
+            if isinstance(model, BatchingChatModel):
                 model.begin_drain()
         obs.count("serve.drain.begun")
 
@@ -705,7 +671,7 @@ class ServeApp:
         return sum(
             model.queued
             for model in models
-            if isinstance(model, (BatchingChatModel, LoopBatchingChatModel))
+            if isinstance(model, BatchingChatModel)
         )
 
     def _statusz_payload(self) -> dict:
@@ -724,8 +690,6 @@ class ServeApp:
             payload["backends"] = self._pool.health_snapshot()
         if self._semcache is not None:
             payload["semcache"] = self._semcache.statusz_view()
-        if self._loop_health is not None:
-            payload["loop"] = self._loop_health()
         return payload
 
     def _breaker_states(self) -> dict[str, str]:
@@ -734,7 +698,7 @@ class ServeApp:
         states: dict[str, str] = {}
         for tenant, model in models.items():
             stack = model
-            if isinstance(stack, (BatchingChatModel, LoopBatchingChatModel)):
+            if isinstance(stack, BatchingChatModel):
                 stack = stack.inner
             breaker = getattr(stack, "breaker", None)
             if breaker is not None:
@@ -750,9 +714,8 @@ class ServeApp:
         backends = (
             self._pool.health_snapshot() if self._pool is not None else None
         )
-        loop = self._loop_health() if self._loop_health is not None else None
         return render_prometheus(
-            snapshot, self._telemetry.snapshot(), backends=backends, loop=loop
+            snapshot, self._telemetry.snapshot(), backends=backends
         )
 
     def _create_session(self, raw_body: bytes) -> Tuple[int, str, bytes]:
@@ -945,32 +908,81 @@ class ServeApp:
 # -- HTTP layer --------------------------------------------------------------------
 
 
+class _DeadlineReader(io.RawIOBase):
+    """Socket reads that share one deadline instead of one timeout each.
+
+    A socket timeout bounds each ``recv``, so a peer that drips a byte
+    just inside it holds the connection, and its thread, for as long as
+    it likes. Installed under ``rfile``, this reader gives each read only
+    the time left before the deadline; :meth:`arm` starts a fresh one
+    before the request head and again before the body.
+    """
+
+    def __init__(self, sock: socket.socket, budget_s: float) -> None:
+        self._sock = sock
+        self._budget = budget_s
+        self.arm()
+
+    def arm(self) -> None:
+        self._deadline = time.monotonic() + self._budget
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request read deadline passed")
+        self._sock.settimeout(remaining)
+        try:
+            return self._sock.recv_into(buffer)
+        finally:
+            # Writes keep the full budget per send.
+            self._sock.settimeout(self._budget)
+
+
 class _RequestHandler(BaseHTTPRequestHandler):
     """Thin shim: read the body, delegate to the app, write the reply.
 
     Transport defenses live here, before the app sees a byte:
 
     * **Read deadline** — when the server carries ``read_timeout_ms``,
-      the socket gets that timeout. A slow-loris peer that trickles its
-      header bytes is cut off by ``handle_one_request``'s own timeout
-      handling; one that stalls mid-body gets a 408 and the connection
-      is closed.
+      the whole request head must arrive within it, and then the whole
+      body within it again (:class:`_DeadlineReader`). A slow-loris peer
+      trickling its head is cut off by ``handle_one_request``'s own
+      timeout handling; one that stalls or trickles mid-body gets a 408
+      and the connection is closed.
     * **Body cap** — a ``Content-Length`` beyond ``max_body_bytes`` is
       refused with 413 *without reading the body*; a malformed or
-      negative one is a 400 (it used to be silently treated as zero,
-      which diverged from the async transport's parser).
+      negative one is a 400.
     * **Torn body** — a peer that closes mid-body yields a short read;
       that is a 400, never a half-request handed to the app.
     """
 
     protocol_version = "HTTP/1.1"
     server_version = "fisql-serve"
+    # The head and the body go out as two writes; with Nagle's algorithm
+    # on, the body would wait for the client's delayed ACK (~40 ms on
+    # every keep-alive turn).
+    disable_nagle_algorithm = True
+    _reader: Optional[_DeadlineReader] = None
 
     def setup(self) -> None:
-        timeout_ms = getattr(self.server, "read_timeout_ms", None)
+        timeout_ms = self.server.read_timeout_ms
         if timeout_ms is not None:
             self.timeout = timeout_ms / 1000.0
         super().setup()
+        if timeout_ms is not None:
+            # The stdlib rfile holds a reference that keeps the socket
+            # open after close(); release it before swapping readers.
+            self.rfile.close()
+            self._reader = _DeadlineReader(self.connection, self.timeout)
+            self.rfile = io.BufferedReader(self._reader)
+
+    def handle_one_request(self) -> None:
+        if self._reader is not None:
+            self._reader.arm()
+        super().handle_one_request()
 
     def _reject(self, status: int, code: str, message: str) -> None:
         """Refuse at the transport layer, mirroring the app's error JSON."""
@@ -1015,6 +1027,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 f"{limit}-byte limit",
             )
             return
+        if self._reader is not None:
+            self._reader.arm()
         try:
             raw = self.rfile.read(length) if length > 0 else b""
         except (TimeoutError, socket.timeout):

@@ -55,6 +55,13 @@ def test_disk_full_mid_sweep_passes(tmp_path):
     assert "fault-free --resume is byte-identical" in names
 
 
+def test_slow_loris_drain_passes(tmp_path):
+    report = run_scenario("slow-loris-drain", work_dir=tmp_path)
+    _assert_clean_report(report, "slow-loris-drain")
+    names = [check["name"] for check in report["checks"]]
+    assert "every slow loris was cut off by the read deadline" in names
+
+
 def test_retry_storm_passes(tmp_path):
     report = run_scenario("retry-storm", work_dir=tmp_path)
     _assert_clean_report(report, "retry-storm")

@@ -356,123 +356,5 @@ class TestBatchingChatModel:
             BatchingChatModel(RecordingLLM(), max_batch=0)
         with pytest.raises(ValueError):
             BatchingChatModel(RecordingLLM(), max_wait_ms=-1)
-
-
-@pytest.fixture
-def loop_env():
-    """A live event loop on a daemon thread plus a dispatch executor —
-    the environment the async transport hands to its loop batcher."""
-    import asyncio
-    from concurrent.futures import ThreadPoolExecutor
-
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    executor = ThreadPoolExecutor(max_workers=2)
-    yield loop, executor
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=5)
-    loop.close()
-    executor.shutdown(wait=False)
-
-
-class TestLoopBatchingChatModel:
-    def _model(self, loop_env, inner=None, **kwargs):
-        from repro.llm.dispatch import LoopBatchingChatModel
-
-        loop, executor = loop_env
-        kwargs.setdefault("max_batch", 4)
-        kwargs.setdefault("max_wait_ms", 5.0)
-        return LoopBatchingChatModel(
-            inner or RecordingLLM(), loop, executor, **kwargs
-        )
-
-    def test_solo_caller_completes_within_wait(self, loop_env):
-        model = self._model(loop_env)
-        assert model.complete(_prompt("alone")).text == "SQL(alone)"
-        assert model.dispatches == 1
-        assert model.queued == 0
-
-    def test_concurrent_callers_share_a_dispatch(self, loop_env):
-        model = self._model(loop_env, max_batch=4, max_wait_ms=100)
-        barrier = threading.Barrier(4)
-        results = [None] * 4
-
-        def worker(i):
-            barrier.wait()
-            results[i] = model.complete(_prompt(f"p{i}"))
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert sorted(r.text for r in results) == [
-            f"SQL(p{i})" for i in range(4)
-        ]
-        assert model.coalesced == 4
-        assert model.dispatches < 4
-
-    def test_error_reaches_the_right_caller(self, loop_env):
-        model = self._model(loop_env, inner=FlakyLLM())
-        with pytest.raises(TransientLLMError):
-            model.complete(_prompt("bad"))
-        assert model.complete(_prompt("good")).text == "GOOD"
-
-    def test_full_queue_sheds(self, loop_env):
-        from repro.errors import OverloadError
-
-        # A long wait timer keeps the first prompt parked in the queue,
-        # so the second one finds the (size-1) queue full and is shed.
-        model = self._model(
-            loop_env, max_batch=8, max_wait_ms=60_000, max_queue=1
-        )
-        results = []
-        first = threading.Thread(
-            target=lambda: results.append(model.complete(_prompt("held")))
-        )
-        first.start()
-        deadline = 500
-        while model.queued < 1 and deadline:
-            threading.Event().wait(0.01)
-            deadline -= 1
-        assert model.queued == 1
-        with pytest.raises(OverloadError) as excinfo:
-            model.complete(_prompt("overflow"))
-        assert excinfo.value.reason == "queue_full"
-        assert model.shed == 1
-        # Drain flushes the parked prompt; the first caller still settles.
-        model.begin_drain()
-        first.join(timeout=5)
-        assert [r.text for r in results] == ["SQL(held)"]
-        assert model.await_idle(timeout=5)
-
-    def test_drain_sheds_new_prompts(self, loop_env):
-        from repro.errors import OverloadError
-
-        model = self._model(loop_env)
-        assert model.complete(_prompt("before")).text == "SQL(before)"
-        model.begin_drain()
-        assert model.draining
-        with pytest.raises(OverloadError) as excinfo:
-            model.complete(_prompt("after"))
-        assert excinfo.value.reason == "draining"
-        assert "draining" in str(excinfo.value)
-        assert model.await_idle(timeout=5)
-
-    def test_explicit_batch_bypasses_coalescing(self, loop_env):
-        inner = NativeBatchLLM()
-        model = self._model(loop_env, inner=inner, max_batch=8)
-        results = model.complete_batch([_prompt("a"), _prompt("b")])
-        assert [r.text for r in results] == ["SQL(a)", "SQL(b)"]
-        assert inner.batch_calls == 1
-
-    def test_validation(self, loop_env):
         with pytest.raises(ValueError):
-            self._model(loop_env, max_batch=0)
-        with pytest.raises(ValueError):
-            self._model(loop_env, max_wait_ms=-1)
-        with pytest.raises(ValueError):
-            self._model(loop_env, max_queue=0)
+            BatchingChatModel(RecordingLLM(), max_queue=0)

@@ -13,9 +13,11 @@ Two guarantees pinned here:
   acceptance criterion).
 """
 
+import http.client
 import itertools
 import json
 import threading
+import time
 
 import pytest
 
@@ -99,6 +101,48 @@ class TestTransportParity:
             connection.close()
         finally:
             server.shutdown()
+
+
+class TestKeepAlive:
+    def test_keep_alive_turns_do_not_stall(self, app):
+        # The reply head and body leave as two writes. With Nagle's
+        # algorithm on, each body waited for the client's delayed ACK:
+        # about 44 ms per request, so 20 requests took 0.8 s or more.
+        server, _thread = start_in_thread(app)
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        local_ports = set()
+        statuses = []
+
+        def send(method: str, path: str, payload=None) -> bytes:
+            body = None if payload is None else json.dumps(payload).encode()
+            connection.request(method, path, body=body)
+            local_ports.add(connection.sock.getsockname()[1])
+            response = connection.getresponse()
+            data = response.read()
+            statuses.append(response.status)
+            return data
+
+        try:
+            started = time.perf_counter()
+            for _ in range(17):
+                send("GET", "/healthz")
+            created = json.loads(send("POST", "/sessions", {"db": "aep"}))
+            session_id = created["session"]["id"]
+            send(
+                "POST",
+                f"/sessions/{session_id}/ask",
+                {"question": "How many audiences were created in January?"},
+            )
+            send("DELETE", f"/sessions/{session_id}")
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+            server.shutdown()
+        assert statuses == [200] * 17 + [201, 200, 200]
+        assert len(local_ports) == 1  # every request rode one connection
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
 
 
 @pytest.fixture(scope="module")

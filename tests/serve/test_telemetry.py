@@ -3,11 +3,12 @@
 The centerpiece is the acceptance load test: one caller-supplied
 ``X-Request-Id`` on ``POST /sessions/{id}/feedback`` must surface on the
 serve span, the coalesced ``llm.batch`` event, the completion-cache
-counter labels, the journal record, and the structured-log line — and
-nowhere in the response body. The counterweight is the byte-parity test:
-a batch run (no serve, no request context) must produce byte-identical
-artifacts whether or not an event log is installed, with no
-``request_id`` stamped anywhere.
+lookup events, the journal record, and the structured-log line — and
+nowhere in the response body. Metric labels never carry it: a label per
+request would grow ``/metrics`` for the life of the server. The
+counterweight is the byte-parity test: a batch run (no serve, no request
+context) must produce byte-identical artifacts whether or not an event
+log is installed, with no ``request_id`` stamped anywhere.
 """
 
 from __future__ import annotations
@@ -180,6 +181,38 @@ class TestMetricsTenantGauges:
         assert 'fisql_serve_requests_windowed{window="1m"}' in text
 
 
+class TestBoundedMetrics:
+    def test_distinct_asks_add_no_cache_series(self, aep_catalog):
+        def cache_series(text: str) -> list:
+            return [
+                line
+                for line in text.splitlines()
+                if line.startswith("fisql_cache_")
+            ]
+
+        obs.enable()
+        try:
+            app = ServeApp(aep_catalog, cache=CompletionCache())
+            client = ServeClient.in_process(app)
+            # Two sessions ask one question: a miss, then a hit, so both
+            # counters exist before the count is taken.
+            for _ in range(2):
+                session = client.create_session(db="aep")
+                client.ask(session["id"], QUESTION)
+            before = cache_series(client.metrics())
+            session = client.create_session(db="aep")
+            for year in range(2000, 2050):
+                client.ask(
+                    session["id"],
+                    f"How many audiences were created in January {year}?",
+                )
+            after = cache_series(client.metrics())
+        finally:
+            obs.disable()
+        assert before
+        assert len(after) == len(before)
+
+
 class TestEndToEndCorrelation:
     """The ISSUE 6 acceptance criterion, in one test."""
 
@@ -228,13 +261,6 @@ class TestEndToEndCorrelation:
             assert spans[-1].attributes["request_id"] == rid
             assert spans[-1].attributes["status"] == 200
 
-            # Surface 2: the completion-cache counters are labelled with
-            # the id (the feedback turn's prompts are novel -> misses).
-            misses = obs.get_metrics().counter_by_label(
-                "cache.miss", "request_id"
-            )
-            assert rid in misses
-
             # Surface 3: the journal record for the feedback turn.
             record = journal.get(f"serve.turn/{sid}/4")
             assert record is not None
@@ -246,6 +272,16 @@ class TestEndToEndCorrelation:
             # event names the id, and the serve.request line is stamped.
             obs.set_event_log(None)  # flush + close before reading
             events = _log_events(log)
+
+            # Surface 2: the completion-cache lookup events carry the id
+            # (the feedback turn's prompts are novel -> misses).
+            misses = [
+                event
+                for event in events
+                if event["event"] == "cache.miss"
+                and event.get("request_id") == rid
+            ]
+            assert misses
             batch = [
                 event
                 for event in events

@@ -1,27 +1,24 @@
-"""Transport hardening against hostile peers, on both transports.
+"""Transport hardening against hostile peers.
 
-The async transport always had a real parser with edge handling
-(``test_async_transport.TestHttpEdges``); these tests pin the matching
-defenses on the threaded transport — bad/negative ``Content-Length``,
-oversized declarations, torn bodies, stalled reads — and the hardening
-flags (``read_timeout_ms``, ``max_body_bytes``) on both. The probes are
-the real attack injectors from :mod:`repro.chaos.transport`, so the
-scenarios and the test suite exercise identical wire traffic.
+These tests pin the HTTP transport's defenses — bad/negative
+``Content-Length``, oversized declarations, torn bodies, stalled and
+trickled reads — and the hardening flags (``read_timeout_ms``,
+``max_body_bytes``). The probes are the real attack injectors from
+:mod:`repro.chaos.transport`, so the scenarios and the test suite
+exercise identical wire traffic.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket
+import time
 
 import pytest
 
 from repro.chaos.transport import oversized_body, slow_loris, torn_body
-from repro.serve import (
-    ServeClient,
-    start_async_in_thread,
-    start_in_thread,
-)
+from repro.serve import ServeClient, start_in_thread
 from repro.serve.server import DEFAULT_MAX_BODY_BYTES
 
 
@@ -35,17 +32,6 @@ def threaded(app):
         yield server
     finally:
         server.shutdown()
-
-
-@pytest.fixture
-def async_hardened(app):
-    handle = start_async_in_thread(
-        app, read_timeout_ms=300.0, max_body_bytes=2048
-    )
-    try:
-        yield handle
-    finally:
-        handle.stop()
 
 
 def _raw(port: int, request: bytes) -> bytes:
@@ -64,7 +50,11 @@ def _raw(port: int, request: bytes) -> bytes:
 
 
 class TestThreadedEdges:
-    """Mirrors TestHttpEdges from the async suite, threaded transport."""
+    def test_malformed_request_line_gets_400(self, threaded):
+        # The stdlib parser refuses it before the app sees a byte. With no
+        # HTTP version on the line, the reply is a bare HTTP/0.9 error page.
+        response = _raw(threaded.port, b"NONSENSE\r\n\r\n")
+        assert b"Error code: 400" in response
 
     def test_bad_content_length_gets_400(self, threaded):
         response = _raw(
@@ -107,6 +97,44 @@ class TestThreadedEdges:
         assert result["cut_off"]
         assert result["elapsed_s"] < 2.5
 
+    def test_trickling_loris_is_cut_by_the_whole_read_deadline(
+        self, threaded
+    ):
+        # Continuous 50ms drip: every byte would reset a per-recv
+        # timeout, but the deadline bounds the whole head read.
+        result = slow_loris(
+            "127.0.0.1",
+            threaded.port,
+            hold_s=3.0,
+            drip_interval_s=0.05,
+        )
+        assert result["cut_off"]
+        assert result["elapsed_s"] < 2.5
+
+    def test_trickling_body_gets_408_within_the_deadline(self, threaded):
+        # The body gets its own deadline once the head is in: a peer that
+        # drips it is refused, however steadily the bytes arrive. The drip
+        # stops once the reply is readable, so no byte races the close.
+        with socket.create_connection(
+            ("127.0.0.1", threaded.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /sessions HTTP/1.1\r\nContent-Length: 512\r\n\r\n"
+            )
+            started = time.monotonic()
+            for _ in range(60):
+                readable, _w, _x = select.select([sock], [], [], 0.05)
+                if readable:
+                    break
+                sock.sendall(b" ")
+            elapsed = time.monotonic() - started
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        assert b" 408 " in response.split(b"\r\n", 1)[0]
+        assert b"read_timeout" in response
+        assert elapsed < 2.5
+
     def test_normal_traffic_unaffected_by_hardening(self, threaded):
         client = ServeClient.connect(port=threaded.port)
         session = client.create_session(db="aep")
@@ -127,54 +155,4 @@ class TestThreadedDefaults:
             )
         finally:
             server.shutdown()
-        assert result["status"] == 413
-
-
-class TestAsyncEdges:
-    def test_oversized_declaration_gets_413(self, async_hardened):
-        result = oversized_body(
-            "127.0.0.1", async_hardened.port, declared=1 << 40
-        )
-        assert result["status"] == 413
-
-    def test_negative_content_length_gets_400(self, async_hardened):
-        response = _raw(
-            async_hardened.port,
-            b"POST /sessions HTTP/1.1\r\nContent-Length: -7\r\n\r\n",
-        )
-        assert b" 400 " in response.split(b"\r\n", 1)[0]
-
-    def test_trickling_loris_is_cut_by_the_whole_read_deadline(
-        self, async_hardened
-    ):
-        # Continuous 50ms drip: resets a per-recv timeout, but the async
-        # transport bounds the *whole* head read with wait_for.
-        result = slow_loris(
-            "127.0.0.1",
-            async_hardened.port,
-            hold_s=3.0,
-            drip_interval_s=0.05,
-        )
-        assert result["cut_off"]
-        assert result["elapsed_s"] < 2.5
-
-    def test_torn_body_never_reaches_the_app(self, async_hardened):
-        result = torn_body(
-            "127.0.0.1",
-            async_hardened.port,
-            declared=512,
-            sent=b'{"db": "aep',
-        )
-        # Safe outcomes: an error status or a dropped connection —
-        # anything but a 2xx acceptance of a truncated body.
-        assert result["status"] is None or result["status"] >= 400
-
-    def test_default_cap_rejects_a_terabyte(self, app):
-        handle = start_async_in_thread(app)  # no hardening flags
-        try:
-            result = oversized_body(
-                "127.0.0.1", handle.port, declared=DEFAULT_MAX_BODY_BYTES + 1
-            )
-        finally:
-            handle.stop()
         assert result["status"] == 413

@@ -403,7 +403,7 @@ class TestCliSemcacheFlags:
 
 
 class TestCliConcurrencyFlags:
-    """--worker-mode/--transport wiring and the journal subcommand."""
+    """--worker-mode wiring and the journal subcommand."""
 
     def _run(self, capsys, argv):
         assert cli_main(argv) == 0
@@ -432,14 +432,6 @@ class TestCliConcurrencyFlags:
                      "--worker-mode", "process", "--suite-dir", "/tmp/s",
                      *extra]
                 )
-
-    def test_async_transport_flag_validation(self):
-        with pytest.raises(SystemExit):
-            cli_main(["serve", "--async-workers", "4"])
-        with pytest.raises(SystemExit):
-            cli_main(
-                ["serve", "--transport", "async", "--async-workers", "0"]
-            )
 
     def test_semcache_ttl_flag_validation(self):
         with pytest.raises(SystemExit):
