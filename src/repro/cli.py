@@ -5,8 +5,6 @@ Subcommands::
     fisql-repro run figure2 --scale medium          # paper artifacts
     fisql-repro run all --scale small --metrics --trace /tmp/t.jsonl
     fisql-repro run all --journal /tmp/j --resume   # crash-safe resume
-    fisql-repro run table2 --workers 4 --worker-mode process \
-        --suite-dir /tmp/suites                     # multi-core sweep
     fisql-repro serve --port 8080 --scale small     # session server
     fisql-repro top --port 8080 --interval 2        # live /statusz dashboard
     fisql-repro cache stats --cache-dir /tmp/cache  # cache store ops
@@ -189,17 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "worker threads for evaluation sweeps and correction loops "
             "(results are byte-identical to --workers 1; default: 1)"
-        ),
-    )
-    run.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help=(
-            "how --workers N shards run: 'thread' shares one process "
-            "(GIL-bound), 'process' uses worker processes for true "
-            "multi-core sweeps (requires --suite-dir; results stay "
-            "byte-identical; default: thread)"
         ),
     )
     run.add_argument(
@@ -754,24 +741,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--workers must be >= 1: {args.workers}")
     if args.batch_size < 1:
         parser.error(f"--batch-size must be >= 1: {args.batch_size}")
-    if args.worker_mode == "process":
-        if args.suite_dir is None:
-            parser.error(
-                "--worker-mode process requires --suite-dir (worker "
-                "processes load their benchmark suites from disk)"
-            )
-        # Worker processes rebuild the default deterministic stack from a
-        # picklable spec; per-run model wrappers don't cross the boundary.
-        for flag, value in (
-            ("--backend", args.backend),
-            ("--inject-faults", args.inject_faults),
-            ("--llm-retries", args.llm_retries),
-            ("--llm-timeout", args.llm_timeout),
-            ("--cache-dir", args.cache_dir),
-            ("--semantic-cache", args.semantic_cache or None),
-        ):
-            if value:
-                parser.error(f"{flag} is not supported with --worker-mode process")
     if args.cache_max is not None:
         if args.cache_dir is None:
             parser.error("--cache-max requires --cache-dir")
@@ -834,7 +803,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             journal=journal,
             suite_dir=args.suite_dir,
             semcache=semcache,
-            worker_mode=args.worker_mode,
         )
         chart_renderers = {
             "figure2": render_figure2_chart,

@@ -54,6 +54,9 @@ JOURNAL_SCHEMA_VERSION = 1
 #: Records per segment before the active file is sealed.
 DEFAULT_SEGMENT_MAX_RECORDS = 256
 
+#: Segment names. The writer never adds the optional ``.wPID`` tag; it is
+#: accepted so journals written by older per-process sweep workers still
+#: load, resume and compact.
 _ACTIVE_RE = re.compile(r"^segment-(\d{4})(?:\.w(\d+))?\.jsonl$")
 _SEALED_RE = re.compile(r"^segment-(\d{4})(?:\.w(\d+))?\.sealed\.json$")
 
@@ -72,18 +75,11 @@ class RunJournal:
         directory: Union[str, Path],
         segment_max_records: int = DEFAULT_SEGMENT_MAX_RECORDS,
         fsync: bool = True,
-        worker: Optional[int] = None,
     ) -> None:
         if segment_max_records < 1:
             raise ValueError(
                 f"segment_max_records must be >= 1: {segment_max_records}"
             )
-        if worker is not None and worker < 0:
-            raise ValueError(f"worker must be >= 0: {worker}")
-        # Process-pool workers open their own journal on the shared
-        # directory; the worker tag keeps their active segments from
-        # colliding when two processes compute the same next index.
-        self._worker_tag = "" if worker is None else f".w{worker}"
         self._directory = Path(directory)
         self._directory.mkdir(parents=True, exist_ok=True)
         self._segment_max = segment_max_records
@@ -304,19 +300,9 @@ class RunJournal:
                 error=f"{type(error).__name__}: {error}",
             )
 
-    def absorb_worker_counts(self, appended: int = 0, replayed: int = 0) -> None:
-        """Fold a worker process's append/replay counts into this instance.
-
-        Process-pool shards journal through their own :class:`RunJournal`;
-        the parent folds their counts in so the CLI summary stays accurate.
-        """
-        with self._lock:
-            self.appended += appended
-            self.replayed += replayed
-
     def _ensure_active_locked(self) -> TextIO:
         if self._active_handle is None:
-            name = f"segment-{self._next_index:04d}{self._worker_tag}.jsonl"
+            name = f"segment-{self._next_index:04d}.jsonl"
             path = self._directory / name
             self._active_handle = open(path, "a", encoding="utf-8")
             self._active_path = path
@@ -375,9 +361,8 @@ def compact_journal(directory: Union[str, Path]) -> dict:
     """Merge all sealed segments into one checksummed segment.
 
     Long journal directories accumulate sealed segments forever (every 256
-    records by default, plus one per worker process per sweep). Compaction
-    rewrites them as a single sealed segment and removes the originals.
-    It is crash-safe at every step:
+    records by default). Compaction rewrites them as a single sealed
+    segment and removes the originals. It is crash-safe at every step:
 
     * The merged segment is written (atomic replace + fsync) at an index
       above every existing segment **before** any original is unlinked, so
@@ -473,7 +458,9 @@ def journal_stats(directory: Union[str, Path]) -> dict:
     for path in sorted(directory.iterdir()):
         if _SEALED_RE.match(path.name):
             sealed += 1
-            payload = read_checksummed_json(path, kind="journal_segment")
+            payload = read_checksummed_json(
+                path, kind="journal_segment", quarantine=False
+            )
             if isinstance(payload, dict) and isinstance(
                 payload.get("records"), list
             ):

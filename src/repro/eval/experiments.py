@@ -108,74 +108,49 @@ def _assistant_model(context: ExperimentContext, dataset: str):
     return context.aep_assistant_model()
 
 
-def journaled_corrector(
-    journal,
-    scope: dict,
-    compute_one: Callable[[PredictionRecord], CorrectionOutcome],
-) -> Callable[[PredictionRecord], CorrectionOutcome]:
-    """Wrap a corrector with journal replay/append under a scope.
-
-    Shared by the thread path below and process-pool workers
-    (:mod:`repro.eval.procpool`), so both modes journal and replay
-    identically.
-    """
-    from repro.eval.journaling import (
-        correction_key,
-        outcome_from_dict,
-        outcome_to_dict,
-    )
-
-    def correct_one(record: PredictionRecord) -> CorrectionOutcome:
-        key = correction_key(scope, record)
-        hit = journal.replay(key)
-        if hit is not None:
-            return outcome_from_dict(hit["value"])
-        outcome = compute_one(record)
-        journal.append(key, "correction", outcome_to_dict(outcome))
-        return outcome
-
-    return correct_one
-
-
 def _map_corrections(
     context: ExperimentContext,
     errors: list[PredictionRecord],
     correct_one: Callable[[PredictionRecord], CorrectionOutcome],
-    scope: Optional[dict] = None,
-    spec=None,
+    scope: dict,
 ) -> list[CorrectionOutcome]:
     """Run one correction per error record, in record order.
 
     With ``context.workers > 1`` the per-record corrections fan out over a
-    thread pool — or, given a process ``spec``, over worker processes (see
-    :mod:`repro.eval.procpool`); every correction is a deterministic
-    function of its record (annotator draws are keyed by example id), so
-    the ordered result list is identical to the sequential one.
+    thread pool; every correction is a deterministic function of its
+    record (annotator draws are keyed by example id), so the ordered
+    result list is identical to the sequential one.
 
     When the context carries a journal, sessions already journaled under
     ``scope`` replay instead of re-running, and each fresh session is
     journaled on completion — per-record determinism is what makes the
     replayed/computed mix indistinguishable from an uninterrupted run.
     """
-    if spec is not None and context.workers > 1 and len(errors) > 1:
-        # Workers journal through their own segments; the parent only
-        # folds their counters (see run_correction_shards).
-        from repro.eval.procpool import run_correction_shards
-
-        return run_correction_shards(
-            spec, errors, context.workers, journal=context.journal
+    journal = context.journal
+    run_one = correct_one
+    if journal is not None:
+        from repro.eval.journaling import (
+            correction_key,
+            outcome_from_dict,
+            outcome_to_dict,
         )
 
-    if context.journal is not None and scope is not None:
-        correct_one = journaled_corrector(context.journal, scope, correct_one)
+        def run_one(record: PredictionRecord) -> CorrectionOutcome:
+            key = correction_key(scope, record)
+            hit = journal.replay(key)
+            if hit is not None:
+                return outcome_from_dict(hit["value"])
+            outcome = correct_one(record)
+            journal.append(key, "correction", outcome_to_dict(outcome))
+            return outcome
 
     if context.workers <= 1 or len(errors) <= 1:
-        return [correct_one(record) for record in errors]
+        return [run_one(record) for record in errors]
     with ThreadPoolExecutor(
         max_workers=min(context.workers, len(errors)),
         thread_name_prefix="correct",
     ) as executor:
-        return list(executor.map(correct_one, errors))
+        return list(executor.map(run_one, errors))
 
 
 def make_fisql_corrector(
@@ -185,11 +160,7 @@ def make_fisql_corrector(
     highlights: bool,
     max_rounds: int,
 ) -> Callable[[PredictionRecord], CorrectionOutcome]:
-    """Build the per-record FISQL correction closure.
-
-    A factory (rather than inline in :func:`_run_fisql`) so process-pool
-    workers can rebuild the identical corrector from a run-spec.
-    """
+    """Build the per-record FISQL correction closure."""
     model = _assistant_model(context, dataset)
     pipeline = FisqlPipeline(
         model=model, llm=context.llm, routing=routing, highlights=highlights
@@ -231,15 +202,7 @@ def _run_fisql(
         highlights=highlights,
         max_rounds=max_rounds,
     )
-    spec = context.correction_spec(
-        dataset,
-        "fisql",
-        scope,
-        routing=routing,
-        highlights=highlights,
-        max_rounds=max_rounds,
-    )
-    return _map_corrections(context, errors, correct_one, scope, spec=spec)
+    return _map_corrections(context, errors, correct_one, scope)
 
 
 def _failed_outcome(example_id: str, error: Exception) -> CorrectionOutcome:
@@ -255,7 +218,7 @@ def _failed_outcome(example_id: str, error: Exception) -> CorrectionOutcome:
 def make_query_rewrite_corrector(
     context: ExperimentContext, dataset: str
 ) -> Callable[[PredictionRecord], CorrectionOutcome]:
-    """Build the per-record Query Rewrite baseline closure (see above)."""
+    """Build the per-record Query Rewrite baseline closure."""
     model = _assistant_model(context, dataset)
     baseline = QueryRewriteBaseline(llm=context.llm, model=model)
     annotator = context.annotator_for(dataset)
@@ -288,14 +251,11 @@ def _run_query_rewrite(
     dataset: str,
     errors: list[PredictionRecord],
 ) -> list[CorrectionOutcome]:
-    scope = context.scope("query_rewrite", dataset)
-    spec = context.correction_spec(dataset, "query_rewrite", scope)
     return _map_corrections(
         context,
         errors,
         make_query_rewrite_corrector(context, dataset),
-        scope,
-        spec=spec,
+        context.scope("query_rewrite", dataset),
     )
 
 

@@ -63,16 +63,10 @@ class ExperimentContext:
     aep_benchmark: Benchmark
     aep_demos: list[Demonstration]
     llm: ChatModel = field(default_factory=SimulatedLLM)
-    #: Evaluation parallelism: workers for sharded sweeps and the LLM
-    #: batch size per shard. Both default to the sequential seed path.
-    #: ``worker_mode`` picks threads (GIL-bound, zero setup cost) or
-    #: processes (true multi-core; see :mod:`repro.eval.procpool`).
+    #: Evaluation parallelism: worker threads for sharded sweeps and the
+    #: LLM batch size per shard. Both default to the sequential seed path.
     workers: int = 1
     batch_size: int = 1
-    worker_mode: str = "thread"
-    #: Where persisted suites live; process-pool workers load from here
-    #: (on spawn platforms) instead of regenerating.
-    suite_dir: Optional[str] = None
     #: Write-ahead journal for resumable sweeps (None = not journaling).
     journal: Optional[RunJournal] = None
     #: Semantic answer cache wrapped over every model the context builds
@@ -129,61 +123,6 @@ class ExperimentContext:
             "dataset": dataset,
         }
 
-    # -- parallel execution ------------------------------------------------------
-
-    def _process_mode(self) -> bool:
-        return self.worker_mode == "process" and self.workers > 1
-
-    def eval_spec(self, model: str, dataset: str):
-        """The picklable worker run-spec, or None outside process mode."""
-        if not self._process_mode():
-            return None
-        from repro.eval.procpool import EvalSpec
-
-        return EvalSpec(
-            scale=self.scale,
-            seed=self.seed,
-            suite_dir=self.suite_dir,
-            model=model,
-            dataset=dataset,
-            batch_size=self.batch_size,
-            journal_dir=(
-                str(self.journal.directory) if self.journal is not None else None
-            ),
-            scope_items=tuple(sorted(self.scope(model, dataset).items())),
-            instrumented=obs.is_enabled(),
-        )
-
-    def correction_spec(
-        self,
-        dataset: str,
-        method: str,
-        scope: dict,
-        routing: bool = True,
-        highlights: bool = False,
-        max_rounds: int = 1,
-    ):
-        """Worker run-spec for a correction sweep (None outside process mode)."""
-        if not self._process_mode():
-            return None
-        from repro.eval.procpool import CorrectionSpec
-
-        return CorrectionSpec(
-            scale=self.scale,
-            seed=self.seed,
-            suite_dir=self.suite_dir,
-            dataset=dataset,
-            method=method,
-            routing=routing,
-            highlights=highlights,
-            max_rounds=max_rounds,
-            journal_dir=(
-                str(self.journal.directory) if self.journal is not None else None
-            ),
-            scope_items=tuple(sorted(scope.items())),
-            instrumented=obs.is_enabled(),
-        )
-
     def eval_kwargs(self, model: str, dataset: str) -> dict:
         """The full ``evaluate_model`` parallelism/journal kwargs."""
         return {
@@ -191,8 +130,6 @@ class ExperimentContext:
             "batch_size": self.batch_size,
             "journal": self.journal,
             "scope": self.scope(model, dataset),
-            "worker_mode": self.worker_mode,
-            "process_spec": self.eval_spec(model, dataset),
         }
 
     # -- assistant error sets -------------------------------------------------------
@@ -317,7 +254,6 @@ def build_context(
     journal: Optional[RunJournal] = None,
     suite_dir: Optional[str] = None,
     semcache: "Optional[SemanticAnswerCache]" = None,
-    worker_mode: str = "thread",
 ) -> ExperimentContext:
     """Build (or fetch the cached) experiment context.
 
@@ -342,8 +278,6 @@ def build_context(
     if scale not in SCALES:
         valid = ", ".join(sorted(SCALES))
         raise ValueError(f"unknown scale {scale!r}; valid scales: {valid}")
-    if worker_mode not in ("thread", "process"):
-        raise ValueError(f"unknown worker_mode {worker_mode!r}")
     pristine = (
         llm is None
         and workers == 1
@@ -381,8 +315,6 @@ def build_context(
             llm=llm if llm is not None else cached.llm,
             workers=workers,
             batch_size=batch_size,
-            worker_mode=worker_mode,
-            suite_dir=suite_dir,
             journal=journal,
             semcache=semcache,
         )
@@ -426,8 +358,6 @@ def build_context(
             context.llm = llm
         context.workers = workers
         context.batch_size = batch_size
-        context.worker_mode = worker_mode
-        context.suite_dir = suite_dir
         context.journal = journal
         context.semcache = semcache
     if pristine:

@@ -255,17 +255,12 @@ def evaluate_model(
     batch_size: int = 1,
     journal=None,
     scope: Optional[dict] = None,
-    worker_mode: str = "thread",
-    process_spec=None,
 ) -> AccuracyReport:
     """Run a model over a benchmark and score execution accuracy.
 
-    ``workers > 1`` shards the pool across workers (contiguous shards,
-    merged back in shard order — results are byte-identical to a
-    sequential run). ``worker_mode="process"`` with a ``process_spec``
-    (see :mod:`repro.eval.procpool` and
-    :meth:`ExperimentContext.eval_spec`) runs the shards in worker
-    processes instead of threads — same merge, true multi-core.
+    ``workers > 1`` shards the pool across worker threads (contiguous
+    shards, merged back in shard order — results are byte-identical to a
+    sequential run); a pool of at most one example runs sequentially.
     ``batch_size > 1`` groups each shard's predictions into settled LLM
     batches. ``journal`` (a :class:`repro.durability.RunJournal`) makes
     the sweep resumable: journaled examples replay, fresh ones are
@@ -277,17 +272,11 @@ def evaluate_model(
     with obs.span(
         "eval.evaluate_model", benchmark=benchmark.name, n=len(pool)
     ) as sp:
-        if workers <= 1:
+        if workers <= 1 or len(pool) <= 1:
             report.records.extend(
                 _evaluate_examples(
                     model, benchmark, pool, batch_size, journal, scope
                 )
-            )
-        elif worker_mode == "process" and process_spec is not None:
-            from repro.eval.procpool import run_eval_shards
-
-            report.records.extend(
-                run_eval_shards(process_spec, pool, workers, journal=journal)
             )
         else:
             shards = shard_examples(pool, workers)

@@ -151,59 +151,6 @@ class MetricsRegistry:
         with self._lock:
             return list(self._histograms.get((name, _label_key(labels)), []))
 
-    # -- merging -------------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's series into this one.
-
-        Counters add; histogram observation lists concatenate. Used to
-        combine per-worker registries into one report — merge order does
-        not affect :meth:`snapshot` output because snapshots are sorted.
-        """
-        with other._lock:
-            counters = dict(other._counters)
-            histograms = {
-                key: list(values) for key, values in other._histograms.items()
-            }
-        with self._lock:
-            for key, value in counters.items():
-                self._counters[key] = self._counters.get(key, 0) + value
-            for key, values in histograms.items():
-                self._histograms.setdefault(key, []).extend(values)
-
-    # -- cross-process transfer ----------------------------------------------------
-
-    def to_raw(self) -> dict:
-        """A picklable plain-data dump of every series.
-
-        The registry itself holds a lock (unpicklable), so process-pool
-        workers ship this instead; the parent rebuilds with
-        :meth:`from_raw` and folds it in via :meth:`merge`.
-        """
-        with self._lock:
-            return {
-                "counters": [
-                    [name, [list(pair) for pair in labels], value]
-                    for (name, labels), value in self._counters.items()
-                ],
-                "histograms": [
-                    [name, [list(pair) for pair in labels], list(values)]
-                    for (name, labels), values in self._histograms.items()
-                ],
-            }
-
-    @classmethod
-    def from_raw(cls, raw: dict) -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`to_raw` dump."""
-        registry = cls()
-        for name, labels, value in raw.get("counters", []):
-            key = (name, tuple((label, val) for label, val in labels))
-            registry._counters[key] = value
-        for name, labels, values in raw.get("histograms", []):
-            key = (name, tuple((label, val) for label, val in labels))
-            registry._histograms[key] = [float(v) for v in values]
-        return registry
-
     # -- snapshot ------------------------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -12,10 +12,8 @@ import pytest
 from repro.durability import RunJournal, compact_journal, journal_stats
 
 
-def _fill(directory, count, segment_max_records=4, worker=None, prefix="key"):
-    journal = RunJournal(
-        directory, segment_max_records=segment_max_records, worker=worker
-    )
+def _fill(directory, count, segment_max_records=4, prefix="key"):
+    journal = RunJournal(directory, segment_max_records=segment_max_records)
     for index in range(count):
         journal.append(f"{prefix}-{index:03d}", "test", {"value": index})
     journal.seal()
@@ -69,9 +67,25 @@ class TestCompactJournal:
         assert output_index == indices[-1] + 1
 
     def test_merges_worker_segments(self, tmp_path):
-        """Per-worker sealed segments (process-mode sweeps) fold in too."""
-        _fill(tmp_path, 4, worker=101, prefix="w101")
-        _fill(tmp_path, 4, worker=202, prefix="w202")
+        """``segment-NNNN.wPID`` segments, as older per-process sweep
+        workers named them, still resume and fold in. Two workers may
+        have sealed the same index."""
+        for worker in (101, 202):
+            staging = tmp_path / f"staging-{worker}"
+            _fill(staging, 4, prefix=f"w{worker}")
+            (sealed,) = staging.glob("segment-*.sealed.json")
+            sealed.rename(
+                tmp_path / sealed.name.replace(".sealed", f".w{worker}.sealed")
+            )
+            staging.rmdir()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "segment-0000.w101.sealed.json",
+            "segment-0000.w202.sealed.json",
+        ]
+        resumed = RunJournal(tmp_path)
+        assert len(resumed) == 8
+        resumed.close()
+
         stats = compact_journal(tmp_path)
         assert stats["segments"] == 2
         assert stats["records"] == 8
@@ -126,6 +140,8 @@ class TestJournalStats:
 
     def test_read_only(self, tmp_path):
         _fill(tmp_path, 4, segment_max_records=2)
+        # A torn sealed segment stays where it is: stats never quarantines.
+        (tmp_path / "segment-0009.sealed.json").write_text('{"payload": {"ve')
         before = sorted(path.name for path in tmp_path.iterdir())
         journal_stats(tmp_path)
         assert sorted(path.name for path in tmp_path.iterdir()) == before

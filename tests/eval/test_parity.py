@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.experiments import run_table2
+from repro.eval.experiments import run_figure2, run_table2
 from repro.eval.harness import build_context
 from repro.eval.metrics import evaluate_model, shard_examples
-from repro.eval.reporting import render_table2
+from repro.eval.reporting import render_figure2, render_table2
 from repro.llm.dispatch import CachingChatModel, CompletionCache
 from repro.llm.simulated import SimulatedLLM
 
@@ -70,6 +70,9 @@ class TestOutcomeParity:
         sharded = _fingerprint(_evaluate(error_examples, workers=4))
         assert sharded == baseline
 
+    def test_empty_pool_with_workers(self):
+        assert _evaluate([], workers=4).records == []
+
     def test_batched_dispatch_matches_sequential(self, error_examples):
         baseline = _fingerprint(_evaluate(error_examples))
         batched = _fingerprint(_evaluate(error_examples, batch_size=8))
@@ -121,3 +124,15 @@ class TestArtifactParity:
         )
         warm = render_table2(run_table2(warm_context))
         assert warm == sequential
+
+    def test_thread_workers_match_sequential(self):
+        """Figure 2 and Table 2 under three worker threads, on another seed."""
+
+        def artifacts(**kwargs):
+            context = build_context(scale="small", seed=11, **kwargs)
+            return (
+                render_figure2(run_figure2(context)),
+                render_table2(run_table2(context)),
+            )
+
+        assert artifacts(workers=3) == artifacts()

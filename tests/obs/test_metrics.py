@@ -129,45 +129,6 @@ class TestSnapshot:
         assert histogram["count"] == 1
 
 
-class TestMerge:
-    def test_counters_add_and_histograms_extend(self):
-        main = MetricsRegistry()
-        main.count("c", 2, kind="k")
-        main.observe("h", 1.0)
-        worker = MetricsRegistry()
-        worker.count("c", 3, kind="k")
-        worker.count("other")
-        worker.observe("h", 2.0)
-
-        main.merge(worker)
-        assert main.counter_value("c", kind="k") == 5
-        assert main.counter_value("other") == 1
-        assert main.histogram_values("h") == [1.0, 2.0]
-
-    def test_source_registry_unchanged(self):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        worker.count("c")
-        main.merge(worker)
-        main.count("c")
-        assert worker.counter_value("c") == 1
-
-    def test_merge_order_does_not_change_snapshot(self):
-        def worker(names):
-            registry = MetricsRegistry()
-            for name in names:
-                registry.count(name)
-                registry.observe(f"{name}.ms", 1.0)
-            return registry
-
-        a = MetricsRegistry()
-        a.merge(worker(["x", "y"]))
-        a.merge(worker(["z"]))
-        b = MetricsRegistry()
-        b.merge(worker(["z"]))
-        b.merge(worker(["x", "y"]))
-        assert a.snapshot() == b.snapshot()
-
-
 class TestSortedSnapshot:
     def test_series_sorted_by_name_then_labels(self):
         registry = MetricsRegistry()

@@ -403,35 +403,12 @@ class TestCliSemcacheFlags:
 
 
 class TestCliConcurrencyFlags:
-    """--worker-mode wiring and the journal subcommand."""
+    """The semantic-cache TTL flag and the journal subcommand."""
 
     def _run(self, capsys, argv):
         assert cli_main(argv) == 0
         captured = capsys.readouterr()
         return captured.out, captured.err
-
-    def test_process_mode_flag_validation(self):
-        # Worker processes load their suites from disk.
-        with pytest.raises(SystemExit):
-            cli_main(
-                ["run", "figure2", "--workers", "2",
-                 "--worker-mode", "process"]
-            )
-        # In-memory stack state cannot cross a process boundary.
-        for extra in (
-            ["--backend", "sim=simulated"],
-            ["--inject-faults", "0.5"],
-            ["--llm-retries", "2"],
-            ["--llm-timeout", "1.0"],
-            ["--cache-dir", "/tmp/x"],
-            ["--semantic-cache"],
-        ):
-            with pytest.raises(SystemExit):
-                cli_main(
-                    ["run", "figure2", "--workers", "2",
-                     "--worker-mode", "process", "--suite-dir", "/tmp/s",
-                     *extra]
-                )
 
     def test_semcache_ttl_flag_validation(self):
         with pytest.raises(SystemExit):
@@ -443,20 +420,6 @@ class TestCliConcurrencyFlags:
                 ["run", "figure2", "--semantic-cache",
                  "--semantic-cache-ttl-s", "0"]
             )
-
-    def test_process_mode_stdout_matches_sequential(self, capsys, tmp_path):
-        suite_dir = str(tmp_path / "suites")
-        sequential, _ = self._run(
-            capsys,
-            ["run", "figure2", "--scale", "small",
-             "--suite-dir", suite_dir],
-        )
-        parallel, _ = self._run(
-            capsys,
-            ["run", "figure2", "--scale", "small", "--workers", "2",
-             "--worker-mode", "process", "--suite-dir", suite_dir],
-        )
-        assert parallel == sequential
 
     def test_journal_subcommand_stats_and_compact(self, capsys, tmp_path):
         journal_dir = str(tmp_path / "journal")
