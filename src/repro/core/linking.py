@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import CatalogError
 from repro.nlp.similarity import string_similarity
 from repro.nlp.stem import stem
 from repro.nlp.tokenize import tokenize
@@ -56,8 +57,11 @@ class SchemaLinker:
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self._schema = schema
+        # The table set is fixed here; keys are unique, so this order is
+        # the alphabetical tie-break of every argmax below.
+        self._tables = sorted(schema.tables, key=lambda t: t.key)
         self._table_tokens = {
-            table.key: set(identifier_tokens(table.name)) for table in schema.tables
+            table.key: set(identifier_tokens(table.name)) for table in self._tables
         }
 
     @property
@@ -68,12 +72,7 @@ class SchemaLinker:
 
     def link_table(self, phrase: str) -> Optional[TableLink]:
         """Best table for a phrase, or None below threshold."""
-        best: Optional[TableLink] = None
-        phrase_stems = {stem(token) for token in tokenize(phrase)}
-        for table in sorted(self._schema.tables, key=lambda t: t.key):
-            score = self._table_score(table, phrase, phrase_stems)
-            if best is None or score > best.score:
-                best = TableLink(table=table, score=score, phrase=phrase)
+        best = self._best_table(phrase)
         if best is not None and best.score >= self.TABLE_THRESHOLD:
             return best
         return None
@@ -83,14 +82,24 @@ class SchemaLinker:
 
         Mirrors an LLM that must output *something*: the argmax table with
         alphabetical tie-breaking, however low the score.
+
+        Raises:
+            CatalogError: when the schema has no tables to guess from.
         """
+        best = self._best_table(phrase)
+        if best is None:
+            raise CatalogError(
+                f"database {self._schema.name!r} has no tables to link to"
+            )
+        return best
+
+    def _best_table(self, phrase: str) -> Optional[TableLink]:
         best: Optional[TableLink] = None
         phrase_stems = {stem(token) for token in tokenize(phrase)}
-        for table in sorted(self._schema.tables, key=lambda t: t.key):
+        for table in self._tables:
             score = self._table_score(table, phrase, phrase_stems)
             if best is None or score > best.score:
                 best = TableLink(table=table, score=score, phrase=phrase)
-        assert best is not None, "schema has no tables"
         return best
 
     def _table_score(
@@ -186,7 +195,7 @@ class SchemaLinker:
     def column_anywhere(self, phrase: str) -> Optional[ColumnLink]:
         """Best column across all tables (used when no table is anchored)."""
         best: Optional[ColumnLink] = None
-        for table in sorted(self._schema.tables, key=lambda t: t.key):
+        for table in self._tables:
             link = self._best_column(table, phrase)
             if link is not None and (best is None or link.score > best.score):
                 best = link

@@ -7,23 +7,47 @@ from repro.nlp.tokenize import tokenize
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert/delete/substitute, all cost 1)."""
+    """Classic edit distance (insert/delete/substitute, all cost 1).
+
+    Myers' bit-parallel algorithm (J. ACM 46(3), 1999) in Hyyrö's
+    formulation for global distance (2001). Bit ``i`` of ``pv``/``mv``
+    says whether row ``i + 1`` of the current dynamic-programming column
+    is one more/one less than row ``i``, so a column costs a few integer
+    operations instead of a loop over the shorter string. Python ints are
+    unbounded bit vectors, so long strings need no splitting into 64-bit
+    blocks. The result is the exact distance, and any sequence of
+    hashable items works.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
+    # The shorter sequence is the pattern: one match bitmask per item.
+    peq: dict = {}
+    bit = 1
+    for item in b:
+        peq[item] = peq.get(item, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(b)
+    for item in a:
+        eq = peq.get(item, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # Row 0 is D[0][j] = j: every column enters with a +1 delta.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def normalized_edit_similarity(a: str, b: str) -> float:

@@ -1,6 +1,12 @@
 """Schema-linking tests."""
 
+import pytest
+
 from repro.core.linking import SchemaLinker, identifier_tokens
+from repro.core.semparse import ParserConfig, SemanticParser
+from repro.errors import CatalogError
+from repro.sql.schema import Column, DatabaseSchema, Table
+from repro.sql.types import DataType
 
 
 class TestIdentifierTokens:
@@ -103,3 +109,41 @@ class TestSpecialColumns:
         linker = SchemaLinker(aep_db.schema)
         table = aep_db.schema.table("hkg_fact_ingestion")
         assert linker.name_column(table) is None
+
+
+def _schema(*table_names: str) -> DatabaseSchema:
+    return DatabaseSchema(
+        "db",
+        [Table(name, [Column("id", DataType.INTEGER)]) for name in table_names],
+    )
+
+
+class TestTableArgmax:
+    def test_ties_break_alphabetically_whatever_the_schema_order(self):
+        # No table shares a token with "zebra": every score ties at 0.
+        for names in (("alpha", "beta", "gamma"), ("gamma", "beta", "alpha")):
+            linker = SchemaLinker(_schema(*names))
+            assert linker.guess_table("zebra").table.name == "alpha"
+            assert linker.link_table("zebra") is None
+
+    def test_link_and_guess_agree_above_threshold(self, aep_db):
+        linker = SchemaLinker(aep_db.schema)
+        link = linker.link_table("segments")
+        guess = linker.guess_table("segments")
+        assert (link.table.name, link.score) == (guess.table.name, guess.score)
+
+
+class TestEmptySchema:
+    def test_guess_table_raises_catalog_error(self):
+        with pytest.raises(CatalogError, match="no tables"):
+            SchemaLinker(_schema()).guess_table("singers")
+
+    def test_link_table_and_column_anywhere_find_nothing(self):
+        linker = SchemaLinker(_schema())
+        assert linker.link_table("singers") is None
+        assert linker.column_anywhere("name") is None
+
+    def test_semantic_parser_raises_catalog_error(self):
+        parser = SemanticParser(_schema(), ParserConfig())
+        with pytest.raises(CatalogError):
+            parser.parse("how many singers are there")

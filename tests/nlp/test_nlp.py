@@ -1,10 +1,13 @@
 """NLP toolkit tests: tokenizer, stemmer, similarity, TF-IDF."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nlp import similarity
 from repro.nlp.similarity import (
     jaccard,
     levenshtein,
@@ -161,6 +164,73 @@ class TestSimilarity:
 
     def test_identical_is_one(self):
         assert string_similarity("name", "name") == 1.0
+
+
+def _oracle_levenshtein(a, b) -> int:
+    """The textbook O(n·m) dynamic program the bit-parallel kernel replaced."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            )
+        previous = current
+    return previous[-1]
+
+
+_IDENTIFIER_CHARS = "abcdefghijklmnopqrstuvwxyz_ "
+
+
+class TestLevenshteinMatchesOracle:
+    """The bit-parallel kernel returns exactly the dynamic program's value."""
+
+    @given(
+        st.text(alphabet=_IDENTIFIER_CHARS, min_size=65, max_size=150),
+        st.text(alphabet=_IDENTIFIER_CHARS, min_size=65, max_size=150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_strings_past_a_machine_word(self, a, b):
+        # Both sides are longer than 64, so the pattern's bit vectors are too.
+        assert levenshtein(a, b) == _oracle_levenshtein(a, b)
+        assert levenshtein(b, a) == _oracle_levenshtein(b, a)
+
+    @given(st.text(max_size=40), st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_unicode_text(self, a, b):
+        assert levenshtein(a, b) == _oracle_levenshtein(a, b)
+
+    @given(st.text(alphabet="ab", max_size=100), st.text(alphabet="ab", max_size=100))
+    @settings(max_examples=200, deadline=None)
+    def test_two_letter_alphabet(self, a, b):
+        assert levenshtein(a, b) == _oracle_levenshtein(a, b)
+
+    @given(st.text(max_size=150))
+    @settings(max_examples=50, deadline=None)
+    def test_empty_strings(self, text):
+        assert levenshtein(text, "") == _oracle_levenshtein(text, "") == len(text)
+        assert levenshtein("", text) == _oracle_levenshtein("", text) == len(text)
+
+    def test_other_hashable_sequences(self):
+        assert levenshtein(("select", "name"), ("select", "age", "name")) == 1
+        assert levenshtein([1, 2, 3], [3, 2, 1]) == 2
+
+    @given(
+        st.text(alphabet=_IDENTIFIER_CHARS, max_size=40),
+        st.text(alphabet=_IDENTIFIER_CHARS, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_string_similarity_is_bit_identical(self, a, b):
+        with mock.patch.object(similarity, "levenshtein", _oracle_levenshtein):
+            expected = string_similarity(a, b)
+        assert string_similarity(a, b) == expected
 
 
 @given(st.text(max_size=12), st.text(max_size=12))
