@@ -1,9 +1,9 @@
 """Execution-layer speedup snapshot (``BENCH_exec.json``).
 
 Times the Table 2 correction benchmark three ways — sequential cold,
-parallel cold (``workers=4`` + batched dispatch filling the completion
-cache), and parallel warm (same, cache pre-filled) — and persists the
-wall-clocks plus the speedup ratios. The acceptance bar for the dispatch
+parallel cold (``workers=4`` threads filling the completion cache), and
+parallel warm (same, cache pre-filled) — and persists the wall-clocks
+plus the speedup ratios. The acceptance bar for the dispatch
 layer is >= 2x for parallel-warm over sequential-cold; the test asserts
 the outputs stayed byte-identical while getting there, so the speedup is
 never bought with drift.
@@ -37,7 +37,6 @@ from repro.llm.simulated import SimulatedLLM
 SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_exec.json"
 
 WORKERS = 4
-BATCH_SIZE = 8
 CURVE_WORKERS = (1, 2, 4)
 
 
@@ -91,7 +90,6 @@ def test_bench_exec_snapshot():
             scale="small",
             llm=CachingChatModel(SimulatedLLM(), cache),
             workers=WORKERS,
-            batch_size=BATCH_SIZE,
         )
     )
     cold_stats = cache.stats()
@@ -101,7 +99,6 @@ def test_bench_exec_snapshot():
             scale="small",
             llm=CachingChatModel(SimulatedLLM(), cache),
             workers=WORKERS,
-            batch_size=BATCH_SIZE,
         )
     )
 
@@ -115,7 +112,6 @@ def test_bench_exec_snapshot():
         "benchmark": "table2",
         "scale": "small",
         "workers": WORKERS,
-        "batch_size": BATCH_SIZE,
         "timings_ms": {
             "sequential_cold": round(sequential_s * 1000, 2),
             "parallel_cold": round(cold_s * 1000, 2),

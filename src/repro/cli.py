@@ -190,16 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "LLM prompts grouped per batched dispatch during evaluation "
-            "(default: 1 = sequential complete calls)"
-        ),
-    )
-    run.add_argument(
         "--cache-dir",
         metavar="DIR",
         help=(
@@ -308,23 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="how long to wait for in-flight requests on SIGINT/SIGTERM",
     )
     serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "coalesce up to N concurrent same-tenant LLM calls into one "
-            "batched dispatch (default: 1 = no coalescing)"
-        ),
-    )
-    serve.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="bounded wait for a coalesced batch to fill (default: 5)",
-    )
-    serve.add_argument(
         "--session-dir",
         metavar="DIR",
         help=(
@@ -360,20 +333,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--batch-max-queue",
-        type=int,
-        metavar="N",
-        help=(
-            "cap the per-tenant batch coalescer queue at N waiting "
-            "prompts; excess calls are shed (default: unbounded)"
-        ),
-    )
-    serve.add_argument(
         "--log-dir",
         metavar="DIR",
         help=(
             "write a rotating structured JSONL event log under DIR "
-            "(serve.request, llm.batch, llm.retry, journal.append events, "
+            "(serve.request, cache.miss, llm.retry, journal.append events, "
             "each stamped with its request id)"
         ),
     )
@@ -739,8 +703,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Run the requested experiment(s) and print the paper-format output."""
     if args.workers < 1:
         parser.error(f"--workers must be >= 1: {args.workers}")
-    if args.batch_size < 1:
-        parser.error(f"--batch-size must be >= 1: {args.batch_size}")
     if args.cache_max is not None:
         if args.cache_dir is None:
             parser.error("--cache-max requires --cache-dir")
@@ -799,7 +761,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             seed=args.seed,
             llm=llm,
             workers=args.workers,
-            batch_size=args.batch_size,
             journal=journal,
             suite_dir=args.suite_dir,
             semcache=semcache,
@@ -983,10 +944,6 @@ def _cmd_serve(
         parser.error(f"--max-sessions must be >= 1: {args.max_sessions}")
     if args.llm_timeout is not None and args.llm_timeout <= 0:
         parser.error(f"--llm-timeout must be > 0 ms: {args.llm_timeout}")
-    if args.batch_max < 1:
-        parser.error(f"--batch-max must be >= 1: {args.batch_max}")
-    if args.batch_wait_ms < 0:
-        parser.error(f"--batch-wait-ms must be >= 0: {args.batch_wait_ms}")
     if args.max_inflight is not None and args.max_inflight < 1:
         parser.error(f"--max-inflight must be >= 1: {args.max_inflight}")
     if (
@@ -1000,10 +957,6 @@ def _cmd_serve(
     if args.request_deadline_ms is not None and args.request_deadline_ms <= 0:
         parser.error(
             f"--request-deadline-ms must be > 0: {args.request_deadline_ms}"
-        )
-    if args.batch_max_queue is not None and args.batch_max_queue < 1:
-        parser.error(
-            f"--batch-max-queue must be >= 1: {args.batch_max_queue}"
         )
     if args.log_max_bytes < 1:
         parser.error(f"--log-max-bytes must be >= 1: {args.log_max_bytes}")
@@ -1087,9 +1040,6 @@ def _cmd_serve(
         deadline_ms=args.llm_timeout,
         breaker_threshold=args.breaker_threshold,
         breaker_reset_ms=args.breaker_reset_ms,
-        batch_max=args.batch_max,
-        batch_wait_ms=args.batch_wait_ms,
-        batch_max_queue=args.batch_max_queue,
         max_inflight_total=args.max_inflight,
         max_inflight_per_tenant=args.max_inflight_per_tenant,
         request_deadline_ms=args.request_deadline_ms,

@@ -8,13 +8,12 @@ Assistant's in-house pipeline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from repro import obs
 from repro.core.retrieval import DemonstrationRetriever
-from repro.errors import LLMError, SqlError
-from repro.llm.dispatch import settle_batch
-from repro.llm.interface import ChatModel, Completion
+from repro.errors import SqlError
+from repro.llm.interface import ChatModel
 from repro.llm.prompts import nl2sql_prompt
 from repro.llm.simulated import SimulatedLLM
 from repro.sql import ast
@@ -75,47 +74,6 @@ class Nl2SqlModel:
             sp.set("demos_used", prediction.demos_used)
             return prediction
 
-    def predict_batch(
-        self, items: Sequence[tuple[str, Database]]
-    ) -> "list[Union[Nl2SqlPrediction, LLMError]]":
-        """Batch prediction with per-item settled outcomes.
-
-        All prompts are assembled up front (retrieval per item) and
-        dispatched through :func:`repro.llm.dispatch.settle_batch`, so the
-        LLM sees one batch rather than N calls. Each slot settles to the
-        item's :class:`Nl2SqlPrediction` or the
-        :class:`~repro.errors.LLMError` it failed with, in item order.
-        """
-        items = list(items)
-        with obs.span("nl2sql.predict_batch", n=len(items)) as sp:
-            prompts = []
-            demo_counts = []
-            for question, database in items:
-                demos = []
-                if self._retriever is not None:
-                    demos = self._retriever.retrieve(
-                        question, db_id=database.schema.name
-                    )
-                demo_counts.append(len(demos))
-                prompts.append(
-                    nl2sql_prompt(database.schema, question, demos=demos)
-                )
-            outcomes = settle_batch(self._llm, prompts)
-            results: list[Union[Nl2SqlPrediction, LLMError]] = []
-            failures = 0
-            for outcome, demos_used in zip(outcomes, demo_counts):
-                if isinstance(outcome, Completion):
-                    prediction = self._parse_completion(outcome, demos_used)
-                    obs.count("nl2sql.predictions")
-                    if not prediction.parse_ok:
-                        obs.count("nl2sql.parse_failures")
-                    results.append(prediction)
-                else:
-                    failures += 1
-                    results.append(outcome)
-            sp.set("failures", failures)
-            return results
-
     def _predict(self, question: str, database: Database) -> Nl2SqlPrediction:
         demos = []
         if self._retriever is not None:
@@ -124,11 +82,6 @@ class Nl2SqlModel:
             )
         prompt = nl2sql_prompt(database.schema, question, demos=demos)
         completion = self._llm.complete(prompt)
-        return self._parse_completion(completion, len(demos))
-
-    def _parse_completion(
-        self, completion: Completion, demos_used: int
-    ) -> Nl2SqlPrediction:
         sql = completion.text.strip().rstrip(";")
         query: Optional[ast.Select] = None
         try:
@@ -141,5 +94,5 @@ class Nl2SqlModel:
             sql=sql,
             query=query,
             notes=list(completion.notes),
-            demos_used=demos_used,
+            demos_used=len(demos),
         )

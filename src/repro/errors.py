@@ -106,19 +106,13 @@ class OverloadError(ReproError):
     """The request was shed before doing work: the system is over capacity.
 
     Raised by the serve layer's load-shedding gate (queue-depth caps,
-    request deadlines) and by a draining/full
-    :class:`~repro.llm.dispatch.BatchingChatModel`. Deliberately *not* an
-    :class:`LLMError`: retry policies must not burn attempts on a request
-    the system chose to reject, and the server maps it to a structured
-    429/503 instead of a 502.
+    request deadlines). Deliberately *not* an :class:`LLMError`: retry
+    policies must not burn attempts on a request the system chose to
+    reject, and the server maps it to a structured 429/503 instead of a
+    502.
     """
 
-    def __init__(
-        self,
-        message: str,
-        reason: str = "overloaded",
-        retry_after_s: "float | None" = None,
-    ) -> None:
+    def __init__(self, message: str, reason: str, retry_after_s: float) -> None:
         super().__init__(message)
         self.reason = reason
         #: Suggested client backoff (seconds); the serve layer surfaces it

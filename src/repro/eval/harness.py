@@ -63,10 +63,9 @@ class ExperimentContext:
     aep_benchmark: Benchmark
     aep_demos: list[Demonstration]
     llm: ChatModel = field(default_factory=SimulatedLLM)
-    #: Evaluation parallelism: worker threads for sharded sweeps and the
-    #: LLM batch size per shard. Both default to the sequential seed path.
+    #: Evaluation parallelism: worker threads for sharded sweeps. The
+    #: default is the sequential seed path.
     workers: int = 1
-    batch_size: int = 1
     #: Write-ahead journal for resumable sweeps (None = not journaling).
     journal: Optional[RunJournal] = None
     #: Semantic answer cache wrapped over every model the context builds
@@ -112,9 +111,9 @@ class ExperimentContext:
     def scope(self, model: str, dataset: str) -> dict:
         """The journal-key namespace for one (model, dataset) evaluation.
 
-        Parallelism knobs (``workers``/``batch_size``) are deliberately
-        excluded: they do not change results, so a sweep journaled at one
-        parallelism resumes cleanly at another.
+        The parallelism knob (``workers``) is deliberately excluded: it
+        does not change results, so a sweep journaled at one parallelism
+        resumes cleanly at another.
         """
         return {
             "scale": self.scale,
@@ -127,7 +126,6 @@ class ExperimentContext:
         """The full ``evaluate_model`` parallelism/journal kwargs."""
         return {
             "workers": self.workers,
-            "batch_size": self.batch_size,
             "journal": self.journal,
             "scope": self.scope(model, dataset),
         }
@@ -250,7 +248,6 @@ def build_context(
     seed: int = 20250325,
     llm: Optional[ChatModel] = None,
     workers: int = 1,
-    batch_size: int = 1,
     journal: Optional[RunJournal] = None,
     suite_dir: Optional[str] = None,
     semcache: "Optional[SemanticAnswerCache]" = None,
@@ -260,9 +257,9 @@ def build_context(
     ``llm`` swaps the context's chat model — the chaos CLI passes a
     fault-injecting/resilient wrapper stack here. Contexts with a custom
     model are never cached: wrapper state (fault plans, breaker state)
-    must not leak into later fault-free runs. ``workers``/``batch_size``
-    configure evaluation parallelism; non-default values likewise get a
-    fresh (uncached) context so the pristine sequential one stays pristine,
+    must not leak into later fault-free runs. ``workers`` configures
+    evaluation parallelism; a non-default value likewise gets a fresh
+    (uncached) context so the pristine sequential one stays pristine,
     and so do a ``journal`` (per-run resume state) and a ``semcache``
     (cross-request answer store wrapped over every model the context
     builds).
@@ -281,7 +278,6 @@ def build_context(
     pristine = (
         llm is None
         and workers == 1
-        and batch_size == 1
         and journal is None
         and semcache is None
     )
@@ -314,7 +310,6 @@ def build_context(
             aep_demos=cached.aep_demos,
             llm=llm if llm is not None else cached.llm,
             workers=workers,
-            batch_size=batch_size,
             journal=journal,
             semcache=semcache,
         )
@@ -357,7 +352,6 @@ def build_context(
         if llm is not None:
             context.llm = llm
         context.workers = workers
-        context.batch_size = batch_size
         context.journal = journal
         context.semcache = semcache
     if pristine:

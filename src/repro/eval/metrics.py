@@ -148,15 +148,10 @@ def _evaluate_examples(
     model: Nl2SqlModel,
     benchmark: Benchmark,
     pool: Sequence[Example],
-    batch_size: int,
     journal=None,
     scope: Optional[dict] = None,
 ) -> list[PredictionRecord]:
     """Score a contiguous run of examples (one worker's shard).
-
-    ``batch_size > 1`` routes predictions through the model's settled
-    batch path; outcomes come back in example order either way, so the
-    produced records are identical to the sequential ones.
 
     With a ``journal``, already-journaled examples replay from it and only
     the rest are predicted; each freshly computed record is journaled the
@@ -186,41 +181,20 @@ def _evaluate_examples(
             journal.append(key, "prediction", prediction_to_dict(record))
         slots[index] = record
 
-    if batch_size <= 1:
-        for index, example, key in pending:
-            database = benchmark.database(example.db_id)
-            try:
-                prediction = model.predict(example.question, database)
-            except LLMError as error:
-                settle(index, key, _failed_record(example, error))
-                continue
-            settle(
-                index,
-                key,
-                _scored_record(
-                    benchmark, example, prediction.sql, prediction.notes
-                ),
-            )
-    else:
-        for start in range(0, len(pending), batch_size):
-            chunk = pending[start : start + batch_size]
-            outcomes = model.predict_batch(
-                [
-                    (example.question, benchmark.database(example.db_id))
-                    for _, example, _ in chunk
-                ]
-            )
-            for (index, example, key), outcome in zip(chunk, outcomes):
-                if isinstance(outcome, LLMError):
-                    settle(index, key, _failed_record(example, outcome))
-                else:
-                    settle(
-                        index,
-                        key,
-                        _scored_record(
-                            benchmark, example, outcome.sql, outcome.notes
-                        ),
-                    )
+    for index, example, key in pending:
+        database = benchmark.database(example.db_id)
+        try:
+            prediction = model.predict(example.question, database)
+        except LLMError as error:
+            settle(index, key, _failed_record(example, error))
+            continue
+        settle(
+            index,
+            key,
+            _scored_record(
+                benchmark, example, prediction.sql, prediction.notes
+            ),
+        )
     return [record for record in slots if record is not None]
 
 
@@ -252,7 +226,6 @@ def evaluate_model(
     benchmark: Benchmark,
     examples: Optional[Sequence[Example]] = None,
     workers: int = 1,
-    batch_size: int = 1,
     journal=None,
     scope: Optional[dict] = None,
 ) -> AccuracyReport:
@@ -261,10 +234,9 @@ def evaluate_model(
     ``workers > 1`` shards the pool across worker threads (contiguous
     shards, merged back in shard order — results are byte-identical to a
     sequential run); a pool of at most one example runs sequentially.
-    ``batch_size > 1`` groups each shard's predictions into settled LLM
-    batches. ``journal`` (a :class:`repro.durability.RunJournal`) makes
-    the sweep resumable: journaled examples replay, fresh ones are
-    computed and journaled; ``scope`` namespaces the journal keys (see
+    ``journal`` (a :class:`repro.durability.RunJournal`) makes the sweep
+    resumable: journaled examples replay, fresh ones are computed and
+    journaled; ``scope`` namespaces the journal keys (see
     :mod:`repro.eval.journaling`).
     """
     report = AccuracyReport()
@@ -274,9 +246,7 @@ def evaluate_model(
     ) as sp:
         if workers <= 1 or len(pool) <= 1:
             report.records.extend(
-                _evaluate_examples(
-                    model, benchmark, pool, batch_size, journal, scope
-                )
+                _evaluate_examples(model, benchmark, pool, journal, scope)
             )
         else:
             shards = shard_examples(pool, workers)
@@ -289,7 +259,6 @@ def evaluate_model(
                         model,
                         benchmark,
                         shard,
-                        batch_size,
                         journal,
                         scope,
                     )

@@ -1,4 +1,4 @@
-"""Simulated LLM backend, prompt library, and batched/cached dispatch."""
+"""Simulated LLM backend, prompt library, and cached dispatch."""
 
 from repro.llm.http_backend import FakeOpenAIServer, HttpChatModel
 from repro.llm.router import (
@@ -13,12 +13,9 @@ from repro.llm.router import (
     tiered_route_map,
 )
 from repro.llm.dispatch import (
-    BatchingChatModel,
     CachingChatModel,
     CompletionCache,
     canonical_prompt_key,
-    complete_batch,
-    settle_batch,
 )
 from repro.llm.interface import (
     KIND_FEEDBACK,
@@ -42,7 +39,6 @@ __all__ = [
     "Backend",
     "BackendPool",
     "BackendSpec",
-    "BatchingChatModel",
     "CachingChatModel",
     "ChatModel",
     "Completion",
@@ -58,7 +54,6 @@ __all__ = [
     "SimulatedLLM",
     "build_backend_pool",
     "canonical_prompt_key",
-    "complete_batch",
     "derive_conventions",
     "feedback_prompt",
     "merge_glossaries",
@@ -69,6 +64,5 @@ __all__ = [
     "render_feedback_demo",
     "rewrite_prompt",
     "routing_prompt",
-    "settle_batch",
     "tiered_route_map",
 ]

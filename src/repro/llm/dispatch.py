@@ -1,17 +1,8 @@
-"""Unified batched/cached LLM dispatch.
+"""Cached LLM dispatch: canonical prompt keys and the completion cache.
 
-Every LLM interaction in the stack used to funnel through single-prompt
-:meth:`ChatModel.complete` calls. This module restructures that call-chain
-shape once, for every layer above it:
+Every prompt reaches a model through one call, :meth:`ChatModel.complete`.
+This module adds the layer that lets a repeated prompt skip the model:
 
-* :func:`complete_batch` / :func:`settle_batch` — the dispatch adapters.
-  They route a list of prompts through a model's *native* batch path when
-  it has one and fall back to sequential ``complete`` otherwise, so any
-  :class:`~repro.llm.interface.ChatModel` keeps working unchanged.
-  ``settle_batch`` never raises for a single item: each slot settles to
-  either a :class:`~repro.llm.interface.Completion` or the
-  :class:`~repro.errors.LLMError` that item died with (the semantics the
-  evaluation loop's skip-and-record path needs).
 * :func:`canonical_prompt_key` — a deterministic content hash over a
   prompt's kind, rendered text, and the payload fields that influence the
   completion but are *not* part of the rendered text (``context_key``,
@@ -23,15 +14,9 @@ shape once, for every layer above it:
   ``completions.json`` per cache directory) so predictions and generated
   correction suites survive across processes.
 * :class:`CachingChatModel` — a :class:`ChatModel` wrapper that consults
-  the cache before dispatching, batch-aware on both sides: cache misses
-  inside a batch are re-batched to the inner model.
-* :class:`BatchingChatModel` — a bounded-wait request coalescer: concurrent
-  ``complete`` calls from many threads are grouped into one
-  ``complete_batch`` dispatch (leader/follower, ``max_wait_ms`` bounded).
-  The serve layer hangs one of these per tenant.
+  the cache before calling the inner model.
 
-Metric names: ``llm.batch_size`` (histogram, one observation per batch
-dispatch), ``cache.hit`` / ``cache.miss`` (counters, labelled by prompt
+Metric names: ``cache.hit`` / ``cache.miss`` (counters, labelled by prompt
 kind; each lookup is also a structured-log event of the same name, which
 carries the request id in serve traffic).
 """
@@ -41,16 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 from repro import obs
-from repro.obs.context import current_request_id
 from repro.chaos.diskfaults import disk_fault
 from repro.datasets.base import Demonstration
 from repro.durability.atomic import read_checksummed_json, write_checksummed_json
-from repro.errors import LLMError, OverloadError
 from repro.llm.interface import ChatModel, Completion, Prompt
 from repro.sql.schema import DatabaseSchema
 
@@ -60,9 +42,6 @@ CACHE_SCHEMA_VERSION = 2
 
 #: File name used inside a ``--cache-dir`` directory.
 CACHE_FILENAME = "completions.json"
-
-#: One settled batch slot: the completion, or the error the item died with.
-BatchOutcome = Union[Completion, LLMError]
 
 
 # -- canonical prompt hashing ------------------------------------------------------
@@ -111,59 +90,6 @@ def canonical_prompt_key(prompt: Prompt) -> str:
         default=str,
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-# -- batch dispatch adapters -------------------------------------------------------
-
-
-def _dispatch_batch(model: ChatModel, prompts: Sequence[Prompt]) -> list[Completion]:
-    """Native batch when available, sequential otherwise. No metrics."""
-    native = getattr(model, "complete_batch", None)
-    if callable(native):
-        return list(native(prompts))
-    return [model.complete(prompt) for prompt in prompts]
-
-
-def _settle_batch(model: ChatModel, prompts: Sequence[Prompt]) -> list[BatchOutcome]:
-    """Per-item settled dispatch (native when available). No metrics."""
-    native = getattr(model, "complete_batch_settled", None)
-    if callable(native):
-        return list(native(prompts))
-    outcomes: list[BatchOutcome] = []
-    for prompt in prompts:
-        try:
-            outcomes.append(model.complete(prompt))
-        except LLMError as error:
-            outcomes.append(error)
-    return outcomes
-
-
-def complete_batch(model: ChatModel, prompts: Sequence[Prompt]) -> list[Completion]:
-    """Batch-complete ``prompts`` against any :class:`ChatModel`.
-
-    Uses the model's native ``complete_batch`` when it has one; otherwise
-    falls back to sequential ``complete`` calls, so every model keeps
-    working. Raises the first item's :class:`~repro.errors.LLMError` when
-    an item fails — use :func:`settle_batch` for per-item outcomes.
-    """
-    prompts = list(prompts)
-    if not prompts:
-        return []
-    obs.observe("llm.batch_size", len(prompts))
-    return _dispatch_batch(model, prompts)
-
-
-def settle_batch(model: ChatModel, prompts: Sequence[Prompt]) -> list[BatchOutcome]:
-    """Batch-complete with per-item outcomes (never raises per item).
-
-    Each returned slot is either the item's :class:`Completion` or the
-    :class:`~repro.errors.LLMError` it failed with, in prompt order.
-    """
-    prompts = list(prompts)
-    if not prompts:
-        return []
-    obs.observe("llm.batch_size", len(prompts))
-    return _settle_batch(model, prompts)
 
 
 # -- completion cache --------------------------------------------------------------
@@ -330,9 +256,8 @@ class CachingChatModel:
     """A :class:`ChatModel` wrapper that memoizes completions.
 
     Hits are answered from the :class:`CompletionCache` without touching
-    the inner model; misses inside a batch are re-batched to the inner
-    model's native dispatch. Settled errors are never cached — a failed
-    item retries against the backend on the next call.
+    the inner model. Errors are never cached — a failed prompt retries
+    against the backend on the next call.
     """
 
     def __init__(
@@ -375,257 +300,3 @@ class CachingChatModel:
         completion = self._inner.complete(prompt)
         self._cache.put(key, completion)
         return completion
-
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        prompts = list(prompts)
-        results: list[Optional[Completion]] = [None] * len(prompts)
-        keys = [canonical_prompt_key(prompt) for prompt in prompts]
-        missing: list[int] = []
-        for index, (prompt, key) in enumerate(zip(prompts, keys)):
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._lookup(True, prompt.kind)
-                results[index] = cached
-            else:
-                self._lookup(False, prompt.kind)
-                missing.append(index)
-        if missing:
-            fetched = _dispatch_batch(
-                self._inner, [prompts[index] for index in missing]
-            )
-            for index, completion in zip(missing, fetched):
-                self._cache.put(keys[index], completion)
-                results[index] = completion
-        return results  # type: ignore[return-value]
-
-    def complete_batch_settled(
-        self, prompts: Sequence[Prompt]
-    ) -> list[BatchOutcome]:
-        prompts = list(prompts)
-        results: list[Optional[BatchOutcome]] = [None] * len(prompts)
-        keys = [canonical_prompt_key(prompt) for prompt in prompts]
-        missing: list[int] = []
-        for index, (prompt, key) in enumerate(zip(prompts, keys)):
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._lookup(True, prompt.kind)
-                results[index] = cached
-            else:
-                self._lookup(False, prompt.kind)
-                missing.append(index)
-        if missing:
-            settled = _settle_batch(
-                self._inner, [prompts[index] for index in missing]
-            )
-            for index, outcome in zip(missing, settled):
-                if isinstance(outcome, Completion):
-                    self._cache.put(keys[index], outcome)
-                results[index] = outcome
-        return results  # type: ignore[return-value]
-
-
-# -- bounded-wait request coalescing -----------------------------------------------
-
-
-class _PendingItem:
-    """One enqueued prompt awaiting its slot of a coalesced dispatch."""
-
-    __slots__ = ("prompt", "outcome", "done", "request_id")
-
-    def __init__(self, prompt: Prompt) -> None:
-        self.prompt = prompt
-        self.outcome: Optional[BatchOutcome] = None
-        self.done = False
-        # Captured at enqueue time: the leader dispatches on behalf of
-        # followers from *its* thread, so the follower's correlation id
-        # must ride the item, not the dispatching context.
-        self.request_id = current_request_id()
-
-
-class BatchingChatModel:
-    """Coalesces concurrent ``complete`` calls into batched dispatches.
-
-    Leader/follower over one condition variable: the first caller with no
-    active leader becomes the leader, waits up to ``max_wait_ms`` for the
-    queue to fill (or until ``max_batch`` items arrived), dispatches the
-    collected prompts as one settled batch against the inner model, and
-    distributes the per-item outcomes. A solitary caller therefore pays at
-    most ``max_wait_ms`` extra latency; concurrent callers on the same
-    model share one dispatch.
-
-    With ``max_batch=1`` the wrapper degenerates to pass-through
-    ``complete`` calls (no queueing, no added latency).
-
-    **Backpressure.** ``max_queue`` bounds the number of prompts waiting
-    for a coalesced dispatch; an enqueue beyond it is shed with
-    :class:`~repro.errors.OverloadError` instead of growing the queue
-    without limit. **Drain.** :meth:`begin_drain` rejects new prompts
-    (``OverloadError`` with reason ``draining``) while already-enqueued
-    ones run to completion; :meth:`await_idle` blocks until the queue is
-    empty and no dispatch is in flight — the SIGTERM half of graceful
-    shutdown.
-    """
-
-    def __init__(
-        self,
-        inner: ChatModel,
-        max_batch: int = 8,
-        max_wait_ms: float = 5.0,
-        max_queue: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1: {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0: {max_wait_ms}")
-        if max_queue is not None and max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1: {max_queue}")
-        self._inner = inner
-        self._max_batch = max_batch
-        self._max_wait = max_wait_ms / 1000.0
-        self._max_queue = max_queue
-        self._clock = clock
-        self._cond = threading.Condition()
-        self._queue: list[_PendingItem] = []
-        self._leader_active = False
-        self._draining = False
-        self.dispatches = 0
-        self.coalesced = 0
-        self.shed = 0
-
-    @property
-    def inner(self) -> ChatModel:
-        return self._inner
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def queued(self) -> int:
-        """Prompts currently waiting in the coalescer queue."""
-        with self._cond:
-            return len(self._queue)
-
-    def begin_drain(self) -> None:
-        """Reject new prompts; enqueued ones still dispatch and settle."""
-        with self._cond:
-            self._draining = True
-            self._cond.notify_all()
-
-    def await_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until the queue is empty and no leader is dispatching."""
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: not self._queue and not self._leader_active,
-                timeout=timeout,
-            )
-
-    def _shed(self, reason: str) -> OverloadError:
-        self.shed += 1
-        obs.count("llm.batch.shed", reason=reason)
-        if reason == "draining":
-            return OverloadError(
-                "batcher is draining; not accepting new prompts",
-                reason="draining",
-            )
-        return OverloadError(
-            f"batch queue is full ({self._max_queue} waiting); shedding",
-            reason="queue_full",
-        )
-
-    def complete(self, prompt: Prompt) -> Completion:
-        if self._max_batch == 1:
-            if self._draining:
-                with self._cond:
-                    raise self._shed("draining")
-            return self._inner.complete(prompt)
-        item = _PendingItem(prompt)
-        with self._cond:
-            if self._draining:
-                raise self._shed("draining")
-            if (
-                self._max_queue is not None
-                and len(self._queue) >= self._max_queue
-            ):
-                raise self._shed("queue_full")
-            self._queue.append(item)
-            self._cond.notify_all()
-        while True:
-            batch: list[_PendingItem] = []
-            with self._cond:
-                if item.done:
-                    break
-                if self._leader_active:
-                    # Follower: wait for the current leader's round, then
-                    # re-check (our item may ride the next round).
-                    self._cond.wait(timeout=max(self._max_wait, 0.01))
-                    if item.done:
-                        break
-                    continue
-                self._leader_active = True
-                deadline = self._clock() + self._max_wait
-                while len(self._queue) < self._max_batch:
-                    remaining = deadline - self._clock()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
-                batch = self._queue[: self._max_batch]
-                del self._queue[: self._max_batch]
-            # Dispatch outside the lock so followers can keep enqueueing.
-            outcomes = settle_batch(
-                self._inner, [pending.prompt for pending in batch]
-            )
-            obs.event(
-                "llm.batch",
-                size=len(batch),
-                coalesced=True,
-                request_ids=sorted(
-                    {p.request_id for p in batch if p.request_id is not None}
-                ),
-            )
-            with self._cond:
-                for pending, outcome in zip(batch, outcomes):
-                    pending.outcome = outcome
-                    pending.done = True
-                self.dispatches += 1
-                self.coalesced += len(batch)
-                self._leader_active = False
-                self._cond.notify_all()
-            if item.done:
-                break
-        if isinstance(item.outcome, LLMError):
-            raise item.outcome
-        assert item.outcome is not None
-        return item.outcome
-
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        """An explicit batch bypasses coalescing: it already is one."""
-        with self._cond:
-            if self._draining:
-                raise self._shed("draining")
-            self.dispatches += 1
-            self.coalesced += len(prompts)
-        _explicit_batch_event(len(prompts))
-        return complete_batch(self._inner, prompts)
-
-    def complete_batch_settled(
-        self, prompts: Sequence[Prompt]
-    ) -> list[BatchOutcome]:
-        with self._cond:
-            if self._draining:
-                raise self._shed("draining")
-            self.dispatches += 1
-            self.coalesced += len(prompts)
-        _explicit_batch_event(len(prompts))
-        return settle_batch(self._inner, prompts)
-
-
-def _explicit_batch_event(size: int) -> None:
-    request_id = current_request_id()
-    obs.event(
-        "llm.batch",
-        size=size,
-        coalesced=False,
-        request_ids=[request_id] if request_id is not None else [],
-    )

@@ -203,10 +203,6 @@ class HttpChatModel:
             )
         return Completion(text=content)
 
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        """The wire protocol has no batch endpoint; dispatch sequentially."""
-        return [self.complete(prompt) for prompt in prompts]
-
 
 # -- offline test double -----------------------------------------------------------
 

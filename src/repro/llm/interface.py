@@ -12,7 +12,7 @@ implementing the same protocol against ``prompt.text``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Protocol
 
 #: Prompt kinds the backend issues.
 KIND_NL2SQL = "nl2sql"
@@ -50,13 +50,4 @@ class ChatModel(Protocol):
 
     def complete(self, prompt: Prompt) -> Completion:
         """Produce a completion for the prompt."""
-        ...  # pragma: no cover
-
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        """Produce one completion per prompt, in order.
-
-        Models without a native batch path are still usable: callers go
-        through :func:`repro.llm.dispatch.complete_batch`, which falls back
-        to sequential :meth:`complete` calls when this method is absent.
-        """
         ...  # pragma: no cover

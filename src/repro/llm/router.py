@@ -19,12 +19,12 @@ routes across them:
   on-path* (``maybe_probe``, deterministic under a
   :class:`~repro.resilience.policies.VirtualClock` — the batch CLI path)
   or a background daemon thread (``start_probing`` — the serve path).
-* **Hedged requests** — with ``hedge_after_ms`` set, a single-prompt
-  ``complete`` fires the next candidate if the first hasn't answered in
-  time; the first settled *success* wins, primary preferred when both
-  have settled, and the loser's completion is discarded (its metrics
-  still count). Hedging never triggers when the primary answers fast,
-  so fault-free runs stay byte-identical to the unrouted pipeline.
+* **Hedged requests** — with ``hedge_after_ms`` set, ``complete`` fires
+  the next candidate if the first hasn't answered in time; the first
+  settled *success* wins, primary preferred when both have settled, and
+  the loser's completion is discarded (its metrics still count).
+  Hedging never triggers when the primary answers fast, so fault-free
+  runs stay byte-identical to the unrouted pipeline.
 
 Metric names: ``llm.backend`` (counter, labels ``backend``/``outcome``
 with outcome in ok | error | failover | skipped | rejected | hedge |
@@ -402,8 +402,8 @@ class RoutingChatModel:
     propagate. When every candidate is ejected the call fails fast with
     :class:`~repro.errors.NoHealthyBackendError`.
 
-    ``hedge_after_ms`` arms tail-latency hedging on single-prompt
-    ``complete`` calls (see module docstring for the determinism rules).
+    ``hedge_after_ms`` arms tail-latency hedging on ``complete`` calls
+    (see module docstring for the determinism rules).
     ``probe_on_path`` makes each dispatch run due probes first — the
     deterministic batch-CLI alternative to ``BackendPool.start_probing``.
     """
@@ -448,7 +448,7 @@ class RoutingChatModel:
         ordered.extend(b for b in backends if b.name != preferred)
         return ordered
 
-    # -- single-prompt path ---------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
 
     def complete(self, prompt: Prompt) -> Completion:
         if self._probe_on_path:
@@ -678,106 +678,6 @@ class RoutingChatModel:
                 if isinstance(settled, CircuitOpenError)
                 else OUTCOME_ERROR,
             )
-
-    # -- batch path -----------------------------------------------------------
-
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        outcomes = self.complete_batch_settled(prompts)
-        for outcome in outcomes:
-            if isinstance(outcome, LLMError):
-                raise outcome
-        return outcomes  # type: ignore[return-value]
-
-    def complete_batch_settled(
-        self, prompts: Sequence[Prompt]
-    ) -> "list[Union[Completion, LLMError]]":
-        """Routed settled batch: items are grouped by the backend each one
-        currently targets, dispatched as sub-batches, and failed items
-        fail over to their next candidate in later rounds. No hedging —
-        the per-backend resilient stacks already overlap their retry
-        waits inside a round."""
-        from repro.llm.dispatch import _settle_batch
-
-        if self._probe_on_path:
-            self._pool.maybe_probe()
-        prompts = list(prompts)
-        results: list[Optional[Union[Completion, LLMError]]] = [None] * len(
-            prompts
-        )
-        candidate_lists = [self._candidates(p.kind) for p in prompts]
-        positions = [0] * len(prompts)
-        last_errors: list[Optional[LLMError]] = [None] * len(prompts)
-        pending = list(range(len(prompts)))
-        while pending:
-            groups: dict[str, list[int]] = {}
-            for index in pending:
-                candidates = candidate_lists[index]
-                while positions[index] < len(candidates):
-                    backend = candidates[positions[index]]
-                    if self._pool.available(backend):
-                        break
-                    self._pool.record_outcome(backend.name, OUTCOME_SKIPPED)
-                    positions[index] += 1
-                if positions[index] >= len(candidates):
-                    results[index] = last_errors[index] or (
-                        NoHealthyBackendError(
-                            f"all backends ejected ({self._pool.names}); "
-                            "rejecting LLM call "
-                            f"(kind={prompts[index].kind})"
-                        )
-                    )
-                    continue
-                groups.setdefault(backend.name, []).append(index)
-            if not groups:
-                break
-            for name, indices in groups.items():
-                backend = self._pool[name]
-                started = time.monotonic()
-                settled = _settle_batch(
-                    backend.model, [prompts[index] for index in indices]
-                )
-                duration_ms = (time.monotonic() - started) * 1000.0
-                for index, outcome in zip(indices, settled):
-                    if isinstance(outcome, Completion):
-                        self._pool.note_success(backend)
-                        self._pool.record_outcome(
-                            name, OUTCOME_OK, duration_ms
-                        )
-                        results[index] = outcome
-                        continue
-                    self._pool.note_failure(backend)
-                    if not isinstance(
-                        outcome, (TransientLLMError, CircuitOpenError)
-                    ):
-                        self._pool.record_outcome(name, OUTCOME_ERROR)
-                        results[index] = outcome
-                        continue
-                    self._pool.record_outcome(
-                        name,
-                        OUTCOME_REJECTED
-                        if isinstance(outcome, CircuitOpenError)
-                        else OUTCOME_ERROR,
-                    )
-                    last_errors[index] = outcome
-                    positions[index] += 1
-                    nxt = positions[index]
-                    if nxt < len(candidate_lists[index]):
-                        self._pool.record_outcome(
-                            candidate_lists[index][nxt].name,
-                            OUTCOME_FAILOVER,
-                        )
-            pending = [
-                index
-                for index in range(len(prompts))
-                if results[index] is None
-            ]
-        for index in range(len(prompts)):
-            if results[index] is None:
-                results[index] = last_errors[index] or NoHealthyBackendError(
-                    f"all backends ejected ({self._pool.names}); "
-                    f"rejecting LLM call (kind={prompts[index].kind})"
-                )
-        return results  # type: ignore[return-value]
 
 
 # -- backend specs & pool construction ---------------------------------------------

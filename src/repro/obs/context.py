@@ -1,11 +1,11 @@
 """Correlation-ID propagation: one request id across every layer it touches.
 
 A serve request is handled on one thread but fans out across many
-subsystems — session handling, the per-tenant resilience stack, the batch
-coalescer, the completion cache, the run journal. Tying those records back
-to the request that caused them needs exactly one piece of shared state:
-the *current request id*, carried in a :mod:`contextvars` context variable
-so it follows the request through nested calls without threading an
+subsystems — session handling, the per-tenant resilience stack, the
+completion cache, the run journal. Tying those records back to the
+request that caused them needs exactly one piece of shared state: the
+*current request id*, carried in a :mod:`contextvars` context variable so
+it follows the request through nested calls without threading an
 argument through every signature.
 
 Usage::
@@ -15,12 +15,7 @@ Usage::
         ...  # stamped with request_id via current_request_id()
 
 The id is honored from an ``X-Request-Id`` header when the caller sent
-one, else minted by :func:`new_request_id`. Batch coalescing is the one
-place a *different* thread finishes a request's work (the batch leader
-dispatches on behalf of followers); there the id is captured into the
-queued item at enqueue time (see
-:class:`repro.llm.dispatch.BatchingChatModel`) rather than read from the
-leader's context.
+one, else minted by :func:`new_request_id`.
 
 Everything here is also safe outside a request: :func:`current_request_id`
 returns ``None``, and every consumer treats "no id" as "emit nothing

@@ -88,7 +88,6 @@ def _render_llm(snapshot: dict) -> str:
     calls_by_kind = _counter_by_label(snapshot, "llm.calls", "kind")
     hits = _counter_by_label(snapshot, "cache.hit", "kind")
     misses = _counter_by_label(snapshot, "cache.miss", "kind")
-    batch = _histogram(snapshot, "llm.batch_size", {})
     sem_hits = _counter_total(snapshot, "semcache.hit")
     sem_misses = _counter_total(snapshot, "semcache.miss")
     sem_bypasses = _counter_total(snapshot, "semcache.bypass")
@@ -139,11 +138,6 @@ def _render_llm(snapshot: dict) -> str:
         if invalidations:
             line += f", {_int(invalidations)} invalidated"
         lines.append(line)
-    if batch and batch["count"]:
-        lines.append(
-            f"batch dispatches: {_int(batch['count'])}, "
-            f"mean size {batch['mean']:.1f}, max {_int(batch['max'])}"
-        )
     return "\n".join(lines)
 
 
@@ -339,12 +333,6 @@ def _render_durability(snapshot: dict) -> str:
         lines.append(
             f"requests shed: {_int(sum(shed.values()))} "
             f"({_label_summary(shed)})"
-        )
-    batch_shed = _counter_by_label(snapshot, "llm.batch.shed", "reason")
-    if batch_shed:
-        lines.append(
-            f"batched prompts shed: {_int(sum(batch_shed.values()))} "
-            f"({_label_summary(batch_shed)})"
         )
     evictions = _counter_total(snapshot, "cache.evictions")
     if evictions:

@@ -3,7 +3,7 @@
 One canonical-JSON object per line. Every event carries:
 
 * ``ts`` — wall-clock seconds (injectable clock, so tests are stable),
-* ``event`` — the event name (``serve.request``, ``llm.batch``,
+* ``event`` — the event name (``serve.request``, ``cache.miss``,
   ``llm.retry``, ``journal.append``, ...),
 * ``request_id`` — stamped automatically from the correlation context
   (:mod:`repro.obs.context`) when a request is being served; omitted

@@ -63,8 +63,7 @@ def _header_lines(payload: dict) -> list:
     lines.append(
         f"fisql-serve top — {state} | sessions "
         f"{sessions.get('resident', 0)}/{sessions.get('max_sessions', '-')} "
-        f"(created {sessions.get('created', 0)}) | {gate_text} | "
-        f"batch queue {payload.get('batch_queue_depth', 0)}"
+        f"(created {sessions.get('created', 0)}) | {gate_text}"
     )
     rates = (payload.get("telemetry") or {}).get("rates", {})
     if rates:

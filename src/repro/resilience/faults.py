@@ -14,15 +14,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 from repro import obs
-from repro.errors import (
-    LLMError,
-    LLMTimeoutError,
-    RateLimitError,
-    TransientLLMError,
-)
+from repro.errors import LLMTimeoutError, RateLimitError, TransientLLMError
 from repro.llm.interface import ChatModel, Completion, Prompt
 
 #: Injectable fault kinds, in the order the plan's bands are laid out.
@@ -236,27 +230,3 @@ class FaultInjectingChatModel:
             text=garbled,
             notes=completion.notes + ["injected truncated completion"],
         )
-
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        """Batch completion with the same per-index fault plan.
-
-        Items are drawn in prompt order, so a batch of N prompts consumes
-        exactly the same fault-plan indices as N sequential calls — the
-        injected fault sequence is independent of batching. The first
-        faulted item's error propagates (use ``complete_batch_settled``
-        for per-item outcomes).
-        """
-        return [self.complete(prompt) for prompt in prompts]
-
-    def complete_batch_settled(
-        self, prompts: Sequence[Prompt]
-    ) -> "list[Completion | LLMError]":
-        """Per-item settled batch: every prompt draws its fault, errors
-        settle in place instead of aborting the remainder of the batch."""
-        outcomes: list[Completion | LLMError] = []
-        for prompt in prompts:
-            try:
-                outcomes.append(self.complete(prompt))
-            except LLMError as error:
-                outcomes.append(error)
-        return outcomes

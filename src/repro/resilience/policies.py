@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 from repro import obs
 from repro.errors import CircuitOpenError, LLMError, TransientLLMError
@@ -292,7 +292,7 @@ class ResilientChatModel:
                     self._give_up("deadline", error)
                 self.retries += 1
                 self._retry_sequence += 1
-                backoff = self._round_backoff_ms(
+                backoff = self._backoff_ms(
                     retry_index, self._retry_sequence, error, remaining
                 )
                 obs.count("llm.retries", kind=prompt.kind)
@@ -313,105 +313,14 @@ class ResilientChatModel:
                     self._breaker.record_success()
                 return completion
 
-    def complete_batch(self, prompts: Sequence[Prompt]) -> list[Completion]:
-        """Strict batch: per-item policies apply; the first failed item's
-        error (by prompt index) propagates after the batch settles."""
-        outcomes = self.complete_batch_settled(prompts)
-        for outcome in outcomes:
-            if isinstance(outcome, LLMError):
-                raise outcome
-        return outcomes  # type: ignore[return-value]
-
-    def complete_batch_settled(
-        self, prompts: Sequence[Prompt]
-    ) -> "list[Union[Completion, LLMError]]":
-        """Batch completion with per-item retry/deadline and a shared breaker.
-
-        Round-based: each round asks the breaker per still-pending item,
-        dispatches the survivors as one inner batch, classifies the settled
-        outcomes (success / retryable / fatal), and sleeps once for the
-        round's longest backoff — per-item waits overlap instead of
-        summing, which is the batched analogue of the sequential schedule.
-        Counters (``llm.retries``, ``llm.giveups``,
-        ``llm.breaker.rejections``) keep their sequential names.
-        """
-        from repro.llm.dispatch import _settle_batch
-
-        prompts = list(prompts)
-        results: list[Optional[Union[Completion, LLMError]]] = [None] * len(
-            prompts
-        )
-        started = self._clock()
-        # (index, retry_index) for items still awaiting a final outcome.
-        pending: list[tuple[int, int]] = [(i, 0) for i in range(len(prompts))]
-        while pending:
-            allowed: list[tuple[int, int]] = []
-            for index, retry_index in pending:
-                if self._breaker is not None and not self._breaker.allow():
-                    self.rejections += 1
-                    obs.count("llm.breaker.rejections")
-                    results[index] = CircuitOpenError(
-                        "circuit breaker is open; rejecting LLM call "
-                        f"(kind={prompts[index].kind})"
-                    )
-                else:
-                    allowed.append((index, retry_index))
-            if not allowed:
-                break
-            settled = _settle_batch(
-                self._inner, [prompts[index] for index, _ in allowed]
-            )
-            next_pending: list[tuple[int, int]] = []
-            round_backoff = 0.0
-            for (index, retry_index), outcome in zip(allowed, settled):
-                if isinstance(outcome, Completion):
-                    if self._breaker is not None:
-                        self._breaker.record_success()
-                    results[index] = outcome
-                    continue
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                if not isinstance(outcome, TransientLLMError):
-                    results[index] = outcome
-                    continue
-                retry_index += 1
-                if retry_index > self._retry.max_retries:
-                    self._record_giveup("retries_exhausted")
-                    results[index] = outcome
-                    continue
-                remaining = self._remaining_ms(started)
-                if remaining is not None and remaining <= 0:
-                    self._record_giveup("deadline")
-                    results[index] = outcome
-                    continue
-                self.retries += 1
-                self._retry_sequence += 1
-                backoff = self._round_backoff_ms(
-                    retry_index, self._retry_sequence, outcome, remaining
-                )
-                obs.count("llm.retries", kind=prompts[index].kind)
-                obs.observe("llm.retry_backoff_ms", backoff)
-                obs.event(
-                    "llm.retry",
-                    kind=prompts[index].kind,
-                    attempt=retry_index,
-                    backoff_ms=backoff,
-                )
-                round_backoff = max(round_backoff, backoff)
-                next_pending.append((index, retry_index))
-            pending = next_pending
-            if pending:
-                self._sleep(round_backoff / 1000.0)
-        return results  # type: ignore[return-value]
-
-    def _round_backoff_ms(
+    def _backoff_ms(
         self,
         retry_index: int,
         sequence: int,
         error: TransientLLMError,
         remaining: Optional[float],
     ) -> float:
-        """This round's wait: the backend's ``Retry-After`` hint when the
+        """This retry's wait: the backend's ``Retry-After`` hint when the
         error carries one (a 429/503 that told us exactly when to come
         back), else the computed exponential schedule — either way bounded
         by what is left of the deadline budget."""
@@ -430,10 +339,7 @@ class ResilientChatModel:
         elapsed_ms = (self._clock() - started) * 1000.0
         return self._retry.deadline_ms - elapsed_ms
 
-    def _record_giveup(self, reason: str) -> None:
+    def _give_up(self, reason: str, error: TransientLLMError) -> None:
         self.giveups += 1
         obs.count("llm.giveups", reason=reason)
-
-    def _give_up(self, reason: str, error: TransientLLMError) -> None:
-        self._record_giveup(reason)
         raise error

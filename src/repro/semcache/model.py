@@ -1,8 +1,8 @@
 """A semantic-cache wrapper over :class:`repro.core.nl2sql.Nl2SqlModel`.
 
 This is the batch-run integration point: it sits *above* the entire
-dispatch stack (CachingChatModel, BatchingChatModel, the router, the
-backends). A hit here re-parses the stored SQL locally and returns a full
+dispatch stack (CachingChatModel, the router, the backends). A hit here
+re-parses the stored SQL locally and returns a full
 :class:`Nl2SqlPrediction` without calling the inner model at all — so
 ``nl2sql.predictions`` and every ``llm.*`` counter stay flat, which is
 exactly how the smoke tests prove the bypass-the-backends claim.
@@ -14,13 +14,13 @@ round must not become a sticky wrong answer).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.core.nl2sql import Nl2SqlModel, Nl2SqlPrediction
 from repro.core.retrieval import DemonstrationRetriever
-from repro.errors import LLMError, SqlError
+from repro.errors import SqlError
 from repro.llm.interface import ChatModel
-from repro.semcache.store import SemanticAnswerCache, SemcacheLookup
+from repro.semcache.store import SemanticAnswerCache
 from repro.sql import ast
 from repro.sql.engine import Database
 from repro.sql.parser import parse_query
@@ -63,58 +63,16 @@ class SemanticCachingNl2SqlModel:
     def retriever(self) -> Optional[DemonstrationRetriever]:
         return self._inner.retriever
 
-    def _finish(
-        self, lookup: SemcacheLookup, prediction: Nl2SqlPrediction
-    ) -> Nl2SqlPrediction:
-        if lookup.outcome == "miss" and prediction.parse_ok:
-            self._cache.store(lookup, prediction.sql, list(prediction.notes))
-        self._cache.log_round(
-            lookup, kind="ask", served_sql=prediction.sql or None
-        )
-        return prediction
-
     def predict(self, question: str, database: Database) -> Nl2SqlPrediction:
         lookup = self._cache.lookup(self._tenant, database.schema, question)
         if lookup.outcome == "hit":
             prediction = prediction_from_sql(lookup.sql or "", lookup.notes)
             self._cache.log_round(lookup, kind="ask", served_sql=lookup.sql)
             return prediction
-        return self._finish(lookup, self._inner.predict(question, database))
-
-    def predict_batch(
-        self, items: Sequence[tuple[str, Database]]
-    ) -> "list[Union[Nl2SqlPrediction, LLMError]]":
-        items = list(items)
-        lookups = [
-            self._cache.lookup(self._tenant, database.schema, question)
-            for question, database in items
-        ]
-        pending = [
-            index
-            for index, lookup in enumerate(lookups)
-            if lookup.outcome != "hit"
-        ]
-        inner_results = (
-            self._inner.predict_batch([items[index] for index in pending])
-            if pending
-            else []
+        prediction = self._inner.predict(question, database)
+        if lookup.outcome == "miss" and prediction.parse_ok:
+            self._cache.store(lookup, prediction.sql, list(prediction.notes))
+        self._cache.log_round(
+            lookup, kind="ask", served_sql=prediction.sql or None
         )
-        results: "list[Union[Nl2SqlPrediction, LLMError]]" = []
-        by_index = dict(zip(pending, inner_results))
-        for index, lookup in enumerate(lookups):
-            if lookup.outcome == "hit":
-                self._cache.log_round(
-                    lookup, kind="ask", served_sql=lookup.sql
-                )
-                results.append(
-                    prediction_from_sql(lookup.sql or "", lookup.notes)
-                )
-                continue
-            outcome = by_index[index]
-            if isinstance(outcome, Nl2SqlPrediction):
-                results.append(self._finish(lookup, outcome))
-            else:
-                # Errors are never cached; log the round as unanswered.
-                self._cache.log_round(lookup, kind="ask", served_sql=None)
-                results.append(outcome)
-        return results
+        return prediction

@@ -71,11 +71,7 @@ from repro.core.nl2sql import Nl2SqlModel
 from repro.core.retrieval import DemonstrationRetriever
 from repro.durability.journal import RunJournal
 from repro.errors import CircuitOpenError, LLMError, OverloadError, ReproError
-from repro.llm.dispatch import (
-    BatchingChatModel,
-    CachingChatModel,
-    CompletionCache,
-)
+from repro.llm.dispatch import CachingChatModel, CompletionCache
 from repro.serve.overload import LoadShedGate
 from repro.llm.interface import ChatModel
 from repro.llm.router import BackendPool, RoutingChatModel
@@ -128,12 +124,6 @@ def _retry_after_header(seconds: float) -> str:
 class TenantPolicy:
     """Per-tenant resilience + dispatch configuration (one stack each).
 
-    ``batch_max > 1`` puts a bounded-wait request coalescer in front of the
-    tenant's resilience stack: concurrent asks from that tenant's sessions
-    are grouped into one ``complete_batch`` dispatch, waiting at most
-    ``batch_wait_ms`` to fill a batch; ``batch_max_queue`` bounds that
-    coalescer's queue (backpressure instead of unbounded buffering).
-
     The overload knobs feed the app's :class:`LoadShedGate`:
     ``max_inflight_total``/``max_inflight_per_tenant`` cap concurrent
     LLM-bound requests (503 ``overloaded`` / 429 ``tenant_overloaded``),
@@ -145,9 +135,6 @@ class TenantPolicy:
     deadline_ms: Optional[float] = None
     breaker_threshold: int = 5
     breaker_reset_ms: float = 30_000.0
-    batch_max: int = 1
-    batch_wait_ms: float = 5.0
-    batch_max_queue: Optional[int] = None
     max_inflight_total: Optional[int] = None
     max_inflight_per_tenant: Optional[int] = None
     request_deadline_ms: Optional[float] = None
@@ -337,14 +324,7 @@ class ServeApp:
                 ),
                 clock=self._clock,
             )
-        if policy.batch_max <= 1:
-            return model
-        return BatchingChatModel(
-            model,
-            max_batch=policy.batch_max,
-            max_wait_ms=policy.batch_wait_ms,
-            max_queue=policy.batch_max_queue,
-        )
+        return model
 
     def llm_for_tenant(self, tenant: str) -> ChatModel:
         """The tenant's resilience stack (created on first use)."""
@@ -357,18 +337,8 @@ class ServeApp:
     # -- drain ----------------------------------------------------------------------
 
     def begin_drain(self) -> None:
-        """Stop admitting mutating requests; in-flight ones complete.
-
-        Tenant batchers are drained too: enqueued prompts settle, new ones
-        are shed — a coalescer must not keep buffering work the route
-        layer already refuses.
-        """
+        """Stop admitting mutating requests; in-flight ones complete."""
         self._draining = True
-        with self._tenant_lock:
-            models = list(self._tenant_llms.values())
-        for model in models:
-            if isinstance(model, BatchingChatModel):
-                model.begin_drain()
         obs.count("serve.drain.begun")
 
     def await_idle(self, timeout: Optional[float] = None) -> bool:
@@ -578,22 +548,12 @@ class ServeApp:
             return self._json(503, error_payload("capacity", str(error)))
         except OverloadError as error:
             # Per-tenant flooding is the caller's fault (429); global
-            # capacity, deadlines, and drain are the server's (503).
+            # capacity and deadlines are the server's (503).
             status = 429 if error.reason == "tenant_overloaded" else 503
-            retry_after = error.retry_after_s
-            if retry_after is None:
-                # Batcher sheds (draining/queue_full) carry no hint of
-                # their own; drain points past the grace, a full queue
-                # turns over within a coalescer round.
-                retry_after = (
-                    DEFAULT_DRAIN_GRACE
-                    if error.reason == "draining"
-                    else 1.0
-                )
             return self._json(
                 status,
                 error_payload(error.reason, str(error), retryable=True),
-                {"Retry-After": _retry_after_header(retry_after)},
+                {"Retry-After": _retry_after_header(error.retry_after_s)},
             )
         except CircuitOpenError as error:
             return self._json(
@@ -654,7 +614,6 @@ class ServeApp:
             "draining": self._draining,
             "inflight": self._inflight,
             "gate": self._gate.stats(),
-            "batch_queue_depth": self._batch_queue_depth(),
             "breakers": self._breaker_states(),
         }
         if self._pool is not None:
@@ -664,16 +623,6 @@ class ServeApp:
             payload["backends"] = self._pool.health_snapshot()
         return ready, payload
 
-    def _batch_queue_depth(self) -> int:
-        """Prompts waiting in tenant coalescer queues, summed."""
-        with self._tenant_lock:
-            models = list(self._tenant_llms.values())
-        return sum(
-            model.queued
-            for model in models
-            if isinstance(model, BatchingChatModel)
-        )
-
     def _statusz_payload(self) -> dict:
         """The live-operations view ``fisql-repro top`` renders."""
         payload = {
@@ -682,7 +631,6 @@ class ServeApp:
             "protocol": PROTOCOL_VERSION,
             "sessions": self._manager.stats(),
             "gate": self._gate.stats(),
-            "batch_queue_depth": self._batch_queue_depth(),
             "breakers": self._breaker_states(),
             "telemetry": self._telemetry.snapshot(),
         }
@@ -697,10 +645,7 @@ class ServeApp:
             models = dict(self._tenant_llms)
         states: dict[str, str] = {}
         for tenant, model in models.items():
-            stack = model
-            if isinstance(stack, BatchingChatModel):
-                stack = stack.inner
-            breaker = getattr(stack, "breaker", None)
+            breaker = getattr(model, "breaker", None)
             if breaker is not None:
                 states[tenant] = breaker.state
         return states

@@ -90,15 +90,11 @@ class TestResumeParity:
         run_figure2(cold_context)
         cold_journal.close()
 
-        # Journal scopes exclude workers/batch_size: a resume under
-        # different parallelism replays everything and recomputes nothing.
+        # Journal scopes exclude workers: a resume under different
+        # parallelism replays everything and recomputes nothing.
         warm_journal = RunJournal(tmp_path)
         warm_context = build_context(
-            scale="small",
-            seed=SEED,
-            journal=warm_journal,
-            workers=2,
-            batch_size=4,
+            scale="small", seed=SEED, journal=warm_journal, workers=2
         )
         warm = render_figure2(run_figure2(warm_context))
         warm_journal.close()

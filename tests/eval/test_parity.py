@@ -1,9 +1,8 @@
-"""Byte-parity: parallel/batched/cached evaluation equals sequential.
+"""Byte-parity: parallel/cached evaluation equals sequential.
 
 The acceptance bar for the dispatch layer is not "roughly the same
 accuracy" — it is byte-identical per-example outcomes and rendered
-artifacts across {sequential, sharded workers, batched dispatch, warm
-completion cache}. These tests pin that equivalence on the SPIDER error
+artifacts across {sequential, sharded workers, warm completion cache}. These tests pin that equivalence on the SPIDER error
 set and on the table2 correction benchmark.
 """
 
@@ -38,16 +37,13 @@ def _fingerprint(report):
     ]
 
 
-def _evaluate(examples, llm=None, workers=1, batch_size=1):
-    context = build_context(
-        scale="small", llm=llm, workers=workers, batch_size=batch_size
-    )
+def _evaluate(examples, llm=None, workers=1):
+    context = build_context(scale="small", llm=llm, workers=workers)
     return evaluate_model(
         context.spider_assistant_model(),
         context.spider.benchmark,
         examples,
         workers=workers,
-        batch_size=batch_size,
     )
 
 
@@ -73,10 +69,13 @@ class TestOutcomeParity:
     def test_empty_pool_with_workers(self):
         assert _evaluate([], workers=4).records == []
 
-    def test_batched_dispatch_matches_sequential(self, error_examples):
-        baseline = _fingerprint(_evaluate(error_examples))
-        batched = _fingerprint(_evaluate(error_examples, batch_size=8))
-        assert batched == baseline
+    def test_more_workers_than_examples_match_sequential(
+        self, error_examples
+    ):
+        # Eight workers over three examples: the empty shards drop out.
+        baseline = _fingerprint(_evaluate(error_examples[:3]))
+        sharded = _fingerprint(_evaluate(error_examples[:3], workers=8))
+        assert sharded == baseline
 
     def test_warm_cache_with_workers_matches_sequential(
         self, error_examples, tmp_path
@@ -85,9 +84,7 @@ class TestOutcomeParity:
 
         cache = CompletionCache()
         cold_llm = CachingChatModel(SimulatedLLM(), cache)
-        cold = _fingerprint(
-            _evaluate(error_examples, llm=cold_llm, workers=4, batch_size=8)
-        )
+        cold = _fingerprint(_evaluate(error_examples, llm=cold_llm, workers=4))
         assert cold == baseline
         assert cache.stats()["misses"] > 0
 
@@ -95,9 +92,7 @@ class TestOutcomeParity:
         cache.save(tmp_path)
         warmed = CompletionCache.load(tmp_path)
         warm_llm = CachingChatModel(SimulatedLLM(), warmed)
-        warm = _fingerprint(
-            _evaluate(error_examples, llm=warm_llm, workers=4, batch_size=8)
-        )
+        warm = _fingerprint(_evaluate(error_examples, llm=warm_llm, workers=4))
         assert warm == baseline
         assert warmed.stats()["misses"] == 0
         assert warmed.stats()["hits"] > 0
@@ -111,7 +106,6 @@ class TestArtifactParity:
             scale="small",
             llm=CachingChatModel(SimulatedLLM(), cache),
             workers=4,
-            batch_size=8,
         )
         parallel = render_table2(run_table2(parallel_context))
         assert parallel == sequential
@@ -120,7 +114,6 @@ class TestArtifactParity:
             scale="small",
             llm=CachingChatModel(SimulatedLLM(), cache),
             workers=4,
-            batch_size=8,
         )
         warm = render_table2(run_table2(warm_context))
         assert warm == sequential

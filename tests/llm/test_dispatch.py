@@ -1,19 +1,16 @@
-"""The batched/cached dispatch layer: keys, adapters, cache, batcher."""
-
-import threading
+"""The cached dispatch layer: canonical keys, the completion cache and its
+chat-model wrapper."""
 
 import pytest
 
+import repro.llm
 from repro import obs
 from repro.datasets.base import Demonstration
 from repro.errors import TransientLLMError
 from repro.llm.dispatch import (
-    BatchingChatModel,
     CachingChatModel,
     CompletionCache,
     canonical_prompt_key,
-    complete_batch,
-    settle_batch,
 )
 from repro.llm.interface import Completion, Prompt
 from repro.llm.prompts import nl2sql_prompt
@@ -28,7 +25,7 @@ def _obs_disabled_after_each_test():
 
 
 class RecordingLLM:
-    """Sequential-only model that records every prompt it answers."""
+    """A model that records every prompt it answers."""
 
     def __init__(self) -> None:
         self.seen = []
@@ -36,18 +33,6 @@ class RecordingLLM:
     def complete(self, prompt: Prompt) -> Completion:
         self.seen.append(prompt.text)
         return Completion(text=f"SQL({prompt.text})")
-
-
-class NativeBatchLLM(RecordingLLM):
-    """A model with a native batch path, for adapter-routing assertions."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.batch_calls = 0
-
-    def complete_batch(self, prompts):
-        self.batch_calls += 1
-        return [self.complete(prompt) for prompt in prompts]
 
 
 class FlakyLLM:
@@ -104,35 +89,8 @@ class TestCanonicalPromptKey:
 
 
 class TestBatchAdapters:
-    def test_sequential_fallback(self):
-        model = RecordingLLM()
-        prompts = [_prompt("a"), _prompt("b")]
-        completions = complete_batch(model, prompts)
-        assert [c.text for c in completions] == ["SQL(a)", "SQL(b)"]
-
-    def test_native_batch_preferred(self):
-        model = NativeBatchLLM()
-        complete_batch(model, [_prompt("a"), _prompt("b")])
-        assert model.batch_calls == 1
-
-    def test_empty_batch(self):
-        assert complete_batch(RecordingLLM(), []) == []
-        assert settle_batch(RecordingLLM(), []) == []
-
-    def test_settle_isolates_per_item_errors(self):
-        outcomes = settle_batch(
-            FlakyLLM(), [_prompt("ok"), _prompt("bad one"), _prompt("fine")]
-        )
-        assert outcomes[0].text == "OK"
-        assert isinstance(outcomes[1], TransientLLMError)
-        assert outcomes[2].text == "FINE"
-
-    def test_batch_size_histogram(self):
-        obs.enable()
-        complete_batch(RecordingLLM(), [_prompt("a"), _prompt("b")])
-        settle_batch(RecordingLLM(), [_prompt("c")])
-        values = obs.get_metrics().histogram_values("llm.batch_size")
-        assert values == [2.0, 1.0]
+    """``SimulatedLLM.complete_batch`` stays because fisqlbench's layer
+    timer patches it by name; nothing in the program calls it."""
 
     def test_simulated_native_batch_matches_sequential(self, music_db):
         prompts = [
@@ -278,14 +236,6 @@ class TestCachingChatModel:
         assert first.text == second.text
         assert len(inner.seen) == 1
 
-    def test_batch_dispatches_only_misses(self):
-        inner = NativeBatchLLM()
-        model = CachingChatModel(inner)
-        model.complete(_prompt("a"))
-        results = model.complete_batch([_prompt("a"), _prompt("b")])
-        assert [r.text for r in results] == ["SQL(a)", "SQL(b)"]
-        assert inner.seen == ["a", "b"]  # "a" answered from cache
-
     def test_counters_by_kind(self):
         obs.enable()
         model = CachingChatModel(RecordingLLM())
@@ -297,64 +247,16 @@ class TestCachingChatModel:
 
     def test_errors_are_not_cached(self):
         model = CachingChatModel(FlakyLLM())
-        outcomes = model.complete_batch_settled([_prompt("bad")])
-        assert isinstance(outcomes[0], TransientLLMError)
+        with pytest.raises(TransientLLMError):
+            model.complete(_prompt("bad"))
         assert len(model.cache) == 0
         # A later fixed backend is consulted again, not the error replayed.
         assert model.cache.get(canonical_prompt_key(_prompt("bad"))) is None
 
 
-class TestBatchingChatModel:
-    def test_max_batch_one_is_passthrough(self):
-        inner = RecordingLLM()
-        model = BatchingChatModel(inner, max_batch=1)
-        assert model.complete(_prompt("a")).text == "SQL(a)"
-        assert model.dispatches == 0  # never queued
-
-    def test_solo_caller_completes_within_wait(self):
-        model = BatchingChatModel(RecordingLLM(), max_batch=8, max_wait_ms=5)
-        assert model.complete(_prompt("solo")).text == "SQL(solo)"
-        assert model.dispatches == 1
-        assert model.coalesced == 1
-
-    def test_concurrent_callers_coalesce(self):
-        inner = NativeBatchLLM()
-        model = BatchingChatModel(inner, max_batch=8, max_wait_ms=200)
-        barrier = threading.Barrier(4)
-        results = [None] * 4
-
-        def worker(index: int) -> None:
-            barrier.wait()
-            results[index] = model.complete(_prompt(f"p{index}"))
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert [r.text for r in results] == [f"SQL(p{i})" for i in range(4)]
-        assert model.coalesced == 4
-        assert model.dispatches < 4  # at least one batch formed
-
-    def test_error_reaches_the_right_caller(self):
-        model = BatchingChatModel(FlakyLLM(), max_batch=4, max_wait_ms=5)
-        with pytest.raises(TransientLLMError):
-            model.complete(_prompt("bad"))
-        assert model.complete(_prompt("good")).text == "GOOD"
-
-    def test_explicit_batch_bypasses_coalescing(self):
-        inner = NativeBatchLLM()
-        model = BatchingChatModel(inner, max_batch=8, max_wait_ms=50)
-        results = model.complete_batch([_prompt("a"), _prompt("b")])
-        assert [r.text for r in results] == ["SQL(a)", "SQL(b)"]
-        assert inner.batch_calls == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchingChatModel(RecordingLLM(), max_batch=0)
-        with pytest.raises(ValueError):
-            BatchingChatModel(RecordingLLM(), max_wait_ms=-1)
-        with pytest.raises(ValueError):
-            BatchingChatModel(RecordingLLM(), max_queue=0)
+def test_batch_names_are_not_exported():
+    """Every model answers one prompt at a time: no batch adapters or
+    coalescer are left in the package surface."""
+    for name in ("BatchingChatModel", "complete_batch", "settle_batch"):
+        assert not hasattr(repro.llm, name)
+        assert name not in repro.llm.__all__

@@ -143,13 +143,6 @@ class TestHttpChatModel:
         with pytest.raises(TransientLLMError):
             model.complete(prompt())
 
-    def test_batch_falls_back_to_sequential(self):
-        with FakeOpenAIServer() as server:
-            model = HttpChatModel(server.base_url)
-            out = model.complete_batch([prompt("a"), prompt("b")])
-        assert len(out) == 2
-        assert out[0].text != out[1].text
-
 
 class TestFakeOpenAIServer:
     def test_default_responder_digests_last_user_message(self):

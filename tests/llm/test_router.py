@@ -294,38 +294,6 @@ class TestHedging:
             RoutingChatModel(pool, hedge_after_ms=-1.0)
 
 
-class TestBatchRouting:
-    def test_batch_groups_by_route_and_fails_over(self):
-        primary = ScriptedModel(
-            script=[TransientLLMError("x")], default="p"
-        )
-        secondary = ScriptedModel(default="s")
-        pool = make_pool({"primary": primary, "secondary": secondary})
-        router = RoutingChatModel(pool)
-        prompts = [routing_prompt(f"q{i}") for i in range(3)]
-        outcomes = router.complete_batch_settled(prompts)
-        assert [o.text for o in outcomes] == ["s", "p", "p"]
-
-    def test_batch_raises_first_fatal_error(self):
-        pool = make_pool({"a": ScriptedModel(script=[LLMError("fatal")])})
-        router = RoutingChatModel(pool)
-        with pytest.raises(LLMError):
-            router.complete_batch([routing_prompt()])
-
-    def test_batch_all_ejected_settles_no_healthy(self):
-        clock = FakeClock()
-        pool = make_pool(
-            {"only": ScriptedModel(default=TransientLLMError("down"))},
-            clock=clock,
-            eject_after=1,
-        )
-        router = RoutingChatModel(pool)
-        first = router.complete_batch_settled([routing_prompt()])
-        assert isinstance(first[0], TransientLLMError)
-        second = router.complete_batch_settled([routing_prompt()])
-        assert isinstance(second[0], NoHealthyBackendError)
-
-
 class TestParsers:
     def test_parse_backend_spec_simulated(self):
         spec = parse_backend_spec("primary=simulated,fault=outage,retries=1")

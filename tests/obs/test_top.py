@@ -16,7 +16,6 @@ PAYLOAD = {
     "draining": False,
     "sessions": {"resident": 3, "max_sessions": 64, "created": 7},
     "gate": {"inflight": 2, "max_inflight": 8, "utilization": 0.25},
-    "batch_queue_depth": 1,
     "breakers": {"team-a": "closed", "team-b": "open"},
     "telemetry": {
         "rates": {
@@ -85,7 +84,7 @@ PAYLOAD = {
 GOLDEN = "\n".join(
     [
         "fisql-serve top — ready | sessions 3/64 (created 7) | "
-        "inflight 2/8 (25.00%) | batch queue 1",
+        "inflight 2/8 (25.00%)",
         "rates     1m: err 10.00% shed 0.00% cache 50.00% | "
         "5m: err 5.00% shed 0.00% cache 50.00%",
         "SLO objective: p(0.95) of requests under 500.0 ms",
@@ -121,7 +120,6 @@ def _semcache_payload():
         "ready": True,
         "sessions": {"resident": 1, "max_sessions": 64, "created": 1},
         "gate": {"inflight": 0, "max_inflight": 8, "utilization": 0.0},
-        "batch_queue_depth": 0,
         "semcache": {
             "entries": 2,
             "max_entries": 4096,
@@ -153,7 +151,7 @@ def _semcache_payload():
 SEMCACHE_GOLDEN = "\n".join(
     [
         "fisql-serve top — ready | sessions 1/64 (created 1) | "
-        "inflight 0/8 (0.00%) | batch queue 0",
+        "inflight 0/8 (0.00%)",
         "rates     1m: err 0.00% shed 0.00% cache 25.00% | "
         "5m: err 0.00% shed 0.00% cache 25.00%",
         "",

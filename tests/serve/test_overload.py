@@ -1,17 +1,12 @@
 """Overload protection: the shed gate, 429/503 mapping, readyz, drain."""
 
-import threading
-
 import pytest
 
 from repro.errors import OverloadError
-from repro.llm.dispatch import BatchingChatModel
-from repro.llm.interface import Completion, Prompt
 from repro.serve import (
     LoadShedGate,
     ServeApp,
     ServeClient,
-    ServeClientError,
     SessionManager,
     TenantPolicy,
 )
@@ -215,89 +210,3 @@ class TestReadyz:
         client.create_session(db="aep", tenant="team-a")
         _, _, body = app.handle("GET", "/readyz")
         assert json_decode(body)["breakers"] == {"team-a": "closed"}
-
-
-class _GatedLLM:
-    """Blocks every completion until released; records what it served."""
-
-    def __init__(self) -> None:
-        self.release = threading.Event()
-        self.served = []
-
-    def complete(self, prompt: Prompt) -> Completion:
-        assert self.release.wait(timeout=10)
-        self.served.append(prompt.text)
-        return Completion(text=prompt.text.upper())
-
-
-class TestBatcherDrain:
-    def test_inflight_batched_request_completes_during_drain(self):
-        inner = _GatedLLM()
-        model = BatchingChatModel(inner, max_batch=4, max_wait_ms=5)
-        results = []
-
-        def worker():
-            results.append(
-                model.complete(Prompt(kind="nl2sql", text="inflight"))
-            )
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        # The enqueued prompt is mid-batch when the drain begins.
-        model.begin_drain()
-        with pytest.raises(OverloadError) as excinfo:
-            model.complete(Prompt(kind="nl2sql", text="late"))
-        assert excinfo.value.reason == "draining"
-        inner.release.set()
-        thread.join(timeout=10)
-        assert [r.text for r in results] == ["INFLIGHT"]
-        assert inner.served == ["inflight"]  # the late prompt never ran
-        assert model.await_idle(timeout=10)
-        assert model.shed == 1
-
-    def test_queue_cap_sheds_queue_full(self):
-        inner = _GatedLLM()
-        model = BatchingChatModel(
-            inner, max_batch=8, max_wait_ms=50, max_queue=1
-        )
-        started = threading.Event()
-
-        def worker():
-            started.set()
-            model.complete(Prompt(kind="nl2sql", text="first"))
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        started.wait(timeout=10)
-        # Wait for the first prompt to actually occupy the queue slot.
-        deadline = threading.Event()
-        for _ in range(200):
-            if model.queued:
-                break
-            deadline.wait(0.005)
-        with pytest.raises(OverloadError) as excinfo:
-            model.complete(Prompt(kind="nl2sql", text="second"))
-        assert excinfo.value.reason == "queue_full"
-        inner.release.set()
-        thread.join(timeout=10)
-
-    def test_app_drain_propagates_to_tenant_batchers(
-        self, aep_catalog, sequential_ids
-    ):
-        app = ServeApp(
-            aep_catalog,
-            manager=SessionManager(id_factory=sequential_ids),
-            policy=TenantPolicy(batch_max=4, batch_wait_ms=1.0),
-        )
-        client = ServeClient.in_process(app)
-        session = client.create_session(db="aep", tenant="team-a")
-        client.ask(session["id"], "How many audiences are there?")
-        batcher = app.llm_for_tenant("team-a")
-        assert isinstance(batcher, BatchingChatModel)
-        assert not batcher.draining
-        app.begin_drain()
-        assert batcher.draining
-        with pytest.raises(ServeClientError) as excinfo:
-            client.ask(session["id"], "Another?")
-        assert excinfo.value.status == 503
-        assert excinfo.value.code == "draining"

@@ -2,9 +2,8 @@
 
 The centerpiece is the acceptance load test: one caller-supplied
 ``X-Request-Id`` on ``POST /sessions/{id}/feedback`` must surface on the
-serve span, the coalesced ``llm.batch`` event, the completion-cache
-lookup events, the journal record, and the structured-log line — and
-nowhere in the response body. Metric labels never carry it: a label per
+serve span, the completion-cache lookup events, the journal record, and
+the structured-log line — and nowhere in the response body. Metric labels never carry it: a label per
 request would grow ``/metrics`` for the life of the server. The
 counterweight is the byte-parity test: a batch run (no serve, no request
 context) must produce byte-identical artifacts whether or not an event
@@ -129,7 +128,7 @@ class TestStatusz:
         client.create_session(db="aep", tenant="team-a")
         payload = client.statusz()
         assert payload["sessions"]["resident"] == 1
-        assert "batch_queue_depth" in payload
+        assert "batch_queue_depth" not in payload
         assert "breakers" in payload
         assert set(payload["telemetry"]["windows"]) == {"1m", "5m", "15m"}
 
@@ -153,7 +152,7 @@ class TestReadyz:
         status, body = client.request_raw("GET", "/readyz")
         assert status == 200
         payload = json.loads(body)
-        assert payload["batch_queue_depth"] == 0
+        assert "batch_queue_depth" not in payload
         gate = payload["gate"]
         assert gate["utilization"] == 0.0
         assert gate["inflight_per_tenant"] == {}
@@ -227,7 +226,6 @@ class TestEndToEndCorrelation:
             app = ServeApp(
                 aep_catalog,
                 manager=SessionManager(id_factory=sequential_ids),
-                policy=TenantPolicy(batch_max=4, batch_wait_ms=10.0),
                 cache=CompletionCache(),
                 journal=journal,
                 request_id_factory=obs.deterministic_id_factory("auto"),
@@ -268,8 +266,8 @@ class TestEndToEndCorrelation:
             assert record["value"]["route"] == "feedback"
             assert record["value"]["tenant"] == "team-a"
 
-            # Surfaces 4+5: the structured log — the coalesced llm.batch
-            # event names the id, and the serve.request line is stamped.
+            # Surface 4: the structured log — the serve.request line and
+            # the journal.append line are stamped.
             obs.set_event_log(None)  # flush + close before reading
             events = _log_events(log)
 
@@ -282,14 +280,6 @@ class TestEndToEndCorrelation:
                 and event.get("request_id") == rid
             ]
             assert misses
-            batch = [
-                event
-                for event in events
-                if event["event"] == "llm.batch"
-                and rid in event.get("request_ids", [])
-            ]
-            assert batch
-            assert all(event["coalesced"] for event in batch)
             served = [
                 event
                 for event in events
@@ -320,7 +310,6 @@ class TestEndToEndCorrelation:
             app = ServeApp(
                 aep_catalog,
                 manager=SessionManager(id_factory=sequential_ids),
-                policy=TenantPolicy(batch_max=4, batch_wait_ms=5.0),
             )
             client = ServeClient.in_process(app)
             sessions = [

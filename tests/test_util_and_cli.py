@@ -139,27 +139,18 @@ def test_spider_feedback_study_example_runs():
 
 
 class TestCliDispatchFlags:
-    """--workers/--batch-size/--cache-dir keep stdout byte-identical."""
+    """--workers/--cache-dir keep stdout byte-identical."""
 
     def _run(self, capsys, argv):
         assert cli_main(argv) == 0
         captured = capsys.readouterr()
         return captured.out, captured.err
 
-    def test_workers_and_batching_match_sequential_stdout(self, capsys):
+    def test_workers_match_sequential_stdout(self, capsys):
         baseline, _ = self._run(capsys, ["run", "figure2", "--scale", "small"])
         parallel, _ = self._run(
             capsys,
-            [
-                "run",
-                "figure2",
-                "--scale",
-                "small",
-                "--workers",
-                "4",
-                "--batch-size",
-                "8",
-            ],
+            ["run", "figure2", "--scale", "small", "--workers", "4"],
         )
         assert parallel == baseline
 
@@ -184,8 +175,20 @@ class TestCliDispatchFlags:
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["run", "figure2", "--workers", "0"])
-        with pytest.raises(SystemExit):
-            cli_main(["run", "figure2", "--batch-size", "0"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "figure2", "--batch-size", "8"],
+            ["serve", "--batch-max", "4"],
+            ["serve", "--batch-wait-ms", "5"],
+            ["serve", "--batch-max-queue", "4"],
+        ],
+    )
+    def test_batch_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestCliDurabilityFlags:
@@ -281,8 +284,6 @@ class TestCliDurabilityFlags:
             cli_main(["serve", "--max-inflight-per-tenant", "0"])
         with pytest.raises(SystemExit):
             cli_main(["serve", "--request-deadline-ms", "0"])
-        with pytest.raises(SystemExit):
-            cli_main(["serve", "--batch-max-queue", "0"])
 
 
 class TestCliSemcacheFlags:
