@@ -753,7 +753,11 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     instrumented = args.metrics or args.trace is not None
     if instrumented:
-        obs.enable()
+        # Span records only feed the trace file; the report's rollup is
+        # kept running either way.
+        obs.enable(
+            max_spans=obs.DEFAULT_MAX_SPANS if args.trace is not None else 0
+        )
 
     try:
         context = build_context(
@@ -979,8 +983,9 @@ def _cmd_serve(
         )
 
     # The server is instrumented from the start: /metrics renders the live
-    # registry, and every request is spanned/counted.
-    obs.enable()
+    # registry, and every request is spanned/counted. No span records are
+    # kept, so the obs state stays a fixed size however long it serves.
+    obs.enable(max_spans=0)
     if args.log_dir is not None:
         from repro.obs import StructuredLog
 

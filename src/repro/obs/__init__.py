@@ -41,9 +41,9 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     NOOP_TIMER,
+    Histogram,
     MetricsRegistry,
     find_histogram,
-    percentile,
     summarize_histogram,
 )
 from repro.obs.structured_log import StructuredLog
@@ -65,6 +65,7 @@ from repro.obs.tracer import (
 __all__ = [
     "ActiveSpan",
     "DEFAULT_MAX_SPANS",
+    "Histogram",
     "MetricsRegistry",
     "NOOP_SPAN",
     "NOOP_TIMER",
@@ -90,7 +91,6 @@ __all__ = [
     "is_enabled",
     "new_request_id",
     "observe",
-    "percentile",
     "read_trace_jsonl",
     "request_context",
     "set_event_log",
@@ -124,7 +124,12 @@ def enable(
     clock: Optional[Callable[[], float]] = None,
     max_spans: int = DEFAULT_MAX_SPANS,
 ) -> None:
-    """Turn instrumentation on with a *fresh* tracer and metrics registry."""
+    """Turn instrumentation on with a *fresh* tracer and metrics registry.
+
+    ``max_spans`` caps the span records kept for :func:`export_jsonl`;
+    ``0`` keeps none. The span rollup in :func:`snapshot` counts every
+    span either way.
+    """
     resolved_clock = clock or time.perf_counter
     _STATE.tracer = Tracer(clock=resolved_clock, max_spans=max_spans)
     _STATE.metrics = MetricsRegistry(clock=resolved_clock)
@@ -226,7 +231,6 @@ def snapshot() -> dict:
             "counters": [],
             "histograms": [],
             "spans": [],
-            "dropped_spans": 0,
         }
     metrics_snapshot = _STATE.metrics.snapshot()
     return {
@@ -234,7 +238,6 @@ def snapshot() -> dict:
         "counters": metrics_snapshot["counters"],
         "histograms": metrics_snapshot["histograms"],
         "spans": _STATE.tracer.aggregate(),
-        "dropped_spans": _STATE.tracer.dropped,
     }
 
 

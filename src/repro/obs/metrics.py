@@ -1,10 +1,12 @@
 """Counters and histograms for pipeline metrics.
 
 A :class:`MetricsRegistry` holds named counters and histograms, each keyed
-by an optional label set (``count("llm.calls", kind="nl2sql")``).
-Histograms retain raw observations so summaries can report exact
-percentiles; :func:`percentile` uses linear interpolation between order
-statistics, which keeps the math deterministic and testable.
+by an optional label set (``count("llm.calls", kind="nl2sql")``). Every
+histogram in ``repro.obs`` is a :class:`Histogram`: counts over the fixed
+:data:`LATENCY_BIN_BOUNDS` plus an exact count, sum, min and max. A series
+stays that size however many values it has seen, and a summary costs
+O(bins). Percentiles are estimates, made inside the bin that holds them
+(:meth:`Histogram.quantile`).
 
 Like the tracer, the registry takes an injectable clock so ``timer()``
 durations are deterministic under test, and every mutating path is guarded
@@ -13,6 +15,7 @@ by one lock for thread safety.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 import time
@@ -21,33 +24,72 @@ from typing import Callable, Optional, Sequence
 #: Percentiles included in every histogram summary.
 SUMMARY_PERCENTILES = (50, 90, 95, 99)
 
+#: Upper bounds of the log-scaled bins every histogram shares (milliseconds
+#: for latencies). Doubling from 0.25 to 0.25·2^21 (~8.7 min) keeps an
+#: estimate in that range within a factor of two of the value it stands
+#: for; the final bin is open-ended.
+LATENCY_BIN_BOUNDS: tuple[float, ...] = tuple(
+    0.25 * (2.0**i) for i in range(22)
+)
+
+#: Bin ``i`` holds the values in ``(_EDGES[i], _EDGES[i + 1]]``.
+_EDGES: tuple[float, ...] = (-math.inf, *LATENCY_BIN_BOUNDS, math.inf)
+
 LabelKey = tuple[tuple[str, object], ...]
 
 
-def percentile(
-    values: Sequence[float], q: float, default: Optional[float] = None
-) -> Optional[float]:
-    """The q-th percentile (0..100) with linear interpolation.
+class Histogram:
+    """Bin counts over :data:`LATENCY_BIN_BOUNDS` plus exact count/sum/min/max.
 
-    An empty input returns ``default`` — ``None`` unless overridden (pass
-    ``default=0.0`` for report-style zero-fill) — so callers don't need an
-    emptiness guard. An out-of-range ``q`` still raises: that is a caller
-    bug, not a data condition.
+    Unlocked: its owner (the registry, or one slot of a rolling ring)
+    guards it.
     """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile out of range: {q}")
-    if not values:
-        return default
-    data = sorted(values)
-    if len(data) == 1:
-        return data[0]
-    position = (q / 100.0) * (len(data) - 1)
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return data[lower]
-    fraction = position - lower
-    return data[lower] + (data[upper] - data[lower]) * fraction
+
+    __slots__ = ("bins", "count", "sum", "min", "max")
+
+    def __init__(self) -> None:
+        self.bins = [0] * (len(LATENCY_BIN_BOUNDS) + 1)
+        self.count = 0
+        self.sum = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def observe(self, value: float) -> None:
+        self.bins[bisect.bisect_left(LATENCY_BIN_BOUNDS, value)] += 1
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other``'s observations into this histogram."""
+        self.bins = [a + b for a, b in zip(self.bins, other.bins)]
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+
+    def quantile(self, q: float) -> float:
+        """Estimate the ``q`` quantile (0..1); 0.0 when empty.
+
+        Finds the bin holding rank ``q × count`` and interpolates across
+        the part of it the data covers, ``[max(lower, min), min(upper,
+        max)]``. Every estimate therefore lies in ``[min, max]``, and a
+        constant series reports its own value.
+        """
+        if not self.count:
+            return 0.0
+        rank = q * self.count
+        seen = 0
+        for index, n in enumerate(self.bins):
+            if n and seen + n >= rank:
+                low = max(_EDGES[index], self.min)
+                high = min(_EDGES[index + 1], self.max)
+                return min(high, low + (high - low) * (rank - seen) / n)
+            seen += n
+        return self.max
 
 
 def _label_key(labels: dict) -> LabelKey:
@@ -98,7 +140,7 @@ class MetricsRegistry:
         self._clock = clock
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, LabelKey], float] = {}
-        self._histograms: dict[tuple[str, LabelKey], list[float]] = {}
+        self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
 
     # -- recording ------------------------------------------------------------
 
@@ -112,7 +154,10 @@ class MetricsRegistry:
         """Record one observation into histogram ``name``."""
         key = (name, _label_key(labels))
         with self._lock:
-            self._histograms.setdefault(key, []).append(float(value))
+            histogram = self._histograms.get(key)
+            if histogram is None:
+                histogram = self._histograms[key] = Histogram()
+            histogram.observe(float(value))
 
     def timer(self, name: str, **labels: object) -> _Timer:
         """A context manager recording elapsed ms into histogram ``name``."""
@@ -146,11 +191,6 @@ class MetricsRegistry:
             grouped[label_value] = grouped.get(label_value, 0) + value
         return grouped
 
-    def histogram_values(self, name: str, **labels: object) -> list[float]:
-        """Raw observations for one (name, labels) histogram."""
-        with self._lock:
-            return list(self._histograms.get((name, _label_key(labels)), []))
-
     # -- snapshot ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -169,8 +209,8 @@ class MetricsRegistry:
                 )
             ]
             histograms = [
-                summarize_histogram(name, dict(labels), values)
-                for (name, labels), values in sorted(
+                summarize_histogram(name, dict(labels), histogram)
+                for (name, labels), histogram in sorted(
                     self._histograms.items(), key=_series_sort_key
                 )
             ]
@@ -182,22 +222,20 @@ def _series_sort_key(item: tuple) -> tuple:
     return (name, tuple((key, str(value)) for key, value in labels))
 
 
-def summarize_histogram(
-    name: str, labels: dict, values: Sequence[float]
-) -> dict:
-    """Count / sum / min / max / mean / percentile summary of one histogram."""
-    total = sum(values)
+def summarize_histogram(name: str, labels: dict, histogram: Histogram) -> dict:
+    """Exact count / sum / min / max / mean, and estimated percentiles."""
+    count = histogram.count
     summary = {
         "name": name,
         "labels": labels,
-        "count": len(values),
-        "sum": total,
-        "min": min(values) if values else 0.0,
-        "max": max(values) if values else 0.0,
-        "mean": total / len(values) if values else 0.0,
+        "count": count,
+        "sum": histogram.sum,
+        "min": histogram.min if count else 0.0,
+        "max": histogram.max if count else 0.0,
+        "mean": histogram.sum / count if count else 0.0,
     }
     for q in SUMMARY_PERCENTILES:
-        summary[f"p{q}"] = percentile(values, q, default=0.0)
+        summary[f"p{q}"] = histogram.quantile(q / 100.0)
     return summary
 
 

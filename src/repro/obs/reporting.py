@@ -78,10 +78,7 @@ def _render_spans(snapshot: dict) -> str:
     ]
     if not rows:
         return "(no spans recorded)"
-    body = _table(["Span", "Count", "Total ms", "Mean ms", "Max ms"], rows)
-    if snapshot.get("dropped_spans"):
-        body += f"\n({snapshot['dropped_spans']} spans dropped past the cap)"
-    return body
+    return _table(["Span", "Count", "Total ms", "Mean ms", "Max ms"], rows)
 
 
 def _render_llm(snapshot: dict) -> str:

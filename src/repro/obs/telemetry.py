@@ -1,16 +1,15 @@
 """The live telemetry plane: windowed latency percentiles and SLOs.
 
-The batch-run :class:`~repro.obs.metrics.MetricsRegistry` keeps *raw*
-observations for exact percentiles over a whole run — perfect for a
-reproducible report, useless for a live service where "p95 over the last
-minute" matters and memory must stay bounded under heavy traffic. This
-module adds the live half:
+The batch-run :class:`~repro.obs.metrics.MetricsRegistry` summarizes a
+whole run — right for a reproducible report, wrong for a live service
+where "p95 over the last minute" matters. This module adds the live half,
+on the same bounded :class:`~repro.obs.metrics.Histogram`:
 
-* :class:`RollingHistogram` — a ring of fixed-width time buckets, each a
-  small log-scaled latency histogram. Recording is O(1) under one lock;
-  memory is ``buckets × bins`` integers regardless of traffic. Summaries
-  merge the buckets inside a window (1m/5m/15m) and estimate p50/p95/p99
-  by interpolating inside the matched bin; ``max`` is tracked exactly.
+* :class:`RollingHistogram` — a ring of fixed-width time buckets, each one
+  histogram. Recording is O(1) under one lock; memory is ``buckets ×
+  bins`` numbers regardless of traffic. Summaries merge the buckets inside
+  a window (1m/5m/15m) and estimate p50/p95/p99 inside the matched bin;
+  count, mean and ``max`` are exact.
 * :class:`RollingCounter` — the same ring for event counts (requests,
   errors, sheds, cache hits), giving windowed totals and rates.
 * :class:`TelemetryHub` — the per-route / per-tenant registry of the two,
@@ -27,21 +26,15 @@ dashboard must not depend on a batch-run flag.
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro.obs.metrics import Histogram
+
 #: The windows every surface reports, label -> seconds.
 WINDOWS: dict[str, int] = {"1m": 60, "5m": 300, "15m": 900}
-
-#: Upper bounds (ms) of the log-scaled latency bins. Doubling from 0.25 ms
-#: to ~8.7 min keeps any estimate within ~±50% of the true value, which is
-#: plenty to steer on; the final bin is open-ended.
-LATENCY_BIN_BOUNDS: tuple[float, ...] = tuple(
-    0.25 * (2.0**i) for i in range(22)
-)
 
 #: Ring geometry: 5-second buckets spanning the largest window (15m).
 DEFAULT_BUCKET_SECONDS = 5.0
@@ -74,132 +67,17 @@ class WindowSummary:
         }
 
 
-class _Bucket:
-    """One time slice: bin counts plus exact count/sum/max."""
+class _Ring:
+    """A ring of fixed-width time buckets, one ``[index, value]`` slot each.
 
-    __slots__ = ("index", "bins", "count", "sum", "max")
-
-    def __init__(self, index: int, nbins: int) -> None:
-        self.index = index
-        self.bins = [0] * nbins
-        self.count = 0
-        self.sum = 0.0
-        self.max = 0.0
-
-    def reset(self, index: int) -> None:
-        self.index = index
-        for i in range(len(self.bins)):
-            self.bins[i] = 0
-        self.count = 0
-        self.sum = 0.0
-        self.max = 0.0
-
-
-class RollingHistogram:
-    """Windowed latency percentiles over a ring of time buckets.
-
-    ``observe(ms)`` lands the value in the bucket for "now"; buckets older
-    than the ring span are lazily recycled as time advances, so expiry
-    costs nothing when idle and O(ring) at worst after a long quiet gap.
+    Writes land in the bucket for "now"; buckets older than the ring span
+    are lazily recycled as time advances, so expiry costs nothing when idle
+    and O(ring) at worst after a long quiet gap. Subclasses name the empty
+    bucket value (``_empty``) and hold ``_lock`` around the ``*_locked``
+    helpers.
     """
 
-    def __init__(
-        self,
-        bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
-        bucket_count: int = DEFAULT_BUCKET_COUNT,
-        clock: Callable[[], float] = time.monotonic,
-        bounds: tuple[float, ...] = LATENCY_BIN_BOUNDS,
-    ) -> None:
-        if bucket_seconds <= 0:
-            raise ValueError(f"bucket_seconds must be > 0: {bucket_seconds}")
-        if bucket_count < 1:
-            raise ValueError(f"bucket_count must be >= 1: {bucket_count}")
-        self._width = bucket_seconds
-        self._clock = clock
-        self._bounds = bounds
-        # +1 bin: the open-ended overflow above the last bound.
-        self._nbins = len(bounds) + 1
-        self._lock = threading.Lock()
-        self._ring = [_Bucket(-1, self._nbins) for _ in range(bucket_count)]
-
-    @property
-    def span_seconds(self) -> float:
-        """The longest window the ring can answer for."""
-        return self._width * len(self._ring)
-
-    def _bucket_for_locked(self, now: float) -> _Bucket:
-        index = int(now // self._width)
-        bucket = self._ring[index % len(self._ring)]
-        if bucket.index != index:
-            bucket.reset(index)
-        return bucket
-
-    def observe(self, value_ms: float) -> None:
-        """Record one latency observation (milliseconds)."""
-        value_ms = max(0.0, float(value_ms))
-        bin_index = bisect.bisect_left(self._bounds, value_ms)
-        with self._lock:
-            bucket = self._bucket_for_locked(self._clock())
-            bucket.bins[bin_index] += 1
-            bucket.count += 1
-            bucket.sum += value_ms
-            bucket.max = max(bucket.max, value_ms)
-
-    def summary(self, window_s: float) -> WindowSummary:
-        """Merge the live buckets inside ``window_s`` and summarize them."""
-        window_s = min(window_s, self.span_seconds)
-        with self._lock:
-            now = self._clock()
-            newest = int(now // self._width)
-            oldest = int((now - window_s) // self._width)
-            bins = [0] * self._nbins
-            count = 0
-            total = 0.0
-            peak = 0.0
-            for bucket in self._ring:
-                if oldest < bucket.index <= newest:
-                    for i, n in enumerate(bucket.bins):
-                        bins[i] += n
-                    count += bucket.count
-                    total += bucket.sum
-                    peak = max(peak, bucket.max)
-        return WindowSummary(
-            window_s=window_s,
-            count=count,
-            mean_ms=(total / count) if count else 0.0,
-            p50_ms=self._estimate(bins, count, peak, 0.50),
-            p95_ms=self._estimate(bins, count, peak, 0.95),
-            p99_ms=self._estimate(bins, count, peak, 0.99),
-            max_ms=peak,
-        )
-
-    def _estimate(
-        self, bins: list, count: int, peak: float, q: float
-    ) -> float:
-        """Percentile estimate: interpolate inside the matched bin."""
-        if count == 0:
-            return 0.0
-        rank = q * count
-        seen = 0.0
-        for index, n in enumerate(bins):
-            if n == 0:
-                continue
-            if seen + n >= rank:
-                lower = self._bounds[index - 1] if index > 0 else 0.0
-                upper = (
-                    self._bounds[index]
-                    if index < len(self._bounds)
-                    else peak  # open-ended overflow bin: cap at the true max
-                )
-                upper = min(upper, peak) if peak else upper
-                fraction = (rank - seen) / n
-                return lower + (max(upper, lower) - lower) * fraction
-            seen += n
-        return peak
-
-
-class RollingCounter:
-    """Windowed event totals over the same ring geometry."""
+    _empty: Callable[[], object]
 
     def __init__(
         self,
@@ -215,32 +93,81 @@ class RollingCounter:
         self._clock = clock
         self._lock = threading.Lock()
         # (absolute bucket index, value) pairs, one slot per ring position.
-        self._ring: list[list] = [[-1, 0.0] for _ in range(bucket_count)]
+        self._ring: list[list] = [
+            [-1, self._empty()] for _ in range(bucket_count)
+        ]
+
+    @property
+    def span_seconds(self) -> float:
+        """The longest window the ring can answer for."""
+        return self._width * len(self._ring)
+
+    def _slot_locked(self) -> list:
+        """The slot for "now", recycled first if it holds an older bucket."""
+        index = int(self._clock() // self._width)
+        slot = self._ring[index % len(self._ring)]
+        if slot[0] != index:
+            slot[0] = index
+            slot[1] = self._empty()
+        return slot
+
+    def _window_locked(self, window_s: float) -> list:
+        """The values of the buckets inside the last ``window_s`` seconds."""
+        now = self._clock()
+        newest = int(now // self._width)
+        oldest = int((now - window_s) // self._width)
+        return [
+            value for index, value in self._ring if oldest < index <= newest
+        ]
+
+
+class RollingHistogram(_Ring):
+    """Windowed latency percentiles: one histogram per ring bucket."""
+
+    _empty = Histogram
+
+    def observe(self, value_ms: float) -> None:
+        """Record one latency observation (milliseconds)."""
+        value_ms = max(0.0, float(value_ms))
+        with self._lock:
+            self._slot_locked()[1].observe(value_ms)
+
+    def summary(self, window_s: float) -> WindowSummary:
+        """Merge the live buckets inside ``window_s`` and summarize them."""
+        window_s = min(window_s, self.span_seconds)
+        merged = Histogram()
+        with self._lock:
+            for histogram in self._window_locked(window_s):
+                merged.merge(histogram)
+        count = merged.count
+        return WindowSummary(
+            window_s=window_s,
+            count=count,
+            mean_ms=(merged.sum / count) if count else 0.0,
+            p50_ms=merged.quantile(0.50),
+            p95_ms=merged.quantile(0.95),
+            p99_ms=merged.quantile(0.99),
+            max_ms=merged.max if count else 0.0,
+        )
+
+
+class RollingCounter(_Ring):
+    """Windowed event totals over the same ring geometry."""
+
+    _empty = float
 
     def incr(self, n: float = 1.0) -> None:
         with self._lock:
-            index = int(self._clock() // self._width)
-            slot = self._ring[index % len(self._ring)]
-            if slot[0] != index:
-                slot[0] = index
-                slot[1] = 0.0
-            slot[1] += n
+            self._slot_locked()[1] += n
 
     def total(self, window_s: float) -> float:
-        window_s = min(window_s, self._width * len(self._ring))
+        window_s = min(window_s, self.span_seconds)
         with self._lock:
-            now = self._clock()
-            newest = int(now // self._width)
-            oldest = int((now - window_s) // self._width)
-            return sum(
-                value
-                for index, value in self._ring
-                if oldest < index <= newest
-            )
+            return sum(self._window_locked(window_s))
 
     def rate(self, window_s: float) -> float:
         """Events per second over the window."""
-        window_s = min(window_s, self._width * len(self._ring))
+        window_s = min(window_s, self.span_seconds)
         if window_s <= 0:
             return 0.0
         return self.total(window_s) / window_s

@@ -3,7 +3,13 @@
 A :class:`Tracer` records *spans*: named, timed regions of execution with
 attributes and parent links. Spans are context managers and nest through a
 thread-local stack, so concurrent threads build independent span trees over
-one shared (locked) record buffer.
+one shared (locked) tracer.
+
+Every finished span updates a running count, total and max for its name,
+so :meth:`Tracer.aggregate` is exact and costs O(names) however long the
+tracer has run. Span records are kept only up to ``max_spans``: a
+``--trace`` file needs them, while a run report or a long-lived server
+passes ``max_spans=0`` and keeps none.
 
 Timing uses an injectable monotonic clock (``time.perf_counter`` by
 default); tests pass a fake clock for deterministic durations. Span starts
@@ -23,7 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 #: Default cap on retained span records; beyond it spans are counted as
-#: dropped instead of stored, bounding memory on paper-scale runs.
+#: dropped instead of stored (they still count in the rollup), bounding
+#: memory on paper-scale runs.
 DEFAULT_MAX_SPANS = 200_000
 
 
@@ -95,17 +102,19 @@ class ActiveSpan:
             del stack[stack.index(self) :]
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
-        tracer._record(
-            SpanRecord(
-                span_id=self.span_id,
-                parent_id=self.parent_id,
-                name=self.name,
-                start_ms=(self._start - tracer._epoch) * 1000.0,
-                duration_ms=(end - self._start) * 1000.0,
-                attributes=dict(self.attributes),
-            )
-        )
+        tracer._finish(self, end)
         return False
+
+
+class _SpanTotals:
+    """Running rollup of one span name."""
+
+    __slots__ = ("count", "total_ms", "max_ms")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total_ms = 0.0
+        self.max_ms = 0.0
 
 
 class Tracer:
@@ -122,6 +131,7 @@ class Tracer:
         self._lock = threading.Lock()
         self._records: list[SpanRecord] = []
         self._dropped = 0
+        self._totals: dict[str, _SpanTotals] = {}
         self._next_id = 0
         self._local = threading.local()
 
@@ -142,18 +152,34 @@ class Tracer:
             self._next_id += 1
             return self._next_id
 
-    def _record(self, record: SpanRecord) -> None:
+    def _finish(self, span: ActiveSpan, end: float) -> None:
+        duration_ms = (end - span._start) * 1000.0
         with self._lock:
+            totals = self._totals.get(span.name)
+            if totals is None:
+                totals = self._totals[span.name] = _SpanTotals()
+            totals.count += 1
+            totals.total_ms += duration_ms
+            totals.max_ms = max(totals.max_ms, duration_ms)
             if len(self._records) >= self._max_spans:
                 self._dropped += 1
-            else:
-                self._records.append(record)
+                return
+            self._records.append(
+                SpanRecord(
+                    span_id=span.span_id,
+                    parent_id=span.parent_id,
+                    name=span.name,
+                    start_ms=(span._start - self._epoch) * 1000.0,
+                    duration_ms=duration_ms,
+                    attributes=dict(span.attributes),
+                )
+            )
 
     # -- inspection ---------------------------------------------------------------
 
     @property
     def dropped(self) -> int:
-        """Spans discarded after the ``max_spans`` cap was reached."""
+        """Spans not kept as records once the ``max_spans`` cap was reached."""
         with self._lock:
             return self._dropped
 
@@ -163,21 +189,18 @@ class Tracer:
             return list(self._records)
 
     def aggregate(self) -> list[dict]:
-        """Per-name rollup: count / total / mean / max duration (ms)."""
-        buckets: dict[str, list[float]] = {}
-        for record in self.records():
-            buckets.setdefault(record.name, []).append(record.duration_ms)
-        rollup = []
-        for name, durations in buckets.items():
-            total = sum(durations)
-            rollup.append(
+        """Per-name rollup of every finished span: count / total / mean /
+        max duration (ms), slowest total first."""
+        with self._lock:
+            rollup = [
                 {
                     "name": name,
-                    "count": len(durations),
-                    "total_ms": total,
-                    "mean_ms": total / len(durations),
-                    "max_ms": max(durations),
+                    "count": totals.count,
+                    "total_ms": totals.total_ms,
+                    "mean_ms": totals.total_ms / totals.count,
+                    "max_ms": totals.max_ms,
                 }
-            )
+                for name, totals in self._totals.items()
+            ]
         rollup.sort(key=lambda row: (-row["total_ms"], row["name"]))
         return rollup

@@ -148,7 +148,6 @@ class TestRunReportRendering:
                 "counters": [],
                 "histograms": [],
                 "spans": [],
-                "dropped_spans": 0,
             }
         )
         assert "(no spans recorded)" in report
@@ -174,7 +173,6 @@ class TestRunReportRendering:
             ],
             "histograms": [],
             "spans": [],
-            "dropped_spans": 0,
         }
         report = render_run_report(snapshot)
         assert "25.0%" in report

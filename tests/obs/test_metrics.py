@@ -1,47 +1,74 @@
-"""Metrics registry: counter math, histogram percentiles, timers."""
+"""Metrics registry: counter math, binned histograms, timers."""
 
 from __future__ import annotations
 
+import statistics
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
+    LATENCY_BIN_BOUNDS,
+    SUMMARY_PERCENTILES,
+    Histogram,
     MetricsRegistry,
     find_histogram,
-    percentile,
     summarize_histogram,
 )
 
 
+def _histogram_summary(registry: MetricsRegistry, name: str, **labels) -> dict:
+    return find_histogram(registry.snapshot()["histograms"], name, labels)
+
+
+_values = st.lists(
+    st.floats(min_value=0.0, max_value=1e7, allow_nan=False), min_size=1
+)
+
+
+def _bin(value: float) -> int:
+    return bisect_left(LATENCY_BIN_BOUNDS, value)
+
+
+def _bin_range(index: int) -> tuple[float, float]:
+    edges = (0.0, *LATENCY_BIN_BOUNDS, float("inf"))
+    return edges[index], edges[index + 1]
+
+
+def _observed(values) -> Histogram:
+    histogram = Histogram()
+    for value in values:
+        histogram.observe(value)
+    return histogram
+
+
 class TestPercentile:
+    """Worked examples of the binned estimate, :meth:`Histogram.quantile`."""
+
     def test_interpolated_median(self):
-        assert percentile([1, 2, 3, 4], 50) == 2.5
-        assert percentile(list(range(1, 101)), 50) == 50.5
+        # 1..100: rank 50 falls in bin (32, 64], which holds 33..64; the
+        # estimate lies 18/32 of the way across it.
+        assert _observed(range(1, 101)).quantile(0.5) == 50.0
+        # Rank 2 of [1, 2, 3, 4] is the 2 alone in bin (1, 2].
+        assert _observed([1, 2, 3, 4]).quantile(0.5) == 2.0
 
     def test_exact_order_statistics(self):
-        data = [10, 20, 30]
-        assert percentile(data, 0) == 10
-        assert percentile(data, 100) == 30
-        assert percentile(data, 50) == 20
+        histogram = _observed([10, 20, 30])
+        assert histogram.quantile(0.0) == 10
+        assert histogram.quantile(1.0) == 30
+        # 20 and 30 share bin (16, 32], whose data covers [16, 30]; rank
+        # 1.5 is a quarter of the way through the bin's two values.
+        assert histogram.quantile(0.5) == 19.5
 
     def test_interpolation_between_ranks(self):
-        assert percentile(list(range(1, 11)), 90) == pytest.approx(9.1)
+        # 1..10: rank 9 is halfway through the 9 and 10 in bin (8, 16],
+        # whose data covers [8, 10].
+        assert _observed(range(1, 11)).quantile(0.9) == 9.0
 
     def test_single_value(self):
-        assert percentile([7.0], 99) == 7.0
-
-    def test_unsorted_input_is_sorted_first(self):
-        assert percentile([3, 1, 2], 50) == 2
-
-    def test_empty_returns_none(self):
-        assert percentile([], 50) is None
-
-    def test_empty_returns_default_when_given(self):
-        assert percentile([], 95, default=0.0) == 0.0
-        assert percentile([], 99, default=-1.0) == -1.0
-
-    def test_out_of_range_quantile_raises(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
+        assert _observed([7.0]).quantile(0.99) == 7.0
 
 
 class TestCounters:
@@ -82,20 +109,83 @@ class TestHistograms:
         assert entry["min"] == 1.0
         assert entry["max"] == 4.0
         assert entry["mean"] == 2.5
-        assert entry["p50"] == 2.5
+        # Rank 2 of 4 is the 2.0 alone in bin (1, 2]: the estimate is the
+        # top of the part of that bin the data covers.
+        assert entry["p50"] == 2.0
 
     def test_labelled_histograms_are_independent(self):
         registry = MetricsRegistry()
         registry.observe("latency", 1.0, kind="a")
         registry.observe("latency", 100.0, kind="b")
-        assert registry.histogram_values("latency", kind="a") == [1.0]
-        assert registry.histogram_values("latency", kind="b") == [100.0]
+        a = _histogram_summary(registry, "latency", kind="a")
+        b = _histogram_summary(registry, "latency", kind="b")
+        assert (a["count"], a["sum"], a["max"]) == (1, 1.0, 1.0)
+        assert (b["count"], b["sum"], b["max"]) == (1, 100.0, 100.0)
 
     def test_summarize_empty_histogram(self):
-        summary = summarize_histogram("empty", {}, [])
+        summary = summarize_histogram("empty", {}, Histogram())
         assert summary["count"] == 0
+        assert summary["min"] == summary["max"] == 0.0
         assert summary["mean"] == 0.0
         assert summary["p99"] == 0.0
+
+
+class TestBinnedHistogram:
+    @given(_values)
+    @settings(max_examples=200, deadline=None)
+    def test_count_sum_min_max_are_exact(self, values):
+        histogram = _observed(values)
+        assert histogram.count == len(values)
+        assert histogram.sum == pytest.approx(sum(values))
+        assert histogram.min == min(values)
+        assert histogram.max == max(values)
+        assert sum(histogram.bins) == len(values)
+
+    @given(_values)
+    @settings(max_examples=200, deadline=None)
+    def test_estimates_lie_in_range_and_in_the_order_statistics_bin(
+        self, values
+    ):
+        histogram = _observed(values)
+        # statistics.quantiles wants two points; doubling one keeps its value.
+        exact = statistics.quantiles(
+            values * 2 if len(values) == 1 else values,
+            n=100,
+            method="inclusive",
+        )
+        for q in SUMMARY_PERCENTILES:
+            estimate = histogram.quantile(q / 100.0)
+            assert min(values) <= estimate <= max(values)
+            # The exact quantile interpolates the order statistics either
+            # side of it; the estimate lies in the bin of one of them.
+            below = max((v for v in values if v <= exact[q - 1]), default=None)
+            above = min((v for v in values if v >= exact[q - 1]), default=None)
+            bins = {_bin(v) for v in (below, above) if v is not None}
+            assert any(
+                _bin_range(index)[0] <= estimate <= _bin_range(index)[1]
+                for index in bins
+            ), (q, estimate, exact[q - 1])
+
+    @given(_values, _values)
+    @settings(max_examples=200, deadline=None)
+    def test_merge_equals_observing_both_lists(self, left, right):
+        merged = _observed(left)
+        merged.merge(_observed(right))
+        together = _observed(left + right)
+        assert merged.bins == together.bins
+        assert merged.count == together.count
+        assert merged.sum == pytest.approx(together.sum)
+        assert (merged.min, merged.max) == (together.min, together.max)
+        for q in SUMMARY_PERCENTILES:
+            assert merged.quantile(q / 100.0) == pytest.approx(
+                together.quantile(q / 100.0)
+            )
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 4.0, 10.0, 1e7])
+    def test_constant_series_reports_its_own_value(self, value):
+        histogram = _observed([value] * 10)
+        for q in SUMMARY_PERCENTILES:
+            assert histogram.quantile(q / 100.0) == value
 
 
 class TestTimer:
@@ -103,7 +193,8 @@ class TestTimer:
         registry = MetricsRegistry(clock=fake_clock)
         with registry.timer("op.latency_ms", op="x"):
             fake_clock.advance(0.25)
-        assert registry.histogram_values("op.latency_ms", op="x") == [250.0]
+        summary = _histogram_summary(registry, "op.latency_ms", op="x")
+        assert (summary["count"], summary["sum"]) == (1, 250.0)
 
     def test_timer_records_even_on_exception(self, fake_clock):
         registry = MetricsRegistry(clock=fake_clock)
@@ -111,7 +202,8 @@ class TestTimer:
             with registry.timer("op.latency_ms"):
                 fake_clock.advance(0.5)
                 raise RuntimeError("boom")
-        assert registry.histogram_values("op.latency_ms") == [500.0]
+        summary = _histogram_summary(registry, "op.latency_ms")
+        assert (summary["count"], summary["sum"]) == (1, 500.0)
 
 
 class TestSnapshot:

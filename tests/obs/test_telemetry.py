@@ -82,6 +82,17 @@ class TestRollingHistogram:
         assert summary.p99_ms <= huge
         assert summary.max_ms == huge
 
+    @pytest.mark.parametrize("value", [0.0, 4.0])
+    def test_constant_series_reports_its_own_value(self, fake_clock, value):
+        # Each value sits at an edge of its bin, (0, 0.25] or (2, 4], so
+        # only an estimate clamped to the observed [min, max] reports it.
+        histogram = RollingHistogram(clock=fake_clock)
+        for _ in range(10):
+            histogram.observe(value)
+        summary = histogram.summary(60)
+        assert summary.p50_ms == summary.p95_ms == summary.p99_ms == value
+        assert summary.max_ms == value
+
     def test_validation(self, fake_clock):
         with pytest.raises(ValueError):
             RollingHistogram(bucket_seconds=0, clock=fake_clock)

@@ -68,9 +68,23 @@ class TestTracerLimits:
         tracer = Tracer(clock=fake_clock, max_spans=2)
         for _index in range(5):
             with tracer.span("s"):
-                pass
+                fake_clock.advance(0.001)
         assert len(tracer.records()) == 2
         assert tracer.dropped == 3
+        # The rollup is kept running, so the cap cannot make it wrong.
+        (row,) = tracer.aggregate()
+        assert row["count"] == 5
+        assert round(row["total_ms"], 6) == 5.0
+
+    def test_zero_cap_keeps_no_records_but_rolls_up(self, fake_clock):
+        tracer = Tracer(clock=fake_clock, max_spans=0)
+        for _index in range(3):
+            with tracer.span("s"):
+                fake_clock.advance(0.002)
+        assert tracer.records() == []
+        assert tracer.dropped == 3
+        (row,) = tracer.aggregate()
+        assert (row["count"], round(row["max_ms"], 6)) == (3, 2.0)
 
     def test_aggregate_rolls_up_by_name(self, fake_clock):
         tracer = Tracer(clock=fake_clock)
@@ -86,6 +100,26 @@ class TestTracerLimits:
         assert round(rollup["slow"]["max_ms"], 6) == 100.0
         # Sorted by total time descending.
         assert [row["name"] for row in tracer.aggregate()] == ["slow", "fast"]
+
+    def test_aggregate_matches_a_rollup_of_the_records(self, fake_clock):
+        tracer = Tracer(clock=fake_clock)
+        durations = [0.004, 0.001, 0.0, 0.25, 0.003, 0.001]
+        for index, duration in enumerate(durations):
+            with tracer.span("outer" if index % 2 else "inner"):
+                with tracer.span("leaf"):
+                    fake_clock.advance(duration)
+                fake_clock.advance(duration / 2)
+        expected: dict = {}
+        for record in tracer.records():
+            expected.setdefault(record.name, []).append(record.duration_ms)
+        rollup = {row["name"]: row for row in tracer.aggregate()}
+        assert set(rollup) == set(expected)
+        for name, values in expected.items():
+            row = rollup[name]
+            assert row["count"] == len(values)
+            assert row["total_ms"] == sum(values)
+            assert row["mean_ms"] == sum(values) / len(values)
+            assert row["max_ms"] == max(values)
 
 
 class TestThreadIsolation:

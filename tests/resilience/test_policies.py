@@ -21,6 +21,13 @@ from tests.resilience.conftest import ScriptedLLM, StubLLM, make_prompt
 SQL = "SELECT name FROM singer"
 
 
+def _backoff_summary() -> dict:
+    """The ``llm.retry_backoff_ms`` series summary of the live registry."""
+    return obs.find_histogram(
+        obs.get_metrics().snapshot()["histograms"], "llm.retry_backoff_ms"
+    )
+
+
 def resilient(inner, retry=None, breaker=None, clock=None):
     clock = clock or VirtualClock()
     return ResilientChatModel(
@@ -138,7 +145,7 @@ class TestRetry:
         metrics = obs.get_metrics()
         assert metrics.counter_total("llm.retries") == 2
         assert metrics.counter_value("llm.giveups", reason="retries_exhausted") == 1
-        assert len(metrics.histogram_values("llm.retry_backoff_ms")) == 2
+        assert _backoff_summary()["count"] == 2
 
 
 class TestCircuitBreaker:
@@ -334,8 +341,9 @@ class TestRetryAfterOverride:
         )
         obs.enable()
         model.complete(make_prompt())
-        histogram = obs.get_metrics().histogram_values("llm.retry_backoff_ms")
-        assert histogram == [750.0]
+        backoff = _backoff_summary()
+        assert backoff["count"] == 1
+        assert backoff["sum"] == backoff["max"] == 750.0
 
     def test_retry_after_bounded_by_deadline_budget(self):
         clock = VirtualClock(tick=0.001)
@@ -349,9 +357,9 @@ class TestRetryAfterOverride:
         )
         obs.enable()
         model.complete(make_prompt())
-        waited = obs.get_metrics().histogram_values("llm.retry_backoff_ms")
-        assert len(waited) == 1
-        assert waited[0] <= 500.0
+        waited = _backoff_summary()
+        assert waited["count"] == 1
+        assert waited["max"] <= 500.0
 
     def test_absent_retry_after_uses_schedule(self):
         clock = VirtualClock()
@@ -365,5 +373,6 @@ class TestRetryAfterOverride:
         )
         obs.enable()
         model.complete(make_prompt())
-        histogram = obs.get_metrics().histogram_values("llm.retry_backoff_ms")
-        assert histogram == [100.0]
+        backoff = _backoff_summary()
+        assert backoff["count"] == 1
+        assert backoff["sum"] == backoff["max"] == 100.0

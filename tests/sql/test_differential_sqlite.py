@@ -1,8 +1,14 @@
 """Differential testing: our engine vs sqlite3 as an oracle.
 
 sqlite3 (stdlib) is used ONLY as a test oracle — the library itself never
-imports it. Randomly generated queries over a randomly populated table must
-produce the same multiset of rows on both engines.
+imports it. Two checks:
+
+* randomly generated queries over a randomly populated table must produce
+  the same multiset of rows on both engines;
+* every distinct statement a small-scale sweep executes — suite generation
+  and the four paper artifacts — must agree with sqlite3 on the same rows:
+  the same multiset, the same order under a top-level ``ORDER BY``, and an
+  error on both engines or on neither.
 """
 
 from __future__ import annotations
@@ -10,10 +16,15 @@ from __future__ import annotations
 import sqlite3
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.sql.comparison import normalize_row
+from repro.errors import SqlError
+from repro.eval import harness
+from repro.eval.experiments import run_figure2, run_figure8, run_table2, run_table3
+from repro.sql.comparison import normalize_row, query_is_ordered
 from repro.sql.engine import Database
+from repro.sql.printer import print_query
 
 _COLUMNS = ["id", "name", "grp", "score", "qty"]
 
@@ -95,7 +106,7 @@ def _queries(draw):
     return f"SELECT {distinct}{projection} FROM t{where}{group}"
 
 
-def _canon(rows):
+def _normalized(rows):
     out = []
     for row in rows:
         normalized = []
@@ -105,7 +116,11 @@ def _canon(rows):
             else:
                 normalized.append(value)
         out.append(tuple(normalized))
-    return sorted(out, key=repr)
+    return out
+
+
+def _canon(rows):
+    return sorted(_normalized(rows), key=repr)
 
 
 @given(rows=_rows, query=_queries())
@@ -147,3 +162,74 @@ def test_set_operations_match_sqlite(rows):
         )
     finally:
         theirs.close()
+
+
+@pytest.fixture(scope="module")
+def sweep_statements():
+    """Each distinct (database, statement) ``Database.execute_ast`` runs
+    while ``build_context("small", 20250325)`` renders the four artifacts."""
+    seen: dict = {}
+    execute_ast = Database.execute_ast
+
+    def recording(database, statement):
+        key = (id(database), print_query(statement))
+        seen.setdefault(key, (database, statement))
+        return execute_ast(database, statement)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Database, "execute_ast", recording)
+        # An empty cache makes build_context generate the suites, so the
+        # generator's gold and foil executions are recorded too.
+        patch.setattr(harness, "_CONTEXT_CACHE", {})
+        context = harness.build_context("small", 20250325)
+        for run in (run_figure2, run_table2, run_figure8, run_table3):
+            run(context)
+    return list(seen.values())
+
+
+def _sqlite_copy(database: Database) -> sqlite3.Connection:
+    connection = sqlite3.connect(":memory:")
+    connection.executescript(database.schema.ddl())
+    for table in database.schema.tables:
+        marks = ", ".join("?" * len(table.columns))
+        connection.executemany(
+            f"INSERT INTO {table.name} VALUES ({marks})",
+            database.data(table.name).rows,
+        )
+    return connection
+
+
+def test_every_sweep_statement_matches_sqlite(sweep_statements):
+    connections: dict = {}
+    mismatches = []
+    ordered = 0
+    try:
+        for database, statement in sweep_statements:
+            sql = print_query(statement)
+            if id(database) not in connections:
+                connections[id(database)] = _sqlite_copy(database)
+            connection = connections[id(database)]
+            ours = theirs = None
+            try:
+                ours = _normalized(database.execute_ast(statement).rows)
+            except SqlError:
+                pass
+            try:
+                theirs = _normalized(connection.execute(sql).fetchall())
+            except sqlite3.Error:
+                pass
+            if ours is None or theirs is None:
+                if (ours is None) != (theirs is None):
+                    mismatches.append(("error on one engine", sql))
+            elif query_is_ordered(statement):
+                ordered += 1
+                if ours != theirs:
+                    mismatches.append(("order", sql))
+            elif sorted(ours, key=repr) != sorted(theirs, key=repr):
+                mismatches.append(("rows", sql))
+    finally:
+        for connection in connections.values():
+            connection.close()
+    assert not mismatches, mismatches[:10]
+    # Guards against a collection that silently stopped recording.
+    assert len(sweep_statements) > 100 and ordered > 0
