@@ -7,7 +7,9 @@
 * :func:`run_table3`   — FISQL with and without highlighting.
 
 Each returns a small result dataclass; :mod:`repro.eval.reporting` renders
-them in the paper's row/series format.
+them in the paper's row/series format. The results also keep the
+per-example records behind their numbers, from which
+:mod:`repro.eval.predictions` builds one row per example and round.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro import obs
 from repro.core.feedback import Feedback
 from repro.errors import LLMError
 from repro.core.rewrite import QueryRewriteBaseline
-from repro.core.session import CorrectionOutcome, FisqlPipeline
+from repro.core.session import CorrectionOutcome, FisqlPipeline, RoundRecord
 from repro.datasets.base import Example
 from repro.eval.harness import ExperimentContext
 from repro.eval.metrics import (
@@ -43,6 +45,10 @@ class Figure2Result:
 
     paper_spider: float = 68.6
     paper_aep: float = 24.0
+    #: Dataset → the zero-shot prediction records behind each accuracy.
+    records: dict[str, list[PredictionRecord]] = field(
+        default_factory=dict, repr=False
+    )
 
 
 def run_figure2(context: ExperimentContext) -> Figure2Result:
@@ -63,6 +69,7 @@ def run_figure2(context: ExperimentContext) -> Figure2Result:
         aep_accuracy=100.0 * aep_report.accuracy,
         spider_total=spider_report.total,
         aep_total=aep_report.total,
+        records={"spider": spider_report.records, "aep": aep_report.records},
     )
 
 
@@ -82,6 +89,10 @@ class Table2Result:
     """Table 2: % instances corrected after one feedback round."""
 
     cells: list[CorrectionCell] = field(default_factory=list)
+    #: Dataset → the annotated Assistant error set every cell corrects.
+    errors: dict[str, list[PredictionRecord]] = field(
+        default_factory=dict, repr=False
+    )
 
     paper = {
         ("Query Rewrite", "aep"): 35.85,
@@ -237,9 +248,25 @@ def make_query_rewrite_corrector(
             except LLMError as error:
                 outcome = _failed_outcome(example.example_id, error)
             else:
-                if execution_correct(
+                corrected = execution_correct(
                     database, example.gold_sql, step.prediction.sql
-                ):
+                )
+                outcome.rounds.append(
+                    RoundRecord(
+                        round_index=1,
+                        feedback_text=feedback.text,
+                        feedback_type=None,
+                        highlight=None,
+                        sql_before=record.predicted_sql,
+                        sql_after=step.prediction.sql,
+                        corrected=corrected,
+                        notes=[
+                            f"rewritten question: {step.merged_question}",
+                            *step.prediction.notes,
+                        ],
+                    )
+                )
+                if corrected:
                     outcome.corrected_round = 1
         return outcome
 
@@ -287,6 +314,7 @@ def run_table2(context: ExperimentContext) -> Table2Result:
     result = Table2Result()
     for dataset in ("aep", "spider"):
         errors = context.error_set(dataset)
+        result.errors[dataset] = errors
         qr = _run_query_rewrite(context, dataset, errors)
         result.cells.append(
             CorrectionCell(
@@ -334,6 +362,12 @@ class Figure8Result:
     fisql_by_round: list[float] = field(default_factory=list)
     no_routing_by_round: list[float] = field(default_factory=list)
     n_errors: int = 0
+    #: Each method's sessions; ``corrected_percent`` is the last round's.
+    cells: list[CorrectionCell] = field(default_factory=list, repr=False)
+    #: The annotated Assistant error set both methods correct (SPIDER).
+    errors: dict[str, list[PredictionRecord]] = field(
+        default_factory=dict, repr=False
+    )
 
     paper_note = (
         "one additional feedback round improves each approach by ~15%; "
@@ -352,13 +386,26 @@ def run_figure8(context: ExperimentContext, rounds: int = 2) -> Figure8Result:
         context, "spider", errors, routing=False, highlights=False,
         max_rounds=rounds,
     )
-    result = Figure8Result(n_errors=len(errors))
+    result = Figure8Result(n_errors=len(errors), errors={"spider": errors})
     for round_index in range(1, rounds + 1):
         result.fisql_by_round.append(
             correction_rate(fisql, within_rounds=round_index)
         )
         result.no_routing_by_round.append(
             correction_rate(no_routing, within_rounds=round_index)
+        )
+    for method, outcomes in (
+        ("FISQL", fisql),
+        ("FISQL (- Routing)", no_routing),
+    ):
+        result.cells.append(
+            CorrectionCell(
+                method=method,
+                dataset="spider",
+                corrected_percent=correction_rate(outcomes, within_rounds=rounds),
+                n_errors=len(errors),
+                outcomes=outcomes,
+            )
         )
     return result
 
@@ -373,6 +420,10 @@ class Table3Result:
     highlighting_spider: float = 0.0
     n_aep: int = 0
     n_spider: int = 0
+    cells: list[CorrectionCell] = field(default_factory=list, repr=False)
+    errors: dict[str, list[PredictionRecord]] = field(
+        default_factory=dict, repr=False
+    )
 
     paper = {
         ("FISQL", "aep"): 67.92,
@@ -397,6 +448,20 @@ def run_table3(context: ExperimentContext) -> Table3Result:
         )
         plain_rate = correction_rate(plain, within_rounds=1)
         highlight_rate = correction_rate(highlighted, within_rounds=1)
+        result.errors[dataset] = errors
+        for method, outcomes, rate in (
+            ("FISQL", plain, plain_rate),
+            ("FISQL (+ Highlighting)", highlighted, highlight_rate),
+        ):
+            result.cells.append(
+                CorrectionCell(
+                    method=method,
+                    dataset=dataset,
+                    corrected_percent=rate,
+                    n_errors=len(errors),
+                    outcomes=outcomes,
+                )
+            )
         if dataset == "aep":
             result.fisql_aep = plain_rate
             result.highlighting_aep = highlight_rate
