@@ -17,7 +17,7 @@ experiment reproduces exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.feedback import ADD, EDIT, REMOVE, Feedback
@@ -41,6 +41,7 @@ from repro.sql.edits import (
     SetDistinct,
     SetLimit,
     SetOrderBy,
+    rewrite_query_expressions,
 )
 from repro.sql.schema import DatabaseSchema, Table
 from repro.util import stable_fraction
@@ -323,7 +324,7 @@ class FeedbackEditor:
                 out.append(
                     EditCandidate(
                         operation=SetOrderBy(
-                            [ast.OrderItem(ast.ColumnRef(link_column.name), direction)]
+                            (ast.OrderItem(ast.ColumnRef(link_column.name), direction),)
                         ),
                         score=0.85,
                         feedback_type=ftype,
@@ -339,10 +340,10 @@ class FeedbackEditor:
                 if match.group(1) == "descending"
                 else ast.SortOrder.ASC
             )
-            items = [
+            items = tuple(
                 ast.OrderItem(item.expression, direction)
                 for item in previous.order_by
-            ]
+            )
             out.append(
                 EditCandidate(
                     operation=SetOrderBy(items),
@@ -352,10 +353,10 @@ class FeedbackEditor:
                 )
             )
         if re.search(r"(highest|best|largest) first", text) and previous.order_by:
-            items = [
+            items = tuple(
                 ast.OrderItem(item.expression, ast.SortOrder.DESC)
                 for item in previous.order_by
-            ]
+            )
             out.append(
                 EditCandidate(
                     operation=SetOrderBy(items),
@@ -617,7 +618,7 @@ class FeedbackEditor:
             ),
         )
         return ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(target_name.name, table="T2"))],
+            items=(ast.SelectItem(ast.ColumnRef(target_name.name, table="T2")),),
             source=join,
             where=ast.BinaryOp(
                 ast.BinaryOperator.EQ,
@@ -788,26 +789,33 @@ def _retarget_query(
     ``name`` → ``name``); when a referenced column has no counterpart the
     retarget fails and the editor reports no usable edit.
     """
-    import copy as _copy
-
-    out = _copy.deepcopy(previous)
-    source = out.source
-    if isinstance(source, ast.TableRef) and (
-        source.name.lower() == old_table.key
+    source = previous.source
+    if not (
+        isinstance(source, ast.TableRef) and source.name.lower() == old_table.key
     ):
-        source.name = new_table.name
-    else:
         return None
-    for expr in _query_expressions(out):
-        for node in ast.walk_expressions(expr):
-            if isinstance(node, ast.ColumnRef):
-                if new_table.has_column(node.column):
-                    continue
-                replacement = _counterpart_column(linker, node.column, new_table)
-                if replacement is None:
-                    return None
-                node.column = replacement
-    return ReplaceQuery(new_query=out)
+
+    def remap(node):
+        if isinstance(node, ast.ColumnRef) and not new_table.has_column(
+            node.column
+        ):
+            replacement = _counterpart_column(linker, node.column, new_table)
+            if replacement is None:
+                raise _NoCounterpart
+            return replace(node, column=replacement)
+        return node
+
+    try:
+        out = rewrite_query_expressions(previous, remap)
+    except _NoCounterpart:
+        return None
+    return ReplaceQuery(
+        new_query=replace(out, source=replace(source, name=new_table.name))
+    )
+
+
+class _NoCounterpart(Exception):
+    """A retargeted column has no counterpart in the new table."""
 
 
 def _counterpart_column(

@@ -313,11 +313,11 @@ class SemanticParser:
             "SUM" if self._config.knows(CONVENTION_SUM_HOW_MANY) else "COUNT"
         )
         query = ast.Select(
-            items=[
+            items=(
                 ast.SelectItem(
-                    ast.FunctionCall(function, [ast.ColumnRef(column.name)])
-                )
-            ],
+                    ast.FunctionCall(function, (ast.ColumnRef(column.name),))
+                ),
+            ),
             source=ast.TableRef(link.table.name),
         )
         return ParseOutcome(query=query, main_table=link.table)
@@ -337,13 +337,13 @@ class SemanticParser:
             return None
         distinct = self._config.knows(CONVENTION_COUNT_DISTINCT)
         query = ast.Select(
-            items=[
+            items=(
                 ast.SelectItem(
                     ast.FunctionCall(
-                        "COUNT", [ast.ColumnRef(column.name)], distinct=distinct
+                        "COUNT", (ast.ColumnRef(column.name),), distinct=distinct
                     )
-                )
-            ],
+                ),
+            ),
             source=ast.TableRef(link.table.name),
         )
         return ParseOutcome(query=query, main_table=link.table)
@@ -374,13 +374,13 @@ class SemanticParser:
             return None
         _score, column, link = best
         query = ast.Select(
-            items=[
+            items=(
                 ast.SelectItem(
                     ast.FunctionCall(
-                        _AGG_WORDS[agg_word], [ast.ColumnRef(column.name)]
+                        _AGG_WORDS[agg_word], (ast.ColumnRef(column.name),)
                     )
-                )
-            ],
+                ),
+            ),
             source=ast.TableRef(link.table.name),
         )
         return ParseOutcome(query=query, main_table=link.table)
@@ -415,9 +415,9 @@ class SemanticParser:
             ast.SortOrder.DESC if direction_word == "highest" else ast.SortOrder.ASC
         )
         query = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(target.name))],
+            items=(ast.SelectItem(ast.ColumnRef(target.name)),),
             source=ast.TableRef(link.table.name),
-            order_by=[ast.OrderItem(ast.ColumnRef(order_column.name), direction)],
+            order_by=(ast.OrderItem(ast.ColumnRef(order_column.name), direction),),
             limit=1,
         )
         notes = [note] if note else []
@@ -434,7 +434,7 @@ class SemanticParser:
         if column is None or name_column is None:
             return None
         query = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(column.name))],
+            items=(ast.SelectItem(ast.ColumnRef(column.name)),),
             source=ast.TableRef(link.table.name),
             where=_eq(name_column.name, self._original_case(name_value)),
         )
@@ -456,7 +456,7 @@ class SemanticParser:
             CONVENTION_DISTINCT_VALUES
         )
         query = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(column.name))],
+            items=(ast.SelectItem(ast.ColumnRef(column.name)),),
             source=ast.TableRef(link.table.name),
             distinct=distinct,
         )
@@ -482,9 +482,9 @@ class SemanticParser:
         else:
             direction = ast.SortOrder.ASC
         query = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(name_column.name))],
+            items=(ast.SelectItem(ast.ColumnRef(name_column.name)),),
             source=ast.TableRef(link.table.name),
-            order_by=[ast.OrderItem(ast.ColumnRef(order_column.name), direction)],
+            order_by=(ast.OrderItem(ast.ColumnRef(order_column.name), direction),),
             limit=int(n_text),
         )
         return ParseOutcome(query=query, main_table=link.table)
@@ -515,7 +515,7 @@ class SemanticParser:
             return None
         filters = self._modifier_filters(link.table, modifiers)
         query = ast.Select(
-            items=[ast.SelectItem(ast.ColumnRef(name_column.name))],
+            items=(ast.SelectItem(ast.ColumnRef(name_column.name)),),
             source=ast.TableRef(link.table.name),
             where=_and(filters),
         )
@@ -546,7 +546,7 @@ class SemanticParser:
                 items.append(ast.SelectItem(ast.ColumnRef(description.name)))
                 notes.append("included descriptions for readability")
         query = ast.Select(
-            items=items,
+            items=tuple(items),
             source=ast.TableRef(link.table.name),
             where=_and(filters),
             order_by=order_by,
@@ -568,12 +568,12 @@ class SemanticParser:
             and not column_link.column.key.endswith("id")
         ):
             query = ast.Select(
-                items=[
+                items=(
                     ast.SelectItem(ast.ColumnRef(column_link.column.name)),
-                    ast.SelectItem(ast.FunctionCall("COUNT", [ast.Star()])),
-                ],
+                    ast.SelectItem(ast.FunctionCall("COUNT", (ast.Star(),))),
+                ),
                 source=ast.TableRef(link.table.name),
-                group_by=[ast.ColumnRef(column_link.column.name)],
+                group_by=(ast.ColumnRef(column_link.column.name),),
             )
             return ParseOutcome(query=query, main_table=link.table)
         # Maybe the key is a parent table reachable by FK.
@@ -595,12 +595,12 @@ class SemanticParser:
             return None
         join = _fk_join(child, parent, fk)
         query = ast.Select(
-            items=[
+            items=(
                 ast.SelectItem(ast.ColumnRef(parent_name.name, table="T2")),
-                ast.SelectItem(ast.FunctionCall("COUNT", [ast.Star()])),
-            ],
+                ast.SelectItem(ast.FunctionCall("COUNT", (ast.Star(),))),
+            ),
             source=join,
-            group_by=[ast.ColumnRef(parent_name.name, table="T2")],
+            group_by=(ast.ColumnRef(parent_name.name, table="T2"),),
         )
         return ParseOutcome(query=query, main_table=child)
 
@@ -625,10 +625,10 @@ class SemanticParser:
             return None
         join = _fk_join(child_link.table, parent_link.table, fk)
         query = ast.Select(
-            items=[
+            items=(
                 ast.SelectItem(ast.ColumnRef(child_name.name, table="T1")),
                 ast.SelectItem(ast.ColumnRef(parent_name.name, table="T2")),
-            ],
+            ),
             source=join,
         )
         return ParseOutcome(query=query, main_table=child_link.table)
@@ -646,7 +646,7 @@ class SemanticParser:
                 else ast.Star()
             )
             query = ast.Select(
-                items=[ast.SelectItem(target)],
+                items=(ast.SelectItem(target),),
                 source=ast.TableRef(link.table.name),
             )
         return ParseOutcome(
@@ -682,17 +682,17 @@ def _split_entity_filters(remainder: str):
                 return None
             op = _COMPARISONS[word]
             sub = ast.Select(
-                items=[
+                items=(
                     ast.SelectItem(
-                        ast.FunctionCall("AVG", [ast.ColumnRef(column.name)])
-                    )
-                ],
+                        ast.FunctionCall("AVG", (ast.ColumnRef(column.name),))
+                    ),
+                ),
                 source=ast.TableRef(table.name),
             )
             condition = ast.BinaryOp(
                 op, ast.ColumnRef(column.name), ast.ScalarSubquery(sub)
             )
-            return [condition], [], None
+            return [condition], (), None
 
         return entity, build_avg
 
@@ -714,7 +714,7 @@ def _split_entity_filters(remainder: str):
                 ast.ColumnRef(column.name),
                 ast.Literal(value),
             )
-            return [condition], [], None
+            return [condition], (), None
 
         return entity, build_cmp
 
@@ -736,7 +736,7 @@ def _split_entity_filters(remainder: str):
                 low=ast.Literal(low_v),
                 high=ast.Literal(high_v),
             )
-            return [condition], [], None
+            return [condition], (), None
 
         return entity, build_between
 
@@ -755,14 +755,14 @@ def _split_entity_filters(remainder: str):
             )
             return (
                 _month_filters(date_column.name, year, _MONTHS[month_word]),
-                [],
+                (),
                 None,
             )
 
         return entity, build_month
 
     def build_nothing(parser: SemanticParser, table: Table):
-        return [], [], None
+        return [], (), None
 
     return remainder, build_nothing
 
@@ -795,7 +795,7 @@ def _and(filters: list[ast.Expression]) -> Optional[ast.Expression]:
 
 def _select_count(table: Table, filters: list[ast.Expression]) -> ast.Select:
     return ast.Select(
-        items=[ast.SelectItem(ast.FunctionCall("COUNT", [ast.Star()]))],
+        items=(ast.SelectItem(ast.FunctionCall("COUNT", (ast.Star(),))),),
         source=ast.TableRef(table.name),
         where=_and(filters),
     )

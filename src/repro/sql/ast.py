@@ -1,19 +1,23 @@
 """Typed abstract syntax tree for the SQL dialect.
 
-Every node is a frozen-ish dataclass (mutable for editability by
-:mod:`repro.sql.edits`, but treated as immutable elsewhere). Nodes know how
-to deep-copy themselves via :func:`copy.deepcopy`; the pretty printer in
-:mod:`repro.sql.printer` renders them back to SQL text.
+Every node is a frozen, slotted dataclass whose sequences are tuples, so a
+tree is immutable and hashable. A parsed tree can therefore be shared by
+every caller that parses the same text (:func:`repro.sql.parser.parse_query`
+memoizes by text), and an edit (:mod:`repro.sql.edits`) builds a new tree
+instead of changing its input; :func:`rewrite` rebuilds a tree bottom-up.
+The pretty printer in :mod:`repro.sql.printer` renders nodes back to SQL
+text.
 
-Expression nodes implement structural equality through dataclass equality,
-which the analysis/diff machinery relies on.
+Nodes implement structural equality through dataclass equality, which the
+analysis/diff machinery relies on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -27,14 +31,14 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Literal(Expression):
     """A constant: integer, float, string, boolean or NULL (value=None)."""
 
     value: Union[int, float, str, bool, None]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Computed(Expression):
     """Internal node: wraps an already-computed value during aggregation.
 
@@ -45,7 +49,7 @@ class Computed(Expression):
     value: Union[int, float, str, bool, None]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ColumnRef(Expression):
     """Reference to a column, optionally qualified by table name or alias."""
 
@@ -59,7 +63,7 @@ class ColumnRef(Expression):
         return self.column.lower()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Star(Expression):
     """``*`` or ``table.*`` in a select list or COUNT(*)."""
 
@@ -105,7 +109,7 @@ _COMPARISONS = frozenset(
 )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class BinaryOp(Expression):
     """``left <op> right``."""
 
@@ -120,7 +124,7 @@ class UnaryOperator(enum.Enum):
     POS = "+"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class UnaryOp(Expression):
     """``NOT expr`` or ``-expr``."""
 
@@ -128,19 +132,19 @@ class UnaryOp(Expression):
     operand: Expression
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class FunctionCall(Expression):
     """Scalar or aggregate function call.
 
-    ``COUNT(*)`` is represented as ``FunctionCall("COUNT", [Star()])``.
+    ``COUNT(*)`` is represented as ``FunctionCall("COUNT", (Star(),))``.
     """
 
     name: str
-    args: list[Expression] = field(default_factory=list)
+    args: tuple[Expression, ...] = ()
     distinct: bool = False
 
     def __post_init__(self) -> None:
-        self.name = self.name.upper()
+        object.__setattr__(self, "name", self.name.upper())
 
 
 #: Aggregate function names the executor understands.
@@ -152,7 +156,7 @@ def is_aggregate_call(expr: Expression) -> bool:
     return isinstance(expr, FunctionCall) and expr.name in AGGREGATE_FUNCTIONS
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Like(Expression):
     """``operand [NOT] LIKE pattern``."""
 
@@ -161,7 +165,7 @@ class Like(Expression):
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Between(Expression):
     """``operand [NOT] BETWEEN low AND high``."""
 
@@ -171,16 +175,16 @@ class Between(Expression):
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class InList(Expression):
     """``operand [NOT] IN (item, item, ...)``."""
 
     operand: Expression
-    items: list[Expression]
+    items: tuple[Expression, ...]
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class InSubquery(Expression):
     """``operand [NOT] IN (SELECT ...)``."""
 
@@ -189,7 +193,7 @@ class InSubquery(Expression):
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Exists(Expression):
     """``[NOT] EXISTS (SELECT ...)``."""
 
@@ -197,14 +201,14 @@ class Exists(Expression):
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ScalarSubquery(Expression):
     """A parenthesized SELECT used as a scalar value."""
 
     subquery: "Select"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class IsNull(Expression):
     """``operand IS [NOT] NULL``."""
 
@@ -212,11 +216,11 @@ class IsNull(Expression):
     negated: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CaseWhen(Expression):
     """``CASE WHEN cond THEN value ... [ELSE value] END``."""
 
-    branches: list[tuple[Expression, Expression]]
+    branches: tuple[tuple[Expression, Expression], ...]
     default: Optional[Expression] = None
 
 
@@ -231,7 +235,7 @@ class TableExpression:
     __slots__ = ()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TableRef(TableExpression):
     """A base table reference with an optional alias."""
 
@@ -250,7 +254,7 @@ class JoinKind(enum.Enum):
     CROSS = "CROSS JOIN"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Join(TableExpression):
     """``left <kind> right ON condition`` (condition is None for CROSS)."""
 
@@ -260,7 +264,7 @@ class Join(TableExpression):
     condition: Optional[Expression] = None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SubquerySource(TableExpression):
     """A derived table: ``(SELECT ...) AS alias``."""
 
@@ -283,7 +287,7 @@ class Statement:
     __slots__ = ()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SelectItem:
     """One element of the select list: an expression plus optional alias."""
 
@@ -296,7 +300,7 @@ class SortOrder(enum.Enum):
     DESC = "DESC"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class OrderItem:
     """One ORDER BY key."""
 
@@ -304,16 +308,16 @@ class OrderItem:
     order: SortOrder = SortOrder.ASC
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Select(Statement):
     """A single SELECT block (set operations live in :class:`SetOperation`)."""
 
-    items: list[SelectItem]
+    items: tuple[SelectItem, ...]
     source: Optional[TableExpression] = None
     where: Optional[Expression] = None
-    group_by: list[Expression] = field(default_factory=list)
+    group_by: tuple[Expression, ...] = ()
     having: Optional[Expression] = None
-    order_by: list[OrderItem] = field(default_factory=list)
+    order_by: tuple[OrderItem, ...] = ()
     limit: Optional[int] = None
     offset: Optional[int] = None
     distinct: bool = False
@@ -326,14 +330,14 @@ class SetOperator(enum.Enum):
     EXCEPT = "EXCEPT"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SetOperation(Statement):
     """``left UNION/INTERSECT/EXCEPT right`` with optional trailing ORDER BY."""
 
     op: SetOperator
     left: Union[Select, "SetOperation"]
     right: Union[Select, "SetOperation"]
-    order_by: list[OrderItem] = field(default_factory=list)
+    order_by: tuple[OrderItem, ...] = ()
     limit: Optional[int] = None
 
 
@@ -341,7 +345,7 @@ class SetOperation(Statement):
 Query = Union[Select, SetOperation]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ColumnDef:
     """Column definition inside CREATE TABLE."""
 
@@ -350,7 +354,7 @@ class ColumnDef:
     primary_key: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ForeignKeyDef:
     """``FOREIGN KEY (col) REFERENCES table(col)``."""
 
@@ -359,34 +363,34 @@ class ForeignKeyDef:
     ref_column: str
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CreateTable(Statement):
     name: str
-    columns: list[ColumnDef]
-    foreign_keys: list[ForeignKeyDef] = field(default_factory=list)
+    columns: tuple[ColumnDef, ...]
+    foreign_keys: tuple[ForeignKeyDef, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Insert(Statement):
     table: str
-    columns: list[str]
-    rows: list[list[Expression]] = field(default_factory=list)
+    columns: tuple[str, ...]
+    rows: tuple[tuple[Expression, ...], ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Update(Statement):
     table: str
-    assignments: list[tuple[str, Expression]] = field(default_factory=list)
+    assignments: tuple[tuple[str, Expression], ...] = ()
     where: Optional[Expression] = None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Delete(Statement):
     table: str
     where: Optional[Expression] = None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DropTable(Statement):
     name: str
     if_exists: bool = False
@@ -426,6 +430,54 @@ def walk_expressions(expr: Optional[Expression]):
                 stack.extend((value, cond))
             if node.default is not None:
                 stack.append(node.default)
+
+
+#: Node type → the fields :func:`rewrite` descends into, in the order
+#: :func:`walk_expressions` visits them. Subqueries are not entered.
+_REWRITE_CHILDREN: dict[type, tuple[str, ...]] = {
+    BinaryOp: ("left", "right"),
+    UnaryOp: ("operand",),
+    FunctionCall: ("args",),
+    Like: ("operand", "pattern"),
+    Between: ("operand", "low", "high"),
+    InList: ("operand", "items"),
+    InSubquery: ("operand",),
+    IsNull: ("operand",),
+    CaseWhen: ("default", "branches"),
+    Join: ("left", "right", "condition"),
+    SelectItem: ("expression",),
+    OrderItem: ("expression",),
+}
+
+
+def rewrite(node, fn: Callable):
+    """Rebuild ``node`` bottom-up, replacing every node by ``fn(node)``.
+
+    ``node`` may be an expression, a FROM item, a select or order item, a
+    tuple of those, or None. Children are rewritten left to right before
+    their parent, and ``fn`` sees the parent with its rewritten children;
+    it returns the node itself to keep it. Subqueries are not entered,
+    as in :func:`walk_expressions`. Subtrees ``fn`` keeps are returned
+    as the same objects, so an edit shares them with its input.
+    """
+    if node is None:
+        return None
+    if isinstance(node, tuple):
+        rebuilt = tuple(rewrite(child, fn) for child in node)
+        return node if all(map(_same, rebuilt, node)) else rebuilt
+    changes = {}
+    for name in _REWRITE_CHILDREN.get(type(node), ()):
+        child = getattr(node, name)
+        new = rewrite(child, fn)
+        if new is not child:
+            changes[name] = new
+    if changes:
+        node = dataclasses.replace(node, **changes)
+    return fn(node)
+
+
+def _same(a, b) -> bool:
+    return a is b
 
 
 def walk_queries(query: Query):

@@ -1,8 +1,10 @@
 """Typed edit operations on SELECT ASTs.
 
 FISQL's feedback editor translates user feedback into these operations and
-applies them to the previous turn's SQL. Each operation is pure: ``apply``
-deep-copies the input and returns a new AST. Operations raise
+applies them to the previous turn's SQL. Each operation is pure: AST nodes
+are frozen, so ``apply`` builds a new tree from its input (with
+:func:`dataclasses.replace` and :func:`repro.sql.ast.rewrite`) and shares
+the subtrees it keeps. Operations raise
 :class:`~repro.errors.EditError` when they cannot anchor to the query (e.g.
 replacing a column that is not present) — the session layer surfaces that as
 "could not interpret the feedback".
@@ -10,8 +12,7 @@ replacing a column that is not present) — the session layer surfaces that as
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.errors import EditError
@@ -35,18 +36,22 @@ class EditOperation:
         raise NotImplementedError
 
 
-def _clone(query: ast.Select) -> ast.Select:
-    return copy.deepcopy(query)
-
-
-def _replace_column_in(expr: ast.Expression, old: str, new: str) -> int:
-    """In-place column rename inside an expression tree; returns hit count."""
-    hits = 0
-    for node in ast.walk_expressions(expr):
-        if isinstance(node, ast.ColumnRef) and node.column.lower() == old.lower():
-            node.column = new
-            hits += 1
-    return hits
+def rewrite_query_expressions(
+    query: ast.Select, fn: Callable, clauses: bool = True
+) -> ast.Select:
+    """``query`` with :func:`~repro.sql.ast.rewrite` applied to its select
+    list and, with ``clauses``, to its WHERE, GROUP BY, HAVING and ORDER BY
+    expressions, in that order. The FROM clause is left alone."""
+    if not clauses:
+        return replace(query, items=ast.rewrite(query.items, fn))
+    return replace(
+        query,
+        items=ast.rewrite(query.items, fn),
+        where=ast.rewrite(query.where, fn),
+        group_by=ast.rewrite(query.group_by, fn),
+        having=ast.rewrite(query.having, fn),
+        order_by=ast.rewrite(query.order_by, fn),
+    )
 
 
 @dataclass
@@ -59,46 +64,34 @@ class ReplaceColumn(EditOperation):
     new_table: Optional[str] = None
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
+        old = self.old.lower()
         hits = 0
-        for item in out.items:
-            hits += _replace_column_in(item.expression, self.old, self.new)
-        if self.everywhere:
-            for expr in _clause_expressions(out):
-                hits += _replace_column_in(expr, self.old, self.new)
+
+        def rename(node):
+            nonlocal hits
+            if isinstance(node, ast.ColumnRef) and node.column.lower() == old:
+                hits += 1
+                return replace(node, column=self.new)
+            return node
+
+        out = rewrite_query_expressions(query, rename, clauses=self.everywhere)
         if hits == 0:
             raise EditError(
                 f"column {self.old!r} does not appear in the query"
             )
         if self.new_table is not None:
-            for item in out.items:
-                for node in ast.walk_expressions(item.expression):
-                    if (
-                        isinstance(node, ast.ColumnRef)
-                        and node.column.lower() == self.new.lower()
-                    ):
-                        node.table = self.new_table
+            new = self.new.lower()
+
+            def retable(node):
+                if isinstance(node, ast.ColumnRef) and node.column.lower() == new:
+                    return replace(node, table=self.new_table)
+                return node
+
+            out = replace(out, items=ast.rewrite(out.items, retable))
         return out
 
     def describe(self) -> str:
         return f"replace column {self.old} with {self.new}"
-
-
-def _clause_expressions(query: ast.Select) -> list[ast.Expression]:
-    exprs: list[ast.Expression] = []
-    if query.where is not None:
-        exprs.append(query.where)
-    exprs.extend(query.group_by)
-    if query.having is not None:
-        exprs.append(query.having)
-    exprs.extend(order.expression for order in query.order_by)
-    return exprs
-
-
-def _all_expressions(query: ast.Select) -> list[ast.Expression]:
-    exprs = [item.expression for item in query.items]
-    exprs.extend(_clause_expressions(query))
-    return exprs
 
 
 @dataclass
@@ -113,13 +106,16 @@ class ReplaceLiteral(EditOperation):
     new: object
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
         hits = 0
-        for expr in _all_expressions(out):
-            for node in ast.walk_expressions(expr):
-                if isinstance(node, ast.Literal) and self._matches(node.value):
-                    node.value = self._rewrite(node.value)
-                    hits += 1
+
+        def rewrite_literal(node):
+            nonlocal hits
+            if isinstance(node, ast.Literal) and self._matches(node.value):
+                hits += 1
+                return replace(node, value=self._rewrite(node.value))
+            return node
+
+        out = rewrite_query_expressions(query, rewrite_literal)
         if hits == 0:
             raise EditError(f"literal {self.old!r} does not appear in the query")
         return out
@@ -163,28 +159,29 @@ class ReplaceAggregate(EditOperation):
     distinct: Optional[bool] = None
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
         hits = 0
-        for item in out.items:
-            for node in ast.walk_expressions(item.expression):
-                if not ast.is_aggregate_call(node):
-                    continue
-                if (
-                    self.old_function is not None
-                    and node.name != self.old_function.upper()
-                ):
-                    continue
-                node.name = self.new_function.upper()
-                if self.new_argument is not None:
-                    node.args = [copy.deepcopy(self.new_argument)]
-                if self.distinct is not None:
-                    if not node.args or isinstance(node.args[0], ast.Star):
-                        raise EditError(
-                            "cannot apply DISTINCT to a COUNT(*) without "
-                            "a column argument"
-                        )
-                    node.distinct = self.distinct
-                hits += 1
+
+        def swap(node):
+            nonlocal hits
+            if not ast.is_aggregate_call(node) or (
+                self.old_function is not None
+                and node.name != self.old_function.upper()
+            ):
+                return node
+            node = replace(node, name=self.new_function)
+            if self.new_argument is not None:
+                node = replace(node, args=(self.new_argument,))
+            if self.distinct is not None:
+                if not node.args or isinstance(node.args[0], ast.Star):
+                    raise EditError(
+                        "cannot apply DISTINCT to a COUNT(*) without "
+                        "a column argument"
+                    )
+                node = replace(node, distinct=self.distinct)
+            hits += 1
+            return node
+
+        out = rewrite_query_expressions(query, swap, clauses=False)
         if hits == 0:
             raise EditError("no matching aggregate call to replace")
         return out
@@ -201,7 +198,7 @@ class ReplaceQuery(EditOperation):
     new_query: ast.Select
 
     def apply(self, query: ast.Select) -> ast.Select:
-        return copy.deepcopy(self.new_query)
+        return self.new_query
 
     def describe(self) -> str:
         return "rebuild the query"
@@ -215,15 +212,12 @@ class AddSelectItem(EditOperation):
     alias: Optional[str] = None
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
         key = print_expression(self.expression).lower()
-        for item in out.items:
+        for item in query.items:
             if print_expression(item.expression).lower() == key:
                 raise EditError("expression already in the select list")
-        out.items.append(
-            ast.SelectItem(expression=copy.deepcopy(self.expression), alias=self.alias)
-        )
-        return out
+        added = ast.SelectItem(expression=self.expression, alias=self.alias)
+        return replace(query, items=(*query.items, added))
 
     def describe(self) -> str:
         return f"also select {print_expression(self.expression)}"
@@ -236,12 +230,11 @@ class RemoveSelectItem(EditOperation):
     column: str
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
-        if len(out.items) <= 1:
+        if len(query.items) <= 1:
             raise EditError("cannot remove the only select item")
         kept = []
         removed = 0
-        for item in out.items:
+        for item in query.items:
             if self._mentions(item.expression):
                 removed += 1
             else:
@@ -250,8 +243,7 @@ class RemoveSelectItem(EditOperation):
             raise EditError(f"{self.column!r} is not in the select list")
         if not kept:
             raise EditError("removal would empty the select list")
-        out.items = kept
-        return out
+        return replace(query, items=tuple(kept))
 
     def _mentions(self, expr: ast.Expression) -> bool:
         for node in ast.walk_expressions(expr):
@@ -273,19 +265,18 @@ class AddWhereConjunct(EditOperation):
     condition: ast.Expression
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
-        new_condition = copy.deepcopy(self.condition)
-        key = print_expression(new_condition).lower()
-        for existing in conjuncts(out.where):
+        key = print_expression(self.condition).lower()
+        for existing in conjuncts(query.where):
             if print_expression(existing).lower() == key:
                 raise EditError("condition already present")
-        if out.where is None:
-            out.where = new_condition
-        else:
-            out.where = ast.BinaryOp(
-                ast.BinaryOperator.AND, out.where, new_condition
-            )
-        return out
+        if query.where is None:
+            return replace(query, where=self.condition)
+        return replace(
+            query,
+            where=ast.BinaryOp(
+                ast.BinaryOperator.AND, query.where, self.condition
+            ),
+        )
 
     def describe(self) -> str:
         return f"add condition {print_expression(self.condition)}"
@@ -299,13 +290,11 @@ class RemoveWhereConjunct(EditOperation):
     description: str = "remove a condition"
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
-        parts = conjuncts(out.where)
+        parts = conjuncts(query.where)
         kept = [part for part in parts if not self.matcher(part)]
         if len(kept) == len(parts):
             raise EditError("no matching condition to remove")
-        out.where = join_conjuncts(kept)
-        return out
+        return replace(query, where=join_conjuncts(kept))
 
     def describe(self) -> str:
         return self.description
@@ -319,20 +308,18 @@ class ReplaceWhereConjunct(EditOperation):
     condition: ast.Expression
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
-        parts = conjuncts(out.where)
+        parts = conjuncts(query.where)
         replaced = False
         new_parts: list[ast.Expression] = []
         for part in parts:
             if not replaced and self.matcher(part):
-                new_parts.append(copy.deepcopy(self.condition))
+                new_parts.append(self.condition)
                 replaced = True
             else:
                 new_parts.append(part)
         if not replaced:
             raise EditError("no matching condition to replace")
-        out.where = join_conjuncts(new_parts)
-        return out
+        return replace(query, where=join_conjuncts(new_parts))
 
     def describe(self) -> str:
         return f"condition should be {print_expression(self.condition)}"
@@ -340,16 +327,14 @@ class ReplaceWhereConjunct(EditOperation):
 
 @dataclass
 class SetOrderBy(EditOperation):
-    items: list[ast.OrderItem] = field(default_factory=list)
+    items: tuple[ast.OrderItem, ...] = ()
 
     @property
     def feedback_type(self) -> str:  # type: ignore[override]
         return "add" if self.items else "remove"
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
-        out.order_by = copy.deepcopy(self.items)
-        return out
+        return replace(query, order_by=self.items)
 
     def describe(self) -> str:
         if not self.items:
@@ -370,9 +355,7 @@ class SetLimit(EditOperation):
         return "remove" if self.limit is None else "edit"
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
-        out.limit = self.limit
-        return out
+        return replace(query, limit=self.limit)
 
     def describe(self) -> str:
         if self.limit is None:
@@ -389,11 +372,9 @@ class SetDistinct(EditOperation):
         return "add" if self.distinct else "remove"
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
-        if out.distinct == self.distinct:
+        if query.distinct == self.distinct:
             raise EditError("DISTINCT already in the requested state")
-        out.distinct = self.distinct
-        return out
+        return replace(query, distinct=self.distinct)
 
     def describe(self) -> str:
         return "select distinct values" if self.distinct else "keep duplicates"
@@ -407,22 +388,20 @@ class ReplaceTable(EditOperation):
     new: str
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
+        old = self.old.lower()
         hits = 0
-        sources: list[ast.TableExpression] = (
-            [out.source] if out.source is not None else []
-        )
-        while sources:
-            source = sources.pop()
-            if isinstance(source, ast.TableRef):
-                if source.name.lower() == self.old.lower():
-                    source.name = self.new
-                    hits += 1
-            elif isinstance(source, ast.Join):
-                sources.extend((source.left, source.right))
+
+        def rename(node):
+            nonlocal hits
+            if isinstance(node, ast.TableRef) and node.name.lower() == old:
+                hits += 1
+                return replace(node, name=self.new)
+            return node
+
+        source = ast.rewrite(query.source, rename)
         if hits == 0:
             raise EditError(f"table {self.old!r} not in the FROM clause")
-        return out
+        return replace(query, source=source)
 
     def describe(self) -> str:
         return f"use table {self.new} instead of {self.old}"
@@ -437,16 +416,17 @@ class AddJoin(EditOperation):
     alias: Optional[str] = None
 
     def apply(self, query: ast.Select) -> ast.Select:
-        out = _clone(query)
-        if out.source is None:
+        if query.source is None:
             raise EditError("query has no FROM clause to join onto")
-        out.source = ast.Join(
-            kind=ast.JoinKind.INNER,
-            left=out.source,
-            right=ast.TableRef(name=self.table, alias=self.alias),
-            condition=copy.deepcopy(self.condition),
+        return replace(
+            query,
+            source=ast.Join(
+                kind=ast.JoinKind.INNER,
+                left=query.source,
+                right=ast.TableRef(name=self.table, alias=self.alias),
+                condition=self.condition,
+            ),
         )
-        return out
 
     def describe(self) -> str:
         return f"join table {self.table} on {print_expression(self.condition)}"

@@ -9,6 +9,7 @@ Entry points:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.errors import ParseError
@@ -162,24 +163,30 @@ class Parser:
                 op = ast.SetOperator.UNION_ALL
             else:
                 op = ast.SetOperator[word]
+            parenthesized = (
+                self._current.type is TokenType.PUNCTUATION
+                and self._current.value == "("
+            )
             right = self._select_core()
-            operation = ast.SetOperation(op=op, left=left, right=right)
-            # A trailing ORDER BY / LIMIT binds to the whole compound query
-            # (standard semantics); the right SELECT consumed it greedily,
-            # so hoist it.
-            if right.order_by:
-                operation.order_by = right.order_by
-                right.order_by = []
-            if right.limit is not None:
-                operation.limit = right.limit
-                right.limit = None
-            left = operation
+            order_by: tuple[ast.OrderItem, ...] = ()
+            limit: Optional[int] = None
+            if not parenthesized:
+                # A trailing ORDER BY / LIMIT binds to the whole compound
+                # query (standard semantics); the bare right SELECT consumed
+                # it greedily, so hoist it. A parenthesized operand keeps
+                # its own.
+                order_by, limit = right.order_by, right.limit
+                if order_by or limit is not None:
+                    right = replace(right, order_by=(), limit=None)
+            left = ast.SetOperation(
+                op=op, left=left, right=right, order_by=order_by, limit=limit
+            )
         if isinstance(left, ast.SetOperation):
             if self._accept_keyword("ORDER"):
                 self._expect_keyword("BY")
-                left.order_by = self._order_items()
+                left = replace(left, order_by=self._order_items())
             if self._accept_keyword("LIMIT"):
-                left.limit = self._integer_literal()
+                left = replace(left, limit=self._integer_literal())
         return left
 
     def _select_core(self) -> ast.Select:
@@ -190,33 +197,49 @@ class Parser:
                 raise ParseError("parenthesized set operations are not supported")
             return query
         self._expect_keyword("SELECT")
-        select = ast.Select(items=[])
-        select.distinct = self._accept_keyword("DISTINCT")
+        distinct = self._accept_keyword("DISTINCT")
         self._accept_keyword("ALL")
-        select.items = self._select_items()
+        items = self._select_items()
+        source: Optional[ast.TableExpression] = None
+        where: Optional[ast.Expression] = None
+        having: Optional[ast.Expression] = None
+        group_by: tuple[ast.Expression, ...] = ()
+        order_by: tuple[ast.OrderItem, ...] = ()
+        limit: Optional[int] = None
+        offset: Optional[int] = None
         if self._accept_keyword("FROM"):
-            select.source = self._table_expression()
+            source = self._table_expression()
         if self._accept_keyword("WHERE"):
-            select.where = self._expression()
+            where = self._expression()
         if self._accept_keyword("GROUP"):
             self._expect_keyword("BY")
-            select.group_by = self._expression_list()
+            group_by = self._expression_list()
         if self._accept_keyword("HAVING"):
-            select.having = self._expression()
+            having = self._expression()
         if self._accept_keyword("ORDER"):
             self._expect_keyword("BY")
-            select.order_by = self._order_items()
+            order_by = self._order_items()
         if self._accept_keyword("LIMIT"):
-            select.limit = self._integer_literal()
+            limit = self._integer_literal()
             if self._accept_keyword("OFFSET"):
-                select.offset = self._integer_literal()
-        return select
+                offset = self._integer_literal()
+        return ast.Select(
+            items=items,
+            source=source,
+            where=where,
+            group_by=group_by,
+            having=having,
+            order_by=order_by,
+            limit=limit,
+            offset=offset,
+            distinct=distinct,
+        )
 
-    def _select_items(self) -> list[ast.SelectItem]:
+    def _select_items(self) -> tuple[ast.SelectItem, ...]:
         items = [self._select_item()]
         while self._accept_punct(","):
             items.append(self._select_item())
-        return items
+        return tuple(items)
 
     def _select_item(self) -> ast.SelectItem:
         expr = self._expression()
@@ -227,11 +250,11 @@ class Parser:
             alias = self._advance().value
         return ast.SelectItem(expression=expr, alias=alias)
 
-    def _order_items(self) -> list[ast.OrderItem]:
+    def _order_items(self) -> tuple[ast.OrderItem, ...]:
         items = [self._order_item()]
         while self._accept_punct(","):
             items.append(self._order_item())
-        return items
+        return tuple(items)
 
     def _order_item(self) -> ast.OrderItem:
         expr = self._expression()
@@ -251,11 +274,11 @@ class Parser:
         self._advance()
         return int(token.value)
 
-    def _expression_list(self) -> list[ast.Expression]:
+    def _expression_list(self) -> tuple[ast.Expression, ...]:
         exprs = [self._expression()]
         while self._accept_punct(","):
             exprs.append(self._expression())
-        return exprs
+        return tuple(exprs)
 
     # -- FROM clause --------------------------------------------------------
 
@@ -489,7 +512,7 @@ class Parser:
         if self._accept_keyword("ELSE"):
             default = self._expression()
         self._expect_keyword("END")
-        return ast.CaseWhen(branches=branches, default=default)
+        return ast.CaseWhen(branches=tuple(branches), default=default)
 
     def _identifier_expression(self) -> ast.Expression:
         name = self._expect_identifier()
@@ -516,7 +539,7 @@ class Parser:
             while self._accept_punct(","):
                 args.append(self._expression())
             self._expect_punct(")")
-        return ast.FunctionCall(name=name, args=args, distinct=distinct)
+        return ast.FunctionCall(name=name, args=tuple(args), distinct=distinct)
 
     # -- DDL / DML ----------------------------------------------------------
 
@@ -534,9 +557,9 @@ class Parser:
                 self._expect_punct("(")
                 pk_col = self._expect_identifier()
                 self._expect_punct(")")
-                for col in columns:
+                for index, col in enumerate(columns):
                     if col.name.lower() == pk_col.lower():
-                        col.primary_key = True
+                        columns[index] = replace(col, primary_key=True)
                         break
             elif self._check_keyword("FOREIGN"):
                 self._advance()
@@ -555,7 +578,9 @@ class Parser:
             if not self._accept_punct(","):
                 break
         self._expect_punct(")")
-        return ast.CreateTable(name=name, columns=columns, foreign_keys=foreign_keys)
+        return ast.CreateTable(
+            name=name, columns=tuple(columns), foreign_keys=tuple(foreign_keys)
+        )
 
     def _column_def(self) -> ast.ColumnDef:
         name = self._expect_identifier()
@@ -592,14 +617,14 @@ class Parser:
                 columns.append(self._expect_identifier())
             self._expect_punct(")")
         self._expect_keyword("VALUES")
-        rows: list[list[ast.Expression]] = []
+        rows: list[tuple[ast.Expression, ...]] = []
         while True:
             self._expect_punct("(")
             rows.append(self._expression_list())
             self._expect_punct(")")
             if not self._accept_punct(","):
                 break
-        return ast.Insert(table=table, columns=columns, rows=rows)
+        return ast.Insert(table=table, columns=tuple(columns), rows=tuple(rows))
 
     def _update(self) -> ast.Update:
         self._expect_keyword("UPDATE")
@@ -618,7 +643,7 @@ class Parser:
             if not self._accept_punct(","):
                 break
         where = self._expression() if self._accept_keyword("WHERE") else None
-        return ast.Update(table=table, assignments=assignments, where=where)
+        return ast.Update(table=table, assignments=tuple(assignments), where=where)
 
     def _delete(self) -> ast.Delete:
         self._expect_keyword("DELETE")

@@ -242,8 +242,8 @@ def print_query(query: ast.Query) -> str:
     if isinstance(query, ast.Select):
         return print_select(query)
     if isinstance(query, ast.SetOperation):
-        left = print_query(query.left)
-        right = print_query(query.right)
+        left = _print_operand(query.left)
+        right = _print_operand(query.right)
         text = f"{left} {query.op.value} {right}"
         if query.order_by:
             text += " ORDER BY " + ", ".join(
@@ -253,6 +253,19 @@ def print_query(query: ast.Query) -> str:
             text += f" LIMIT {query.limit}"
         return text
     raise TypeError(f"cannot print query node {type(query).__name__}")
+
+
+def _print_operand(query: ast.Query) -> str:
+    """A set-operation operand; parenthesized when it orders or limits itself.
+
+    Bare, a trailing ORDER BY / LIMIT would bind to the whole compound.
+    """
+    text = print_query(query)
+    if isinstance(query, ast.Select) and (
+        query.order_by or query.limit is not None or query.offset is not None
+    ):
+        return f"({text})"
+    return text
 
 
 def print_statement(stmt: ast.Statement) -> str:

@@ -21,7 +21,7 @@ from repro.sql.edits import (
     SetLimit,
     SetOrderBy,
 )
-from repro.sql.parser import parse_expression, parse_query
+from repro.sql.parser import Parser, parse_expression, parse_query
 from repro.sql.printer import print_query
 
 
@@ -30,7 +30,11 @@ def q(sql):
 
 
 def apply(op, sql):
-    return print_query(op.apply(q(sql)))
+    query = q(sql)
+    out = op.apply(query)
+    # Edits are pure: the input still equals a fresh parse of its text.
+    assert query == Parser(sql).parse_query()
+    return print_query(out)
 
 
 class TestReplaceColumn:
@@ -211,13 +215,13 @@ class TestWhereEdits:
 class TestClauseEdits:
     def test_set_order_by(self):
         op = SetOrderBy(
-            [ast.OrderItem(ast.ColumnRef("age"), ast.SortOrder.DESC)]
+            (ast.OrderItem(ast.ColumnRef("age"), ast.SortOrder.DESC),)
         )
         assert apply(op, "SELECT a FROM t") == "SELECT a FROM t ORDER BY age DESC"
         assert op.feedback_type == "add"
 
     def test_clear_order_by(self):
-        op = SetOrderBy([])
+        op = SetOrderBy(())
         assert apply(op, "SELECT a FROM t ORDER BY a ASC") == "SELECT a FROM t"
         assert op.feedback_type == "remove"
 
@@ -282,7 +286,7 @@ class TestDescriptions:
             ReplaceWhereConjunct(
                 matcher=lambda e: True, condition=parse_expression("a = 1")
             ),
-            SetOrderBy([]),
+            SetOrderBy(()),
             SetLimit(1),
             SetDistinct(True),
             ReplaceTable(old="a", new="b"),

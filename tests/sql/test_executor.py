@@ -353,6 +353,19 @@ class TestSetOperations:
         )
         assert result == [("Joe Sharp",), ("John Nizinik",)]
 
+    def test_parenthesized_operand_keeps_its_order_and_limit(self):
+        db = Database.from_ddl(
+            "ops", "CREATE TABLE t (a INTEGER); CREATE TABLE u (a INTEGER)"
+        )
+        db.execute("INSERT INTO t VALUES (1), (2), (3)")
+        db.execute("INSERT INTO u VALUES (7), (8), (9)")
+        result = db.query(
+            "SELECT a FROM t UNION (SELECT a FROM u ORDER BY a DESC LIMIT 1)"
+        )
+        # sqlite3 answers the same for the operand written as a derived
+        # table: ... UNION SELECT * FROM (SELECT a FROM u ORDER BY ...).
+        assert sorted(result.rows) == [(1,), (2,), (3,), (9,)]
+
     def test_width_mismatch_raises(self, music_db):
         with pytest.raises(ExecutionError):
             music_db.query(

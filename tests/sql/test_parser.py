@@ -262,6 +262,13 @@ class TestSetOperations:
         assert q.limit == 3
         assert len(q.order_by) == 1
 
+    def test_parenthesized_operand_keeps_its_order_and_limit(self):
+        q = parse_query(
+            "SELECT a FROM t UNION (SELECT a FROM u ORDER BY a DESC LIMIT 1)"
+        )
+        assert q.order_by == () and q.limit is None
+        assert len(q.right.order_by) == 1 and q.right.limit == 1
+
     def test_left_associative_chain(self):
         q = parse_query(
             "SELECT a FROM t UNION SELECT a FROM u EXCEPT SELECT a FROM v"
@@ -291,7 +298,7 @@ class TestDdlDml:
 
     def test_insert_with_columns(self):
         stmt = parse_statement("INSERT INTO t (a, b) VALUES (1, 2)")
-        assert stmt.columns == ["a", "b"]
+        assert stmt.columns == ("a", "b")
 
     def test_update(self):
         stmt = parse_statement("UPDATE t SET a = 1, b = 'x' WHERE id = 3")

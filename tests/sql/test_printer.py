@@ -134,7 +134,7 @@ def _expressions(depth=2):
         st.builds(
             ast.FunctionCall,
             name=st.sampled_from(["COUNT", "SUM", "MIN", "LOWER"]),
-            args=st.lists(sub, min_size=1, max_size=2),
+            args=st.lists(sub, min_size=1, max_size=2).map(tuple),
             distinct=st.booleans(),
         ),
         st.builds(ast.IsNull, operand=sub, negated=st.booleans()),
@@ -144,10 +144,21 @@ def _expressions(depth=2):
         st.builds(
             ast.InList,
             operand=sub,
-            items=st.lists(_literals(), min_size=1, max_size=3),
+            items=st.lists(_literals(), min_size=1, max_size=3).map(tuple),
             negated=st.booleans(),
         ),
     )
+
+
+def _order_items():
+    return st.lists(
+        st.builds(
+            ast.OrderItem,
+            expression=_column_refs(),
+            order=st.sampled_from(list(ast.SortOrder)),
+        ),
+        max_size=2,
+    ).map(tuple)
 
 
 def _selects():
@@ -161,23 +172,38 @@ def _selects():
             ),
             min_size=1,
             max_size=3,
-        ),
+        ).map(tuple),
         source=st.one_of(
             st.none(),
             st.builds(ast.TableRef, name=_tables, alias=st.one_of(st.none(), st.just("T1"))),
         ),
         where=st.one_of(st.none(), _expressions(1)),
-        group_by=st.lists(_column_refs(), max_size=2),
-        order_by=st.lists(
-            st.builds(
-                ast.OrderItem,
-                expression=_column_refs(),
-                order=st.sampled_from(list(ast.SortOrder)),
-            ),
-            max_size=2,
-        ),
+        group_by=st.lists(_column_refs(), max_size=2).map(tuple),
+        order_by=_order_items(),
         limit=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
         distinct=st.booleans(),
+    )
+
+
+def _set_operations():
+    """Compound queries whose operands may order and limit themselves.
+
+    The parser reads ``a UNION b UNION c`` left-deep and has no
+    parenthesized compounds, so only the outermost node orders or limits.
+    """
+    bare = st.builds(
+        ast.SetOperation,
+        op=st.sampled_from(list(ast.SetOperator)),
+        left=_selects(),
+        right=_selects(),
+    )
+    return st.builds(
+        ast.SetOperation,
+        op=st.sampled_from(list(ast.SetOperator)),
+        left=st.one_of(_selects(), bare),
+        right=_selects(),
+        order_by=_order_items(),
+        limit=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
     )
 
 
@@ -195,3 +221,11 @@ def test_select_roundtrip(select):
     printed = print_query(select)
     reparsed = parse_query(printed)
     assert reparsed == select, printed
+
+
+@given(_set_operations())
+@settings(max_examples=200, deadline=None)
+def test_set_operation_roundtrip(query):
+    printed = print_query(query)
+    reparsed = parse_query(printed)
+    assert reparsed == query, printed
