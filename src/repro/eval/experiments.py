@@ -420,7 +420,9 @@ class Table3Result:
     highlighting_spider: float = 0.0
     n_aep: int = 0
     n_spider: int = 0
+    #: Each method's sessions, per dataset.
     cells: list[CorrectionCell] = field(default_factory=list, repr=False)
+    #: Dataset → the annotated Assistant error set both methods correct.
     errors: dict[str, list[PredictionRecord]] = field(
         default_factory=dict, repr=False
     )

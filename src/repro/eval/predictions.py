@@ -66,14 +66,9 @@ class PredictionRow:
     @property
     def key(self) -> str:
         """``artifact/condition/dataset/example_id/round``."""
-        return "/".join(
-            (
-                self.artifact,
-                self.condition,
-                self.dataset,
-                self.example_id,
-                str(self.round),
-            )
+        return (
+            f"{self.artifact}/{self.condition}/{self.dataset}/"
+            f"{self.example_id}/{self.round}"
         )
 
     @property
@@ -99,7 +94,7 @@ def prediction_rows(
     context: ExperimentContext, artifact: str, result
 ) -> list[PredictionRow]:
     """The rows of one artifact's result, as its runner returned it."""
-    results: dict[tuple[str, str, str], str] = {}
+    fingerprints: dict[tuple[str, str, str], str] = {}
 
     def row(
         dataset: str,
@@ -111,9 +106,9 @@ def prediction_rows(
         notes,
     ) -> PredictionRow:
         key = (dataset, example.db_id, sql)
-        if key not in results:
+        if key not in fingerprints:
             database = context.benchmark(dataset).database(example.db_id)
-            results[key] = _result_digest(database, sql)
+            fingerprints[key] = _result_digest(database, sql)
         return PredictionRow(
             artifact=artifact,
             condition=condition,
@@ -123,7 +118,7 @@ def prediction_rows(
             sql=sql,
             correct=correct,
             notes=tuple(notes),
-            result=results[key],
+            result=fingerprints[key],
         )
 
     if isinstance(result, Figure2Result):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -464,7 +465,7 @@ def rewrite(node, fn: Callable):
         return None
     if isinstance(node, tuple):
         rebuilt = tuple(rewrite(child, fn) for child in node)
-        return node if all(map(_same, rebuilt, node)) else rebuilt
+        return node if all(map(operator.is_, rebuilt, node)) else rebuilt
     changes = {}
     for name in _REWRITE_CHILDREN.get(type(node), ()):
         child = getattr(node, name)
@@ -474,10 +475,6 @@ def rewrite(node, fn: Callable):
     if changes:
         node = dataclasses.replace(node, **changes)
     return fn(node)
-
-
-def _same(a, b) -> bool:
-    return a is b
 
 
 def walk_queries(query: Query):

@@ -168,18 +168,21 @@ class ReplaceAggregate(EditOperation):
                 and node.name != self.old_function.upper()
             ):
                 return node
-            node = replace(node, name=self.new_function)
+            args = node.args
             if self.new_argument is not None:
-                node = replace(node, args=(self.new_argument,))
+                args = (self.new_argument,)
+            distinct = node.distinct
             if self.distinct is not None:
-                if not node.args or isinstance(node.args[0], ast.Star):
+                if not args or isinstance(args[0], ast.Star):
                     raise EditError(
                         "cannot apply DISTINCT to a COUNT(*) without "
                         "a column argument"
                     )
-                node = replace(node, distinct=self.distinct)
+                distinct = self.distinct
             hits += 1
-            return node
+            return replace(
+                node, name=self.new_function, args=args, distinct=distinct
+            )
 
         out = rewrite_query_expressions(query, swap, clauses=False)
         if hits == 0:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
 from repro.obs.reporting import render_run_report
+from repro.sql import parser
 
 
 class TestCliMetrics:
@@ -23,6 +26,8 @@ class TestCliMetrics:
         assert "SQL parse/execute" in out
 
     def test_table2_small_metrics_full_report(self, capsys):
+        # A cold parse memo, as in a fresh process.
+        parser._parse_query.cache_clear()
         exit_code = cli_main(["table2", "--scale", "small", "--metrics"])
         assert exit_code == 0
         out = capsys.readouterr().out
@@ -37,8 +42,11 @@ class TestCliMetrics:
         assert "Rounds run" in out
         assert "Corrected" in out
         assert "sessions:" in out
-        # SQL parse/execute totals.
-        assert "parse:" in out and "failures" in out
+        # SQL parse/execute totals; the parse memo parses each text once.
+        parse = re.search(r"parse: (\d+) calls, (\d+) parsed, (\d+) failures", out)
+        assert parse is not None, out
+        calls, parsed, _failures = map(int, parse.groups())
+        assert 0 < parsed < calls
         assert "execute:" in out
 
     def test_no_flags_prints_no_report_and_stays_disabled(self, capsys):
@@ -155,6 +163,25 @@ class TestRunReportRendering:
         assert "(no routing decisions recorded)" in report
         assert "(no correction sessions recorded)" in report
         assert "(no SQL activity recorded)" in report
+
+    def test_parse_line_reports_calls_parsed_and_failures(self):
+        counters = {
+            "sql.parse.calls": 10,
+            "sql.parse.misses": 4,
+            "sql.parse.failures": 1,
+        }
+        report = render_run_report(
+            {
+                "enabled": True,
+                "counters": [
+                    {"name": name, "labels": {}, "value": value}
+                    for name, value in counters.items()
+                ],
+                "histograms": [],
+                "spans": [],
+            }
+        )
+        assert "parse: 10 calls, 4 parsed, 1 failures" in report
 
     def test_routing_shares_sum_to_100(self):
         snapshot = {

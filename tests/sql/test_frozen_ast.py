@@ -17,7 +17,7 @@ import pytest
 
 from repro.eval import harness
 from repro.eval.experiments import run_figure2, run_figure8, run_table2, run_table3
-from repro.sql import ast
+from repro.sql import ast, parser
 from repro.sql.parser import Parser, parse_query, parse_statement
 
 NODE_TYPES = [
@@ -127,6 +127,8 @@ def test_every_node_a_small_build_and_sweep_parses_is_hashable():
         parsed.append(parse_any(self))
         return parsed[-1]
 
+    # An empty memo makes every distinct text reach the parser.
+    parser._parse_query.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Parser, "parse_query", recording_query)
         patch.setattr(Parser, "parse_statement", recording_statement)
