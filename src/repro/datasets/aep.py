@@ -421,7 +421,7 @@ class AepGenerator:
         """'Activated to' means a join through the activation fact table."""
         result = db.query(
             "SELECT segmentname FROM hkg_dim_segment WHERE segmentid IN "
-            "(SELECT segmentid FROM hkg_fact_activation)"
+            "(SELECT segmentid FROM hkg_fact_activation) ORDER BY segmentid"
         )
         if not result.rows:
             return None
