@@ -63,14 +63,17 @@ def results_match(
     # Multiset comparison via sorted canonical forms. Exact float values are
     # normalized first; the tolerance path falls back to greedy matching
     # only when the sorted comparison fails.
-    gold_sorted = sorted(map(normalize_row, gold.rows), key=_row_sort_key)
-    pred_sorted = sorted(map(normalize_row, predicted.rows), key=_row_sort_key)
+    gold_sorted = sorted(map(normalize_row, gold.rows), key=row_sort_key)
+    pred_sorted = sorted(map(normalize_row, predicted.rows), key=row_sort_key)
     if gold_sorted == pred_sorted:
         return True
     return _greedy_match(gold.rows, predicted.rows, float_tol)
 
 
-def _row_sort_key(row: tuple) -> tuple:
+def row_sort_key(row: tuple) -> tuple:
+    """Total order on rows: the multiset comparison's key, and the order
+    :class:`~repro.sql.engine.Database` gives results with no top-level
+    ORDER BY."""
     return tuple(
         (value is None, isinstance(value, str), str(value)) for value in row
     )
@@ -144,5 +147,5 @@ def result_fingerprint(result: Optional[QueryResult]) -> tuple:
     """A hashable fingerprint of a result set (order-insensitive)."""
     if result is None:
         return ("<error>",)
-    rows = sorted(map(normalize_row, result.rows), key=_row_sort_key)
+    rows = sorted(map(normalize_row, result.rows), key=row_sort_key)
     return tuple(rows)

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence, Union
 from repro import obs
 from repro.errors import CatalogError, ExecutionError
 from repro.sql import ast
+from repro.sql.comparison import query_is_ordered, row_sort_key
 from repro.sql.executor import Executor, QueryResult
 from repro.sql.expressions import BoundColumn, Evaluator, RowFrame
 from repro.sql.parser import parse_statement
@@ -94,7 +95,12 @@ class Database:
         return result
 
     def execute_ast(self, statement: ast.Statement) -> ExecuteResult:
-        """Execute an already-parsed statement."""
+        """Execute an already-parsed statement.
+
+        A query with no top-level ORDER BY returns its rows sorted by
+        :func:`~repro.sql.comparison.row_sort_key`, so its row order
+        depends on neither the engine nor the order rows were inserted in.
+        """
         if not obs.is_enabled():
             return self._execute_ast(statement)
         with obs.timer("sql.execute.latency_ms"):
@@ -108,7 +114,10 @@ class Database:
 
     def _execute_ast(self, statement: ast.Statement) -> ExecuteResult:
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            return self._executor.execute_query(statement)
+            result = self._executor.execute_query(statement)
+            if not query_is_ordered(statement):
+                result.rows.sort(key=row_sort_key)
+            return result
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.Insert):

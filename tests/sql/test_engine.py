@@ -108,6 +108,27 @@ class TestUpdateDelete:
             db.query("DELETE FROM item")
 
 
+class TestResultOrder:
+    def test_unordered_results_come_in_canonical_order(self, db):
+        db.execute(
+            "INSERT INTO item VALUES (3, 'pad', NULL), (1, 'pen', 2.5), (2, 'ink', 8.0)"
+        )
+        # The same rows in any insertion order give one order: row_sort_key.
+        assert db.query("SELECT name, price FROM item").rows == [
+            ("ink", 8.0),
+            ("pad", None),
+            ("pen", 2.5),
+        ]
+        assert db.query("SELECT price FROM item").rows == [(2.5,), (8.0,), (None,)]
+
+    def test_top_level_order_by_is_kept(self, db):
+        db.execute("INSERT INTO item VALUES (1, 'pen', 2.5), (2, 'ink', 8.0)")
+        assert db.query("SELECT name FROM item ORDER BY price DESC").rows == [
+            ("ink",),
+            ("pen",),
+        ]
+
+
 class TestSchemaApi:
     def test_resolve_column(self):
         schema = DatabaseSchema(

@@ -69,9 +69,10 @@ class TestWhere:
         ) == 4
 
     def test_like(self, music_db):
+        # No ORDER BY: the facade returns rows in its canonical order.
         assert rows(
             music_db, "SELECT Name FROM singer WHERE Name LIKE 'J%'"
-        ) == [("Joe Sharp",), ("Justin Brown",), ("John Nizinik",)]
+        ) == [("Joe Sharp",), ("John Nizinik",), ("Justin Brown",)]
 
     def test_like_case_insensitive(self, music_db):
         assert len(

