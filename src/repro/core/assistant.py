@@ -17,7 +17,7 @@ from repro.errors import SqlError
 from repro.sql import ast
 from repro.sql.comparison import summarize_result
 from repro.sql.engine import Database
-from repro.sql.executor import QueryResult
+from repro.sql.engine import QueryResult
 from repro.sql.printer import print_expression
 
 

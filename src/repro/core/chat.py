@@ -29,7 +29,7 @@ from repro.llm.interface import ChatModel
 from repro.llm.prompts import feedback_prompt
 from repro.sql import ast
 from repro.sql.engine import Database
-from repro.sql.executor import QueryResult
+from repro.sql.engine import QueryResult
 from repro.sql.parser import parse_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints

@@ -26,7 +26,7 @@ from repro.llm.prompts import feedback_prompt
 from repro.sql import ast
 from repro.sql.comparison import query_is_ordered, results_match
 from repro.sql.engine import Database
-from repro.sql.executor import QueryResult
+from repro.sql.engine import QueryResult
 from repro.sql.parser import parse_query
 
 

@@ -13,7 +13,7 @@ from repro.datasets.base import Benchmark, Example
 from repro.errors import LLMError, SqlError
 from repro.sql.comparison import query_is_ordered, results_match
 from repro.sql.engine import Database
-from repro.sql.executor import QueryResult
+from repro.sql.engine import QueryResult
 from repro.sql.parser import parse_query
 
 

@@ -1,4 +1,4 @@
-"""From-scratch in-memory SQL engine.
+"""SQL front end (lexer, parser, AST, printer, edits) over stdlib sqlite3.
 
 Public surface::
 
@@ -15,14 +15,13 @@ from repro.sql.comparison import (
     results_match,
     summarize_result,
 )
-from repro.sql.engine import Database, DmlResult
+from repro.sql.engine import Database, DmlResult, QueryResult
 from repro.sql.io import (
     database_from_dict,
     database_to_dict,
     load_database,
     save_database,
 )
-from repro.sql.executor import QueryResult
 from repro.sql.parser import parse_expression, parse_query, parse_statement
 from repro.sql.printer import print_expression, print_query, print_statement
 from repro.sql.schema import Column, DatabaseSchema, ForeignKey, Table

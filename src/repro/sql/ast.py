@@ -40,17 +40,6 @@ class Literal(Expression):
 
 
 @dataclass(frozen=True, slots=True)
-class Computed(Expression):
-    """Internal node: wraps an already-computed value during aggregation.
-
-    Never produced by the parser and never printed; the executor uses it to
-    re-enter the evaluator with partial aggregate results.
-    """
-
-    value: Union[int, float, str, bool, None]
-
-
-@dataclass(frozen=True, slots=True)
 class ColumnRef(Expression):
     """Reference to a column, optionally qualified by table name or alias."""
 
@@ -148,7 +137,7 @@ class FunctionCall(Expression):
         object.__setattr__(self, "name", self.name.upper())
 
 
-#: Aggregate function names the executor understands.
+#: The aggregate functions of the dialect.
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 

@@ -13,11 +13,13 @@ the standard SPIDER execution-accuracy convention:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sql import ast
-from repro.sql.executor import QueryResult
 from repro.sql.types import SqlValue, values_equal
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sql.engine import QueryResult
 
 
 def normalize_row(row: tuple[SqlValue, ...]) -> tuple:

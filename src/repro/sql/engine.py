@@ -1,4 +1,4 @@
-"""Database facade: schema + storage + a one-call ``execute``.
+"""Database facade: a schema plus one in-memory SQLite connection.
 
 Typical use::
 
@@ -6,23 +6,77 @@ Typical use::
     db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
     result = db.execute("SELECT COUNT(*) FROM t")
     assert result.scalar() == 2
+
+SQL runs on stdlib :mod:`sqlite3`, the engine the paper ran SPIDER on.
+Each parsed tree is printed back to SQL and executed on the database's own
+in-memory connection. The schema (with its natural-language annotations)
+stays :class:`~repro.sql.schema.DatabaseSchema`, and rows enter through
+:class:`~repro.sql.storage.TableData`, which coerces them to the declared
+types. Every ``sqlite3`` error surfaces as a :class:`~repro.errors.SqlError`
+subclass, so a prediction that fails to run counts as wrong.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import sqlite3
+import threading
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from repro import obs
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, ExecutionError, SqlError
 from repro.sql import ast
 from repro.sql.comparison import query_is_ordered, row_sort_key
-from repro.sql.executor import Executor, QueryResult
-from repro.sql.expressions import BoundColumn, Evaluator, RowFrame
 from repro.sql.parser import parse_statement
+from repro.sql.printer import print_expression, print_query, print_statement
 from repro.sql.schema import Column, DatabaseSchema, ForeignKey, Table
-from repro.sql.storage import TableData
+from repro.sql.storage import TableData, quote_identifier
 from repro.sql.types import DataType, SqlValue
+
+#: Prepared statements ``sqlite3`` keeps per connection. Python's default
+#: of 128 on each of a suite's 201 connections raised a prediction-row
+#: run's peak RSS from 77.6 to 95.0 MB (DESIGN.md, "Why SQL runs on
+#: sqlite3"); the statements that repeat back to back are a table's
+#: single-row INSERTs, which one slot serves.
+STATEMENT_CACHE_SIZE = 1
+
+#: The SQLite column type each declared type is stored as. An INTEGER
+#: primary key becomes ``INTEGER PRIMARY KEY``, the rowid itself, so SQLite
+#: builds no second B-tree for it. DATE stays TEXT: ISO dates order as
+#: strings. BOOLEAN is stored, and read back, as 0/1.
+_SQLITE_TYPES = {
+    DataType.INTEGER: "INTEGER",
+    DataType.REAL: "REAL",
+    DataType.TEXT: "TEXT",
+    DataType.DATE: "TEXT",
+    DataType.BOOLEAN: "INTEGER",
+}
+
+
+@dataclass
+class QueryResult:
+    """Result of a query: column names plus row tuples."""
+
+    columns: list[str]
+    rows: list[tuple[SqlValue, ...]] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def first(self) -> Optional[tuple[SqlValue, ...]]:
+        """The first row, or None for an empty result."""
+        return self.rows[0] if self.rows else None
+
+    def scalar(self) -> SqlValue:
+        """The single value of a 1x1 result (None when empty)."""
+        if not self.rows:
+            return None
+        return self.rows[0][0]
+
+    def to_dicts(self) -> list[dict[str, SqlValue]]:
+        """Rows as dictionaries keyed by column name."""
+        return [dict(zip(self.columns, row)) for row in self.rows]
 
 
 @dataclass
@@ -35,15 +89,55 @@ class DmlResult:
 ExecuteResult = Union[QueryResult, DmlResult]
 
 
+class Connection:
+    """One in-memory SQLite connection, shared by threads under one lock.
+
+    Serve threads and ``--workers`` shards share a suite's databases, so
+    the connection is opened with ``check_same_thread=False`` and each
+    statement runs, with its rows fetched, while holding the lock.
+    """
+
+    __slots__ = ("_connection", "_lock")
+
+    def __init__(self) -> None:
+        self._connection = sqlite3.connect(
+            ":memory:",
+            isolation_level=None,
+            check_same_thread=False,
+            cached_statements=STATEMENT_CACHE_SIZE,
+        )
+        self._lock = threading.Lock()
+
+    def run(
+        self, sql: str, params: Sequence[SqlValue] = ()
+    ) -> tuple[list[tuple[SqlValue, ...]], int]:
+        """Execute one statement: (fetched rows, rows affected)."""
+        with self._lock:
+            try:
+                cursor = self._connection.execute(sql, params)
+                return cursor.fetchall(), cursor.rowcount
+            # Besides sqlite3.Error: an int beyond 64 bits in the row, or a
+            # lone surrogate in the SQL text.
+            except (sqlite3.Error, OverflowError, UnicodeEncodeError) as exc:
+                raise _sql_error(exc) from exc
+
+
+def _sql_error(exc: Exception) -> SqlError:
+    message = str(exc)
+    if message.startswith(("no such table", "no such column")):
+        return CatalogError(message)
+    return ExecutionError(message)
+
+
 class Database:
-    """An in-memory relational database."""
+    """A named schema whose rows live in an in-memory SQLite database."""
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self.schema = schema
-        self._data: dict[str, TableData] = {
-            table.key: TableData(table) for table in schema.tables
-        }
-        self._executor = Executor(self)
+        self._connection = Connection()
+        self._data: dict[str, TableData] = {}
+        for table in schema.tables:
+            self._create_storage(table)
 
     # -- construction ---------------------------------------------------------
 
@@ -54,6 +148,19 @@ class Database:
         for statement_text in _split_statements(ddl):
             db.execute(statement_text)
         return db
+
+    def _create_storage(self, table: Table) -> None:
+        key = table.primary_key
+        pieces = []
+        for column in table.columns:
+            piece = f"{quote_identifier(column.name)} {_SQLITE_TYPES[column.dtype]}"
+            if column is key:
+                piece += " PRIMARY KEY"
+            pieces.append(piece)
+        self._connection.run(
+            f"CREATE TABLE {quote_identifier(table.name)} ({', '.join(pieces)})"
+        )
+        self._data[table.key] = TableData(table, self._connection)
 
     # -- storage access -------------------------------------------------------
 
@@ -114,23 +221,67 @@ class Database:
 
     def _execute_ast(self, statement: ast.Statement) -> ExecuteResult:
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            result = self._executor.execute_query(statement)
+            rows, _ = self._connection.run(print_query(_runnable(statement)))
             if not query_is_ordered(statement):
-                result.rows.sort(key=row_sort_key)
-            return result
+                rows.sort(key=row_sort_key)
+            return QueryResult(columns=self._column_names(statement), rows=rows)
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.Insert):
             return self._insert(statement)
-        if isinstance(statement, ast.Update):
-            return self._update(statement)
-        if isinstance(statement, ast.Delete):
-            return self._delete(statement)
+        if isinstance(statement, (ast.Update, ast.Delete)):
+            _, affected = self._connection.run(print_statement(statement))
+            return DmlResult(rows_affected=affected)
         if isinstance(statement, ast.DropTable):
             return self._drop_table(statement)
         raise ExecutionError(
             f"unsupported statement {type(statement).__name__}"
         )  # pragma: no cover
+
+    # -- result column names ----------------------------------------------------
+
+    def _column_names(self, query: ast.Query) -> list[str]:
+        """Output names: an alias, a column as written, a star's columns
+        (lower-cased), or the printed expression."""
+        if isinstance(query, ast.SetOperation):
+            return self._column_names(query.left)
+        names: list[str] = []
+        for item in query.items:
+            expr = item.expression
+            if isinstance(expr, ast.Star) and item.alias is None:
+                binding = expr.table.lower() if expr.table else None
+                names.extend(
+                    name
+                    for source, name in self._source_columns(query.source)
+                    if binding is None or source == binding
+                )
+            elif item.alias:
+                names.append(item.alias)
+            elif isinstance(expr, ast.ColumnRef):
+                names.append(expr.column)
+            else:
+                names.append(print_expression(expr))
+        return names
+
+    def _source_columns(
+        self, source: Optional[ast.TableExpression]
+    ) -> list[tuple[str, str]]:
+        """(binding, column) pairs a FROM clause makes visible, in order."""
+        if source is None:
+            return []
+        if isinstance(source, ast.TableRef):
+            binding = source.binding.lower()
+            table = self.schema.table(source.name)
+            return [(binding, column.key) for column in table.columns]
+        if isinstance(source, ast.SubquerySource):
+            binding = source.alias.lower()
+            return [
+                (binding, name.lower())
+                for name in self._column_names(source.subquery)
+            ]
+        return self._source_columns(source.left) + self._source_columns(
+            source.right
+        )
 
     # -- DDL / DML ----------------------------------------------------------------
 
@@ -149,16 +300,13 @@ class Database:
         ]
         table = Table(name=stmt.name, columns=columns, foreign_keys=foreign_keys)
         self.schema.add_table(table)
-        self._data[table.key] = TableData(table)
+        self._create_storage(table)
         return DmlResult(rows_affected=0)
 
     def _insert(self, stmt: ast.Insert) -> DmlResult:
         data = self.data(stmt.table)
-        evaluator = Evaluator(self._executor)
-        empty = RowFrame([], ())
-        count = 0
         for row_exprs in stmt.rows:
-            values = [evaluator.evaluate(expr, empty) for expr in row_exprs]
+            values = self._values(row_exprs)
             if stmt.columns:
                 if len(values) != len(stmt.columns):
                     raise ExecutionError(
@@ -167,57 +315,16 @@ class Database:
                 data.insert_named(dict(zip(stmt.columns, values)))
             else:
                 data.insert(values)
-            count += 1
-        return DmlResult(rows_affected=count)
+        return DmlResult(rows_affected=len(stmt.rows))
 
-    def _frame_for(self, data: TableData, row: tuple) -> RowFrame:
-        columns = [
-            BoundColumn(binding=data.table.key, name=col.key)
-            for col in data.table.columns
-        ]
-        return RowFrame(columns, row)
-
-    def _update(self, stmt: ast.Update) -> DmlResult:
-        data = self.data(stmt.table)
-        evaluator = Evaluator(self._executor)
-        positions = {
-            col.key: index for index, col in enumerate(data.table.columns)
-        }
-        for column, _expr in stmt.assignments:
-            if column.lower() not in positions:
-                raise CatalogError(
-                    f"table {stmt.table!r} has no column {column!r}"
-                )
-        new_rows = []
-        affected = 0
-        for row in data.rows:
-            frame = self._frame_for(data, row)
-            if stmt.where is None or evaluator.truthy(stmt.where, frame):
-                updated = list(row)
-                for column, expr in stmt.assignments:
-                    updated[positions[column.lower()]] = evaluator.evaluate(
-                        expr, frame
-                    )
-                new_rows.append(tuple(updated))
-                affected += 1
-            else:
-                new_rows.append(row)
-        data.replace_rows(new_rows)
-        return DmlResult(rows_affected=affected)
-
-    def _delete(self, stmt: ast.Delete) -> DmlResult:
-        data = self.data(stmt.table)
-        evaluator = Evaluator(self._executor)
-        kept = []
-        affected = 0
-        for row in data.rows:
-            frame = self._frame_for(data, row)
-            if stmt.where is None or evaluator.truthy(stmt.where, frame):
-                affected += 1
-            else:
-                kept.append(row)
-        data.replace_rows(kept)
-        return DmlResult(rows_affected=affected)
+    def _values(self, exprs: Sequence[ast.Expression]) -> list[SqlValue]:
+        """Evaluate one VALUES row; SQLite computes anything but literals."""
+        if all(isinstance(expr, ast.Literal) for expr in exprs):
+            return [expr.value for expr in exprs]
+        rows, _ = self._connection.run(
+            "SELECT " + ", ".join(print_expression(expr) for expr in exprs)
+        )
+        return list(rows[0])
 
     def _drop_table(self, stmt: ast.DropTable) -> DmlResult:
         key = stmt.name.lower()
@@ -227,12 +334,38 @@ class Database:
             raise CatalogError(
                 f"database {self.schema.name!r} has no table {stmt.name!r}"
             )
+        self._connection.run(f"DROP TABLE {quote_identifier(stmt.name)}")
         self.schema.drop_table(stmt.name)
         del self._data[key]
         return DmlResult(rows_affected=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.schema.name!r}, {len(self.schema.tables)} tables)"
+
+
+def _runnable(query: ast.Query) -> ast.Query:
+    """``query`` in a form SQLite accepts.
+
+    SQLite has no parenthesized compound operands, so an operand with its
+    own ORDER BY / LIMIT runs as a derived table:
+    ``... UNION SELECT * FROM (SELECT ... ORDER BY ... LIMIT 1) AS operand``.
+    """
+    if isinstance(query, ast.Select):
+        return query
+    return dataclasses.replace(
+        query, left=_operand(query.left), right=_operand(query.right)
+    )
+
+
+def _operand(query: ast.Query) -> ast.Query:
+    if isinstance(query, ast.Select) and (
+        query.order_by or query.limit is not None or query.offset is not None
+    ):
+        return ast.Select(
+            items=(ast.SelectItem(ast.Star()),),
+            source=ast.SubquerySource(query, "operand"),
+        )
+    return _runnable(query)
 
 
 def _split_statements(script: str) -> list[str]:

@@ -1,88 +1,91 @@
-"""In-memory row storage with type checking.
+"""Typed row writes into one table of a database's SQLite connection.
 
-Rows are stored as tuples in declaration order. The storage layer enforces
-column count, coerces values to declared types, and (lightly) enforces
-primary-key uniqueness.
+A row enters through :meth:`TableData.insert`: the storage layer checks the
+column count and coerces each value to its declared type; SQLite stores the
+row and enforces primary-key uniqueness.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import CatalogError, ExecutionError
 from repro.sql.schema import Table
-from repro.sql.types import SqlValue, coerce
+from repro.sql.types import DataType, SqlValue, coerce
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sql.engine import Connection
+
+
+def quote_identifier(name: str) -> str:
+    """``name`` as a quoted SQLite identifier."""
+    return '"' + name.replace('"', '""') + '"'
 
 
 class TableData:
-    """Rows for a single table."""
+    """Rows for a single table, written through to SQLite."""
 
-    def __init__(self, table: Table) -> None:
+    def __init__(self, table: Table, connection: "Connection") -> None:
         self.table = table
-        self.rows: list[tuple[SqlValue, ...]] = []
-        self._pk_index: dict[SqlValue, int] = {}
-        pk = table.primary_key
-        self._pk_position = table.columns.index(pk) if pk else None
+        self._connection = connection
+        self._dtypes = tuple(column.dtype for column in table.columns)
+        self._positions = {
+            column.key: index for index, column in enumerate(table.columns)
+        }
+        name = quote_identifier(table.name)
+        marks = ", ".join("?" * len(table.columns))
+        self._insert_sql = f"INSERT INTO {name} VALUES ({marks})"
+        self._select_sql = f"SELECT * FROM {name} ORDER BY rowid"
+        self._count_sql = f"SELECT COUNT(*) FROM {name}"
+        key = table.primary_key
+        # SQLite assigns a fresh rowid to a NULL INTEGER PRIMARY KEY.
+        self._rowid_position = (
+            table.columns.index(key)
+            if key is not None and key.dtype is DataType.INTEGER
+            else None
+        )
+
+    @property
+    def rows(self) -> list[tuple[SqlValue, ...]]:
+        """Every row in rowid order: insertion order, or key order for a
+        table with an INTEGER primary key."""
+        return self._connection.run(self._select_sql)[0]
 
     def insert(self, values: Sequence[SqlValue]) -> None:
         """Insert one row given values in declaration order."""
-        if len(values) != len(self.table.columns):
+        if len(values) != len(self._dtypes):
             raise ExecutionError(
-                f"table {self.table.name!r} expects {len(self.table.columns)} "
+                f"table {self.table.name!r} expects {len(self._dtypes)} "
                 f"values, got {len(values)}"
             )
-        row = tuple(
-            coerce(value, column.dtype)
-            for value, column in zip(values, self.table.columns)
-        )
-        if self._pk_position is not None:
-            key = row[self._pk_position]
-            if key is not None and key in self._pk_index:
-                raise ExecutionError(
-                    f"duplicate primary key {key!r} in table {self.table.name!r}"
-                )
-            if key is not None:
-                self._pk_index[key] = len(self.rows)
-        self.rows.append(row)
+        row = tuple(map(coerce, values, self._dtypes))
+        if self._rowid_position is not None and row[self._rowid_position] is None:
+            raise ExecutionError(
+                f"NULL primary key in table {self.table.name!r}"
+            )
+        self._connection.run(self._insert_sql, row)
 
     def insert_named(self, values: dict[str, SqlValue]) -> None:
         """Insert a row given a column-name → value mapping.
 
         Unnamed columns default to NULL.
         """
-        ordered: list[SqlValue] = []
-        lowered = {name.lower(): value for name, value in values.items()}
-        known = {column.key for column in self.table.columns}
-        for name in lowered:
-            if name not in known:
+        row: list[SqlValue] = [None] * len(self._dtypes)
+        for name, value in values.items():
+            position = self._positions.get(name.lower())
+            if position is None:
                 raise CatalogError(
-                    f"table {self.table.name!r} has no column {name!r}"
+                    f"table {self.table.name!r} has no column {name.lower()!r}"
                 )
-        for column in self.table.columns:
-            ordered.append(lowered.get(column.key))
-        self.insert(ordered)
-
-    def replace_rows(self, rows: Iterable[tuple[SqlValue, ...]]) -> None:
-        """Replace all rows (used by UPDATE/DELETE); rebuilds the PK index."""
-        self.rows = list(rows)
-        self._pk_index = {}
-        if self._pk_position is not None:
-            for index, row in enumerate(self.rows):
-                key = row[self._pk_position]
-                if key is not None:
-                    if key in self._pk_index:
-                        raise ExecutionError(
-                            f"duplicate primary key {key!r} in table "
-                            f"{self.table.name!r}"
-                        )
-                    self._pk_index[key] = index
+            row[position] = value
+        self.insert(row)
 
     def column_index(self, name: str) -> int:
         """Position of a column in stored rows."""
-        for index, column in enumerate(self.table.columns):
-            if column.key == name.lower():
-                return index
-        raise CatalogError(f"table {self.table.name!r} has no column {name!r}")
+        position = self._positions.get(name.lower())
+        if position is None:
+            raise CatalogError(f"table {self.table.name!r} has no column {name!r}")
+        return position
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._connection.run(self._count_sql)[0][0][0]

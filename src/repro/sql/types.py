@@ -58,14 +58,24 @@ class DataType(enum.Enum):
         return self in (DataType.INTEGER, DataType.REAL)
 
 
+#: The Python type a stored value of each declared type already has.
+_NATIVE = {
+    DataType.INTEGER: int,
+    DataType.REAL: float,
+    DataType.TEXT: str,
+    DataType.DATE: str,
+    DataType.BOOLEAN: bool,
+}
+
+
 def coerce(value: SqlValue, dtype: DataType) -> SqlValue:
     """Coerce ``value`` into the Python representation for ``dtype``.
 
     NULL passes through every type. Raises
     :class:`~repro.errors.TypeMismatchError` for impossible coercions.
     """
-    if value is None:
-        return None
+    if value is None or type(value) is _NATIVE[dtype]:
+        return value
     if dtype is DataType.INTEGER:
         if isinstance(value, bool):
             return int(value)

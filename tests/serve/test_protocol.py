@@ -18,7 +18,7 @@ from repro.serve.protocol import (
     json_encode,
     turn_view,
 )
-from repro.sql.executor import QueryResult
+from repro.sql.engine import QueryResult
 
 
 class TestCodec:

@@ -9,7 +9,7 @@ from repro.sql.comparison import (
     rows_equal,
     summarize_result,
 )
-from repro.sql.executor import QueryResult
+from repro.sql.engine import QueryResult
 from repro.sql.parser import parse_query
 
 

@@ -1,14 +1,18 @@
-"""Differential testing: our engine vs sqlite3 as an oracle.
+"""Differential testing: the Database facade vs raw sqlite3.
 
-sqlite3 (stdlib) is used ONLY as a test oracle — the library itself never
-imports it. Two checks:
+The facade runs SQL on sqlite3 too, but between the caller and SQLite it
+coerces and loads rows (:class:`~repro.sql.storage.TableData`), prints
+each parsed tree back to SQL, names the result columns and orders
+unordered results. These checks run the same SQL on a raw ``sqlite3``
+connection holding the same rows, so a fault in the facade's loading,
+conversion or ordering shows as a mismatch:
 
 * randomly generated queries over a randomly populated table must produce
-  the same multiset of rows on both engines;
+  the same multiset of rows on both;
 * every distinct statement a small-scale sweep executes — suite generation
   and the four paper artifacts — must agree with sqlite3 on the same rows:
   the same multiset, the same order under a top-level ``ORDER BY``, and an
-  error on both engines or on neither.
+  error on both or on neither.
 """
 
 from __future__ import annotations

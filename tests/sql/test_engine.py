@@ -1,8 +1,13 @@
-"""Database facade tests: DDL, DML, schema/storage behaviour."""
+"""Database facade tests: DDL, DML, schema/storage behaviour, and the
+sqlite3 connection underneath (threads, error mapping, result names)."""
+
+import sqlite3
+import threading
 
 import pytest
 
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, ExecutionError, SqlError, TypeMismatchError
+from repro.sql.comparison import execution_match
 from repro.sql.engine import Database, DmlResult, _split_statements
 from repro.sql.schema import Column, DatabaseSchema, Table
 from repro.sql.types import DataType
@@ -127,6 +132,111 @@ class TestResultOrder:
             ("ink",),
             ("pen",),
         ]
+
+
+class TestSqliteFacade:
+    QUERIES = {
+        "SELECT COUNT(*) FROM item": [(40,)],
+        "SELECT name FROM item WHERE id = 7": [("n7",)],
+        "SELECT SUM(price) FROM item WHERE id <= 4": [(10.0,)],
+        "SELECT id FROM item ORDER BY price DESC LIMIT 2": [(40,), (39,)],
+    }
+
+    @staticmethod
+    def _filled(name):
+        db = Database.from_ddl(
+            name, "CREATE TABLE item (id INTEGER PRIMARY KEY, name TEXT, price REAL)"
+        )
+        db.load_rows("item", [(i, f"n{i}", float(i)) for i in range(1, 41)])
+        return db
+
+    def _hammer(self, databases, threads=8, rounds=40):
+        barrier = threading.Barrier(threads)
+        failures = []
+
+        def work(index):
+            db = databases[index % len(databases)]
+            barrier.wait()
+            try:
+                for _ in range(rounds):
+                    for sql, expected in self.QUERIES.items():
+                        assert db.query(sql).rows == expected, sql
+                    with pytest.raises(CatalogError):
+                        db.query("SELECT nope FROM item")
+            except BaseException as exc:  # pragma: no cover - reported below
+                failures.append(exc)
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert not failures, failures[:3]
+
+    def test_eight_threads_query_one_database(self):
+        self._hammer([self._filled("one")])
+
+    def test_threads_query_several_databases_at_once(self):
+        self._hammer([self._filled(f"db{i}") for i in range(4)])
+
+    @pytest.mark.parametrize(
+        "sql,error",
+        [
+            ("SELECT nope FROM item", CatalogError),
+            ("SELECT FROBNICATE(1)", ExecutionError),
+            ("SELECT NULLIF(1)", ExecutionError),
+            ("SELECT name FROM item WHERE COUNT(*) > 1", ExecutionError),
+            ("SELECT id, name FROM item UNION SELECT id FROM item", ExecutionError),
+            ("SELECT a.id FROM item AS a JOIN item AS a ON 1 = 1", ExecutionError),
+            ("SELECT 'a\x00b'", ExecutionError),
+            ("SELECT '\ud800'", ExecutionError),
+        ],
+    )
+    def test_every_sqlite_error_is_a_sql_error(self, db, sql, error):
+        with pytest.raises(error) as raised:
+            db.query(sql)
+        assert isinstance(raised.value, SqlError)
+        assert isinstance(raised.value.__cause__, (sqlite3.Error, ValueError))
+
+    def test_a_prediction_that_fails_to_run_counts_as_wrong(self, db):
+        db.execute("INSERT INTO item VALUES (1, 'pen', 2.5)")
+        gold = "SELECT name FROM item"
+        assert execution_match(db, gold, "SELECT name FROM item")
+        assert not execution_match(db, gold, "SELECT FROBNICATE(name) FROM item")
+        with pytest.raises(SqlError):
+            execution_match(db, "SELECT nope FROM item", gold)
+
+    def test_duplicate_key_raises_execution_error(self, db):
+        db.data("item").insert((1, "pen", 1.0))
+        with pytest.raises(ExecutionError):
+            db.data("item").insert((1, "dup", 1.0))
+        with pytest.raises(ExecutionError):
+            db.data("item").insert_named({"id": 1, "name": "dup"})
+        assert db.data("item").rows == [(1, "pen", 1.0)]
+
+    def test_insert_raises_type_mismatch_through_coerce(self, db):
+        with pytest.raises(TypeMismatchError):
+            db.execute("INSERT INTO item VALUES ('one', 'pen', 1.0)")
+        with pytest.raises(TypeMismatchError):
+            db.data("item").insert((1, "pen", "cheap"))
+        with pytest.raises(ExecutionError):
+            db.data("item").insert((2**70, "pen", 1.0))
+        assert db.row_count("item") == 0
+
+    def test_insert_evaluates_expressions(self, db):
+        db.execute("INSERT INTO item VALUES (1 + 1, 'p' || 'en', -2.5 * 2)")
+        assert db.data("item").rows == [(2, "pen", -5.0)]
+
+    def test_result_column_names(self, db):
+        db.execute("INSERT INTO item VALUES (1, 'pen', 2.5)")
+        result = db.query(
+            "SELECT NAME, name AS label, COUNT(*), T1.* FROM Item AS T1 GROUP BY id"
+        )
+        assert result.columns == ["NAME", "label", "COUNT(*)", "id", "name", "price"]
+        derived = db.query("SELECT * FROM (SELECT Name AS Label FROM item) AS s")
+        assert derived.columns == ["label"]
+        union = db.query("SELECT name FROM item UNION SELECT price FROM item")
+        assert union.columns == ["name"]
 
 
 class TestSchemaApi:

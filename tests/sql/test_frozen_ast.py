@@ -76,8 +76,7 @@ def test_assigning_any_field_of_any_node_raises():
             for f in dataclasses.fields(node):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(node, f.name, getattr(node, f.name))
-    # Computed is internal to the executor and never parsed.
-    assert seen == set(NODE_TYPES) - {ast.Computed}
+    assert seen == set(NODE_TYPES)
 
 
 def test_nodes_pickle_deepcopy_and_hash_by_value():

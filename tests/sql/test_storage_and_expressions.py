@@ -4,9 +4,7 @@ import pytest
 
 from repro.errors import CatalogError, ExecutionError
 from repro.sql.engine import Database
-from repro.sql.expressions import BoundColumn, RowFrame, like_to_regex
-from repro.sql.schema import Column, Table
-from repro.sql.storage import TableData
+from repro.sql.schema import Column, DatabaseSchema, Table
 from repro.sql.types import DataType
 
 
@@ -20,7 +18,7 @@ def table_data():
             Column("score", DataType.REAL),
         ],
     )
-    return TableData(table)
+    return Database(DatabaseSchema("s", [table])).data("t")
 
 
 class TestStorage:
@@ -36,62 +34,84 @@ class TestStorage:
         with pytest.raises(CatalogError):
             table_data.insert_named({"id": 1, "bogus": 2})
 
-    def test_null_pk_allowed_but_not_duplicated(self, table_data):
-        table_data.insert((None, "a", None))
-        table_data.insert((None, "b", None))  # NULL PKs don't collide
-        table_data.insert((1, "c", None))
+    def test_null_pk_allowed_but_not_duplicated(self):
+        db = Database.from_ddl("s", "CREATE TABLE t (code TEXT PRIMARY KEY, n TEXT)")
+        data = db.data("t")
+        data.insert((None, "a"))
+        data.insert((None, "b"))  # NULL PKs don't collide
+        data.insert(("x", "c"))
         with pytest.raises(ExecutionError):
-            table_data.insert((1, "d", None))
+            data.insert(("x", "d"))
+
+    def test_null_integer_pk_rejected(self, table_data):
+        # SQLite would give a NULL INTEGER PRIMARY KEY a fresh rowid.
+        with pytest.raises(ExecutionError):
+            table_data.insert((None, "a", None))
+        assert len(table_data) == 0
 
     def test_replace_rows_rebuilds_pk_index(self, table_data):
-        table_data.insert((1, "a", None))
-        table_data.replace_rows([(2, "b", None)])
-        table_data.insert((1, "c", None))  # 1 is free again
+        db = Database(DatabaseSchema("s", [table_data.table]))
+        data = db.data("t")
+        data.insert((1, "a", None))
+        db.execute("DELETE FROM t WHERE id = 1")
+        db.execute("INSERT INTO t VALUES (2, 'b', NULL)")
+        data.insert((1, "c", None))  # 1 is free again
         with pytest.raises(ExecutionError):
-            table_data.insert((2, "dup", None))
+            data.insert((2, "dup", None))
 
     def test_replace_rows_detects_duplicates(self, table_data):
+        db = Database(DatabaseSchema("s", [table_data.table]))
+        db.execute("INSERT INTO t VALUES (1, 'a', NULL), (2, 'b', NULL)")
         with pytest.raises(ExecutionError):
-            table_data.replace_rows([(1, "a", None), (1, "b", None)])
+            db.execute("UPDATE t SET id = 1")
+        # The failed statement left no row changed.
+        assert db.data("t").rows == [(1, "a", None), (2, "b", None)]
 
     def test_column_index(self, table_data):
         assert table_data.column_index("SCORE") == 2
         with pytest.raises(CatalogError):
             table_data.column_index("nope")
 
+    def test_rows_in_rowid_order(self):
+        db = Database.from_ddl("s", "CREATE TABLE t (n TEXT)")
+        db.execute("INSERT INTO t VALUES ('b'), ('c'), ('a')")
+        assert db.data("t").rows == [("b",), ("c",), ("a",)]
+
 
 class TestRowFrame:
-    def setup_method(self):
-        self.columns = [
-            BoundColumn("t", "a"),
-            BoundColumn("t", "b"),
-            BoundColumn("u", "a"),
-        ]
+    """Column resolution in joins and correlated subqueries."""
 
-    def test_qualified_resolution(self):
-        frame = RowFrame(self.columns, (1, 2, 3))
-        assert frame.resolve("t", "a") == 1
-        assert frame.resolve("u", "a") == 3
+    @pytest.fixture()
+    def db(self):
+        db = Database.from_ddl(
+            "frames",
+            "CREATE TABLE t (a INTEGER, b INTEGER); CREATE TABLE u (a INTEGER);"
+            "CREATE TABLE o (x INTEGER)",
+        )
+        db.execute("INSERT INTO t VALUES (1, 2)")
+        db.execute("INSERT INTO u VALUES (3)")
+        db.execute("INSERT INTO o VALUES (9)")
+        return db
 
-    def test_unqualified_unique(self):
-        frame = RowFrame(self.columns, (1, 2, 3))
-        assert frame.resolve(None, "b") == 2
+    def test_qualified_resolution(self, db):
+        assert db.query("SELECT t.a, u.a FROM t CROSS JOIN u").rows == [(1, 3)]
 
-    def test_unqualified_ambiguous_raises(self):
-        frame = RowFrame(self.columns, (1, 2, 3))
+    def test_unqualified_unique(self, db):
+        assert db.query("SELECT b FROM t CROSS JOIN u").rows == [(2,)]
+
+    def test_unqualified_ambiguous_raises(self, db):
         with pytest.raises(ExecutionError):
-            frame.resolve(None, "a")
+            db.query("SELECT a FROM t CROSS JOIN u")
 
-    def test_outer_chain(self):
-        outer = RowFrame([BoundColumn("o", "x")], (9,))
-        frame = RowFrame(self.columns, (1, 2, 3), outer=outer)
-        assert frame.resolve("o", "x") == 9
-        assert frame.resolve(None, "x") == 9
+    def test_outer_chain(self, db):
+        rows = db.query(
+            "SELECT (SELECT o.x + t.a FROM t), (SELECT x FROM t) FROM o"
+        ).rows
+        assert rows == [(10, 9)]
 
-    def test_unknown_raises(self):
-        frame = RowFrame(self.columns, (1, 2, 3))
-        with pytest.raises(ExecutionError):
-            frame.resolve(None, "zzz")
+    def test_unknown_raises(self, db):
+        with pytest.raises(CatalogError):
+            db.query("SELECT zzz FROM t CROSS JOIN u")
 
 
 class TestLikePatterns:
@@ -110,7 +130,10 @@ class TestLikePatterns:
         ],
     )
     def test_patterns(self, pattern, text, expected):
-        assert bool(like_to_regex(pattern).match(text)) == expected
+        db = Database.from_ddl("like", "CREATE TABLE v (x TEXT)")
+        db.load_rows("v", [(text,)])
+        sql = f"SELECT COUNT(*) FROM v WHERE x LIKE '{pattern}'"
+        assert db.query(sql).scalar() == int(expected)
 
 
 class TestThreeValuedLogic:
@@ -158,7 +181,9 @@ class TestArithmetic:
         assert isinstance(db.query("SELECT 2 + 3").scalar(), int)
 
     def test_division_is_float(self, db):
-        assert db.query("SELECT 7 / 2").scalar() == pytest.approx(3.5)
+        # As in SQLite: float when an operand is float; integers truncate.
+        assert db.query("SELECT 7.0 / 2").scalar() == pytest.approx(3.5)
+        assert db.query("SELECT 7 / 2").scalar() == 3
 
     def test_modulo(self, db):
         assert db.query("SELECT 7 % 3").scalar() == 1
