@@ -151,12 +151,27 @@ _PRECEDENCE = {
 }
 
 
+_ARITHMETIC = frozenset(
+    {
+        ast.BinaryOperator.ADD,
+        ast.BinaryOperator.SUB,
+        ast.BinaryOperator.MUL,
+        ast.BinaryOperator.DIV,
+        ast.BinaryOperator.MOD,
+    }
+)
+
+
 def _maybe_paren(
     child: ast.Expression, parent_op: ast.BinaryOperator, is_right: bool
 ) -> str:
     text = print_expression(child)
     if isinstance(child, ast.BinaryOp):
         if _PRECEDENCE[child.op] < _PRECEDENCE[parent_op]:
+            return f"({text})"
+        # SQLite binds || tighter than any arithmetic operator, so
+        # arithmetic under a concatenation keeps its parentheses there.
+        if parent_op is ast.BinaryOperator.CONCAT and child.op in _ARITHMETIC:
             return f"({text})"
         if _PRECEDENCE[child.op] == _PRECEDENCE[parent_op]:
             # Comparisons are non-associative in the grammar — always

@@ -58,6 +58,18 @@ class TestCanonicalForms:
         printed = print_expression(expr)
         assert parse_expression(printed) == expr
 
+    def test_arithmetic_under_concat_is_parenthesized(self):
+        # SQLite binds || tighter than * and +; the parentheses keep the
+        # printed text meaning the tree the parser built.
+        for text, printed in (
+            ("2 * 3 || 'x'", "(2 * 3) || 'x'"),
+            ("1 + 2 || 'x'", "(1 + 2) || 'x'"),
+            ("'x' || 1 + 2", "'x' || 1 + 2"),
+        ):
+            expr = parse_expression(text)
+            assert print_expression(expr) == printed
+            assert parse_expression(printed) == expr
+
     def test_statement_printing(self):
         sql = "INSERT INTO t (a, b) VALUES (1, 'x')"
         assert print_statement(parse_statement(sql)) == sql

@@ -191,6 +191,10 @@ class TestArithmetic:
     def test_concat(self, db):
         assert db.query("SELECT 'a' || 'b'").scalar() == "ab"
 
+    def test_concat_with_arithmetic_follows_the_tree(self, db):
+        assert db.query("SELECT 2 * 3 || 'x'").scalar() == "6x"
+        assert db.query("SELECT 1 + 2 || 'x'").scalar() == "3x"
+
     def test_unary_minus(self, db):
         assert db.query("SELECT -(2 + 3)").scalar() == -5
 
