@@ -2,6 +2,7 @@
 sqlite3 connection underneath (threads, error mapping, result names)."""
 
 import sqlite3
+import sys
 import threading
 
 import pytest
@@ -151,6 +152,9 @@ class TestSqliteFacade:
         return db
 
     def _hammer(self, databases, threads=8, rounds=40):
+        """``threads`` threads, more than this box has cores, query and
+        insert at once; a statement run outside the lock would fail,
+        return another statement's rows or lose a row."""
         barrier = threading.Barrier(threads)
         failures = []
 
@@ -158,20 +162,30 @@ class TestSqliteFacade:
             db = databases[index % len(databases)]
             barrier.wait()
             try:
-                for _ in range(rounds):
+                for step in range(rounds):
                     for sql, expected in self.QUERIES.items():
                         assert db.query(sql).rows == expected, sql
                     with pytest.raises(CatalogError):
                         db.query("SELECT nope FROM item")
+                    db.data("log").insert((index, step))
             except BaseException as exc:  # pragma: no cover - reported below
                 failures.append(exc)
 
+        for db in databases:
+            db.execute("CREATE TABLE log (worker INTEGER, step INTEGER)")
         workers = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
         assert not failures, failures[:3]
+        assert sum(db.row_count("log") for db in databases) == threads * rounds
 
     def test_eight_threads_query_one_database(self):
         self._hammer([self._filled("one")])
