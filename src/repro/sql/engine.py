@@ -35,10 +35,10 @@ from repro.sql.storage import TableData, quote_identifier
 from repro.sql.types import DataType, SqlValue
 
 #: Prepared statements ``sqlite3`` keeps per connection. Python's default
-#: of 128 on each of a suite's 201 connections raised a prediction-row
-#: run's peak RSS from 77.6 to 95.0 MB (DESIGN.md, "Why SQL runs on
-#: sqlite3"); the statements that repeat back to back are a table's
-#: single-row INSERTs, which one slot serves.
+#: of 128 on each of a suite's 201 connections raised the peak RSS of a
+#: full build plus its prediction rows from 78.3 to 95.7 MB (DESIGN.md,
+#: "Why SQL runs on sqlite3"); the statements that repeat back to back
+#: are a table's single-row INSERTs, which one slot serves.
 STATEMENT_CACHE_SIZE = 1
 
 #: The SQLite column type each declared type is stored as. An INTEGER
@@ -318,7 +318,9 @@ class Database:
         return DmlResult(rows_affected=len(stmt.rows))
 
     def _values(self, exprs: Sequence[ast.Expression]) -> list[SqlValue]:
-        """Evaluate one VALUES row; SQLite computes anything but literals."""
+        """Evaluate one VALUES row. Literals keep their Python value for
+        ``coerce`` (SQLite would turn TRUE into 1); SQLite computes the
+        rest."""
         if all(isinstance(expr, ast.Literal) for expr in exprs):
             return [expr.value for expr in exprs]
         rows, _ = self._connection.run(
