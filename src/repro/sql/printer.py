@@ -8,17 +8,40 @@ all supported nodes (round-trip property, tested with hypothesis).
 from __future__ import annotations
 
 from repro.sql import ast
+from repro.sql.tokens import KEYWORDS
 
 _NEEDS_QUOTES = frozenset(" -+/*().,;'\"`")
 
+#: SQLite's keywords that fail as a bare identifier somewhere (a syntax
+#: error, or for NULL and the CURRENT_* words a value instead of the
+#: column): 63 of SQLite 3.40.1's 147. The other 84, MATCH among them,
+#: work bare. ``tests/sql/test_printer.py`` checks every keyword against
+#: the linked SQLite.
+SQLITE_RESERVED = frozenset(
+    """
+    ADD ALL ALTER AND AS AUTOINCREMENT BETWEEN CASE CAST CHECK COLLATE
+    COMMIT CONSTRAINT CREATE CURRENT_DATE CURRENT_TIME CURRENT_TIMESTAMP
+    DEFAULT DEFERRABLE DELETE DISTINCT DROP ELSE ESCAPE EXCEPT EXISTS
+    FOREIGN FROM GROUP HAVING IN INDEX INSERT INTERSECT INTO IS ISNULL JOIN
+    LIMIT NOT NOTHING NOTNULL NULL ON OR ORDER PRIMARY RAISE REFERENCES
+    RETURNING SELECT SET TABLE THEN TO TRANSACTION UNION UNIQUE UPDATE
+    USING VALUES WHEN WHERE
+    """.split()
+)
+
+_QUOTED_WORDS = KEYWORDS | SQLITE_RESERVED
+
 
 def format_identifier(name: str) -> str:
-    """Quote an identifier when it contains characters the lexer would split."""
+    """Quote an identifier the lexer would split or read as a keyword, or
+    that SQLite would not read as a name."""
     if not name:
         return '""'
     if any(ch in _NEEDS_QUOTES for ch in name):
         return f'"{name}"'
     if not (name[0].isalpha() or name[0] == "_"):
+        return f'"{name}"'
+    if name.upper() in _QUOTED_WORDS:
         return f'"{name}"'
     return name
 

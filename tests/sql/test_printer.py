@@ -4,8 +4,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.sql import ast
+from repro.sql.engine import Database
 from repro.sql.parser import parse_expression, parse_query, parse_statement
 from repro.sql.printer import (
+    SQLITE_RESERVED,
     format_identifier,
     format_literal,
     print_expression,
@@ -42,6 +44,79 @@ class TestIdentifiers:
 
     def test_empty(self):
         assert format_identifier("") == '""'
+
+    def test_keywords_quoted(self):
+        assert format_identifier("order") == '"order"'  # the lexer's keyword
+        assert format_identifier("Date") == '"Date"'  # a soft keyword
+        assert format_identifier("index") == '"index"'  # SQLite's keyword
+        assert format_identifier("match") == "match"  # works bare in SQLite
+
+    def test_keyword_identifiers_roundtrip(self):
+        sql = (
+            'SELECT "order", "index".match FROM "select" AS "index" '
+            'WHERE "date" > 3 ORDER BY "order" ASC'
+        )
+        query = parse_query(sql)
+        assert print_query(query) == sql
+        assert parse_query(print_query(query)) == query
+
+
+#: SQLite 3.40.1's keywords (https://www.sqlite.org/lang_keywords.html).
+SQLITE_KEYWORDS = tuple(
+    word.lower()
+    for word in """
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH
+    AUTOINCREMENT BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE
+    COLUMN COMMIT CONFLICT CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE
+    CURRENT_TIME CURRENT_TIMESTAMP DATABASE DEFAULT DEFERRABLE DEFERRED
+    DELETE DESC DETACH DISTINCT DO DROP EACH ELSE END ESCAPE EXCEPT EXCLUDE
+    EXCLUSIVE EXISTS EXPLAIN FAIL FILTER FIRST FOLLOWING FOR FOREIGN FROM
+    FULL GENERATED GLOB GROUP GROUPS HAVING IF IGNORE IMMEDIATE IN INDEX
+    INDEXED INITIALLY INNER INSERT INSTEAD INTERSECT INTO IS ISNULL JOIN KEY
+    LAST LEFT LIKE LIMIT MATCH MATERIALIZED NATURAL NO NOT NOTHING NOTNULL
+    NULL NULLS OF OFFSET ON OR ORDER OTHERS OUTER OVER PARTITION PLAN PRAGMA
+    PRECEDING PRIMARY QUERY RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX
+    RELEASE RENAME REPLACE RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS
+    SAVEPOINT SELECT SET TABLE TEMP TEMPORARY THEN TIES TO TRANSACTION
+    TRIGGER UNBOUNDED UNION UNIQUE UPDATE USING VACUUM VALUES VIEW VIRTUAL
+    WHEN WHERE WINDOW WITH WITHOUT
+    """.split()
+)
+
+
+class TestKeywordIdentifiersOnSqlite:
+    """Printed SQL names keyword columns and tables so SQLite reads names."""
+
+    def test_keyword_list(self):
+        assert len(SQLITE_KEYWORDS) == len(set(SQLITE_KEYWORDS)) == 147
+        assert {word.upper() for word in SQLITE_KEYWORDS} >= SQLITE_RESERVED
+
+    def test_every_keyword_names_a_column(self):
+        columns = ", ".join(f'"{word}" INTEGER' for word in SQLITE_KEYWORDS)
+        database = Database.from_ddl("keywords", f"CREATE TABLE t ({columns})")
+        database.data("t").insert(range(len(SQLITE_KEYWORDS)))
+        for value, word in enumerate(SQLITE_KEYWORDS):
+            query = parse_query(
+                f'SELECT "{word}", t."{word}" FROM t '
+                f'WHERE "{word}" = {value} ORDER BY "{word}"'
+            )
+            assert database.execute_ast(query).rows == [(value, value)], word
+
+    def test_every_keyword_names_a_table(self):
+        database = Database.from_ddl(
+            "keywords",
+            "; ".join(
+                f'CREATE TABLE "{word}" (x INTEGER)' for word in SQLITE_KEYWORDS
+            ),
+        )
+        for value, word in enumerate(SQLITE_KEYWORDS):
+            database.data(word).insert((value,))
+        for value, word in enumerate(SQLITE_KEYWORDS):
+            query = parse_query(
+                f'SELECT "{word}".x FROM "{word}" JOIN "{word}" AS other '
+                f'ON "{word}".x = other.x'
+            )
+            assert database.execute_ast(query).rows == [(value,)], word
 
 
 class TestCanonicalForms:
