@@ -401,8 +401,3 @@ def _split_statements(script: str) -> list[str]:
     if text:
         statements.append(text)
     return statements
-
-
-def execute_query_text(database: Database, sql: str) -> QueryResult:
-    """Convenience free function mirroring :meth:`Database.query`."""
-    return database.query(sql)

@@ -1,4 +1,4 @@
-"""SQL value types, coercion, and three-valued comparison semantics.
+"""SQL value types, coercion, and result-cell equality.
 
 Values are represented with native Python objects: ``None`` (NULL), ``int``,
 ``float``, ``str``, ``bool``. Dates are ISO-8601 strings (``YYYY-MM-DD`` or
@@ -126,34 +126,6 @@ def coerce(value: SqlValue, dtype: DataType) -> SqlValue:
     raise TypeMismatchError(f"unsupported data type {dtype}")  # pragma: no cover
 
 
-def sql_compare(left: SqlValue, right: SqlValue) -> Optional[int]:
-    """Three-valued SQL comparison.
-
-    Returns -1/0/+1, or ``None`` when either side is NULL (unknown).
-    Numeric values compare numerically (int vs float allowed); booleans
-    compare as integers; strings compare lexicographically. Numbers given as
-    numeric-looking strings are compared numerically against numbers, which
-    smooths over generated data that stores years as text.
-    """
-    if left is None or right is None:
-        return None
-    left_n = _as_number(left)
-    right_n = _as_number(right)
-    if left_n is not None and right_n is not None:
-        if left_n < right_n:
-            return -1
-        if left_n > right_n:
-            return 1
-        return 0
-    left_s = str(left) if not isinstance(left, str) else left
-    right_s = str(right) if not isinstance(right, str) else right
-    if left_s < right_s:
-        return -1
-    if left_s > right_s:
-        return 1
-    return 0
-
-
 def _as_number(value: SqlValue) -> Optional[float]:
     if isinstance(value, bool):
         return float(value)
@@ -170,28 +142,9 @@ def _as_number(value: SqlValue) -> Optional[float]:
     return None
 
 
-def sort_key(value: SqlValue):
-    """Total-order sort key: NULLs first, then numbers, then strings.
-
-    Mirrors SQLite's ordering across storage classes, which keeps ORDER BY
-    deterministic on mixed-type columns.
-    """
-    if value is None:
-        return (0, 0.0, "")
-    number = _as_number(value) if not isinstance(value, str) else None
-    if number is not None:
-        return (1, number, "")
-    if isinstance(value, str):
-        return (2, 0.0, value)
-    return (2, 0.0, str(value))  # pragma: no cover - defensive
-
-
 def values_equal(left: SqlValue, right: SqlValue, float_tol: float = 1e-6) -> bool:
-    """NULL-aware equality used by result comparison (NULL == NULL here).
-
-    Unlike :func:`sql_compare`, this is for comparing *result sets*, where
-    two NULL cells should count as equal.
-    """
+    """NULL-aware equality used by result comparison: two NULL cells count
+    as equal, as result sets need (SQL's own ``=`` says unknown)."""
     if left is None and right is None:
         return True
     if left is None or right is None:

@@ -1,17 +1,9 @@
-"""Value types, coercion, and three-valued comparison tests."""
+"""Value types, coercion, and result-equality tests."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import TypeMismatchError
-from repro.sql.types import (
-    DataType,
-    coerce,
-    sort_key,
-    sql_compare,
-    values_equal,
-)
+from repro.sql.types import DataType, coerce, values_equal
 
 
 class TestDataType:
@@ -63,33 +55,6 @@ class TestCoerce:
             coerce("maybe", DataType.BOOLEAN)
 
 
-class TestSqlCompare:
-    def test_null_is_unknown(self):
-        assert sql_compare(None, 1) is None
-        assert sql_compare(1, None) is None
-        assert sql_compare(None, None) is None
-
-    def test_numbers(self):
-        assert sql_compare(1, 2) == -1
-        assert sql_compare(2, 2) == 0
-        assert sql_compare(3, 2) == 1
-
-    def test_int_vs_float(self):
-        assert sql_compare(1, 1.0) == 0
-        assert sql_compare(1, 1.5) == -1
-
-    def test_strings_lexicographic(self):
-        assert sql_compare("a", "b") == -1
-        assert sql_compare("2024-01-01", "2023-12-31") == 1
-
-    def test_numeric_strings_compare_numerically(self):
-        assert sql_compare("10", 9) == 1
-
-    def test_bool_as_number(self):
-        assert sql_compare(True, 1) == 0
-        assert sql_compare(False, 1) == -1
-
-
 class TestValuesEqual:
     def test_null_equals_null(self):
         assert values_equal(None, None)
@@ -102,37 +67,3 @@ class TestValuesEqual:
     def test_strings(self):
         assert values_equal("x", "x")
         assert not values_equal("x", "y")
-
-
-class TestSortKey:
-    def test_nulls_first(self):
-        values = ["b", None, 1, "a", 2.5, None]
-        ordered = sorted(values, key=sort_key)
-        assert ordered[:2] == [None, None]
-        assert ordered[2:4] == [1, 2.5]
-        assert ordered[4:] == ["a", "b"]
-
-
-@given(
-    st.one_of(st.none(), st.integers(-100, 100), st.text(max_size=5)),
-    st.one_of(st.none(), st.integers(-100, 100), st.text(max_size=5)),
-)
-@settings(max_examples=300, deadline=None)
-def test_compare_antisymmetry(a, b):
-    """sql_compare(a, b) == -sql_compare(b, a) whenever both are known."""
-    ab = sql_compare(a, b)
-    ba = sql_compare(b, a)
-    if ab is None:
-        assert ba is None
-    else:
-        assert ab == -ba
-
-
-@given(st.lists(st.one_of(st.none(), st.integers(-50, 50), st.text(max_size=4))))
-@settings(max_examples=200, deadline=None)
-def test_sort_key_total_order(values):
-    """sort_key produces a usable total order (sorting never crashes, and
-    is idempotent)."""
-    once = sorted(values, key=sort_key)
-    twice = sorted(once, key=sort_key)
-    assert once == twice
