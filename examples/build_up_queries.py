@@ -10,17 +10,15 @@ current SQL, and applied as a typed AST edit.
 Run:  python examples/build_up_queries.py
 """
 
-from repro.core import FeedbackDemoStore, FeedbackRouter, Nl2SqlModel
+from repro.core import FisqlPipeline, Nl2SqlModel
 from repro.datasets import build_aep_database
-from repro.llm import SimulatedLLM, feedback_prompt
+from repro.llm import SimulatedLLM
 
 
 def main() -> None:
     database = build_aep_database()
-    llm = SimulatedLLM()
-    model = Nl2SqlModel(llm=llm)
-    router = FeedbackRouter(llm)
-    demo_store = FeedbackDemoStore.default()
+    model = Nl2SqlModel(llm=SimulatedLLM())
+    pipeline = FisqlPipeline(model)
 
     question = "List the names of all segments."
     prediction = model.predict(question, database)
@@ -36,20 +34,12 @@ def main() -> None:
     ]
 
     for step, feedback in enumerate(refinements, start=1):
-        feedback_type = router.route(feedback)
-        prompt = feedback_prompt(
-            schema=database.schema,
-            question=question,
-            previous_sql=sql,
-            feedback=feedback,
-            feedback_demos=demo_store.for_type(feedback_type),
-            feedback_type=feedback_type,
-            context_key=f"build-up:{step}",
+        revision = pipeline.revise(
+            database, question, sql, feedback, context_key=f"build-up:{step}"
         )
-        completion = llm.complete(prompt)
-        sql = completion.text
+        sql = revision.sql
         print(f"User: {feedback}")
-        print(f"  [{feedback_type}] {'; '.join(completion.notes)}")
+        print(f"  [{revision.feedback_type}] {'; '.join(revision.notes)}")
         print(f"  SQL: {sql}\n")
 
     result = database.query(sql)

@@ -10,14 +10,12 @@ Run:  python examples/quickstart.py
 
 from repro.core import (
     Assistant,
-    FeedbackDemoStore,
-    FeedbackRouter,
-    Nl2SqlModel,
     DemonstrationRetriever,
+    FisqlPipeline,
+    Nl2SqlModel,
 )
-from repro.core.feedback import Feedback
 from repro.datasets import build_aep_database, generate_aep_suite
-from repro.llm import SimulatedLLM, feedback_prompt
+from repro.llm import SimulatedLLM
 
 
 def main() -> None:
@@ -25,8 +23,9 @@ def main() -> None:
     database = build_aep_database()
     _traffic, demos = generate_aep_suite(n_questions=10)
 
-    llm = SimulatedLLM()
-    model = Nl2SqlModel(llm=llm, retriever=DemonstrationRetriever(demos))
+    model = Nl2SqlModel(
+        llm=SimulatedLLM(), retriever=DemonstrationRetriever(demos)
+    )
     assistant = Assistant(model)
 
     question = "How many audiences were created in January?"
@@ -38,30 +37,20 @@ def main() -> None:
     print(f"\n[Show Source]\n{response.sql}\n")
 
     # The user knows it is 2024; the Assistant assumed its default year.
-    feedback = Feedback(text="we are in 2024")
-    print(f"User feedback: {feedback.text}\n")
+    feedback = "we are in 2024"
+    print(f"User feedback: {feedback}\n")
 
-    # FISQL step 1 — routing: classify the feedback type and fetch the
-    # type-specific revision demonstrations (the paper's Figure 5 blocks).
-    router = FeedbackRouter(llm)
-    feedback_type = router.route(feedback.text)
-    demo_store = FeedbackDemoStore.default()
-    print(f"[routing] feedback type: {feedback_type}")
-
-    # FISQL step 2 — re-prompt the NL2SQL model with the previous SQL, the
-    # feedback, and those demonstrations (the paper's Figure 6 prompt).
-    prompt = feedback_prompt(
-        schema=database.schema,
-        question=question,
-        previous_sql=response.sql,
-        feedback=feedback.text,
-        feedback_demos=demo_store.for_type(feedback_type),
-        feedback_type=feedback_type,
+    # One FISQL round: (1) routing classifies the feedback type and fetches
+    # its revision demonstrations (the paper's Figure 5 blocks); (2) the
+    # model is re-prompted with the previous SQL, the feedback, and those
+    # demonstrations (the paper's Figure 6 prompt).
+    revision = FisqlPipeline(model).revise(
+        database, question, response.sql, feedback
     )
-    completion = llm.complete(prompt)
-    print(f"[revision] {'; '.join(completion.notes)}\n")
+    print(f"[routing] feedback type: {revision.feedback_type}")
+    print(f"[revision] {'; '.join(revision.notes)}\n")
 
-    revised_sql = completion.text
+    revised_sql = revision.sql
     print(f"Revised SQL: {revised_sql}")
     result = database.query(revised_sql)
     print(f"Answer: {result.scalar()} segments created in January 2024")

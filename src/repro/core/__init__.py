@@ -2,11 +2,6 @@
 
 from repro.core.assistant import Assistant, AssistantResponse
 from repro.core.chat import ChatSession, ChatTurn
-from repro.core.dynamic_demos import (
-    DynamicFeedbackDemoStore,
-    FeedbackDemonstration,
-    query_structure,
-)
 from repro.core.editor import FeedbackEditor
 from repro.core.explain import explain_query, explanation_text
 from repro.core.feedback import (
@@ -25,7 +20,12 @@ from repro.core.retrieval import DemonstrationRetriever
 from repro.core.rewrite import QueryRewriteBaseline, RewriteStep
 from repro.core.routing import FeedbackRouter, classify_feedback
 from repro.core.semparse import ParserConfig, SemanticParser
-from repro.core.session import CorrectionOutcome, FisqlPipeline, RoundRecord
+from repro.core.session import (
+    CorrectionOutcome,
+    FisqlPipeline,
+    Revision,
+    RoundRecord,
+)
 from repro.core.user import AnnotatorConfig, SimulatedAnnotator
 
 __all__ = [
@@ -41,10 +41,8 @@ __all__ = [
     "ChatTurn",
     "CorrectionOutcome",
     "DemonstrationRetriever",
-    "DynamicFeedbackDemoStore",
     "Feedback",
     "FeedbackDemoStore",
-    "FeedbackDemonstration",
     "FeedbackEditor",
     "FeedbackRouter",
     "FisqlPipeline",
@@ -53,6 +51,7 @@ __all__ = [
     "Nl2SqlPrediction",
     "ParserConfig",
     "QueryRewriteBaseline",
+    "Revision",
     "RewriteStep",
     "RoundRecord",
     "SchemaLinker",
@@ -61,5 +60,4 @@ __all__ = [
     "classify_feedback",
     "explain_query",
     "explanation_text",
-    "query_structure",
 ]

@@ -71,7 +71,14 @@ class Assistant:
 
     def answer(self, question: str, database: Database) -> AssistantResponse:
         """Produce the four-part response for a question."""
-        prediction = self._model.predict(question, database)
+        return self.respond(
+            question, self._model.predict(question, database), database
+        )
+
+    def respond(
+        self, question: str, prediction: Nl2SqlPrediction, database: Database
+    ) -> AssistantResponse:
+        """The four-part response for SQL that is already generated."""
         result: Optional[QueryResult] = None
         error: Optional[str] = None
         explanation = ""

@@ -16,23 +16,22 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.assistant import Assistant, AssistantResponse
-from repro.core.explain import explanation_text
-from repro.core.feedback import FeedbackDemoStore
 from repro.core.nl2sql import Nl2SqlModel, Nl2SqlPrediction
-from repro.core.routing import FeedbackRouter
-from repro.errors import ReproError, SqlError
+from repro.core.session import FisqlPipeline
+from repro.errors import ReproError
 from repro.llm.interface import ChatModel
-from repro.llm.prompts import feedback_prompt
-from repro.sql import ast
 from repro.sql.engine import Database
-from repro.sql.engine import QueryResult
-from repro.sql.parser import parse_query
+
+# ``parse_query`` stays bound here because fisqlbench's layer-timer
+# self-test rebinds this module's copy (benchmarks/fisqlbench/test_layers.py).
+from repro.sql.parser import parse_query, parse_select  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.semcache.model import SemanticCachingNl2SqlModel
     from repro.semcache.store import SemanticAnswerCache
 
 
@@ -47,7 +46,14 @@ class ChatTurn:
 
 
 class ChatSession:
-    """A stateful ask/feedback conversation against one database."""
+    """A stateful ask/feedback conversation against one database.
+
+    Asks go through the :class:`Assistant`, feedback through
+    :meth:`FisqlPipeline.revise` (the sweep's own round). With a semantic
+    cache attached, the model is wrapped as ``run`` wraps it: a hit
+    answers from the stored SQL with no model call, a miss that parses is
+    stored, and feedback rounds bypass the cache.
+    """
 
     def __init__(
         self,
@@ -55,19 +61,19 @@ class ChatSession:
         model: Nl2SqlModel,
         llm: Optional[ChatModel] = None,
         routing: bool = True,
-        demo_store: Optional[FeedbackDemoStore] = None,
         semcache: "Optional[SemanticAnswerCache]" = None,
         tenant: str = "default",
     ) -> None:
         self._database = database
-        self._model = model
-        self._llm = llm or model.llm
-        self._routing = routing
-        self._semcache = semcache
-        self._tenant = tenant
-        self._demo_store = demo_store or FeedbackDemoStore.default()
-        self._router = FeedbackRouter(self._llm)
-        self._assistant = Assistant(model)
+        self._pipeline = FisqlPipeline(model, llm=llm, routing=routing)
+        self._cached: "Optional[SemanticCachingNl2SqlModel]" = None
+        if semcache is not None:
+            from repro.semcache.model import SemanticCachingNl2SqlModel
+
+            self._cached = SemanticCachingNl2SqlModel(
+                model, semcache, tenant=tenant
+            )
+        self._assistant = Assistant(self._cached or model)
         self._turns: list[ChatTurn] = []
         self._question: Optional[str] = None
         self._sql: Optional[str] = None
@@ -86,47 +92,13 @@ class ChatSession:
     def ask(self, question: str) -> AssistantResponse:
         """Ask a fresh question (starts a new correction context).
 
-        With a semantic cache attached, a hit rebuilds the four-part
-        response from the stored SQL locally — no model, no LLM, no
-        backends. Misses run the normal pipeline and offer clean (error-
-        free) answers back to the store; bypassed rounds never touch it.
+        The user turn and the reply are recorded together once the model
+        has answered, so a failed call leaves the conversation unchanged.
         """
-        self._turns.append(ChatTurn(role="user", text=question))
-        lookup = None
-        if self._semcache is not None:
-            lookup = self._semcache.lookup(
-                self._tenant, self._database.schema, question
-            )
-            if lookup.outcome == "hit":
-                self._question = question
-                response = self._respond_with(
-                    lookup.sql or "", list(lookup.notes)
-                )
-                self._sql = response.sql
-                self._semcache.log_round(
-                    lookup, kind="ask", served_sql=lookup.sql
-                )
-                self._turns.append(
-                    ChatTurn(
-                        role="assistant",
-                        text=response.render(),
-                        sql=response.sql,
-                    )
-                )
-                return response
         response = self._assistant.answer(question, self._database)
         self._question = question
         self._sql = response.sql
-        if lookup is not None and self._semcache is not None:
-            served = response.sql if response.error is None else None
-            if lookup.outcome == "miss" and served:
-                self._semcache.store(
-                    lookup, served, list(response.prediction.notes)
-                )
-            self._semcache.log_round(lookup, kind="ask", served_sql=served)
-        self._turns.append(
-            ChatTurn(role="assistant", text=response.render(), sql=response.sql)
-        )
+        self._record(ChatTurn(role="user", text=question), response)
         return response
 
     def give_feedback(
@@ -136,87 +108,42 @@ class ChatSession:
 
         ``highlight`` is a substring of the current SQL the user marked
         (the Figure 9 affordance). Raises :class:`~repro.errors.ReproError`
-        when no question has been asked yet.
+        when no question has been asked yet, and the round's
+        :class:`~repro.errors.LLMError` when the revision call fails.
         """
         if self._question is None or self._sql is None:
             raise ReproError("give_feedback before any question was asked")
-        self._turns.append(
-            ChatTurn(role="user", text=text, highlight=highlight)
-        )
-        if self._semcache is not None:
-            # Correction rounds are defined by *changing* the SQL: the
-            # semantic cache must neither serve nor learn from them.
-            lookup = self._semcache.record_feedback_bypass(
-                self._tenant, self._database.schema, self._question
-            )
-            self._semcache.log_round(lookup, kind="feedback")
-
-        feedback_type: Optional[str] = None
-        if self._routing:
-            feedback_type = self._router.route(text)
-            feedback_demos = self._demo_store.for_type(feedback_type)
-        else:
-            feedback_demos = self._demo_store.generic()
-
-        rag_demos = []
-        if self._model.retriever is not None:
-            rag_demos = self._model.retriever.retrieve(
-                self._question, db_id=self._database.schema.name
-            )
-        prompt = feedback_prompt(
-            schema=self._database.schema,
-            question=self._question,
-            previous_sql=self._sql,
-            feedback=text,
-            demos=rag_demos,
-            feedback_demos=feedback_demos,
-            feedback_type=feedback_type,
+        if self._cached is not None:
+            self._cached.record_feedback(self._question, self._database)
+        revision = self._pipeline.revise(
+            self._database,
+            self._question,
+            self._sql,
+            text,
             highlight=highlight,
-            context_key=f"chat:{len(self._turns)}",
+            # Counts the user turn this round adds.
+            context_key=f"chat:{len(self._turns) + 1}",
         )
-        completion = self._llm.complete(prompt)
-        new_sql = completion.text.strip().rstrip(";")
-        response = self._respond_with(new_sql, completion.notes)
-        self._sql = new_sql
-        self._turns.append(
-            ChatTurn(role="assistant", text=response.render(), sql=new_sql)
+        if revision.error is not None:
+            raise revision.error
+        prediction = Nl2SqlPrediction(
+            sql=revision.sql,
+            query=parse_select(revision.sql),
+            notes=revision.notes,
+        )
+        response = self._assistant.respond(
+            self._question, prediction, self._database
+        )
+        self._sql = revision.sql
+        self._record(
+            ChatTurn(role="user", text=text, highlight=highlight), response
         )
         return response
 
-    def _respond_with(self, sql: str, notes: list[str]) -> AssistantResponse:
-        """Build the four-part response for an already-generated SQL."""
-        query: Optional[ast.Select] = None
-        try:
-            parsed = parse_query(sql)
-            if isinstance(parsed, ast.Select):
-                query = parsed
-        except SqlError:
-            query = None
-        prediction = Nl2SqlPrediction(sql=sql, query=query, notes=list(notes))
-        result: Optional[QueryResult] = None
-        error: Optional[str] = None
-        explanation = ""
-        reformulation = ""
-        if query is not None:
-            try:
-                executed = self._database.execute_ast(query)
-                if isinstance(executed, QueryResult):
-                    result = executed
-            except SqlError as exc:
-                error = str(exc)
-            explanation = explanation_text(query)
-            from repro.core.assistant import _reformulate
-
-            reformulation = _reformulate(query)
-        else:
-            error = "the generated SQL could not be parsed"
-        return AssistantResponse(
-            question=self._question or "",
-            prediction=prediction,
-            result=result,
-            reformulation=reformulation,
-            explanation=explanation,
-            error=error,
+    def _record(self, turn: ChatTurn, response: AssistantResponse) -> None:
+        self._turns.append(turn)
+        self._turns.append(
+            ChatTurn(role="assistant", text=response.render(), sql=response.sql)
         )
 
     # -- persistence -------------------------------------------------------------

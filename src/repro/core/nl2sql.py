@@ -12,13 +12,12 @@ from typing import Optional
 
 from repro import obs
 from repro.core.retrieval import DemonstrationRetriever
-from repro.errors import SqlError
 from repro.llm.interface import ChatModel
 from repro.llm.prompts import nl2sql_prompt
 from repro.llm.simulated import SimulatedLLM
 from repro.sql import ast
 from repro.sql.engine import Database
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_select
 
 
 @dataclass
@@ -83,16 +82,9 @@ class Nl2SqlModel:
         prompt = nl2sql_prompt(database.schema, question, demos=demos)
         completion = self._llm.complete(prompt)
         sql = completion.text.strip().rstrip(";")
-        query: Optional[ast.Select] = None
-        try:
-            parsed = parse_query(sql)
-            if isinstance(parsed, ast.Select):
-                query = parsed
-        except SqlError:
-            query = None
         return Nl2SqlPrediction(
             sql=sql,
-            query=query,
+            query=parse_select(sql),
             notes=list(completion.notes),
             demos_used=len(demos),
         )

@@ -1,12 +1,14 @@
 """FISQL correction sessions: the multi-round feedback loop.
 
-``FisqlPipeline`` implements the paper's two-step procedure per round:
+``FisqlPipeline.revise`` is the paper's two-step procedure for one round:
 (1) routing — classify the feedback type and retrieve type-specific
 revision demonstrations (Figure 5); (2) re-prompt the NL2SQL model with the
 previous SQL, the feedback, and those demonstrations (Figure 6). The
 ``routing=False`` ablation skips step (1) and uses the small generic
-demonstration set instead. ``highlights=True`` lets the simulated user
-attach a SQL-span highlight to ground the feedback (Table 3).
+demonstration set instead. ``correct`` runs up to N rounds against a
+simulated annotator, where ``highlights=True`` lets the user attach a
+SQL-span highlight to ground the feedback (Table 3); chat sessions call
+``revise`` with a real user's feedback.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.sql import ast
 from repro.sql.comparison import query_is_ordered, results_match
 from repro.sql.engine import Database
 from repro.sql.engine import QueryResult
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_query, parse_select
 
 
 @dataclass
@@ -76,6 +78,22 @@ class CorrectionOutcome:
         )
 
 
+@dataclass
+class Revision:
+    """What one FISQL correction step produced (:meth:`FisqlPipeline.revise`).
+
+    ``degraded`` marks a revision that kept the previous SQL because the
+    model returned nothing or failed; on a failure ``error`` holds the
+    :class:`~repro.errors.LLMError`, for callers that must surface it.
+    """
+
+    sql: str
+    feedback_type: Optional[str]
+    notes: list[str]
+    degraded: bool = False
+    error: Optional[LLMError] = None
+
+
 class FisqlPipeline:
     """The FISQL feedback-incorporation pipeline."""
 
@@ -85,14 +103,76 @@ class FisqlPipeline:
         llm: Optional[ChatModel] = None,
         routing: bool = True,
         highlights: bool = False,
-        demo_store: Optional[FeedbackDemoStore] = None,
     ) -> None:
         self._model = model
         self._llm = llm or model.llm
         self._routing = routing
         self._highlights = highlights
-        self._demo_store = demo_store or FeedbackDemoStore.default()
+        self._demo_store = FeedbackDemoStore.default()
         self._router = FeedbackRouter(self._llm)
+
+    def revise(
+        self,
+        database: Database,
+        question: str,
+        previous_sql: str,
+        feedback: str,
+        highlight: Optional[str] = None,
+        context_key: str = "",
+    ) -> Revision:
+        """One correction step: route the feedback, then re-prompt.
+
+        Routing picks the feedback type's revision demos (Figure 5); a
+        failed routing call falls back to the generic set, as the
+        ``routing=False`` ablation always does. The Figure 6 prompt then
+        carries the previous SQL, the feedback, those demos and the RAG
+        demos. An empty or failed completion keeps the previous SQL.
+        """
+        feedback_type: Optional[str] = None
+        notes: list[str] = []
+        if self._routing:
+            try:
+                feedback_type = self._router.route(feedback)
+            except LLMError as error:
+                # Routing is an optimization, not a requirement.
+                obs.count("resilience.degraded", stage="routing")
+                notes.append(f"routing failed ({error}); generic demos")
+        feedback_demos = (
+            self._demo_store.generic()
+            if feedback_type is None
+            else self._demo_store.for_type(feedback_type)
+        )
+        rag_demos = []
+        if self._model.retriever is not None:
+            rag_demos = self._model.retriever.retrieve(
+                question, db_id=database.schema.name
+            )
+        prompt = feedback_prompt(
+            schema=database.schema,
+            question=question,
+            previous_sql=previous_sql,
+            feedback=feedback,
+            demos=rag_demos,
+            feedback_demos=feedback_demos,
+            feedback_type=feedback_type,
+            highlight=highlight,
+            context_key=context_key,
+        )
+        try:
+            completion = self._llm.complete(prompt)
+        except LLMError as error:
+            notes.append(f"regeneration failed ({error}); kept previous SQL")
+            return Revision(
+                previous_sql, feedback_type, notes, degraded=True, error=error
+            )
+        notes.extend(completion.notes)
+        sql = completion.text.strip().rstrip(";")
+        if not sql:
+            obs.count("correction.empty_completions")
+            obs.count("resilience.degraded", stage="empty_completion")
+            notes.append("empty completion; kept previous SQL")
+            return Revision(previous_sql, feedback_type, notes, degraded=True)
+        return Revision(sql, feedback_type, notes)
 
     def correct(
         self,
@@ -111,7 +191,7 @@ class FisqlPipeline:
 
         outcome = CorrectionOutcome(example_id=example.example_id, corrected_round=None)
         current_sql = initial_sql
-        current = _try_parse(current_sql)
+        current = parse_select(current_sql)
 
         obs.count("correction.sessions")
         with obs.span(
@@ -137,7 +217,7 @@ class FisqlPipeline:
                 if record is None:
                     break
                 outcome.rounds.append(record)
-                revised = _try_parse(record.sql_after)
+                revised = parse_select(record.sql_after)
                 if revised is None:
                     # The model's revision does not parse: keep the SQL text
                     # and the AST in lockstep at the previous round's query so
@@ -182,100 +262,46 @@ class FisqlPipeline:
                 round_span.set("feedback", False)
                 return None
 
-            feedback_type: Optional[str] = None
-            feedback_demos: list[str]
-            routing_note: Optional[str] = None
-            if self._routing:
-                try:
-                    feedback_type = self._router.route(feedback.text)
-                except LLMError as error:
-                    # Routing is an optimization, not a requirement: fall
-                    # back to the generic demo set (the -Routing ablation's
-                    # configuration) and keep the round alive.
-                    obs.count("resilience.degraded", stage="routing")
-                    routing_note = f"routing failed ({error}); generic demos"
-                    feedback_demos = self._demo_store.generic()
-                else:
-                    feedback_demos = self._demo_store.for_type(feedback_type)
-            else:
-                feedback_demos = self._demo_store.generic()
-
-            rag_demos = []
-            if self._model.retriever is not None:
-                rag_demos = self._model.retriever.retrieve(
-                    example.question, db_id=database.schema.name
-                )
-            prompt = feedback_prompt(
-                schema=database.schema,
-                question=example.question,
-                previous_sql=current_sql,
-                feedback=feedback.text,
-                demos=rag_demos,
-                feedback_demos=feedback_demos,
-                feedback_type=feedback_type,
-                highlight=feedback.highlight.text if feedback.highlight else None,
+            highlight = feedback.highlight.text if feedback.highlight else None
+            revision = self.revise(
+                database,
+                example.question,
+                current_sql,
+                feedback.text,
+                highlight=highlight,
                 context_key=f"{example.example_id}:{round_index}",
             )
-            degraded = False
-            notes: list[str] = []
-            if routing_note is not None:
-                notes.append(routing_note)
-            try:
-                completion = self._llm.complete(prompt)
-            except LLMError as error:
-                # Regeneration failed after retries: keep the previous SQL
-                # and record a degraded round instead of crashing the
-                # session. The next round gets a fresh chance.
+            if revision.error is not None:
+                # The round happened and produced nothing; the next round
+                # gets a fresh chance.
                 obs.count("resilience.degraded", stage="regeneration")
-                new_sql = current_sql
-                degraded = True
-                notes.append(f"regeneration failed ({error}); kept previous SQL")
-            else:
-                notes.extend(completion.notes)
-                new_sql = completion.text.strip().rstrip(";")
-                if not new_sql:
-                    obs.count("correction.empty_completions")
-                    obs.count("resilience.degraded", stage="empty_completion")
-                    new_sql = current_sql
-                    degraded = True
-                    notes.append("empty completion; kept previous SQL")
-
-            corrected = False if degraded else _matches(
-                database, gold_result, new_sql, ordered
+            corrected = not revision.degraded and _matches(
+                database, gold_result, revision.sql, ordered
             )
             obs.count("correction.rounds", round=round_index)
             obs.count(
-                "correction.feedback_types", type=feedback_type or "unrouted"
+                "correction.feedback_types",
+                type=revision.feedback_type or "unrouted",
             )
-            if feedback.highlight is not None:
+            if highlight is not None:
                 obs.count("correction.highlighted_rounds")
             if corrected:
                 obs.count("correction.corrected", round=round_index)
-            round_span.set("feedback_type", feedback_type)
-            round_span.set("highlight", feedback.highlight is not None)
+            round_span.set("feedback_type", revision.feedback_type)
+            round_span.set("highlight", highlight is not None)
             round_span.set("corrected", corrected)
-            round_span.set("degraded", degraded)
+            round_span.set("degraded", revision.degraded)
             return RoundRecord(
                 round_index=round_index,
                 feedback_text=feedback.text,
-                feedback_type=feedback_type,
-                highlight=feedback.highlight.text if feedback.highlight else None,
+                feedback_type=revision.feedback_type,
+                highlight=highlight,
                 sql_before=current_sql,
-                sql_after=new_sql,
+                sql_after=revision.sql,
                 corrected=corrected,
-                degraded=degraded,
-                notes=notes,
+                degraded=revision.degraded,
+                notes=revision.notes,
             )
-
-
-def _try_parse(sql: str) -> Optional[ast.Select]:
-    try:
-        parsed = parse_query(sql)
-    except SqlError:
-        return None
-    if isinstance(parsed, ast.Select):
-        return parsed
-    return None
 
 
 def _run(database: Database, query: ast.Query) -> QueryResult:

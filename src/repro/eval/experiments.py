@@ -31,7 +31,7 @@ from repro.eval.metrics import (
     evaluate_model,
     execution_correct,
 )
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_select
 
 
 @dataclass
@@ -289,15 +289,9 @@ def _run_query_rewrite(
 def _first_feedback(
     annotator, example: Example, predicted_sql: str
 ) -> Optional[Feedback]:
-    from repro.errors import SqlError
-    from repro.sql import ast
-
-    gold = parse_query(example.gold_sql)
-    try:
-        predicted = parse_query(predicted_sql)
-    except SqlError:
-        return None
-    if not isinstance(gold, ast.Select) or not isinstance(predicted, ast.Select):
+    gold = parse_select(example.gold_sql)
+    predicted = parse_select(predicted_sql)
+    if gold is None or predicted is None:
         return None
     return annotator.give_feedback(
         example_id=example.example_id,

@@ -31,8 +31,7 @@ from repro.durability import (
 from repro.eval.metrics import AccuracyReport, PredictionRecord, evaluate_model
 from repro.llm.interface import ChatModel
 from repro.llm.simulated import SimulatedLLM
-from repro.sql import ast
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_select
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.semcache.store import SemanticAnswerCache
@@ -177,8 +176,8 @@ class ExperimentContext:
         annotator = self.annotator_for(dataset)
         annotated = []
         for record in report.errors():
-            gold = _as_select(record.example.gold_sql)
-            predicted = _try_select(record.predicted_sql)
+            gold = parse_select(record.example.gold_sql)
+            predicted = parse_select(record.predicted_sql)
             if gold is None or predicted is None:
                 continue
             if annotator.can_annotate(record.example.example_id, gold, predicted):
@@ -224,20 +223,6 @@ class _MultiDbAnnotator:
         return self._annotator(example_id).give_feedback(
             example_id=example_id, **kwargs
         )
-
-
-def _as_select(sql: str) -> Optional[ast.Select]:
-    parsed = parse_query(sql)
-    return parsed if isinstance(parsed, ast.Select) else None
-
-
-def _try_select(sql: str) -> Optional[ast.Select]:
-    from repro.errors import SqlError
-
-    try:
-        return _as_select(sql)
-    except SqlError:
-        return None
 
 
 _CONTEXT_CACHE: dict[tuple[str, int], ExperimentContext] = {}

@@ -13,10 +13,7 @@ from repro.semcache.fingerprint import (
     display_fingerprint,
     schema_fingerprint,
 )
-from repro.semcache.model import (
-    SemanticCachingNl2SqlModel,
-    prediction_from_sql,
-)
+from repro.semcache.model import SemanticCachingNl2SqlModel
 from repro.semcache.replay import (
     read_question_log,
     render_replay_report,
@@ -39,7 +36,6 @@ __all__ = [
     "SemanticCachingNl2SqlModel",
     "build_signature",
     "display_fingerprint",
-    "prediction_from_sql",
     "read_question_log",
     "render_replay_report",
     "replay",

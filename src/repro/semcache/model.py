@@ -1,10 +1,11 @@
 """A semantic-cache wrapper over :class:`repro.core.nl2sql.Nl2SqlModel`.
 
-This is the batch-run integration point: it sits *above* the entire
-dispatch stack (CachingChatModel, the router, the backends). A hit here
-re-parses the stored SQL locally and returns a full
-:class:`Nl2SqlPrediction` without calling the inner model at all — so
-``nl2sql.predictions`` and every ``llm.*`` counter stay flat, which is
+This is the one integration point: ``run`` wraps every model its context
+builds, and ``serve`` wraps each chat session's model (``ChatSession``).
+It sits *above* the entire dispatch stack (CachingChatModel, the router,
+the backends). A hit here re-parses the stored SQL locally and returns a
+full :class:`Nl2SqlPrediction` without calling the inner model at all —
+so ``nl2sql.predictions`` and every ``llm.*`` counter stay flat, which is
 exactly how the smoke tests prove the bypass-the-backends claim.
 
 Only clean answers are offered back to the store: parse failures and
@@ -14,28 +15,14 @@ round must not become a sticky wrong answer).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.nl2sql import Nl2SqlModel, Nl2SqlPrediction
 from repro.core.retrieval import DemonstrationRetriever
-from repro.errors import SqlError
 from repro.llm.interface import ChatModel
 from repro.semcache.store import SemanticAnswerCache
-from repro.sql import ast
 from repro.sql.engine import Database
-from repro.sql.parser import parse_query
-
-
-def prediction_from_sql(sql: str, notes: Sequence[str]) -> Nl2SqlPrediction:
-    """Rebuild a prediction from stored SQL by re-parsing it locally."""
-    query: Optional[ast.Select] = None
-    try:
-        parsed = parse_query(sql)
-        if isinstance(parsed, ast.Select):
-            query = parsed
-    except SqlError:
-        query = None
-    return Nl2SqlPrediction(sql=sql, query=query, notes=list(notes))
+from repro.sql.parser import parse_select
 
 
 class SemanticCachingNl2SqlModel:
@@ -66,9 +53,11 @@ class SemanticCachingNl2SqlModel:
     def predict(self, question: str, database: Database) -> Nl2SqlPrediction:
         lookup = self._cache.lookup(self._tenant, database.schema, question)
         if lookup.outcome == "hit":
-            prediction = prediction_from_sql(lookup.sql or "", lookup.notes)
+            sql = lookup.sql or ""
             self._cache.log_round(lookup, kind="ask", served_sql=lookup.sql)
-            return prediction
+            return Nl2SqlPrediction(
+                sql=sql, query=parse_select(sql), notes=list(lookup.notes)
+            )
         prediction = self._inner.predict(question, database)
         if lookup.outcome == "miss" and prediction.parse_ok:
             self._cache.store(lookup, prediction.sql, list(prediction.notes))
@@ -76,3 +65,11 @@ class SemanticCachingNl2SqlModel:
             lookup, kind="ask", served_sql=prediction.sql or None
         )
         return prediction
+
+    def record_feedback(self, question: str, database: Database) -> None:
+        """Log a feedback round on ``question``: it changes the SQL, so the
+        cache neither serves nor learns from it."""
+        lookup = self._cache.record_feedback_bypass(
+            self._tenant, database.schema, question
+        )
+        self._cache.log_round(lookup, kind="feedback")

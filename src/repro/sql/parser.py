@@ -5,6 +5,7 @@ Entry points:
 * :func:`parse_statement` — any supported statement.
 * :func:`parse_query` — SELECT or set-operation query (the common case),
   memoized by text.
+* :func:`parse_select` — a plain SELECT, or None for anything else.
 * :func:`parse_expression` — a standalone expression (used by the editor).
 """
 
@@ -14,7 +15,7 @@ import functools
 from dataclasses import replace
 from typing import Optional
 
-from repro.errors import ParseError
+from repro.errors import ParseError, SqlError
 from repro.sql import ast
 from repro.sql.lexer import tokenize
 from repro.sql.tokens import Token, TokenType
@@ -705,6 +706,16 @@ def parse_query(text: str) -> ast.Query:
     memoized: it raises, and is counted, on every call.
     """
     return _counted_parse(_parse_query, text)
+
+
+def parse_select(text: str) -> Optional[ast.Select]:
+    """The text's plain SELECT, or None when it does not parse or is a set
+    operation (the shape every generated, edited or judged query has)."""
+    try:
+        parsed = parse_query(text)
+    except SqlError:
+        return None
+    return parsed if isinstance(parsed, ast.Select) else None
 
 
 def _parse_statement(text: str) -> ast.Statement:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.errors import TransientLLMError
+from repro.llm.interface import KIND_FEEDBACK
 from repro.llm.simulated import SimulatedLLM
 from repro.resilience import CircuitBreaker, ResilientChatModel, RetryPolicy
 from repro.serve import (
@@ -147,6 +148,50 @@ class TestStructuredErrors:
 class _FailingLLM:
     def complete(self, prompt):
         raise TransientLLMError("synthetic backend outage")
+
+
+class _FeedbackOutageLLM:
+    """SimulatedLLM whose feedback prompts fail while ``down`` is set."""
+
+    def __init__(self):
+        self._inner = SimulatedLLM()
+        self.down = False
+
+    def complete(self, prompt):
+        if self.down and prompt.kind == KIND_FEEDBACK:
+            raise TransientLLMError("synthetic feedback outage")
+        return self._inner.complete(prompt)
+
+
+class TestFailedTurn:
+    def test_502_feedback_adds_no_turn_and_the_retry_applies_once(
+        self, aep_catalog
+    ):
+        llm = _FeedbackOutageLLM()
+        client = ServeClient.in_process(
+            ServeApp(aep_catalog, llm_factory=lambda tenant: llm)
+        )
+        session = client.create_session(db="aep")
+        client.ask(session["id"], "How many audiences were created in January?")
+
+        llm.down = True
+        with pytest.raises(ServeClientError) as excinfo:
+            client.feedback(session["id"], "we are in 2024")
+        assert excinfo.value.status == 502
+        assert excinfo.value.code == "llm_unavailable"
+        assert client.session_info(session["id"])["turns"] == 2
+
+        llm.down = False
+        revised = client.feedback(session["id"], "we are in 2024")
+        assert revised["turns"] == 4
+        assert "'2024-01-01'" in revised["answer"]["sql"]
+        turns = client.transcript(session["id"])["turns"]
+        assert [turn["role"] for turn in turns] == [
+            "user",
+            "assistant",
+            "user",
+            "assistant",
+        ]
 
 
 class TestTenantIsolation:

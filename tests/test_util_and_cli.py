@@ -118,6 +118,17 @@ def test_example_scripts_run(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    lines = result.stdout.splitlines()
+    # The two examples that run FISQL rounds must keep their answers.
+    if script == "quickstart.py":
+        assert "[routing] feedback type: edit" in lines
+        assert (
+            "Revised SQL: SELECT COUNT(*) FROM hkg_dim_segment WHERE "
+            "createdtime >= '2024-01-01' AND createdtime < '2024-02-01'"
+        ) in lines
+    if script == "build_up_queries.py":
+        sqls = [line for line in lines if line.startswith("  SQL: ")]
+        assert sqls[-1].endswith("ORDER BY segmentname ASC LIMIT 5")
 
 
 def test_spider_feedback_study_example_runs():
