@@ -10,6 +10,7 @@ learning).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,10 +24,22 @@ from repro.sql.schema import Column, DatabaseSchema, Table
 _NOISE_TOKENS = frozenset({"hkg", "dim", "fact", "tbl", "t"})
 
 
+#: How many distinct identifiers :func:`identifier_tokens` keeps split. A
+#: full sweep splits 83 (table names and date columns).
+IDENTIFIER_MEMO_SIZE = 1024
+
+
 def identifier_tokens(identifier: str) -> list[str]:
-    """Split an identifier into meaningful, stemmed tokens."""
+    """Split an identifier into meaningful, stemmed tokens (a fresh list)."""
+    return list(_identifier_tokens(identifier))
+
+
+@functools.lru_cache(maxsize=IDENTIFIER_MEMO_SIZE)
+def _identifier_tokens(identifier: str) -> tuple[str, ...]:
     raw = identifier.replace("_", " ").lower()
-    return [stem(token) for token in tokenize(raw) if token not in _NOISE_TOKENS]
+    return tuple(
+        stem(token) for token in tokenize(raw) if token not in _NOISE_TOKENS
+    )
 
 
 @dataclass

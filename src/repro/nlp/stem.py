@@ -9,6 +9,12 @@ schema-linking comparison land on the same stem.
 
 from __future__ import annotations
 
+import functools
+
+#: How many distinct words :func:`stem` keeps stemmed. A full set-up plus
+#: one sweep stems 537 distinct words; the rest is room for ``serve``.
+STEM_MEMO_SIZE = 4096
+
 _IRREGULAR = {
     "people": "person",
     "children": "child",
@@ -61,8 +67,9 @@ def _strip_verb_suffix(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=STEM_MEMO_SIZE)
 def stem(word: str) -> str:
-    """Return a crude stem of ``word`` (lower-cased)."""
+    """Return a crude stem of ``word`` (lower-cased), memoized per word."""
     word = word.lower()
     if word in _IRREGULAR:
         return _IRREGULAR[word]

@@ -101,6 +101,7 @@ class DatabaseSchema:
         self._by_key = {table.key: table for table in self.tables}
         if len(self._by_key) != len(self.tables):
             raise CatalogError(f"duplicate table names in database {name!r}")
+        self._ddl: Optional[str] = None
 
     def table(self, name: str) -> Table:
         """Look up a table by (case-insensitive) name."""
@@ -119,11 +120,13 @@ class DatabaseSchema:
             raise CatalogError(f"table {table.name!r} already exists")
         self.tables.append(table)
         self._by_key[table.key] = table
+        self._ddl = None
 
     def drop_table(self, name: str) -> None:
         table = self.table(name)
         self.tables.remove(table)
         del self._by_key[table.key]
+        self._ddl = None
 
     def resolve_column(self, column_name: str) -> list[tuple[Table, Column]]:
         """Return every (table, column) pair whose column matches the name."""
@@ -150,7 +153,18 @@ class DatabaseSchema:
         return None
 
     def ddl(self) -> str:
-        """Render the schema as CREATE TABLE statements (for prompts)."""
+        """Render the schema as CREATE TABLE statements (for prompts).
+
+        Every prompt for the database carries this text, so it is rendered
+        once and kept until :meth:`add_table` or :meth:`drop_table` changes
+        the table set. Tables and columns are not changed in place once a
+        schema is in use.
+        """
+        if self._ddl is None:
+            self._ddl = self._render_ddl()
+        return self._ddl
+
+    def _render_ddl(self) -> str:
         statements = []
         for table in self.tables:
             pieces = []

@@ -16,6 +16,12 @@ class TestIdentifierTokens:
     def test_underscores_split(self):
         assert identifier_tokens("Song_release_year") == ["song", "release", "year"]
 
+    def test_each_call_returns_a_fresh_list(self):
+        first = identifier_tokens("Song_release_year")
+        first[0] = "changed"
+        first.append("added")
+        assert identifier_tokens("Song_release_year") == ["song", "release", "year"]
+
 
 class TestTableLinking:
     def test_plural_links_to_table(self, aep_db):

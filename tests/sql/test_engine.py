@@ -274,6 +274,18 @@ class TestSchemaApi:
         assert "CREATE TABLE item" in ddl
         assert "id INTEGER PRIMARY KEY" in ddl
 
+    def test_ddl_follows_create_and_drop_table(self, db):
+        def rendered() -> str:
+            return DatabaseSchema("fresh", db.schema.tables).ddl()
+
+        assert db.schema.ddl() == rendered()
+        db.execute("CREATE TABLE tag (id INTEGER PRIMARY KEY, label TEXT)")
+        assert "CREATE TABLE tag" in db.schema.ddl()
+        assert db.schema.ddl() == rendered()
+        db.execute("DROP TABLE item")
+        assert "CREATE TABLE item" not in db.schema.ddl()
+        assert db.schema.ddl() == rendered()
+
     def test_nl_name_defaults(self):
         column = Column("Song_release_year", DataType.INTEGER)
         assert column.nl_name == "song release year"
