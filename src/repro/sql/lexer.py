@@ -149,11 +149,20 @@ class Lexer:
         return Token(TokenType.STRING, "".join(parts), start)
 
     def _lex_quoted_identifier(self, start: int, quote: str) -> Token:
-        end = self._text.find(quote, start + 1)
-        if end == -1:
-            raise LexError("unterminated quoted identifier", start)
+        # A doubled quote inside the name stands for one (SQLite's rule).
+        parts: list[str] = []
+        pos = start + 1
+        while True:
+            end = self._text.find(quote, pos)
+            if end == -1:
+                raise LexError("unterminated quoted identifier", start)
+            parts.append(self._text[pos:end])
+            if self._text[end + 1 : end + 2] != quote:
+                break
+            parts.append(quote)
+            pos = end + 2
         self._pos = end + 1
-        return Token(TokenType.IDENTIFIER, self._text[start + 1 : end], start)
+        return Token(TokenType.IDENTIFIER, "".join(parts), start)
 
 
 def tokenize(text: str) -> list[Token]:

@@ -742,7 +742,7 @@ def _counted_parse(parse, text: str):
     obs.count("sql.parse.calls")
     try:
         return parse(text)
-    except ParseError:
+    except SqlError:
         obs.count("sql.parse.failures")
         raise
 

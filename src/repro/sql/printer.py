@@ -34,15 +34,15 @@ _QUOTED_WORDS = KEYWORDS | SQLITE_RESERVED
 
 def format_identifier(name: str) -> str:
     """Quote an identifier the lexer would split or read as a keyword, or
-    that SQLite would not read as a name."""
-    if not name:
-        return '""'
-    if any(ch in _NEEDS_QUOTES for ch in name):
-        return f'"{name}"'
-    if not (name[0].isalpha() or name[0] == "_"):
-        return f'"{name}"'
-    if name.upper() in _QUOTED_WORDS:
-        return f'"{name}"'
+    that SQLite would not read as a name. A ``"`` inside a quoted name is
+    doubled, as SQLite writes it."""
+    if (
+        not name
+        or any(ch in _NEEDS_QUOTES for ch in name)
+        or not (name[0].isalpha() or name[0] == "_")
+        or name.upper() in _QUOTED_WORDS
+    ):
+        return '"' + name.replace('"', '""') + '"'
     return name
 
 

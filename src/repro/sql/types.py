@@ -9,7 +9,7 @@ the same convention SQLite uses for TEXT dates.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import TypeMismatchError
 
@@ -126,22 +126,6 @@ def coerce(value: SqlValue, dtype: DataType) -> SqlValue:
     raise TypeMismatchError(f"unsupported data type {dtype}")  # pragma: no cover
 
 
-def _as_number(value: SqlValue) -> Optional[float]:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        stripped = value.strip()
-        if not stripped:
-            return None
-        try:
-            return float(stripped)
-        except ValueError:
-            return None
-    return None
-
-
 def values_equal(left: SqlValue, right: SqlValue, float_tol: float = 1e-6) -> bool:
     """NULL-aware equality used by result comparison: two NULL cells count
     as equal, as result sets need (SQL's own ``=`` says unknown)."""
@@ -149,8 +133,8 @@ def values_equal(left: SqlValue, right: SqlValue, float_tol: float = 1e-6) -> bo
         return True
     if left is None or right is None:
         return False
-    left_n = _as_number(left) if isinstance(left, (int, float, bool)) else None
-    right_n = _as_number(right) if isinstance(right, (int, float, bool)) else None
-    if left_n is not None and right_n is not None:
+    # bool is an int here, so TRUE equals 1.
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        left_n, right_n = float(left), float(right)
         return abs(left_n - right_n) <= float_tol * max(1.0, abs(left_n), abs(right_n))
     return str(left) == str(right)

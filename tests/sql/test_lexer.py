@@ -75,6 +75,13 @@ class TestQuotedIdentifiers:
     def test_backtick_quoted(self):
         assert tokenize("`order`")[0].value == "order"
 
+    def test_doubled_quote_is_one_quote(self):
+        tokens = tokenize('"a""b" """"')
+        assert [token.value for token in tokens[:2]] == ['a"b', '"']
+        assert tokenize("`a``b`")[0].value == "a`b"
+        with pytest.raises(LexError):
+            tokenize('"a""')
+
     def test_unterminated_raises(self):
         with pytest.raises(LexError):
             tokenize('"oops')

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.errors import ParseError
+from repro.errors import LexError, ParseError
 from repro.sql import parser
 from repro.sql.parser import PARSE_MEMO_SIZE, Parser, parse_query
 
@@ -54,6 +54,22 @@ def test_a_failing_text_raises_and_is_counted_every_time():
             "sql.parse.calls": 3,
             "sql.parse.misses": 3,
             "sql.parse.failures": 3,
+        }
+    finally:
+        obs.disable()
+
+
+def test_a_text_the_lexer_rejects_counts_as_a_failure():
+    obs.enable(max_spans=0)
+    try:
+        with pytest.raises(LexError):
+            parse_query("SELECT 'abc")
+        with pytest.raises(ParseError):
+            parse_query("SELECT FROM")
+        assert _counters() == {
+            "sql.parse.calls": 2,
+            "sql.parse.misses": 2,
+            "sql.parse.failures": 2,
         }
     finally:
         obs.disable()

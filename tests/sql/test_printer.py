@@ -51,6 +51,22 @@ class TestIdentifiers:
         assert format_identifier("index") == '"index"'  # SQLite's keyword
         assert format_identifier("match") == "match"  # works bare in SQLite
 
+    def test_embedded_quote_doubled(self):
+        assert format_identifier('a"b') == '"a""b"'
+        assert format_identifier('"') == '""""'
+
+    def test_embedded_quote_roundtrip_runs(self):
+        query = ast.Select(
+            items=(ast.SelectItem(ast.ColumnRef('a"b')),),
+            source=ast.TableRef('q"t'),
+        )
+        sql = print_query(query)
+        assert sql == 'SELECT "a""b" FROM "q""t"'
+        assert parse_query(sql) == query
+        database = Database.from_ddl("quotes", 'CREATE TABLE "q""t" ("a""b" INTEGER)')
+        database.data('q"t').insert((7,))
+        assert database.execute_ast(parse_query(sql)).rows == [(7,)]
+
     def test_keyword_identifiers_roundtrip(self):
         sql = (
             'SELECT "order", "index".match FROM "select" AS "index" '
