@@ -6,7 +6,7 @@ Subcommands::
     fisql-repro run all --scale small --metrics --trace /tmp/t.jsonl
     fisql-repro run all --journal /tmp/j --resume   # crash-safe resume
     fisql-repro serve --port 8080 --scale small     # session server
-    fisql-repro top --port 8080 --interval 2        # live /statusz dashboard
+    fisql-repro top --port 8080                     # live /statusz dashboard
     fisql-repro cache stats --cache-dir /tmp/cache  # cache store ops
     fisql-repro semcache replay --semantic-cache-dir /tmp/sc  # replay log
     fisql-repro journal compact --journal /tmp/j    # fold sealed segments
@@ -36,7 +36,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro import obs
 from repro.eval.experiments import (
@@ -112,6 +112,35 @@ def _normalize_argv(argv: Optional[Sequence[str]]) -> list:
     return argv
 
 
+def _bounded(
+    kind: Callable[[str], float],
+    low: float,
+    high: Optional[float] = None,
+    *,
+    strict: bool = False,
+) -> Callable[[str], float]:
+    """An argparse ``type=``: parse with ``kind``, then check the range.
+
+    The value must be ``>= low`` (``> low`` when ``strict``) and, given
+    ``high``, ``< high``. Outside the range argparse exits 2 with
+    ``argument --FLAG: must be ...`` before the subcommand runs.
+    """
+    bound = f"{'>' if strict else '>='} {low}"
+    if high is not None:
+        bound += f" and < {high}"
+
+    def convert(text: str) -> float:
+        value = kind(text)
+        inside = value > low if strict else value >= low
+        if not (inside and (high is None or value < high)):
+            raise argparse.ArgumentTypeError(f"must be {bound}: {value}")
+        return value
+
+    # argparse names the converter in "invalid int value: 'x'".
+    convert.__name__ = kind.__name__
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fisql-repro",
@@ -165,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--llm-retries",
-        type=int,
+        type=_bounded(int, 0),
         metavar="N",
         help=(
             "retries for transient LLM failures "
@@ -174,14 +203,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--llm-timeout",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         metavar="MS",
         help="per-call deadline budget in ms across retries and backoff",
     )
     _add_backend_arguments(run)
     run.add_argument(
         "--workers",
-        type=int,
+        type=_bounded(int, 1),
         default=1,
         metavar="N",
         help=(
@@ -199,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--cache-max",
-        type=int,
+        type=_bounded(int, 1),
         metavar="N",
         help=(
             "cap the completion cache at N entries with LRU eviction "
@@ -251,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-sessions",
-        type=int,
+        type=_bounded(int, 1),
         default=128,
         metavar="N",
         help="resident-session cap before LRU eviction / admission refusal",
@@ -265,37 +294,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--llm-retries",
-        type=int,
+        type=_bounded(int, 0),
         default=DEFAULT_LLM_RETRIES,
         metavar="N",
         help="per-tenant retries for transient LLM failures",
     )
     serve.add_argument(
         "--llm-timeout",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         metavar="MS",
         help="per-tenant per-call deadline budget in ms",
-    )
-    serve.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=5,
-        metavar="N",
-        help="consecutive failures before a tenant's circuit opens",
-    )
-    serve.add_argument(
-        "--breaker-reset-ms",
-        type=float,
-        default=30_000.0,
-        metavar="MS",
-        help="cooldown before an open tenant circuit half-opens",
-    )
-    serve.add_argument(
-        "--drain-grace",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="how long to wait for in-flight requests on SIGINT/SIGTERM",
     )
     serve.add_argument(
         "--session-dir",
@@ -307,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight",
-        type=int,
+        type=_bounded(int, 1),
         metavar="N",
         help=(
             "shed chat requests beyond N concurrently in flight "
@@ -316,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight-per-tenant",
-        type=int,
+        type=_bounded(int, 1),
         metavar="N",
         help=(
             "shed chat requests beyond N in flight for one tenant "
@@ -325,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--request-deadline-ms",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         metavar="MS",
         help=(
             "shed chat requests that queued longer than MS before "
@@ -342,13 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--log-max-bytes",
-        type=int,
-        default=10 * 1024 * 1024,
-        metavar="BYTES",
-        help="rotate the event log past BYTES (default: 10 MiB)",
-    )
-    serve.add_argument(
         "--journal",
         metavar="DIR",
         help=(
@@ -358,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-max",
-        type=int,
+        type=_bounded(int, 1),
         metavar="N",
         help=(
             "share an in-memory completion cache (at most N entries) "
@@ -367,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--slo-latency-ms",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         metavar="MS",
         help=(
             "per-tenant latency objective for /statusz SLO accounting "
@@ -376,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--slo-target",
-        type=float,
+        type=_bounded(float, 0, 1, strict=True),
         default=0.95,
         metavar="FRACTION",
         help=(
@@ -386,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--read-timeout-ms",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         metavar="MS",
         help=(
             "deadline for reading the whole request head, then again "
@@ -397,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-body-bytes",
-        type=int,
+        type=_bounded(int, 1),
         metavar="BYTES",
         help=(
             "refuse request bodies larger than BYTES with 413 before "
@@ -417,23 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="server port (default: 8080)"
     )
     top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="poll + repaint period (default: 2)",
-    )
-    top.add_argument(
         "--once",
         action="store_true",
         help="render a single frame and exit (no screen clearing)",
-    )
-    top.add_argument(
-        "--timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="per-poll HTTP timeout (default: 10)",
     )
     top.set_defaults(func=_cmd_top)
 
@@ -518,12 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-render a saved --trace JSONL file (no re-run needed)",
     )
     summary.add_argument("path", help="path to a JSONL trace file")
-    summary.add_argument(
-        "--depth",
-        type=int,
-        metavar="N",
-        help="limit the flame rollup to N levels",
-    )
     summary.set_defaults(func=_cmd_trace_summary)
 
     chaos = subparsers.add_parser(
@@ -580,16 +561,8 @@ def _add_backend_arguments(sub: argparse.ArgumentParser) -> None:
         ),
     )
     sub.add_argument(
-        "--route-map",
-        metavar="KIND=NAME[,...]",
-        help=(
-            "route prompt kinds to backends (kinds: nl2sql, feedback, "
-            "routing, rewrite); unmapped kinds use the first backend"
-        ),
-    )
-    sub.add_argument(
         "--hedge-after-ms",
-        type=float,
+        type=_bounded(float, 0),
         metavar="MS",
         help=(
             "fire a hedged request at the next backend when the primary "
@@ -598,7 +571,7 @@ def _add_backend_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--probe-interval-ms",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         metavar="MS",
         help=(
             "minimum spacing between health probes of ejected backends "
@@ -628,7 +601,7 @@ def _add_semcache_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--semantic-cache-max",
-        type=int,
+        type=_bounded(int, 1),
         metavar="N",
         help=(
             "cap the semantic store at N entries with LRU eviction "
@@ -637,7 +610,7 @@ def _add_semcache_arguments(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--semantic-cache-ttl-s",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         metavar="SECONDS",
         help=(
             "evict semantic-cache entries older than SECONDS on lookup "
@@ -658,14 +631,6 @@ def _build_semcache(
         if args.semantic_cache_ttl_s is not None:
             parser.error("--semantic-cache-ttl-s requires --semantic-cache")
         return None
-    if args.semantic_cache_max is not None and args.semantic_cache_max < 1:
-        parser.error(
-            f"--semantic-cache-max must be >= 1: {args.semantic_cache_max}"
-        )
-    if args.semantic_cache_ttl_s is not None and args.semantic_cache_ttl_s <= 0:
-        parser.error(
-            f"--semantic-cache-ttl-s must be > 0: {args.semantic_cache_ttl_s}"
-        )
     from repro.semcache import SemanticAnswerCache
 
     return SemanticAnswerCache(
@@ -688,7 +653,6 @@ def _validate_backend_arguments(
             )
         return
     for flag, value in (
-        ("--route-map", args.route_map),
         ("--hedge-after-ms", args.hedge_after_ms),
         ("--probe-interval-ms", args.probe_interval_ms),
     ):
@@ -701,13 +665,8 @@ def _validate_backend_arguments(
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Run the requested experiment(s) and print the paper-format output."""
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1: {args.workers}")
-    if args.cache_max is not None:
-        if args.cache_dir is None:
-            parser.error("--cache-max requires --cache-dir")
-        if args.cache_max < 1:
-            parser.error(f"--cache-max must be >= 1: {args.cache_max}")
+    if args.cache_max is not None and args.cache_dir is None:
+        parser.error("--cache-max requires --cache-dir")
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")
     _validate_backend_arguments(args, parser)
@@ -850,8 +809,6 @@ def _build_llm(args: argparse.Namespace) -> Optional[ChatModel]:
     retries = (
         args.llm_retries if args.llm_retries is not None else DEFAULT_LLM_RETRIES
     )
-    if args.llm_timeout is not None and args.llm_timeout <= 0:
-        raise ValueError(f"--llm-timeout must be > 0 ms: {args.llm_timeout}")
     # 1 ms of virtual latency per clock reading stands in for per-call
     # wall time, so an open breaker's cooldown elapses with call traffic.
     clock = VirtualClock(tick=0.001)
@@ -879,19 +836,8 @@ def _build_routed_llm(args: argparse.Namespace) -> ChatModel:
         RoutingChatModel,
         build_backend_pool,
         parse_backend_spec,
-        parse_route_map,
     )
 
-    if args.llm_timeout is not None and args.llm_timeout <= 0:
-        raise ValueError(f"--llm-timeout must be > 0 ms: {args.llm_timeout}")
-    if args.hedge_after_ms is not None and args.hedge_after_ms < 0:
-        raise ValueError(
-            f"--hedge-after-ms must be >= 0: {args.hedge_after_ms}"
-        )
-    if args.probe_interval_ms is not None and args.probe_interval_ms <= 0:
-        raise ValueError(
-            f"--probe-interval-ms must be > 0: {args.probe_interval_ms}"
-        )
     specs = [parse_backend_spec(text) for text in args.backend]
     retries = (
         args.llm_retries if args.llm_retries is not None else DEFAULT_LLM_RETRIES
@@ -907,14 +853,8 @@ def _build_routed_llm(args: argparse.Namespace) -> ChatModel:
         default_breaker_reset_ms=250.0,
         probe_interval_ms=args.probe_interval_ms,
     )
-    route_map = (
-        parse_route_map(args.route_map, pool.names)
-        if args.route_map is not None
-        else None
-    )
     return RoutingChatModel(
         pool,
-        route_map=route_map,
         hedge_after_ms=args.hedge_after_ms,
         probe_on_path=True,
     )
@@ -944,43 +884,7 @@ def _cmd_serve(
         run_server,
     )
 
-    if args.max_sessions < 1:
-        parser.error(f"--max-sessions must be >= 1: {args.max_sessions}")
-    if args.llm_timeout is not None and args.llm_timeout <= 0:
-        parser.error(f"--llm-timeout must be > 0 ms: {args.llm_timeout}")
-    if args.max_inflight is not None and args.max_inflight < 1:
-        parser.error(f"--max-inflight must be >= 1: {args.max_inflight}")
-    if (
-        args.max_inflight_per_tenant is not None
-        and args.max_inflight_per_tenant < 1
-    ):
-        parser.error(
-            "--max-inflight-per-tenant must be >= 1: "
-            f"{args.max_inflight_per_tenant}"
-        )
-    if args.request_deadline_ms is not None and args.request_deadline_ms <= 0:
-        parser.error(
-            f"--request-deadline-ms must be > 0: {args.request_deadline_ms}"
-        )
-    if args.log_max_bytes < 1:
-        parser.error(f"--log-max-bytes must be >= 1: {args.log_max_bytes}")
-    if args.cache_max is not None and args.cache_max < 1:
-        parser.error(f"--cache-max must be >= 1: {args.cache_max}")
-    if args.slo_latency_ms is not None and args.slo_latency_ms <= 0:
-        parser.error(f"--slo-latency-ms must be > 0: {args.slo_latency_ms}")
-    if not 0.0 < args.slo_target < 1.0:
-        parser.error(f"--slo-target must be in (0, 1): {args.slo_target}")
-    if args.read_timeout_ms is not None and args.read_timeout_ms <= 0:
-        parser.error(f"--read-timeout-ms must be > 0: {args.read_timeout_ms}")
-    if args.max_body_bytes is not None and args.max_body_bytes < 1:
-        parser.error(f"--max-body-bytes must be >= 1: {args.max_body_bytes}")
     _validate_backend_arguments(args, parser)
-    if args.hedge_after_ms is not None and args.hedge_after_ms < 0:
-        parser.error(f"--hedge-after-ms must be >= 0: {args.hedge_after_ms}")
-    if args.probe_interval_ms is not None and args.probe_interval_ms <= 0:
-        parser.error(
-            f"--probe-interval-ms must be > 0: {args.probe_interval_ms}"
-        )
 
     # The server is instrumented from the start: /metrics renders the live
     # registry, and every request is spanned/counted. No span records are
@@ -989,9 +893,7 @@ def _cmd_serve(
     if args.log_dir is not None:
         from repro.obs import StructuredLog
 
-        obs.set_event_log(
-            StructuredLog(args.log_dir, max_bytes=args.log_max_bytes)
-        )
+        obs.set_event_log(StructuredLog(args.log_dir))
     journal = None
     if args.journal is not None:
         from repro.durability import RunJournal
@@ -1004,13 +906,8 @@ def _cmd_serve(
         cache = CompletionCache(max_entries=args.cache_max)
     semcache = _build_semcache(args, parser)
     pool = None
-    route_map: dict = {}
     if args.backend:
-        from repro.llm.router import (
-            build_backend_pool,
-            parse_backend_spec,
-            parse_route_map,
-        )
+        from repro.llm.router import build_backend_pool, parse_backend_spec
 
         try:
             specs = [parse_backend_spec(text) for text in args.backend]
@@ -1019,12 +916,8 @@ def _cmd_serve(
                 seed=args.seed,
                 default_retries=args.llm_retries,
                 default_deadline_ms=args.llm_timeout,
-                default_breaker_threshold=args.breaker_threshold,
-                default_breaker_reset_ms=args.breaker_reset_ms,
                 probe_interval_ms=args.probe_interval_ms,
             )
-            if args.route_map is not None:
-                route_map = parse_route_map(args.route_map, pool.names)
         except ValueError as error:
             parser.error(str(error))
     print(
@@ -1043,14 +936,11 @@ def _cmd_serve(
     policy = TenantPolicy(
         max_retries=args.llm_retries,
         deadline_ms=args.llm_timeout,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_ms=args.breaker_reset_ms,
         max_inflight_total=args.max_inflight,
         max_inflight_per_tenant=args.max_inflight_per_tenant,
         request_deadline_ms=args.request_deadline_ms,
         slo_latency_ms=args.slo_latency_ms,
         slo_target=args.slo_target,
-        route_map=tuple(sorted(route_map.items())),
         hedge_after_ms=args.hedge_after_ms,
     )
     app = ServeApp.from_context(
@@ -1071,7 +961,6 @@ def _cmd_serve(
             app,
             host=args.host,
             port=args.port,
-            drain_grace=args.drain_grace,
             read_timeout_ms=args.read_timeout_ms,
             max_body_bytes=args.max_body_bytes,
         )
@@ -1092,12 +981,15 @@ def _cmd_top(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Poll a running server's /statusz and repaint the dashboard."""
     import time as time_module
 
-    from repro.obs.top import CLEAR_SCREEN, render_top
+    from repro.obs.top import (
+        CLEAR_SCREEN,
+        POLL_INTERVAL_S,
+        POLL_TIMEOUT_S,
+        render_top,
+    )
     from repro.serve import ServeClient, ServeClientError
 
-    if args.interval <= 0:
-        parser.error(f"--interval must be > 0: {args.interval}")
-    client = ServeClient.connect(args.host, args.port, timeout=args.timeout)
+    client = ServeClient.connect(args.host, args.port, timeout=POLL_TIMEOUT_S)
     try:
         while True:
             try:
@@ -1114,7 +1006,7 @@ def _cmd_top(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 return 0
             sys.stdout.write(CLEAR_SCREEN + text)
             sys.stdout.flush()
-            time_module.sleep(args.interval)
+            time_module.sleep(POLL_INTERVAL_S)
     except KeyboardInterrupt:
         return 0
 
@@ -1253,7 +1145,7 @@ def _cmd_trace_summary(
     from repro.obs.trace_summary import summarize_trace_file
 
     try:
-        print(summarize_trace_file(args.path, max_depth=args.depth))
+        print(summarize_trace_file(args.path))
     except (OSError, ValueError) as error:
         parser.error(f"cannot summarize {args.path!r}: {error}")
     return 0

@@ -118,7 +118,3 @@ class OverloadError(ReproError):
         #: Suggested client backoff (seconds); the serve layer surfaces it
         #: as a ``Retry-After`` response header on the shed 429/503.
         self.retry_after_s = retry_after_s
-
-
-class FeedbackError(ReproError):
-    """Raised when user feedback cannot be interpreted at all."""

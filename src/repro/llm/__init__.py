@@ -8,9 +8,7 @@ from repro.llm.router import (
     RoutingChatModel,
     build_backend_pool,
     parse_backend_spec,
-    parse_route_map,
     probe_prompt,
-    tiered_route_map,
 )
 from repro.llm.dispatch import (
     CachingChatModel,
@@ -59,10 +57,8 @@ __all__ = [
     "merge_glossaries",
     "nl2sql_prompt",
     "parse_backend_spec",
-    "parse_route_map",
     "probe_prompt",
     "render_feedback_demo",
     "rewrite_prompt",
     "routing_prompt",
-    "tiered_route_map",
 ]

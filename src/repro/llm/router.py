@@ -7,11 +7,11 @@ backends, each wrapped in its own :class:`~repro.resilience.policies
 .ResilientChatModel` stack with a backend-scoped circuit breaker, and
 routes across them:
 
-* :class:`RoutingChatModel` — routes each prompt by its *kind* (cheap
-  backend for feedback-routing/rewrite prompts, strong backend for
-  NL2SQL and corrections — whatever the per-tenant route map says) and
-  **fails over** along the pool order when a call fails transiently, a
-  breaker is open, or the backend is ejected.
+* :class:`RoutingChatModel` — sends every prompt kind to the first
+  backend in pool order (the paper runs one model for NL2SQL, feedback
+  routing, rewrite and editing) and **fails over** along the pool order
+  when a call fails transiently, a breaker is open, or the backend is
+  ejected.
 * :class:`BackendPool` + per-backend :class:`BackendHealth` — outlier
   detection: consecutive failures (live calls and synthetic probes both
   count) eject a backend from rotation; after ``readmit_after_ms`` a
@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro import obs
 from repro.errors import (
@@ -48,15 +48,7 @@ from repro.errors import (
     NoHealthyBackendError,
     TransientLLMError,
 )
-from repro.llm.interface import (
-    KIND_FEEDBACK,
-    KIND_NL2SQL,
-    KIND_REWRITE,
-    KIND_ROUTING,
-    ChatModel,
-    Completion,
-    Prompt,
-)
+from repro.llm.interface import KIND_ROUTING, ChatModel, Completion, Prompt
 
 #: Outcome labels on the ``llm.backend`` counter.
 OUTCOME_OK = "ok"
@@ -66,19 +58,6 @@ OUTCOME_SKIPPED = "skipped"
 OUTCOME_REJECTED = "rejected"
 OUTCOME_HEDGE = "hedge"
 OUTCOME_HEDGE_WIN = "hedge_win"
-
-#: Spellings accepted by ``--route-map`` for each prompt kind.
-ROUTE_KIND_ALIASES: dict[str, str] = {
-    "nl2sql": KIND_NL2SQL,
-    KIND_NL2SQL: KIND_NL2SQL,
-    "feedback": KIND_FEEDBACK,
-    "correction": KIND_FEEDBACK,
-    KIND_FEEDBACK: KIND_FEEDBACK,
-    "routing": KIND_ROUTING,
-    KIND_ROUTING: KIND_ROUTING,
-    "rewrite": KIND_REWRITE,
-    KIND_REWRITE: KIND_REWRITE,
-}
 
 
 def probe_prompt() -> Prompt:
@@ -93,17 +72,6 @@ def probe_prompt() -> Prompt:
         text="FISQL health probe",
         payload={"feedback": "health probe"},
     )
-
-
-def tiered_route_map(strong: str, cheap: str) -> dict[str, str]:
-    """The paper-loop tiering: strong model for NL2SQL and corrections,
-    cheap model for feedback routing and query rewrites."""
-    return {
-        KIND_NL2SQL: strong,
-        KIND_FEEDBACK: strong,
-        KIND_ROUTING: cheap,
-        KIND_REWRITE: cheap,
-    }
 
 
 @dataclass
@@ -395,12 +363,11 @@ class BackendPool:
 class RoutingChatModel:
     """A :class:`ChatModel` that routes across a :class:`BackendPool`.
 
-    Each prompt's kind selects its *preferred* backend via ``route_map``
-    (falling back to the pool's first backend); failover then walks the
-    remaining backends in pool order. Transient errors and open breakers
-    fail over; other ``LLMError``\\ s are the request's own problem and
-    propagate. When every candidate is ejected the call fails fast with
-    :class:`~repro.errors.NoHealthyBackendError`.
+    Every prompt goes to the first backend in rotation; failover then
+    walks the remaining backends in pool order. Transient errors and open
+    breakers fail over; other ``LLMError``\\ s are the request's own
+    problem and propagate. When every candidate is ejected the call fails
+    fast with :class:`~repro.errors.NoHealthyBackendError`.
 
     ``hedge_after_ms`` arms tail-latency hedging on ``complete`` calls
     (see module docstring for the determinism rules).
@@ -411,7 +378,6 @@ class RoutingChatModel:
     def __init__(
         self,
         pool: BackendPool,
-        route_map: Optional[Mapping[str, str]] = None,
         hedge_after_ms: Optional[float] = None,
         probe_on_path: bool = False,
     ) -> None:
@@ -420,13 +386,6 @@ class RoutingChatModel:
                 f"hedge_after_ms must be >= 0: {hedge_after_ms}"
             )
         self._pool = pool
-        self._route_map = dict(route_map or {})
-        for kind, name in self._route_map.items():
-            if name not in pool:
-                raise ValueError(
-                    f"route map sends {kind!r} to unknown backend "
-                    f"{name!r}; pool has: {pool.names}"
-                )
         self._hedge_after_ms = hedge_after_ms
         self._probe_on_path = probe_on_path
 
@@ -434,26 +393,12 @@ class RoutingChatModel:
     def pool(self) -> BackendPool:
         return self._pool
 
-    @property
-    def route_map(self) -> dict[str, str]:
-        return dict(self._route_map)
-
-    def _candidates(self, kind: str) -> list[Backend]:
-        """Preferred backend first, then the rest in pool order."""
-        preferred = self._route_map.get(kind)
-        backends = self._pool.backends
-        if preferred is None:
-            return backends
-        ordered = [self._pool[preferred]]
-        ordered.extend(b for b in backends if b.name != preferred)
-        return ordered
-
     # -- dispatch -------------------------------------------------------------
 
     def complete(self, prompt: Prompt) -> Completion:
         if self._probe_on_path:
             self._pool.maybe_probe()
-        candidates = self._candidates(prompt.kind)
+        candidates = self._pool.backends
         in_rotation = [b for b in candidates if self._pool.available(b)]
         for backend in candidates:
             if backend not in in_rotation:
@@ -760,34 +705,6 @@ def parse_backend_spec(text: str) -> BackendSpec:
     return BackendSpec(name=name, kind=kind, options=tuple(options))
 
 
-def parse_route_map(text: str, names: Sequence[str]) -> dict[str, str]:
-    """Parse ``--route-map kind=backend,...`` against the pool's names."""
-    route_map: dict[str, str] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        kind, sep, name = part.partition("=")
-        kind, name = kind.strip(), name.strip()
-        if not sep or not kind or not name:
-            raise ValueError(
-                f"malformed route map entry {part!r}; expected kind=backend"
-            )
-        canonical = ROUTE_KIND_ALIASES.get(kind)
-        if canonical is None:
-            valid = ", ".join(sorted(set(ROUTE_KIND_ALIASES)))
-            raise ValueError(
-                f"unknown prompt kind {kind!r} in route map; one of: {valid}"
-            )
-        if name not in names:
-            raise ValueError(
-                f"route map sends {kind!r} to unknown backend {name!r}; "
-                f"defined backends: {list(names)}"
-            )
-        route_map[canonical] = name
-    return route_map
-
-
 def _spec_float(spec: BackendSpec, key: str) -> Optional[float]:
     raw = spec.option(key)
     if raw is None:
@@ -819,7 +736,6 @@ def build_backend_pool(
     seed: int = 0,
     default_retries: int = 2,
     default_deadline_ms: Optional[float] = None,
-    default_breaker_threshold: int = 5,
     default_breaker_reset_ms: float = 30_000.0,
     eject_after: int = 3,
     readmit_after_ms: float = 5000.0,
@@ -868,8 +784,7 @@ def build_backend_pool(
             )
             inner = FaultInjectingChatModel(inner, profile)
         breaker = CircuitBreaker(
-            failure_threshold=_spec_int(spec, "breaker-threshold")
-            or default_breaker_threshold,
+            failure_threshold=_spec_int(spec, "breaker-threshold") or 5,
             reset_after_ms=_spec_float(spec, "breaker-reset-ms")
             or default_breaker_reset_ms,
             clock=clock,

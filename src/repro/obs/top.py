@@ -3,7 +3,7 @@
 Pure rendering: :func:`render_top` turns one ``/statusz`` payload into a
 fixed-width ASCII dashboard (deterministic for a given payload, which is
 what the snapshot test relies on); the CLI loop polls the endpoint every
-``--interval`` seconds and repaints. Sections:
+:data:`POLL_INTERVAL_S` seconds and repaints. Sections:
 
 * header — readiness, drain state, resident sessions, inflight/gate
   utilization, windowed request/error/shed/cache rates;
@@ -22,6 +22,12 @@ DISPLAY_WINDOWS: Sequence[str] = ("1m", "5m", "15m")
 
 #: ANSI clear-screen + home, used by the live loop between repaints.
 CLEAR_SCREEN = "\x1b[2J\x1b[H"
+
+#: Seconds between the live loop's polls (and repaints).
+POLL_INTERVAL_S = 2.0
+
+#: Seconds one ``/statusz`` poll may take before it counts as unreachable.
+POLL_TIMEOUT_S = 10.0
 
 
 def _table(headers: list, rows: list) -> str:

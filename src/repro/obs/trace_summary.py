@@ -70,9 +70,7 @@ def _build_path_tree(spans: list[dict]) -> _PathNode:
     return root
 
 
-def _render_flame(
-    root: _PathNode, max_depth: Optional[int] = None
-) -> str:
+def _render_flame(root: _PathNode) -> str:
     base = sum(child.total_ms for child in root.children.values())
     if not root.children:
         return "(no spans in trace)"
@@ -82,8 +80,6 @@ def _render_flame(
     ]
 
     def visit(node: _PathNode, depth: int) -> None:
-        if max_depth is not None and depth >= max_depth:
-            return
         ordered = sorted(
             node.children.values(),
             key=lambda child: (-child.total_ms, child.name),
@@ -192,9 +188,7 @@ def _render_histograms(histograms: list[dict]) -> str:
     )
 
 
-def summarize_trace(
-    lines: list[dict], max_depth: Optional[int] = None
-) -> str:
+def summarize_trace(lines: list[dict]) -> str:
     """Render trace lines (from :func:`read_trace_jsonl`) as the summary."""
     meta = next((l for l in lines if l.get("type") == "meta"), {})
     spans = [l for l in lines if l.get("type") == "span"]
@@ -210,7 +204,7 @@ def summarize_trace(
         header,
         "-- Flame rollup (time by span path) "
         + "-" * 24,
-        _render_flame(_build_path_tree(spans), max_depth=max_depth),
+        _render_flame(_build_path_tree(spans)),
         "-- Correction rounds drill-down " + "-" * 28,
         _render_rounds(spans),
         "-- Counters " + "-" * 48,
@@ -221,8 +215,6 @@ def summarize_trace(
     return "\n\n".join(sections)
 
 
-def summarize_trace_file(
-    path: Union[str, Path], max_depth: Optional[int] = None
-) -> str:
+def summarize_trace_file(path: Union[str, Path]) -> str:
     """Read a ``--trace`` JSONL file and render its summary."""
-    return summarize_trace(read_trace_jsonl(path), max_depth=max_depth)
+    return summarize_trace(read_trace_jsonl(path))

@@ -61,7 +61,7 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional, Tuple
 
@@ -105,7 +105,8 @@ from repro.sql.engine import Database
 JSON = "application/json"
 TEXT = "text/plain; charset=utf-8"
 
-#: Seconds ``run_server`` waits for in-flight requests after a signal.
+#: Seconds ``run_server`` waits for in-flight requests after a signal;
+#: the drain 503's ``Retry-After`` points past it.
 DEFAULT_DRAIN_GRACE = 10.0
 
 #: Hard ceiling on request bodies when no ``--max-body-bytes`` is set.
@@ -122,7 +123,7 @@ def _retry_after_header(seconds: float) -> str:
 
 @dataclass(frozen=True)
 class TenantPolicy:
-    """Per-tenant resilience + dispatch configuration (one stack each).
+    """Resilience + dispatch configuration, applied to each tenant's stack.
 
     The overload knobs feed the app's :class:`LoadShedGate`:
     ``max_inflight_total``/``max_inflight_per_tenant`` cap concurrent
@@ -133,8 +134,6 @@ class TenantPolicy:
 
     max_retries: int = 2
     deadline_ms: Optional[float] = None
-    breaker_threshold: int = 5
-    breaker_reset_ms: float = 30_000.0
     max_inflight_total: Optional[int] = None
     max_inflight_per_tenant: Optional[int] = None
     request_deadline_ms: Optional[float] = None
@@ -143,11 +142,8 @@ class TenantPolicy:
     #: 5xx). ``None`` keeps the default objective (500 ms).
     slo_latency_ms: Optional[float] = None
     slo_target: float = 0.95
-    #: Router policy (only used when the app has a backend pool): prompt-kind
-    #: -> backend-name pairs (a tuple so the dataclass stays hashable/frozen)
-    #: and the tail-latency hedging delay. An empty route map sends every
-    #: kind to the pool's first backend with failover down the pool order.
-    route_map: "tuple[tuple[str, str], ...]" = field(default=())
+    #: Tail-latency hedging delay for the router (only used when the app
+    #: has a backend pool, which fails over down the pool order).
     hedge_after_ms: Optional[float] = None
 
     def slo(self) -> SloPolicy:
@@ -180,7 +176,6 @@ class ServeApp:
         journal: Optional[RunJournal] = None,
         request_id_factory: Optional[Callable[[], str]] = None,
         pool: Optional[BackendPool] = None,
-        tenant_policies: Optional[dict[str, TenantPolicy]] = None,
         semcache: Optional[SemanticAnswerCache] = None,
     ) -> None:
         if not catalog:
@@ -191,7 +186,6 @@ class ServeApp:
         # makes it falsy); test for None explicitly.
         self._manager = manager if manager is not None else SessionManager()
         self._policy = policy
-        self._tenant_policies = dict(tenant_policies or {})
         self._pool = pool
         self._llm_factory = llm_factory or self._default_llm_factory
         self._clock = clock
@@ -284,23 +278,17 @@ class ServeApp:
 
     # -- tenant isolation -----------------------------------------------------------
 
-    def policy_for_tenant(self, tenant: str) -> TenantPolicy:
-        """The tenant's policy: its own entry, else the app default."""
-        return self._tenant_policies.get(tenant, self._policy)
-
     def _default_llm_factory(self, tenant: str) -> ChatModel:
-        policy = self.policy_for_tenant(tenant)
+        policy = self._policy
         model: ChatModel
         if self._pool is not None:
             # Routed serving: the pool's backends already carry their own
             # resilient stacks and backend-scoped breakers; each tenant
-            # gets a cheap routing facade with its policy's route map and
-            # hedging, with the shared cache *above* the router (a cache
-            # hit must never touch — or fail over — a backend).
+            # gets a cheap routing facade with the policy's hedging, with
+            # the shared cache *above* the router (a cache hit must never
+            # touch — or fail over — a backend).
             model = RoutingChatModel(
-                self._pool,
-                route_map=dict(policy.route_map),
-                hedge_after_ms=policy.hedge_after_ms,
+                self._pool, hedge_after_ms=policy.hedge_after_ms
             )
             if self._shared_cache is not None:
                 model = CachingChatModel(
@@ -316,8 +304,6 @@ class ServeApp:
                     deadline_ms=policy.deadline_ms,
                 ),
                 breaker=CircuitBreaker(
-                    failure_threshold=policy.breaker_threshold,
-                    reset_after_ms=policy.breaker_reset_ms,
                     clock=self._clock,
                     name=tenant,
                     labels={"tenant": tenant},
@@ -1058,7 +1044,6 @@ def run_server(
     app: ServeApp,
     host: str = "127.0.0.1",
     port: int = 8080,
-    drain_grace: float = DEFAULT_DRAIN_GRACE,
     install_signals: bool = True,
     read_timeout_ms: Optional[float] = None,
     max_body_bytes: Optional[int] = None,
@@ -1073,7 +1058,7 @@ def run_server(
 
     def _shutdown() -> None:
         app.begin_drain()
-        app.await_idle(timeout=drain_grace)
+        app.await_idle(timeout=DEFAULT_DRAIN_GRACE)
         server.shutdown()
 
     def _on_signal(_signum, _frame) -> None:

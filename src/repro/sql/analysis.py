@@ -1,9 +1,8 @@
-"""Structural analysis of queries: clause inventories, usage, and diffs.
+"""Structural analysis of queries: conjuncts, table usage, and diffs.
 
 The diff machinery compares a *gold* query to a *predicted* query and emits
 typed :class:`QueryDelta` records. The FISQL user simulator verbalizes these
-deltas as natural-language feedback; the evaluation code uses them to count
-how many distinct errors a prediction contains.
+deltas as natural-language feedback.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.sql import ast
-from repro.sql.printer import print_expression, print_select
+from repro.sql.printer import print_expression
 
 
 def conjuncts(expr: Optional[ast.Expression]) -> list[ast.Expression]:
@@ -48,98 +47,6 @@ def tables_used(query: ast.Query) -> set[str]:
             elif isinstance(source, ast.SubquerySource):
                 pass  # nested query covered by walk_queries
     return tables
-
-
-def columns_used(query: ast.Query) -> set[str]:
-    """Lower-cased column names referenced anywhere in the query."""
-    columns: set[str] = set()
-    for select in ast.walk_queries(query):
-        for expr in _select_expressions(select):
-            for node in ast.walk_expressions(expr):
-                if isinstance(node, ast.ColumnRef):
-                    columns.add(node.column.lower())
-    return columns
-
-
-def aggregates_used(select: ast.Select) -> list[ast.FunctionCall]:
-    """Aggregate calls in the select list / HAVING / ORDER BY."""
-    found = []
-    for expr in _select_expressions(select):
-        for node in ast.walk_expressions(expr):
-            if ast.is_aggregate_call(node):
-                found.append(node)
-    return found
-
-
-def _select_expressions(select: ast.Select) -> list[ast.Expression]:
-    exprs: list[ast.Expression] = [item.expression for item in select.items]
-    if select.where is not None:
-        exprs.append(select.where)
-    exprs.extend(select.group_by)
-    if select.having is not None:
-        exprs.append(select.having)
-    exprs.extend(order.expression for order in select.order_by)
-    return exprs
-
-
-def literals_used(query: ast.Query) -> list[ast.Literal]:
-    """Every literal in the query, in walk order."""
-    found = []
-    for select in ast.walk_queries(query):
-        for expr in _select_expressions(select):
-            for node in ast.walk_expressions(expr):
-                if isinstance(node, ast.Literal):
-                    found.append(node)
-    return found
-
-
-# ---------------------------------------------------------------------------
-# Clause spans (for highlight grounding)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClauseSpan:
-    """A clause's character range within the canonical printed SQL."""
-
-    clause: str
-    start: int
-    end: int
-
-    def slice(self, text: str) -> str:
-        return text[self.start : self.end]
-
-
-def clause_spans(select: ast.Select) -> dict[str, ClauseSpan]:
-    """Character spans of each clause in ``print_select(select)``.
-
-    Keys: ``select``, ``from``, ``where``, ``group``, ``having``, ``order``,
-    ``limit`` (present only when the clause exists).
-    """
-    text = print_select(select)
-    spans: dict[str, ClauseSpan] = {}
-    markers = [
-        ("select", "SELECT "),
-        ("from", " FROM "),
-        ("where", " WHERE "),
-        ("group", " GROUP BY "),
-        ("having", " HAVING "),
-        ("order", " ORDER BY "),
-        ("limit", " LIMIT "),
-    ]
-    positions = []
-    cursor = 0
-    for clause, marker in markers:
-        index = text.find(marker, cursor)
-        if index == -1:
-            continue
-        start = index if clause != "select" else 0
-        positions.append((clause, start))
-        cursor = index + len(marker)
-    for i, (clause, start) in enumerate(positions):
-        end = positions[i + 1][1] if i + 1 < len(positions) else len(text)
-        spans[clause] = ClauseSpan(clause=clause, start=start, end=end)
-    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +440,3 @@ def _diff_order(gold: ast.Select, pred: ast.Select) -> list[QueryDelta]:
             detail=detail,
         )
     ]
-
-
-def count_errors(gold: ast.Query, pred: ast.Query) -> int:
-    """Number of distinct structural differences (0 = structurally equal)."""
-    return len(diff_queries(gold, pred))

@@ -408,50 +408,3 @@ class ReplaceTable(EditOperation):
 
     def describe(self) -> str:
         return f"use table {self.new} instead of {self.old}"
-
-
-@dataclass
-class AddJoin(EditOperation):
-    feedback_type = "add"
-
-    table: str
-    condition: ast.Expression
-    alias: Optional[str] = None
-
-    def apply(self, query: ast.Select) -> ast.Select:
-        if query.source is None:
-            raise EditError("query has no FROM clause to join onto")
-        return replace(
-            query,
-            source=ast.Join(
-                kind=ast.JoinKind.INNER,
-                left=query.source,
-                right=ast.TableRef(name=self.table, alias=self.alias),
-                condition=self.condition,
-            ),
-        )
-
-    def describe(self) -> str:
-        return f"join table {self.table} on {print_expression(self.condition)}"
-
-
-@dataclass
-class CompositeEdit(EditOperation):
-    """Apply several edits in sequence (used for multi-part feedback)."""
-
-    operations: list[EditOperation]
-
-    @property
-    def feedback_type(self) -> str:  # type: ignore[override]
-        if not self.operations:
-            return "edit"
-        return self.operations[0].feedback_type
-
-    def apply(self, query: ast.Select) -> ast.Select:
-        out = query
-        for operation in self.operations:
-            out = operation.apply(out)
-        return out
-
-    def describe(self) -> str:
-        return "; ".join(op.describe() for op in self.operations)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.chaos.diskfaults import disarm_disk_faults
 from repro.chaos.scenarios import SCENARIOS, run_scenario
+from repro.cli import main as cli_main
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +40,16 @@ def test_catalog_is_populated():
     }
     for runner in SCENARIOS.values():
         assert runner.__doc__
+
+
+def test_cli_list_prints_the_catalog_and_runs_nothing(monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a scenario ran")
+
+    monkeypatch.setattr("repro.chaos.scenarios.run_scenario", refuse)
+    assert cli_main(["chaos", "--list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == ["disk-full-mid-sweep", "retry-storm", "slow-loris-drain"]
 
 
 def test_unknown_scenario_is_rejected():

@@ -13,8 +13,6 @@ from repro.errors import (
     TransientLLMError,
 )
 from repro.llm.interface import (
-    KIND_FEEDBACK,
-    KIND_NL2SQL,
     KIND_ROUTING,
     Completion,
     Prompt,
@@ -25,9 +23,7 @@ from repro.llm.router import (
     RoutingChatModel,
     build_backend_pool,
     parse_backend_spec,
-    parse_route_map,
     probe_prompt,
-    tiered_route_map,
 )
 
 
@@ -93,27 +89,12 @@ class TestPoolShape:
 
 
 class TestRouting:
-    def test_route_map_prefers_named_backend(self):
-        strong, cheap = ScriptedModel(default="s"), ScriptedModel(default="c")
-        pool = make_pool({"strong": strong, "cheap": cheap})
-        router = RoutingChatModel(
-            pool, route_map=tiered_route_map("strong", "cheap")
-        )
-        out = router.complete(routing_prompt())
-        assert out.text == "c"
-        assert not strong.calls
-
     def test_unmapped_kind_uses_pool_order(self):
         first, second = ScriptedModel(default="1"), ScriptedModel(default="2")
         pool = make_pool({"first": first, "second": second})
         router = RoutingChatModel(pool)
         assert router.complete(routing_prompt()).text == "1"
         assert not second.calls
-
-    def test_route_map_to_unknown_backend_rejected(self):
-        pool = make_pool({"only": ScriptedModel()})
-        with pytest.raises(ValueError):
-            RoutingChatModel(pool, route_map={KIND_NL2SQL: "missing"})
 
 
 class TestFailover:
@@ -318,23 +299,6 @@ class TestParsers:
     def test_parse_backend_spec_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_backend_spec(text)
-
-    def test_parse_route_map_aliases(self):
-        names = ["strong", "cheap"]
-        parsed = parse_route_map(
-            "nl2sql=strong,feedback=strong,routing=cheap,rewrite=cheap",
-            names,
-        )
-        assert parsed == tiered_route_map("strong", "cheap")
-        assert parse_route_map("correction=cheap", names) == {
-            KIND_FEEDBACK: "cheap"
-        }
-
-    def test_parse_route_map_rejects_unknowns(self):
-        with pytest.raises(ValueError, match="unknown prompt kind"):
-            parse_route_map("espresso=a", ["a"])
-        with pytest.raises(ValueError, match="unknown backend"):
-            parse_route_map("nl2sql=missing", ["a"])
 
 
 class TestBuildBackendPool:

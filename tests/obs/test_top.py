@@ -9,6 +9,9 @@ them robust against whitespace-stripping editors.
 
 from __future__ import annotations
 
+import socket
+
+from repro.cli import main as cli_main
 from repro.obs.top import CLEAR_SCREEN, DISPLAY_WINDOWS, render_top
 
 PAYLOAD = {
@@ -228,3 +231,15 @@ class TestEdgeCases:
     def test_constants(self):
         assert DISPLAY_WINDOWS == ("1m", "5m", "15m")
         assert CLEAR_SCREEN.startswith("\x1b")
+
+
+class TestCommand:
+    def test_once_names_the_unreachable_server(self, capsys):
+        # A port that was just free: nothing answers on it.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        argv = ["top", "--host", "localhost", "--port", str(port), "--once"]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"cannot reach fisql-serve at localhost:{port}" in out

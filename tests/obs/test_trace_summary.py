@@ -69,17 +69,6 @@ class TestSummarizeTrace:
         assert "2" in llm_line.split()
         assert "20.00" in llm_line
 
-    def test_max_depth_truncates(self, fake_clock):
-        tracer, metrics = _synthetic_trace(fake_clock)
-        from repro.obs.export import trace_lines
-
-        summary = summarize_trace(trace_lines(tracer, metrics), max_depth=1)
-        assert "experiment.figure2" in summary
-        flame = summary.split("Flame rollup")[1].split("Correction rounds")[0]
-        assert "correction.round" not in flame
-        # The drill-down section still sees every span.
-        assert "round 1: 1 sessions" in summary
-
     def test_orphaned_parent_becomes_root(self):
         # Spans whose parent was dropped by the span cap must still render.
         lines = [

@@ -26,18 +26,6 @@ class DownModel:
         raise TransientLLMError("backend down")
 
 
-class TaggedModel:
-    """Delegates to the simulated model but records prompt kinds."""
-
-    def __init__(self) -> None:
-        self._inner = SimulatedLLM()
-        self.kinds: list[str] = []
-
-    def complete(self, prompt: Prompt) -> Completion:
-        self.kinds.append(prompt.kind)
-        return self._inner.complete(prompt)
-
-
 def make_pool(primary=None, secondary=None, **kwargs) -> BackendPool:
     return BackendPool(
         [
@@ -83,27 +71,6 @@ class TestRoutedServing:
         assert answer["answer"]["sql"]
         assert pool["primary"].health.calls_failed > 0
         assert pool["secondary"].health.calls_ok > 0
-
-    def test_tenant_route_map_steers_kinds(
-        self, aep_catalog, sequential_ids
-    ):
-        cheap = TaggedModel()
-        pool = make_pool(secondary=cheap)
-        policy = TenantPolicy(
-            route_map=(("feedback_routing", "secondary"),)
-        )
-        app = make_app(
-            aep_catalog,
-            sequential_ids,
-            pool,
-            tenant_policies={"gold": policy},
-        )
-        client = ServeClient.in_process(app)
-        session = client.create_session(db="aep", tenant="gold")
-        client.ask(session["id"], "How many audiences are there?")
-        client.feedback(session["id"], "only the ones created in January")
-        assert "feedback_routing" in cheap.kinds
-        assert "nl2sql" not in cheap.kinds
 
     def test_statusz_and_readyz_report_backend_health(
         self, aep_catalog, sequential_ids

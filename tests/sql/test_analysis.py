@@ -1,18 +1,13 @@
-"""AST analysis: conjuncts, usage, spans, and the gold-vs-pred diff."""
+"""AST analysis: conjuncts, table usage, and the gold-vs-pred diff."""
 
 from repro.sql import ast
 from repro.sql.analysis import (
-    clause_spans,
-    columns_used,
     conjuncts,
-    count_errors,
     diff_queries,
     join_conjuncts,
-    literals_used,
     tables_used,
 )
 from repro.sql.parser import parse_expression, parse_query
-from repro.sql.printer import print_select
 
 
 def deltas_of(gold_sql, pred_sql):
@@ -46,32 +41,6 @@ class TestUsage:
             "WHERE a IN (SELECT a FROM v)"
         )
         assert tables_used(q) == {"t", "u", "v"}
-
-    def test_columns_used(self):
-        q = parse_query("SELECT a FROM t WHERE b > 1 ORDER BY c")
-        assert columns_used(q) == {"a", "b", "c"}
-
-    def test_literals_used(self):
-        q = parse_query("SELECT a FROM t WHERE b > 1 AND c = 'x'")
-        values = [lit.value for lit in literals_used(q)]
-        assert sorted(map(str, values)) == ["1", "x"]
-
-
-class TestClauseSpans:
-    def test_spans_cover_whole_text(self):
-        select = parse_query(
-            "SELECT a FROM t WHERE b = 1 GROUP BY a ORDER BY a LIMIT 3"
-        )
-        text = print_select(select)
-        spans = clause_spans(select)
-        assert set(spans) == {"select", "from", "where", "group", "order", "limit"}
-        assert spans["select"].start == 0
-        assert spans["limit"].end == len(text)
-
-    def test_span_slice_contains_clause(self):
-        select = parse_query("SELECT a FROM t WHERE b = 1")
-        spans = clause_spans(select)
-        assert "WHERE b = 1" in spans["where"].slice(print_select(select))
 
 
 class TestSelectDiff:
@@ -187,4 +156,4 @@ class TestOtherDiffs:
     def test_count_errors(self):
         gold = parse_query("SELECT name FROM t WHERE status = 'a' LIMIT 3")
         pred = parse_query("SELECT name, description FROM t")
-        assert count_errors(gold, pred) == 3
+        assert len(diff_queries(gold, pred)) == 3

@@ -5,10 +5,8 @@ import pytest
 from repro.errors import EditError
 from repro.sql import ast
 from repro.sql.edits import (
-    AddJoin,
     AddSelectItem,
     AddWhereConjunct,
-    CompositeEdit,
     RemoveSelectItem,
     RemoveWhereConjunct,
     ReplaceAggregate,
@@ -245,32 +243,11 @@ class TestClauseEdits:
         with pytest.raises(EditError):
             ReplaceTable(old="x", new="y").apply(q("SELECT a FROM t"))
 
-    def test_add_join(self):
-        out = apply(
-            AddJoin(
-                table="u",
-                condition=parse_expression("t.id = u.id"),
-            ),
-            "SELECT a FROM t",
-        )
-        assert out == "SELECT a FROM t JOIN u ON t.id = u.id"
-
     def test_replace_query(self):
         replacement = q("SELECT b FROM u")
         assert apply(ReplaceQuery(new_query=replacement), "SELECT a FROM t") == (
             "SELECT b FROM u"
         )
-
-    def test_composite(self):
-        op = CompositeEdit(
-            operations=[
-                SetDistinct(True),
-                SetLimit(3),
-            ]
-        )
-        out = apply(op, "SELECT a FROM t")
-        assert out == "SELECT DISTINCT a FROM t LIMIT 3"
-        assert "distinct" in op.describe()
 
 
 class TestDescriptions:
@@ -290,7 +267,6 @@ class TestDescriptions:
             SetLimit(1),
             SetDistinct(True),
             ReplaceTable(old="a", new="b"),
-            AddJoin(table="u", condition=parse_expression("a = b")),
             ReplaceQuery(new_query=q("SELECT 1")),
         ]
         for op in ops:

@@ -1,15 +1,37 @@
 """Determinism helpers, CLI, and example-script smoke tests."""
 
+import argparse
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.cli import _build_parser
 from repro.cli import main as cli_main
+from repro.serve import ServeClient
+from repro.serve.protocol import json_decode
 from repro.util import stable_choice, stable_fraction
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rejected(capsys, argv) -> str:
+    """Run ``argv``, expect a usage error (exit 2), and return its stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.fixture
+def no_build_context(monkeypatch):
+    """Fail the test if a command gets as far as building its context."""
+
+    def refuse(**_kwargs):
+        raise AssertionError("build_context ran")
+
+    monkeypatch.setattr("repro.cli.build_context", refuse)
 
 
 class TestStableFraction:
@@ -61,6 +83,19 @@ class TestCli:
     def test_bad_artifact_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["figure99"])
+
+    def test_chart_bars_carry_the_table_values(self, capsys):
+        assert cli_main(["run", "figure2", "--scale", "small"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert cli_main(["run", "figure2", "--scale", "small", "--chart"]) == 0
+        chart = capsys.readouterr().out.splitlines()
+        # Title, header and rule, then one row per dataset.
+        rows = [line.split("|") for line in table[3:] if line]
+        measured = {cells[0].strip(): cells[1].strip() for cells in rows}
+        bars = [line.split("|") for line in chart[1:] if line]
+        charted = {cells[0].strip(): cells[2].strip() for cells in bars}
+        assert charted == measured
+        assert all("\u2588" in cells[1] for cells in bars)
 
     def test_explicit_run_subcommand(self, capsys):
         # `fisql-repro run ...` and the bare-artifact alias are the same.
@@ -249,13 +284,17 @@ class TestCliDurabilityFlags:
                 ["run", "figure2", "--scale", "small", "--journal", journal_dir]
             )
 
-    def test_resume_without_journal_rejected(self):
-        with pytest.raises(SystemExit):
-            cli_main(["run", "figure2", "--scale", "small", "--resume"])
+    def test_resume_without_journal_rejected(self, capsys):
+        err = _rejected(
+            capsys, ["run", "figure2", "--scale", "small", "--resume"]
+        )
+        assert "--resume requires --journal" in err
 
-    def test_cache_max_requires_cache_dir(self):
-        with pytest.raises(SystemExit):
-            cli_main(["run", "figure2", "--scale", "small", "--cache-max", "5"])
+    def test_cache_max_requires_cache_dir(self, capsys):
+        err = _rejected(
+            capsys, ["run", "figure2", "--scale", "small", "--cache-max", "5"]
+        )
+        assert "--cache-max requires --cache-dir" in err
 
     def test_suite_dir_warm_start_stdout_identical(self, capsys, tmp_path):
         suite_dir = str(tmp_path / "suites")
@@ -288,13 +327,16 @@ class TestCliDurabilityFlags:
         stats_out, _ = self._run(capsys, ["cache", "stats", "--cache-dir", cache_dir])
         assert "entries: 0" in stats_out
 
-    def test_serve_overload_flag_validation(self):
-        with pytest.raises(SystemExit):
-            cli_main(["serve", "--max-inflight", "0"])
-        with pytest.raises(SystemExit):
-            cli_main(["serve", "--max-inflight-per-tenant", "0"])
-        with pytest.raises(SystemExit):
-            cli_main(["serve", "--request-deadline-ms", "0"])
+    def test_serve_overload_flag_validation(self, capsys):
+        assert "argument --max-inflight: must be >= 1: 0" in _rejected(
+            capsys, ["serve", "--max-inflight", "0"]
+        )
+        assert "argument --max-inflight-per-tenant: must be >= 1: 0" in (
+            _rejected(capsys, ["serve", "--max-inflight-per-tenant", "0"])
+        )
+        assert "argument --request-deadline-ms: must be > 0: 0.0" in _rejected(
+            capsys, ["serve", "--request-deadline-ms", "0"]
+        )
 
 
 class TestCliSemcacheFlags:
@@ -305,22 +347,24 @@ class TestCliSemcacheFlags:
         captured = capsys.readouterr()
         return captured.out, captured.err
 
-    def test_flag_validation(self):
-        with pytest.raises(SystemExit):
-            cli_main(
-                ["run", "figure2", "--semantic-cache-dir", "/tmp/x"]
-            )
-        with pytest.raises(SystemExit):
-            cli_main(["run", "figure2", "--semantic-cache-max", "5"])
-        with pytest.raises(SystemExit):
-            cli_main(
-                ["run", "figure2", "--semantic-cache",
-                 "--semantic-cache-max", "0"]
-            )
-        with pytest.raises(SystemExit):
-            cli_main(["serve", "--semantic-cache-dir", "/tmp/x"])
-        with pytest.raises(SystemExit):
-            cli_main(["cache", "stats"])
+    def test_flag_validation(self, capsys):
+        assert "--semantic-cache-dir requires --semantic-cache" in _rejected(
+            capsys, ["run", "figure2", "--semantic-cache-dir", "/tmp/x"]
+        )
+        assert "--semantic-cache-max requires --semantic-cache" in _rejected(
+            capsys, ["run", "figure2", "--semantic-cache-max", "5"]
+        )
+        assert "argument --semantic-cache-max: must be >= 1: 0" in _rejected(
+            capsys,
+            ["run", "figure2", "--semantic-cache",
+             "--semantic-cache-max", "0"],
+        )
+        assert "--semantic-cache-dir requires --semantic-cache" in _rejected(
+            capsys, ["serve", "--semantic-cache-dir", "/tmp/x"]
+        )
+        assert "pass --cache-dir and/or --semantic-cache-dir" in _rejected(
+            capsys, ["cache", "stats"]
+        )
 
     def test_flag_off_stays_byte_identical(self, capsys, tmp_path):
         """The load-bearing guarantee: runs WITHOUT the flag are unchanged
@@ -422,16 +466,17 @@ class TestCliConcurrencyFlags:
         captured = capsys.readouterr()
         return captured.out, captured.err
 
-    def test_semcache_ttl_flag_validation(self):
-        with pytest.raises(SystemExit):
-            cli_main(
-                ["run", "figure2", "--semantic-cache-ttl-s", "60"]
-            )
-        with pytest.raises(SystemExit):
-            cli_main(
+    def test_semcache_ttl_flag_validation(self, capsys):
+        assert "--semantic-cache-ttl-s requires --semantic-cache" in _rejected(
+            capsys, ["run", "figure2", "--semantic-cache-ttl-s", "60"]
+        )
+        assert "argument --semantic-cache-ttl-s: must be > 0: 0.0" in (
+            _rejected(
+                capsys,
                 ["run", "figure2", "--semantic-cache",
-                 "--semantic-cache-ttl-s", "0"]
+                 "--semantic-cache-ttl-s", "0"],
             )
+        )
 
     def test_journal_subcommand_stats_and_compact(self, capsys, tmp_path):
         journal_dir = str(tmp_path / "journal")
@@ -472,3 +517,128 @@ class TestCliConcurrencyFlags:
             cli_main(
                 ["journal", "compact", "--journal", str(tmp_path / "nope")]
             )
+
+
+#: One value just outside each flag's bound, and the bound's message.
+BOUND_CASES = [
+    (["run", "figure2", "--llm-retries", "-1"], "must be >= 0: -1"),
+    (["run", "figure2", "--llm-timeout", "0"], "must be > 0: 0.0"),
+    (["run", "figure2", "--workers", "0"], "must be >= 1: 0"),
+    (["run", "figure2", "--cache-max", "0"], "must be >= 1: 0"),
+    (["run", "figure2", "--hedge-after-ms", "-1"], "must be >= 0: -1.0"),
+    (["run", "figure2", "--probe-interval-ms", "0"], "must be > 0: 0.0"),
+    (["run", "figure2", "--semantic-cache-max", "0"], "must be >= 1: 0"),
+    (["run", "figure2", "--semantic-cache-ttl-s", "0"], "must be > 0: 0.0"),
+    (["serve", "--max-sessions", "0"], "must be >= 1: 0"),
+    (["serve", "--llm-retries", "-1"], "must be >= 0: -1"),
+    (["serve", "--llm-timeout", "0"], "must be > 0: 0.0"),
+    (["serve", "--max-inflight", "0"], "must be >= 1: 0"),
+    (["serve", "--max-inflight-per-tenant", "0"], "must be >= 1: 0"),
+    (["serve", "--request-deadline-ms", "0"], "must be > 0: 0.0"),
+    (["serve", "--cache-max", "0"], "must be >= 1: 0"),
+    (["serve", "--slo-latency-ms", "0"], "must be > 0: 0.0"),
+    (["serve", "--slo-target", "1"], "must be > 0 and < 1: 1.0"),
+    (["serve", "--slo-target", "0"], "must be > 0 and < 1: 0.0"),
+    (["serve", "--read-timeout-ms", "0"], "must be > 0: 0.0"),
+    (["serve", "--max-body-bytes", "0"], "must be >= 1: 0"),
+    (["serve", "--hedge-after-ms", "-1"], "must be >= 0: -1.0"),
+    (["serve", "--probe-interval-ms", "0"], "must be > 0: 0.0"),
+    (["serve", "--semantic-cache-max", "0"], "must be >= 1: 0"),
+    (["serve", "--semantic-cache-ttl-s", "0"], "must be > 0: 0.0"),
+]
+
+
+def _bounded_flags() -> set:
+    """(subcommand, flag) for every option whose type checks a range."""
+    parser = _build_parser()
+    (subcommands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        (name, action.option_strings[-1])
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        if getattr(action.type, "__qualname__", "").startswith("_bounded.")
+    }
+
+
+class TestCliFlagBounds:
+    """Each numeric bound is declared on its flag and checked at parse time."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        BOUND_CASES,
+        ids=[f"{argv[0]} {argv[-2]} {argv[-1]}" for argv, _ in BOUND_CASES],
+    )
+    def test_out_of_bound_value_exits_before_any_work(
+        self, argv, message, capsys, no_build_context
+    ):
+        err = _rejected(capsys, argv)
+        assert f"error: argument {argv[-2]}: {message}" in err
+
+    def test_every_bounded_flag_has_a_case(self):
+        cases = {(argv[0], argv[-2]) for argv, _ in BOUND_CASES}
+        assert cases == _bounded_flags()
+
+    def test_non_numbers_keep_argparse_wording(self, capsys):
+        err = _rejected(capsys, ["run", "figure2", "--workers", "two"])
+        assert "argument --workers: invalid int value: 'two'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "figure2", "--route-map", "nl2sql=a"],
+            ["serve", "--route-map", "nl2sql=a"],
+            ["serve", "--breaker-threshold", "5"],
+            ["serve", "--breaker-reset-ms", "30000"],
+            ["serve", "--drain-grace", "60"],
+            ["serve", "--log-max-bytes", "1024"],
+            ["top", "--once", "--interval", "2"],
+            ["top", "--once", "--timeout", "10"],
+            ["trace-summary", "trace.jsonl", "--depth", "1"],
+        ],
+    )
+    def test_deleted_flags_are_unrecognized(
+        self, argv, capsys, no_build_context
+    ):
+        err = _rejected(capsys, argv)
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+class TestCliServeFlags:
+    """serve's address, capacity, session directory and SLO target reach
+    the app it hands to the server."""
+
+    def test_flags_reach_the_app(self, monkeypatch, tmp_path):
+        session_dir = tmp_path / "sessions"
+        db = {"db": "experience_platform", "tenant": "acme"}
+        seen: dict = {}
+
+        def fake_run_server(app, **kwargs) -> int:
+            seen["host"] = kwargs["host"]
+            client = ServeClient.in_process(app)
+            first = client.create_session(**db)["id"]
+            client.create_session(**db)  # evicts the first: one resident
+            seen["saved"] = (session_dir / f"{first}.json").exists()
+            status, raw = client.request_raw(
+                "POST", "/sessions", dict(db, resume=first)
+            )
+            seen["resumed"] = (status, json_decode(raw).get("restored"))
+            client.ask(first, "How many audiences were created in January?")
+            tenants = client.statusz()["telemetry"]["tenants"]
+            seen["slo"] = tenants["acme"]["slo"]
+            return 0
+
+        monkeypatch.setattr("repro.serve.run_server", fake_run_server)
+        argv = [
+            "serve", "--scale", "small", "--host", "localhost", "--port", "0",
+            "--max-sessions", "1", "--session-dir", str(session_dir),
+            "--slo-target", "0.9",
+        ]
+        assert cli_main(argv) == 0
+        assert seen["host"] == "localhost"
+        assert seen["saved"]
+        assert seen["resumed"] == (201, True)
+        assert seen["slo"]["target"] == 0.9
