@@ -619,17 +619,23 @@ def _add_semcache_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_semcache(
+def _check_semcache_arguments(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-):
-    """Validate the semantic-cache flags and build the store (or None)."""
+) -> None:
+    """Reject semantic-cache options without ``--semantic-cache``."""
+    if args.semantic_cache:
+        return
+    if args.semantic_cache_dir is not None:
+        parser.error("--semantic-cache-dir requires --semantic-cache")
+    if args.semantic_cache_max is not None:
+        parser.error("--semantic-cache-max requires --semantic-cache")
+    if args.semantic_cache_ttl_s is not None:
+        parser.error("--semantic-cache-ttl-s requires --semantic-cache")
+
+
+def _build_semcache(args: argparse.Namespace):
+    """The semantic answer store, or None without ``--semantic-cache``."""
     if not args.semantic_cache:
-        if args.semantic_cache_dir is not None:
-            parser.error("--semantic-cache-dir requires --semantic-cache")
-        if args.semantic_cache_max is not None:
-            parser.error("--semantic-cache-max requires --semantic-cache")
-        if args.semantic_cache_ttl_s is not None:
-            parser.error("--semantic-cache-ttl-s requires --semantic-cache")
         return None
     from repro.semcache import SemanticAnswerCache
 
@@ -670,7 +676,8 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")
     _validate_backend_arguments(args, parser)
-    semcache = _build_semcache(args, parser)
+    _check_semcache_arguments(args, parser)
+    semcache = _build_semcache(args)
     try:
         llm = _build_llm(args)
     except ValueError as error:
@@ -884,7 +891,25 @@ def _cmd_serve(
         run_server,
     )
 
+    # Every check that can exit comes first, before anything an exit
+    # would leave behind: obs on, an open event log, a journal directory.
     _validate_backend_arguments(args, parser)
+    _check_semcache_arguments(args, parser)
+    pool = None
+    if args.backend:
+        from repro.llm.router import build_backend_pool, parse_backend_spec
+
+        try:
+            specs = [parse_backend_spec(text) for text in args.backend]
+            pool = build_backend_pool(
+                specs,
+                seed=args.seed,
+                default_retries=args.llm_retries,
+                default_deadline_ms=args.llm_timeout,
+                probe_interval_ms=args.probe_interval_ms,
+            )
+        except ValueError as error:
+            parser.error(str(error))
 
     # The server is instrumented from the start: /metrics renders the live
     # registry, and every request is spanned/counted. No span records are
@@ -904,22 +929,7 @@ def _cmd_serve(
         from repro.llm.dispatch import CompletionCache
 
         cache = CompletionCache(max_entries=args.cache_max)
-    semcache = _build_semcache(args, parser)
-    pool = None
-    if args.backend:
-        from repro.llm.router import build_backend_pool, parse_backend_spec
-
-        try:
-            specs = [parse_backend_spec(text) for text in args.backend]
-            pool = build_backend_pool(
-                specs,
-                seed=args.seed,
-                default_retries=args.llm_retries,
-                default_deadline_ms=args.llm_timeout,
-                probe_interval_ms=args.probe_interval_ms,
-            )
-        except ValueError as error:
-            parser.error(str(error))
+    semcache = _build_semcache(args)
     print(
         f"fisql-serve preloading context (scale={args.scale}, "
         f"seed={args.seed})..."

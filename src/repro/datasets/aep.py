@@ -12,9 +12,14 @@ closed-domain vocabulary + vague phrasing → far lower zero-shot accuracy.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
-from repro.datasets.base import Benchmark, Demonstration, Example
+from repro.datasets.base import (
+    Benchmark,
+    Demonstration,
+    Example,
+    month_range,
+    results_differ,
+)
 from repro.datasets.names import CURRENT_YEAR, MODEL_DEFAULT_YEAR, MONTH_NAMES
 from repro.errors import DatasetError
 from repro.sql.engine import Database
@@ -270,7 +275,7 @@ class AepGenerator:
                 continue
             question, gold, hardness, trap_kind, trap_meta = built
             foil = trap_meta.get("foil_sql")
-            if foil and not _results_differ(database, gold, foil):
+            if foil and not results_differ(database, gold, foil):
                 continue
             examples.append(
                 Example(
@@ -317,7 +322,7 @@ class AepGenerator:
         if template == 2:
             month = rng.randint(1, 12)
             year = rng.choice((2023, CURRENT_YEAR))
-            start, end = _month_range(year, month)
+            start, end = month_range(year, month)
             return (
                 f"How many {entity}s were created in "
                 f"{MONTH_NAMES[month - 1]} {year}?",
@@ -456,7 +461,7 @@ class AepGenerator:
         table, _name_col = _ENTITY_TABLES[entity]
         noun = "audiences" if entity == "segment" and rng.random() < 0.6 else f"{entity}s"
         month = rng.randint(1, 12)
-        start, end = _month_range(CURRENT_YEAR, month)
+        start, end = month_range(CURRENT_YEAR, month)
         question = (
             f"How many {noun} were created in {MONTH_NAMES[month - 1]}?"
         )
@@ -464,7 +469,7 @@ class AepGenerator:
             f"SELECT COUNT(*) FROM {table} WHERE createdtime >= '{start}' "
             f"AND createdtime < '{end}'"
         )
-        foil_start, foil_end = _month_range(MODEL_DEFAULT_YEAR, month)
+        foil_start, foil_end = month_range(MODEL_DEFAULT_YEAR, month)
         trap_meta = {
             "intended_year": CURRENT_YEAR,
             "assumed_year": MODEL_DEFAULT_YEAR,
@@ -504,7 +509,7 @@ class AepGenerator:
         table, name_col = _ENTITY_TABLES[entity]
         month = rng.randint(1, 12)
         year = rng.choice((2023, CURRENT_YEAR))
-        start, end = _month_range(year, month)
+        start, end = month_range(year, month)
         question = (
             f"List the {entity}s created in {MONTH_NAMES[month - 1]} {year}."
         )
@@ -531,8 +536,8 @@ class AepGenerator:
         table, name_col = _ENTITY_TABLES[entity]
         noun = "audiences" if entity == "segment" else "journeys"
         month = rng.randint(1, 12)
-        start, end = _month_range(CURRENT_YEAR, month)
-        foil_start, foil_end = _month_range(MODEL_DEFAULT_YEAR, month)
+        start, end = month_range(CURRENT_YEAR, month)
+        foil_start, foil_end = month_range(MODEL_DEFAULT_YEAR, month)
         question = f"List the {noun} created in {MONTH_NAMES[month - 1]}."
         gold = (
             f"SELECT {name_col} FROM {table} WHERE createdtime >= '{start}' "
@@ -612,28 +617,6 @@ class AepGenerator:
             ),
         ]
         return demos
-
-
-def _results_differ(database: Database, gold_sql: str, foil_sql: str) -> bool:
-    """True when the foil query's result differs from gold's."""
-    from repro.sql.comparison import query_is_ordered, results_match
-    from repro.sql.parser import parse_query
-
-    gold_ast = parse_query(gold_sql)
-    foil_ast = parse_query(foil_sql)
-    gold_result = database.execute_ast(gold_ast)
-    foil_result = database.execute_ast(foil_ast)
-    ordered = query_is_ordered(gold_ast)
-    return not results_match(gold_result, foil_result, ordered=ordered)
-
-
-def _month_range(year: int, month: int) -> tuple[str, str]:
-    start = f"{year:04d}-{month:02d}-01"
-    if month == 12:
-        end = f"{year + 1:04d}-01-01"
-    else:
-        end = f"{year:04d}-{month + 1:02d}-01"
-    return start, end
 
 
 def generate_aep_suite(

@@ -1,4 +1,5 @@
-"""Dataset containers: examples, benchmarks, and JSON serialization."""
+"""Dataset containers: examples, benchmarks, and JSON serialization, plus
+the helpers both suite generators share."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.errors import DatasetError
+from repro.sql.comparison import query_is_ordered, results_match
 from repro.sql.engine import Database
+from repro.sql.parser import parse_query
 
 
 @dataclass
@@ -123,3 +126,23 @@ def demonstrations_from_examples(
             )
         )
     return demos
+
+
+def results_differ(database: Database, gold_sql: str, foil_sql: str) -> bool:
+    """True when the foil query's result differs from gold's."""
+    gold_ast = parse_query(gold_sql)
+    foil_ast = parse_query(foil_sql)
+    gold_result = database.execute_ast(gold_ast)
+    foil_result = database.execute_ast(foil_ast)
+    ordered = query_is_ordered(gold_ast)
+    return not results_match(gold_result, foil_result, ordered=ordered)
+
+
+def month_range(year: int, month: int) -> tuple[str, str]:
+    """[start, end) ISO dates covering one month."""
+    start = f"{year:04d}-{month:02d}-01"
+    if month == 12:
+        end = f"{year + 1:04d}-01-01"
+    else:
+        end = f"{year:04d}-{month + 1:02d}-01"
+    return start, end

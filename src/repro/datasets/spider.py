@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.datasets.base import Benchmark, Example
+from repro.datasets.base import Benchmark, Example, month_range, results_differ
 from repro.datasets.names import (
     CURRENT_YEAR,
     ENTITY_CATEGORIES,
@@ -598,7 +598,7 @@ class SpiderGenerator:
         spec = rng.choice(meta.attr("date"))
         month = rng.randint(1, 12)
         year = rng.choice((2023, CURRENT_YEAR))
-        start, end = _month_range(year, month)
+        start, end = month_range(year, month)
         question = (
             f"How many {meta.plural} were created in "
             f"{MONTH_NAMES[month - 1]} {year}?"
@@ -648,7 +648,7 @@ class SpiderGenerator:
         # actually produce a different execution result; otherwise the
         # planted error would be invisible to execution accuracy.
         foil_sql = meta_dict.get("foil_sql")
-        if foil_sql and not _results_differ(gdb.database, gold_sql, foil_sql):
+        if foil_sql and not results_differ(gdb.database, gold_sql, foil_sql):
             raise DatasetError("trap foil does not change the result")
         return Example(
             example_id=f"spider-{split}-{index:05d}",
@@ -715,7 +715,7 @@ class SpiderGenerator:
             return None
         spec = rng.choice(meta.attr("date"))
         month = rng.randint(1, 12)
-        start, end = _month_range(CURRENT_YEAR, month)
+        start, end = month_range(CURRENT_YEAR, month)
         question = (
             f"How many {meta.plural} were created in {MONTH_NAMES[month - 1]}?"
         )
@@ -723,7 +723,7 @@ class SpiderGenerator:
             f"SELECT COUNT(*) FROM {meta.table.name} "
             f"WHERE {spec.column} >= '{start}' AND {spec.column} < '{end}'"
         )
-        foil_start, foil_end = _month_range(MODEL_DEFAULT_YEAR, month)
+        foil_start, foil_end = month_range(MODEL_DEFAULT_YEAR, month)
         foil = (
             f"SELECT COUNT(*) FROM {meta.table.name} "
             f"WHERE {spec.column} >= '{foil_start}' AND "
@@ -875,8 +875,8 @@ class SpiderGenerator:
             meta = rng.choice(dated)
             spec = rng.choice(meta.attr("date"))
             month = rng.randint(1, 12)
-            start, end = _month_range(CURRENT_YEAR, month)
-            foil_start, foil_end = _month_range(MODEL_DEFAULT_YEAR, month)
+            start, end = month_range(CURRENT_YEAR, month)
+            foil_start, foil_end = month_range(MODEL_DEFAULT_YEAR, month)
             question = (
                 f"List the {meta.plural} created in {MONTH_NAMES[month - 1]}."
             )
@@ -934,29 +934,6 @@ class SpiderGenerator:
         )
         gold = f"SELECT SUM({spec.column}) FROM {meta.table.name}"
         return question, gold, "medium", {"column": spec.column}
-
-
-def _results_differ(database, gold_sql: str, foil_sql: str) -> bool:
-    """True when the foil query's result differs from gold's."""
-    from repro.sql.comparison import query_is_ordered, results_match
-    from repro.sql.parser import parse_query
-
-    gold_ast = parse_query(gold_sql)
-    foil_ast = parse_query(foil_sql)
-    gold_result = database.execute_ast(gold_ast)
-    foil_result = database.execute_ast(foil_ast)
-    ordered = query_is_ordered(gold_ast)
-    return not results_match(gold_result, foil_result, ordered=ordered)
-
-
-def _month_range(year: int, month: int) -> tuple[str, str]:
-    """[start, end) ISO dates covering one month."""
-    start = f"{year:04d}-{month:02d}-01"
-    if month == 12:
-        end = f"{year + 1:04d}-01-01"
-    else:
-        end = f"{year:04d}-{month + 1:02d}-01"
-    return start, end
 
 
 def generate_spider_suite(

@@ -705,10 +705,13 @@ def parse_backend_spec(text: str) -> BackendSpec:
     return BackendSpec(name=name, kind=kind, options=tuple(options))
 
 
-def _spec_float(spec: BackendSpec, key: str) -> Optional[float]:
+def _spec_float(
+    spec: BackendSpec, key: str, default: Optional[float] = None
+) -> Optional[float]:
+    """The option as a float, or ``default`` when the spec omits it."""
     raw = spec.option(key)
     if raw is None:
-        return None
+        return default
     try:
         return float(raw)
     except ValueError:
@@ -717,10 +720,13 @@ def _spec_float(spec: BackendSpec, key: str) -> Optional[float]:
         ) from None
 
 
-def _spec_int(spec: BackendSpec, key: str) -> Optional[int]:
+def _spec_int(
+    spec: BackendSpec, key: str, default: Optional[int] = None
+) -> Optional[int]:
+    """The option as an int, or ``default`` when the spec omits it."""
     raw = spec.option(key)
     if raw is None:
-        return None
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -775,31 +781,28 @@ def build_backend_pool(
                 base_url=spec.option("base-url"),  # validated by the parser
                 model=spec.option("model", DEFAULT_MODEL),
                 api_key=spec.option("api-key"),
-                timeout_s=_spec_float(spec, "timeout-s") or 30.0,
+                timeout_s=_spec_float(spec, "timeout-s", 30.0),
             )
         fault = spec.option("fault")
         if fault is not None:
             profile = resolve_fault_profile(
-                fault, seed=_spec_int(spec, "fault-seed") or seed
+                fault, seed=_spec_int(spec, "fault-seed", seed)
             )
             inner = FaultInjectingChatModel(inner, profile)
         breaker = CircuitBreaker(
-            failure_threshold=_spec_int(spec, "breaker-threshold") or 5,
-            reset_after_ms=_spec_float(spec, "breaker-reset-ms")
-            or default_breaker_reset_ms,
+            failure_threshold=_spec_int(spec, "breaker-threshold", 5),
+            reset_after_ms=_spec_float(
+                spec, "breaker-reset-ms", default_breaker_reset_ms
+            ),
             clock=clock,
             name=spec.name,
             labels=dict(labels or {}, backend=spec.name),
         )
-        retries = _spec_int(spec, "retries")
-        deadline = _spec_float(spec, "deadline-ms")
         stack = ResilientChatModel(
             inner,
             retry=RetryPolicy(
-                max_retries=retries if retries is not None else default_retries,
-                deadline_ms=deadline
-                if deadline is not None
-                else default_deadline_ms,
+                max_retries=_spec_int(spec, "retries", default_retries),
+                deadline_ms=_spec_float(spec, "deadline-ms", default_deadline_ms),
                 seed=seed,
             ),
             breaker=breaker,

@@ -189,13 +189,15 @@ def _render_sql(snapshot: dict) -> str:
     parsed = _counter_total(snapshot, "sql.parse.misses")
     parse_failures = _counter_total(snapshot, "sql.parse.failures")
     execute_calls = _counter_total(snapshot, "sql.execute.calls")
+    executed = _counter_total(snapshot, "sql.execute.misses")
     execute_failures = _counter_total(snapshot, "sql.execute.failures")
     if not parse_calls and not execute_calls:
         return "(no SQL activity recorded)"
     lines = [
         f"parse: {_int(parse_calls)} calls, {_int(parsed)} parsed, "
         f"{_int(parse_failures)} failures",
-        f"execute: {_int(execute_calls)} calls, {_int(execute_failures)} failures",
+        f"execute: {_int(execute_calls)} calls, {_int(executed)} run, "
+        f"{_int(execute_failures)} failures",
     ]
     latency = _histogram(snapshot, "sql.execute.latency_ms", {})
     if latency and latency["count"]:

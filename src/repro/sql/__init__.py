@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sql import Database, parse_query, print_query, execution_match
+    from repro.sql import Database, parse_query, print_query
 
     db = Database.from_ddl("demo", "CREATE TABLE t (id INTEGER, name TEXT)")
     db.execute("INSERT INTO t VALUES (1, 'a')")
@@ -10,7 +10,6 @@ Public surface::
 """
 
 from repro.sql.comparison import (
-    execution_match,
     query_is_ordered,
     results_match,
     summarize_result,
@@ -39,7 +38,6 @@ __all__ = [
     "Table",
     "database_from_dict",
     "database_to_dict",
-    "execution_match",
     "load_database",
     "save_database",
     "parse_expression",

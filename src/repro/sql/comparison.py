@@ -106,32 +106,6 @@ def query_is_ordered(query: ast.Query) -> bool:
     return False
 
 
-def execution_match(
-    database,
-    gold_sql: str,
-    predicted_sql: str,
-    float_tol: float = 1e-6,
-) -> bool:
-    """Execute both queries and compare results.
-
-    A predicted query that fails to parse or execute counts as incorrect
-    (returns False); a *gold* failure raises, because that indicates a bug in
-    the dataset rather than in the prediction.
-    """
-    from repro.errors import SqlError
-    from repro.sql.parser import parse_query
-
-    gold_ast = parse_query(gold_sql)
-    gold_result = database.execute_ast(gold_ast)
-    try:
-        predicted_ast = parse_query(predicted_sql)
-        predicted_result = database.execute_ast(predicted_ast)
-    except SqlError:
-        return False
-    ordered = query_is_ordered(gold_ast)
-    return results_match(gold_result, predicted_result, ordered, float_tol)
-
-
 def summarize_result(result: QueryResult, max_rows: int = 5) -> str:
     """Human-readable sketch of a result set (used in Assistant replies)."""
     if not result.rows:

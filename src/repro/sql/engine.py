@@ -14,13 +14,19 @@ stays :class:`~repro.sql.schema.DatabaseSchema`, and rows enter through
 :class:`~repro.sql.storage.TableData`, which coerces them to the declared
 types. Every ``sqlite3`` error surfaces as a :class:`~repro.errors.SqlError`
 subclass, so a prediction that fails to run counts as wrong.
+
+Each connection memoizes query results by the SQL text SQLite runs, and
+every write through it clears them (DESIGN.md, "Each query runs once per
+database state").
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 import sqlite3
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -40,6 +46,26 @@ from repro.sql.types import DataType, SqlValue
 #: "Why SQL runs on sqlite3"); the statements that repeat back to back
 #: are a table's single-row INSERTs, which one slot serves.
 STATEMENT_CACHE_SIZE = 1
+
+#: How many query results each connection keeps (least recently used
+#: first out). After set-up and a full sweep the AEP database holds 129
+#: and no SPIDER database more than 20, so a sweep never evicts.
+RESULT_MEMO_SIZE = 256
+
+#: A call to a function SQLite may answer differently each time it runs.
+#: The printer writes every call as ``NAME(`` in upper case, so a query
+#: whose text matches is never memoized; a string literal that spells
+#: one only costs the store.
+_VOLATILE_CALL = re.compile(
+    r"\b(?:RANDOM|RANDOMBLOB|CHANGES|LAST_INSERT_ROWID|TOTAL_CHANGES"
+    r"|DATE|TIME|DATETIME|JULIANDAY|UNIXEPOCH|STRFTIME)\("
+)
+
+#: Errors a statement can raise besides ``sqlite3.Error``: an int beyond
+#: 64 bits in a row, or a lone surrogate in the SQL text.
+_SQLITE_ERRORS = (sqlite3.Error, OverflowError, UnicodeEncodeError)
+
+Row = tuple[SqlValue, ...]
 
 #: The SQLite column type each declared type is stored as. An INTEGER
 #: primary key becomes ``INTEGER PRIMARY KEY``, the rowid itself, so SQLite
@@ -95,9 +121,13 @@ class Connection:
     Serve threads and ``--workers`` shards share a suite's databases, so
     the connection is opened with ``check_same_thread=False`` and each
     statement runs, with its rows fetched, while holding the lock.
+
+    :meth:`query` memoizes a query's rows by its SQL text, up to
+    :data:`RESULT_MEMO_SIZE` texts. Every statement that changes the
+    database goes through :meth:`write`, which clears the memo.
     """
 
-    __slots__ = ("_connection", "_lock")
+    __slots__ = ("_connection", "_lock", "_results", "_writes")
 
     def __init__(self) -> None:
         self._connection = sqlite3.connect(
@@ -107,19 +137,62 @@ class Connection:
             cached_statements=STATEMENT_CACHE_SIZE,
         )
         self._lock = threading.Lock()
+        self._results: OrderedDict[str, tuple[Row, ...]] = OrderedDict()
+        self._writes = 0
 
-    def run(
-        self, sql: str, params: Sequence[SqlValue] = ()
-    ) -> tuple[list[tuple[SqlValue, ...]], int]:
-        """Execute one statement: (fetched rows, rows affected)."""
+    def query(self, sql: str, ordered: bool) -> list[Row]:
+        """The rows of the query ``sql``, sorted by
+        :func:`~repro.sql.comparison.row_sort_key` unless ``ordered``.
+
+        Answered from the memo when ``sql`` ran since the last write. A
+        miss counts ``sql.execute.misses``. A failing query is not
+        memoized, nor is one that calls a volatile function. The rows
+        are stored only if no write ran while they were fetched.
+        """
         with self._lock:
-            try:
-                cursor = self._connection.execute(sql, params)
-                return cursor.fetchall(), cursor.rowcount
-            # Besides sqlite3.Error: an int beyond 64 bits in the row, or a
-            # lone surrogate in the SQL text.
-            except (sqlite3.Error, OverflowError, UnicodeEncodeError) as exc:
-                raise _sql_error(exc) from exc
+            rows = self._results.get(sql)
+            if rows is not None:
+                self._results.move_to_end(sql)
+            writes = self._writes
+        if rows is not None:
+            return list(rows)
+        obs.count("sql.execute.misses")
+        fetched = self.fetch(sql)
+        if not ordered:
+            fetched.sort(key=row_sort_key)
+        if _VOLATILE_CALL.search(sql) is None:
+            stored = tuple(fetched)
+            with self._lock:
+                if self._writes == writes:
+                    self._results[sql] = stored
+                    if len(self._results) > RESULT_MEMO_SIZE:
+                        self._results.popitem(last=False)
+        return fetched
+
+    def fetch(self, sql: str) -> list[Row]:
+        """Run a statement that changes nothing and return its rows."""
+        with self._lock:
+            return self._run(sql, ())[0]
+
+    def write(self, sql: str, params: Sequence[SqlValue] = ()) -> int:
+        """Run a statement that changes the database: rows affected.
+
+        Clears the memo first, so no later query sees rows from before.
+        """
+        with self._lock:
+            self._writes += 1
+            self._results.clear()
+            return self._run(sql, params)[1]
+
+    def _run(
+        self, sql: str, params: Sequence[SqlValue]
+    ) -> tuple[list[Row], int]:
+        """(fetched rows, rows affected); the caller holds the lock."""
+        try:
+            cursor = self._connection.execute(sql, params)
+            return cursor.fetchall(), cursor.rowcount
+        except _SQLITE_ERRORS as exc:
+            raise _sql_error(exc) from exc
 
 
 def _sql_error(exc: Exception) -> SqlError:
@@ -157,7 +230,7 @@ class Database:
             if column is key:
                 piece += " PRIMARY KEY"
             pieces.append(piece)
-        self._connection.run(
+        self._connection.write(
             f"CREATE TABLE {quote_identifier(table.name)} ({', '.join(pieces)})"
         )
         self._data[table.key] = TableData(table, self._connection)
@@ -207,30 +280,32 @@ class Database:
         A query with no top-level ORDER BY returns its rows sorted by
         :func:`~repro.sql.comparison.row_sort_key`, so its row order
         depends on neither the engine nor the order rows were inserted in.
+        SQLite runs a query only the first time its text arrives after a
+        write (:meth:`Connection.query`); every call still gets its own
+        :class:`QueryResult`.
         """
         if not obs.is_enabled():
             return self._execute_ast(statement)
+        obs.count("sql.execute.calls")
         with obs.timer("sql.execute.latency_ms"):
             try:
-                result = self._execute_ast(statement)
+                return self._execute_ast(statement)
             except Exception:
                 obs.count("sql.execute.failures")
                 raise
-        obs.count("sql.execute.calls")
-        return result
 
     def _execute_ast(self, statement: ast.Statement) -> ExecuteResult:
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            rows, _ = self._connection.run(print_query(_runnable(statement)))
-            if not query_is_ordered(statement):
-                rows.sort(key=row_sort_key)
+            rows = self._connection.query(
+                print_query(_runnable(statement)), query_is_ordered(statement)
+            )
             return QueryResult(columns=self._column_names(statement), rows=rows)
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.Insert):
             return self._insert(statement)
         if isinstance(statement, (ast.Update, ast.Delete)):
-            _, affected = self._connection.run(print_statement(statement))
+            affected = self._connection.write(print_statement(statement))
             return DmlResult(rows_affected=affected)
         if isinstance(statement, ast.DropTable):
             return self._drop_table(statement)
@@ -323,7 +398,7 @@ class Database:
         rest."""
         if all(isinstance(expr, ast.Literal) for expr in exprs):
             return [expr.value for expr in exprs]
-        rows, _ = self._connection.run(
+        rows = self._connection.fetch(
             "SELECT " + ", ".join(print_expression(expr) for expr in exprs)
         )
         return list(rows[0])
@@ -336,7 +411,7 @@ class Database:
             raise CatalogError(
                 f"database {self.schema.name!r} has no table {stmt.name!r}"
             )
-        self._connection.run(f"DROP TABLE {quote_identifier(stmt.name)}")
+        self._connection.write(f"DROP TABLE {quote_identifier(stmt.name)}")
         self.schema.drop_table(stmt.name)
         del self._data[key]
         return DmlResult(rows_affected=0)

@@ -2,7 +2,8 @@
 
 A row enters through :meth:`TableData.insert`: the storage layer checks the
 column count and coerces each value to its declared type; SQLite stores the
-row and enforces primary-key uniqueness.
+row and enforces primary-key uniqueness. Each row is a write on the
+database's connection, so it clears the connection's result memo.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class TableData:
     def rows(self) -> list[tuple[SqlValue, ...]]:
         """Every row in rowid order: insertion order, or key order for a
         table with an INTEGER primary key."""
-        return self._connection.run(self._select_sql)[0]
+        return self._connection.fetch(self._select_sql)
 
     def insert(self, values: Sequence[SqlValue]) -> None:
         """Insert one row given values in declaration order."""
@@ -63,7 +64,7 @@ class TableData:
             raise ExecutionError(
                 f"NULL primary key in table {self.table.name!r}"
             )
-        self._connection.run(self._insert_sql, row)
+        self._connection.write(self._insert_sql, row)
 
     def insert_named(self, values: dict[str, SqlValue]) -> None:
         """Insert a row given a column-name → value mapping.
@@ -88,4 +89,4 @@ class TableData:
         return position
 
     def __len__(self) -> int:
-        return self._connection.run(self._count_sql)[0][0][0]
+        return self._connection.fetch(self._count_sql)[0][0]

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import (
     CircuitOpenError,
     LLMError,
@@ -302,6 +303,54 @@ class TestParsers:
 
 
 class TestBuildBackendPool:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("a=simulated,breaker-threshold=0", "failure_threshold must be >= 1"),
+            ("a=simulated,breaker-reset-ms=0", "reset_after_ms must be > 0"),
+            (
+                "a=http,base-url=http://127.0.0.1:9/v1,timeout-s=0",
+                "timeout_s must be > 0",
+            ),
+        ],
+    )
+    def test_an_explicit_zero_reaches_the_constructor_check(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            build_backend_pool([parse_backend_spec(spec)])
+
+    @pytest.mark.parametrize(
+        "command", [["run", "table2", "--scale", "small"], ["serve"]]
+    )
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("breaker-threshold=0", "failure_threshold must be >= 1: 0"),
+            ("breaker-reset-ms=0", "reset_after_ms must be > 0: 0.0"),
+        ],
+    )
+    def test_the_cli_rejects_an_explicit_zero(
+        self, capsys, monkeypatch, command, option, message
+    ):
+        def refuse(**_kwargs):
+            raise AssertionError("build_context ran")
+
+        monkeypatch.setattr("repro.cli.build_context", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(command + ["--backend", f"a=simulated,{option}"])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_fault_seed_zero_seeds_the_fault_plan_with_zero(self):
+        pool = build_backend_pool(
+            [
+                parse_backend_spec("a=simulated,fault=outage,fault-seed=0"),
+                parse_backend_spec("b=simulated,fault=outage"),
+            ],
+            seed=7,
+        )
+        assert pool["a"].model.inner.profile.seed == 0
+        assert pool["b"].model.inner.profile.seed == 7
+
     def test_builds_isolated_breaker_per_backend(self):
         clock = FakeClock()
         pool = build_backend_pool(

@@ -8,6 +8,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
+from repro.eval import harness
 from repro.obs.reporting import render_run_report
 from repro.sql import parser
 
@@ -25,9 +26,11 @@ class TestCliMetrics:
         assert "LLM calls by prompt kind" in out
         assert "SQL parse/execute" in out
 
-    def test_table2_small_metrics_full_report(self, capsys):
-        # A cold parse memo, as in a fresh process.
+    def test_table2_small_metrics_full_report(self, capsys, monkeypatch):
+        # Cold parse and result memos, as in a fresh process: the result
+        # memo lives in each database, so the suites are built anew.
         parser._parse_query.cache_clear()
+        monkeypatch.setattr(harness, "_CONTEXT_CACHE", {})
         exit_code = cli_main(["table2", "--scale", "small", "--metrics"])
         assert exit_code == 0
         out = capsys.readouterr().out
@@ -47,7 +50,11 @@ class TestCliMetrics:
         assert parse is not None, out
         calls, parsed, _failures = map(int, parse.groups())
         assert 0 < parsed < calls
-        assert "execute:" in out
+        # The result memo runs each query once per database state.
+        execute = re.search(r"execute: (\d+) calls, (\d+) run, (\d+) failures", out)
+        assert execute is not None, out
+        calls, run, _failures = map(int, execute.groups())
+        assert 0 < run < calls
 
     def test_no_flags_prints_no_report_and_stays_disabled(self, capsys):
         exit_code = cli_main(["figure2", "--scale", "small"])
@@ -182,6 +189,25 @@ class TestRunReportRendering:
             }
         )
         assert "parse: 10 calls, 4 parsed, 1 failures" in report
+
+    def test_execute_line_reports_calls_run_and_failures(self):
+        counters = {
+            "sql.execute.calls": 10,
+            "sql.execute.misses": 3,
+            "sql.execute.failures": 1,
+        }
+        report = render_run_report(
+            {
+                "enabled": True,
+                "counters": [
+                    {"name": name, "labels": {}, "value": value}
+                    for name, value in counters.items()
+                ],
+                "histograms": [],
+                "spans": [],
+            }
+        )
+        assert "execute: 10 calls, 3 run, 1 failures" in report
 
     def test_routing_shares_sum_to_100(self):
         snapshot = {

@@ -1,7 +1,7 @@
 """Execution-accuracy comparison semantics."""
 
+from repro.eval.metrics import execution_correct
 from repro.sql.comparison import (
-    execution_match,
     normalize_row,
     query_is_ordered,
     result_fingerprint,
@@ -82,31 +82,31 @@ class TestOrderedDetection:
 
 class TestExecutionMatch:
     def test_matching_queries(self, music_db):
-        assert execution_match(
+        assert execution_correct(
             music_db,
             "SELECT Name FROM singer WHERE Age > 40",
             "SELECT Name FROM singer WHERE Age >= 41",
         )
 
     def test_mismatching_queries(self, music_db):
-        assert not execution_match(
+        assert not execution_correct(
             music_db,
             "SELECT Name FROM singer WHERE Age > 40",
             "SELECT Name FROM singer",
         )
 
     def test_predicted_parse_error_is_incorrect(self, music_db):
-        assert not execution_match(
+        assert not execution_correct(
             music_db, "SELECT COUNT(*) FROM singer", "SELEC oops"
         )
 
     def test_predicted_execution_error_is_incorrect(self, music_db):
-        assert not execution_match(
+        assert not execution_correct(
             music_db, "SELECT COUNT(*) FROM singer", "SELECT x FROM nothere"
         )
 
     def test_order_sensitive_when_gold_ordered(self, music_db):
-        assert not execution_match(
+        assert not execution_correct(
             music_db,
             "SELECT Name FROM singer ORDER BY Age",
             "SELECT Name FROM singer ORDER BY Age DESC",

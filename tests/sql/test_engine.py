@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.errors import CatalogError, ExecutionError, SqlError, TypeMismatchError
-from repro.sql.comparison import execution_match
+from repro.eval.metrics import execution_correct
 from repro.sql.engine import Database, DmlResult, _split_statements
 from repro.sql.schema import Column, DatabaseSchema, Table
 from repro.sql.types import DataType
@@ -215,10 +215,10 @@ class TestSqliteFacade:
     def test_a_prediction_that_fails_to_run_counts_as_wrong(self, db):
         db.execute("INSERT INTO item VALUES (1, 'pen', 2.5)")
         gold = "SELECT name FROM item"
-        assert execution_match(db, gold, "SELECT name FROM item")
-        assert not execution_match(db, gold, "SELECT FROBNICATE(name) FROM item")
+        assert execution_correct(db, gold, "SELECT name FROM item")
+        assert not execution_correct(db, gold, "SELECT FROBNICATE(name) FROM item")
         with pytest.raises(SqlError):
-            execution_match(db, "SELECT nope FROM item", gold)
+            execution_correct(db, "SELECT nope FROM item", gold)
 
     def test_duplicate_key_raises_execution_error(self, db):
         db.data("item").insert((1, "pen", 1.0))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.cli import _build_parser
 from repro.cli import main as cli_main
 from repro.serve import ServeClient
@@ -337,6 +338,26 @@ class TestCliDurabilityFlags:
         assert "argument --request-deadline-ms: must be > 0: 0.0" in _rejected(
             capsys, ["serve", "--request-deadline-ms", "0"]
         )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--semantic-cache-dir", "semcache"], "requires --semantic-cache"),
+            (
+                ["--backend", "a=simulated,breaker-threshold=0"],
+                "failure_threshold must be >= 1: 0",
+            ),
+        ],
+    )
+    def test_serve_flag_error_leaves_nothing_behind(
+        self, capsys, tmp_path, flags, message, no_build_context
+    ):
+        journal = tmp_path / "journal"
+        log_dir = tmp_path / "events"
+        argv = ["serve", "--journal", str(journal), "--log-dir", str(log_dir)]
+        assert message in _rejected(capsys, argv + flags)
+        assert not obs.is_enabled()
+        assert not journal.exists() and not log_dir.exists()
 
 
 class TestCliSemcacheFlags:
