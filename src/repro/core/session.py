@@ -9,10 +9,17 @@ demonstration set instead. ``correct`` runs up to N rounds against a
 simulated annotator, where ``highlights=True`` lets the user attach a
 SQL-span highlight to ground the feedback (Table 3); chat sessions call
 ``revise`` with a real user's feedback.
+
+A pipeline keeps the record of every round ``correct`` has run, keyed by
+everything the round reads, so a session that repeats an earlier one
+(Table 3's plain cells, Figure 8's first round) reuses its rounds
+(DESIGN.md, "Each correction round and retrieval runs once per context").
 """
 
 from __future__ import annotations
 
+import dataclasses
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,6 +117,10 @@ class FisqlPipeline:
         self._highlights = highlights
         self._demo_store = FeedbackDemoStore.default()
         self._router = FeedbackRouter(self._llm)
+        self._lock = threading.Lock()
+        #: Every round :meth:`correct` has run (None: no feedback), as
+        #: :meth:`_run_round` returned it, by what the round reads.
+        self._rounds: dict[tuple, Optional[RoundRecord]] = {}
 
     def revise(
         self,
@@ -203,7 +214,7 @@ class FisqlPipeline:
             for round_index in range(1, max_rounds + 1):
                 if current is None:
                     break
-                record = self._run_round(
+                record = self._round(
                     example=example,
                     database=database,
                     annotator=annotator,
@@ -216,6 +227,7 @@ class FisqlPipeline:
                 )
                 if record is None:
                     break
+                _count_round(record)
                 outcome.rounds.append(record)
                 revised = parse_select(record.sql_after)
                 if revised is None:
@@ -235,6 +247,50 @@ class FisqlPipeline:
             session_span.set("rounds", len(outcome.rounds))
             session_span.set("corrected_round", outcome.corrected_round)
         return outcome
+
+    def _round(
+        self,
+        example: Example,
+        database: Database,
+        annotator: SimulatedAnnotator,
+        current_sql: str,
+        round_index: int,
+        **derived,
+    ) -> Optional[RoundRecord]:
+        """One feedback round, run once per key: a copy of its record.
+
+        The key holds everything the round reads besides this pipeline
+        (``derived`` is parsed or run from it); the annotator and the
+        database count by identity. Each session gets a record of its
+        own, since :meth:`correct` appends notes to it.
+        """
+        key = (
+            annotator,
+            database,
+            example.example_id,
+            example.question,
+            example.gold_sql,
+            round_index,
+            current_sql,
+        )
+        with self._lock:
+            record = self._rounds.get(key, _UNSEEN)
+        if record is _UNSEEN:
+            record = self._run_round(
+                example=example,
+                database=database,
+                annotator=annotator,
+                current_sql=current_sql,
+                round_index=round_index,
+                **derived,
+            )
+            with self._lock:
+                self._rounds[key] = record
+        elif record is not None:
+            obs.count("correction.rounds_reused")
+        if record is None:
+            return None
+        return dataclasses.replace(record, notes=list(record.notes))
 
     def _run_round(
         self,
@@ -278,15 +334,6 @@ class FisqlPipeline:
             corrected = not revision.degraded and _matches(
                 database, gold_result, revision.sql, ordered
             )
-            obs.count("correction.rounds", round=round_index)
-            obs.count(
-                "correction.feedback_types",
-                type=revision.feedback_type or "unrouted",
-            )
-            if highlight is not None:
-                obs.count("correction.highlighted_rounds")
-            if corrected:
-                obs.count("correction.corrected", round=round_index)
             round_span.set("feedback_type", revision.feedback_type)
             round_span.set("highlight", highlight is not None)
             round_span.set("corrected", corrected)
@@ -302,6 +349,22 @@ class FisqlPipeline:
                 degraded=revision.degraded,
                 notes=revision.notes,
             )
+
+
+#: A round key no round has run under yet (None is a round's answer).
+_UNSEEN = object()
+
+
+def _count_round(record: RoundRecord) -> None:
+    """Count a session's round, whether it ran or was reused."""
+    obs.count("correction.rounds", round=record.round_index)
+    obs.count(
+        "correction.feedback_types", type=record.feedback_type or "unrouted"
+    )
+    if record.highlight is not None:
+        obs.count("correction.highlighted_rounds")
+    if record.corrected:
+        obs.count("correction.corrected", round=record.round_index)
 
 
 def _run(database: Database, query: ast.Query) -> QueryResult:

@@ -22,7 +22,7 @@ from repro import obs
 from repro.core.feedback import Feedback
 from repro.errors import LLMError
 from repro.core.rewrite import QueryRewriteBaseline
-from repro.core.session import CorrectionOutcome, FisqlPipeline, RoundRecord
+from repro.core.session import CorrectionOutcome, RoundRecord
 from repro.datasets.base import Example
 from repro.eval.harness import ExperimentContext
 from repro.eval.metrics import (
@@ -113,12 +113,6 @@ class Table2Result:
         return cell.corrected_percent if cell is not None else float("nan")
 
 
-def _assistant_model(context: ExperimentContext, dataset: str):
-    if dataset == "spider":
-        return context.spider_assistant_model()
-    return context.aep_assistant_model()
-
-
 def _map_corrections(
     context: ExperimentContext,
     errors: list[PredictionRecord],
@@ -172,10 +166,7 @@ def make_fisql_corrector(
     max_rounds: int,
 ) -> Callable[[PredictionRecord], CorrectionOutcome]:
     """Build the per-record FISQL correction closure."""
-    model = _assistant_model(context, dataset)
-    pipeline = FisqlPipeline(
-        model=model, llm=context.llm, routing=routing, highlights=highlights
-    )
+    pipeline = context.fisql_pipeline(dataset, routing, highlights)
     annotator = context.annotator_for(dataset)
     benchmark = context.benchmark(dataset)
 
@@ -230,8 +221,9 @@ def make_query_rewrite_corrector(
     context: ExperimentContext, dataset: str
 ) -> Callable[[PredictionRecord], CorrectionOutcome]:
     """Build the per-record Query Rewrite baseline closure."""
-    model = _assistant_model(context, dataset)
-    baseline = QueryRewriteBaseline(llm=context.llm, model=model)
+    baseline = QueryRewriteBaseline(
+        llm=context.llm, model=context.assistant_model(dataset)
+    )
     annotator = context.annotator_for(dataset)
     benchmark = context.benchmark(dataset)
 

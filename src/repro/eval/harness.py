@@ -3,6 +3,10 @@
 Building the full SPIDER-like suite and running the Assistant over the
 1034-question dev split is the expensive part of every experiment, so the
 harness builds it once per (scale, seed) and caches it in-process.
+
+A context also runs once what two artifacts share: each dataset's error
+set, annotator and retriever, and one FISQL pipeline per (dataset,
+routing, highlights), whose rounds Table 2, Figure 8 and Table 3 reuse.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import TYPE_CHECKING, Optional
 from repro import obs
 from repro.core.nl2sql import Nl2SqlModel
 from repro.core.retrieval import DemonstrationRetriever
+from repro.core.session import FisqlPipeline
 from repro.core.user import AnnotatorConfig, SimulatedAnnotator
 from repro.datasets.base import (
     Benchmark,
@@ -73,6 +78,9 @@ class ExperimentContext:
     _spider_retriever: Optional[DemonstrationRetriever] = None
     _aep_retriever: Optional[DemonstrationRetriever] = None
     _assistant_reports: dict = field(default_factory=dict)
+    _annotators: dict = field(default_factory=dict)
+    _error_sets: dict = field(default_factory=dict)
+    _pipelines: dict = field(default_factory=dict)
 
     # -- models -----------------------------------------------------------------
 
@@ -105,6 +113,14 @@ class ExperimentContext:
             Nl2SqlModel(llm=self.llm, retriever=self._aep_retriever)
         )
 
+    def assistant_model(self, dataset: str):
+        """The Assistant's RAG pipeline for a dataset."""
+        if dataset == "spider":
+            return self.spider_assistant_model()
+        if dataset == "aep":
+            return self.aep_assistant_model()
+        raise ValueError(f"unknown dataset {dataset!r}")
+
     # -- journaling -------------------------------------------------------------
 
     def scope(self, model: str, dataset: str) -> dict:
@@ -134,21 +150,11 @@ class ExperimentContext:
     def assistant_report(self, dataset: str) -> AccuracyReport:
         """Assistant predictions over a dataset's dev questions (cached)."""
         if dataset not in self._assistant_reports:
-            if dataset == "spider":
-                report = evaluate_model(
-                    self.spider_assistant_model(),
-                    self.spider.benchmark,
-                    **self.eval_kwargs("assistant", "spider"),
-                )
-            elif dataset == "aep":
-                report = evaluate_model(
-                    self.aep_assistant_model(),
-                    self.aep_benchmark,
-                    **self.eval_kwargs("assistant", "aep"),
-                )
-            else:
-                raise ValueError(f"unknown dataset {dataset!r}")
-            self._assistant_reports[dataset] = report
+            self._assistant_reports[dataset] = evaluate_model(
+                self.assistant_model(dataset),
+                self.benchmark(dataset),
+                **self.eval_kwargs("assistant", dataset),
+            )
         return self._assistant_reports[dataset]
 
     def benchmark(self, dataset: str) -> Benchmark:
@@ -159,30 +165,60 @@ class ExperimentContext:
         raise ValueError(f"unknown dataset {dataset!r}")
 
     def annotator_for(self, dataset: str) -> SimulatedAnnotator:
-        """A dataset-appropriate simulated annotator (shared across methods)."""
-        benchmark = self.benchmark(dataset)
-        # All databases in a benchmark share naming conventions; the
-        # annotator needs a schema for NL column names, chosen per example.
-        config = SPIDER_ANNOTATOR if dataset == "spider" else AEP_ANNOTATOR
-        return _MultiDbAnnotator(benchmark, config)
+        """A dataset-appropriate simulated annotator (shared across methods).
+
+        One per dataset and context: FISQL rounds are keyed by their
+        annotator, so artifacts share rounds only through this one.
+        """
+        if dataset not in self._annotators:
+            benchmark = self.benchmark(dataset)
+            # All databases in a benchmark share naming conventions; the
+            # annotator needs a schema for NL column names, chosen per
+            # example.
+            config = SPIDER_ANNOTATOR if dataset == "spider" else AEP_ANNOTATOR
+            self._annotators[dataset] = _MultiDbAnnotator(benchmark, config)
+        return self._annotators[dataset]
+
+    def fisql_pipeline(
+        self, dataset: str, routing: bool, highlights: bool
+    ) -> FisqlPipeline:
+        """The context's FISQL pipeline for one configuration (cached).
+
+        Artifacts that correct with the same configuration share it, and
+        so reuse each other's rounds.
+        """
+        key = (dataset, routing, highlights)
+        if key not in self._pipelines:
+            self._pipelines[key] = FisqlPipeline(
+                model=self.assistant_model(dataset),
+                llm=self.llm,
+                routing=routing,
+                highlights=highlights,
+            )
+        return self._pipelines[key]
 
     def error_set(self, dataset: str) -> list[PredictionRecord]:
         """The *annotated* error set used by the correction experiments.
 
         Mirrors the paper's protocol: take the Assistant's errors, keep the
         ones the annotator can write feedback for (101 of 243 on SPIDER).
+        Computed once per dataset; each call gets a list of its own.
         """
-        report = self.assistant_report(dataset)
-        annotator = self.annotator_for(dataset)
-        annotated = []
-        for record in report.errors():
-            gold = parse_select(record.example.gold_sql)
-            predicted = parse_select(record.predicted_sql)
-            if gold is None or predicted is None:
-                continue
-            if annotator.can_annotate(record.example.example_id, gold, predicted):
-                annotated.append(record)
-        return annotated
+        if dataset not in self._error_sets:
+            report = self.assistant_report(dataset)
+            annotator = self.annotator_for(dataset)
+            annotated = []
+            for record in report.errors():
+                gold = parse_select(record.example.gold_sql)
+                predicted = parse_select(record.predicted_sql)
+                if gold is None or predicted is None:
+                    continue
+                if annotator.can_annotate(
+                    record.example.example_id, gold, predicted
+                ):
+                    annotated.append(record)
+            self._error_sets[dataset] = annotated
+        return list(self._error_sets[dataset])
 
 
 class _MultiDbAnnotator:

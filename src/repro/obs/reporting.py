@@ -181,6 +181,8 @@ def _render_corrections(snapshot: dict) -> str:
         lines.append(f"highlighted rounds: {_int(highlighted)}")
     regressions = _counter_total(snapshot, "correction.parse_regressions")
     lines.append(f"unparseable revisions (rolled back): {_int(regressions)}")
+    reused = _counter_total(snapshot, "correction.rounds_reused")
+    lines.append(f"rounds reused: {_int(reused)}")
     return "\n".join(lines)
 
 
@@ -366,10 +368,12 @@ def _render_pipeline(snapshot: dict) -> str:
         )
     retrievals = _counter_total(snapshot, "retrieval.calls")
     if retrievals:
+        ranked = _counter_total(snapshot, "retrieval.misses")
         demos = _histogram(snapshot, "retrieval.demos", {})
         mean_demos = f"{demos['mean']:.1f}" if demos else "-"
         lines.append(
-            f"retrieval: {_int(retrievals)} calls, {mean_demos} demos/call"
+            f"retrieval: {_int(retrievals)} calls, {_int(ranked)} run, "
+            f"{mean_demos} demos/call"
         )
     eval_by_verdict = _counter_by_label(snapshot, "eval.examples", "correct")
     evaluated = sum(eval_by_verdict.values())

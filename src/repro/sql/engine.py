@@ -16,7 +16,8 @@ types. Every ``sqlite3`` error surfaces as a :class:`~repro.errors.SqlError`
 subclass, so a prediction that fails to run counts as wrong.
 
 Each connection memoizes query results by the SQL text SQLite runs, and
-every write through it clears them (DESIGN.md, "Each query runs once per
+the printed text, order flag and column names of each query tree it ran;
+every write through it clears both (DESIGN.md, "Each query runs once per
 database state").
 """
 
@@ -28,7 +29,7 @@ import sqlite3
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from repro import obs
 from repro.errors import CatalogError, ExecutionError, SqlError
@@ -51,6 +52,12 @@ STATEMENT_CACHE_SIZE = 1
 #: first out). After set-up and a full sweep the AEP database holds 129
 #: and no SPIDER database more than 20, so a sweep never evicts.
 RESULT_MEMO_SIZE = 256
+
+#: How many query plans (a tree's printed text, order flag and column
+#: names) each connection keeps, least recently used first out. After
+#: set-up and any number of full sweeps the AEP database holds 140 and no
+#: SPIDER database more than 20.
+PLAN_MEMO_SIZE = 256
 
 #: A call to a function SQLite may answer differently each time it runs.
 #: The printer writes every call as ``NAME(`` in upper case, so a query
@@ -115,6 +122,18 @@ class DmlResult:
 ExecuteResult = Union[QueryResult, DmlResult]
 
 
+class QueryPlan(NamedTuple):
+    """What running a query tree needs besides SQLite, worked out once.
+
+    It holds the tree, so the tree's ``id`` that keys it cannot be reused.
+    """
+
+    tree: ast.Query
+    sql: str
+    ordered: bool
+    columns: tuple[str, ...]
+
+
 class Connection:
     """One in-memory SQLite connection, shared by threads under one lock.
 
@@ -123,11 +142,13 @@ class Connection:
     statement runs, with its rows fetched, while holding the lock.
 
     :meth:`query` memoizes a query's rows by its SQL text, up to
-    :data:`RESULT_MEMO_SIZE` texts. Every statement that changes the
-    database goes through :meth:`write`, which clears the memo.
+    :data:`RESULT_MEMO_SIZE` texts, and :meth:`plan` keeps up to
+    :data:`PLAN_MEMO_SIZE` query plans by tree identity. Every statement
+    that changes the database goes through :meth:`write`, which clears
+    both: DDL changes what ``*`` names.
     """
 
-    __slots__ = ("_connection", "_lock", "_results", "_writes")
+    __slots__ = ("_connection", "_lock", "_plans", "_results", "_writes")
 
     def __init__(self) -> None:
         self._connection = sqlite3.connect(
@@ -138,7 +159,25 @@ class Connection:
         )
         self._lock = threading.Lock()
         self._results: OrderedDict[str, tuple[Row, ...]] = OrderedDict()
+        self._plans: OrderedDict[int, QueryPlan] = OrderedDict()
         self._writes = 0
+
+    def plan(self, tree: ast.Query) -> tuple[Optional[QueryPlan], int]:
+        """The plan kept for ``tree`` (None when there is none), and the
+        write count to hand :meth:`keep_plan` with a new one."""
+        with self._lock:
+            plan = self._plans.get(id(tree))
+            if plan is not None:
+                self._plans.move_to_end(id(tree))
+            return plan, self._writes
+
+    def keep_plan(self, plan: QueryPlan, writes: int) -> None:
+        """Keep ``plan`` unless a write ran since :meth:`plan` read ``writes``."""
+        with self._lock:
+            if self._writes == writes:
+                self._plans[id(plan.tree)] = plan
+                if len(self._plans) > PLAN_MEMO_SIZE:
+                    self._plans.popitem(last=False)
 
     def query(self, sql: str, ordered: bool) -> list[Row]:
         """The rows of the query ``sql``, sorted by
@@ -177,11 +216,13 @@ class Connection:
     def write(self, sql: str, params: Sequence[SqlValue] = ()) -> int:
         """Run a statement that changes the database: rows affected.
 
-        Clears the memo first, so no later query sees rows from before.
+        Clears the memos first, so no later query sees rows or column
+        names from before.
         """
         with self._lock:
             self._writes += 1
             self._results.clear()
+            self._plans.clear()
             return self._run(sql, params)[1]
 
     def _run(
@@ -281,7 +322,9 @@ class Database:
         :func:`~repro.sql.comparison.row_sort_key`, so its row order
         depends on neither the engine nor the order rows were inserted in.
         SQLite runs a query only the first time its text arrives after a
-        write (:meth:`Connection.query`); every call still gets its own
+        write (:meth:`Connection.query`), and a tree is printed and its
+        columns named only the first time it runs after a write
+        (:meth:`Connection.plan`); every call still gets its own
         :class:`QueryResult`.
         """
         if not obs.is_enabled():
@@ -296,10 +339,7 @@ class Database:
 
     def _execute_ast(self, statement: ast.Statement) -> ExecuteResult:
         if isinstance(statement, (ast.Select, ast.SetOperation)):
-            rows = self._connection.query(
-                print_query(_runnable(statement)), query_is_ordered(statement)
-            )
-            return QueryResult(columns=self._column_names(statement), rows=rows)
+            return self._query(statement)
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.Insert):
@@ -312,6 +352,22 @@ class Database:
         raise ExecutionError(
             f"unsupported statement {type(statement).__name__}"
         )  # pragma: no cover
+
+    def _query(self, query: ast.Query) -> QueryResult:
+        plan, writes = self._connection.plan(query)
+        if plan is not None:
+            rows = self._connection.query(plan.sql, plan.ordered)
+            return QueryResult(columns=list(plan.columns), rows=rows)
+        sql = print_query(_runnable(query))
+        ordered = query_is_ordered(query)
+        rows = self._connection.query(sql, ordered)
+        # Named after SQLite ran it: a query SQLite rejects fails with
+        # SQLite's error, and is never planned.
+        columns = self._column_names(query)
+        self._connection.keep_plan(
+            QueryPlan(query, sql, ordered, tuple(columns)), writes
+        )
+        return QueryResult(columns=columns, rows=rows)
 
     # -- result column names ----------------------------------------------------
 

@@ -1,9 +1,10 @@
 """The query-result memo: each distinct query runs once per database state.
 
 Every :class:`Database` connection keeps the rows of the queries it ran,
-keyed by the SQL text SQLite runs, and every write through it clears
-them. ``serve`` request threads share a suite's databases, so the memo
-is also driven by readers racing a writer.
+keyed by the SQL text SQLite runs, and the plan (printed text, order flag
+and column names) of each tree it ran, keyed by the tree's identity.
+Every write through it clears both. ``serve`` request threads share a
+suite's databases, so the memo is also driven by readers racing a writer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import pytest
 from repro import obs
 from repro.errors import CatalogError, ExecutionError
 from repro.sql import engine
-from repro.sql.engine import RESULT_MEMO_SIZE, Database
+from repro.sql.engine import PLAN_MEMO_SIZE, RESULT_MEMO_SIZE, Database
+from repro.sql.parser import parse_query
+from repro.sql.printer import print_query
 
 
 def _counters() -> dict[str, float]:
@@ -118,6 +121,73 @@ def test_a_query_after_drop_table_fails(db):
     db.execute("DROP TABLE u")
     with pytest.raises(CatalogError):
         db.query("SELECT COUNT(*) FROM u")
+
+
+def test_ddl_changes_what_a_star_names(db):
+    tree = parse_query("SELECT * FROM t")
+    assert db.execute_ast(tree).columns == ["id", "name"]
+    db.execute("DROP TABLE t")
+    db.execute("CREATE TABLE t (b INTEGER, c TEXT)")
+    assert db.execute_ast(tree).columns == ["b", "c"]
+
+
+def test_a_tree_is_printed_once_per_database_state(db, monkeypatch):
+    printed = []
+
+    def counting_print(query):
+        printed.append(query)
+        return print_query(query)
+
+    monkeypatch.setattr(engine, "print_query", counting_print)
+    tree = parse_query("SELECT name FROM t")
+    for _ in range(3):
+        assert db.execute_ast(tree).rows == [("a",), ("b",)]
+    assert len(printed) == 1
+    db.data("t").insert((3, "c"))
+    assert db.execute_ast(tree).rows == [("a",), ("b",), ("c",)]
+    assert len(printed) == 2
+
+
+def test_a_plan_made_before_a_write_is_not_kept(db, monkeypatch):
+    keep_plan = engine.Connection.keep_plan
+
+    def write_then_keep(connection, plan, writes):
+        monkeypatch.setattr(engine.Connection, "keep_plan", keep_plan)
+        db.execute("DROP TABLE t")
+        db.execute("CREATE TABLE t (b INTEGER, c TEXT)")
+        keep_plan(connection, plan, writes)
+
+    monkeypatch.setattr(engine.Connection, "keep_plan", write_then_keep)
+    tree = parse_query("SELECT * FROM t")
+    # The plan was made before the DDL, so it names the old columns; it
+    # must not leave them behind for the runs after it.
+    assert db.execute_ast(tree).columns == ["id", "name"]
+    assert db.execute_ast(tree).columns == ["b", "c"]
+
+
+def test_each_call_gets_column_names_of_its_own(db):
+    tree = parse_query("SELECT name FROM t")
+    db.execute_ast(tree).columns.append("added")
+    assert db.execute_ast(tree).columns == ["name"]
+
+
+def test_a_failing_tree_fails_as_sqlite_says_and_is_not_planned(db):
+    tree = parse_query("SELECT * FROM missing")
+    for _ in range(2):
+        with pytest.raises(CatalogError, match="no such table: missing"):
+            db.execute_ast(tree)
+    assert not db._connection._plans
+
+
+def test_the_plans_keep_the_most_recent_trees(db):
+    trees = [
+        parse_query(f"SELECT id * {i} FROM t") for i in range(PLAN_MEMO_SIZE + 1)
+    ]
+    for tree in trees:
+        db.execute_ast(tree)
+    plans = db._connection._plans
+    assert len(plans) == PLAN_MEMO_SIZE
+    assert id(trees[0]) not in plans and id(trees[-1]) in plans
 
 
 @pytest.mark.parametrize(
