@@ -75,7 +75,7 @@ class FeedbackEditor:
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self._schema = schema
-        self._linker = SchemaLinker(schema)
+        self._linker = schema.linker()
 
     # -- public API ----------------------------------------------------------------
 

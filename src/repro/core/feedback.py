@@ -26,7 +26,7 @@ FEEDBACK_TYPE_EXAMPLES: dict[str, str] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Highlight:
     """A user-marked span of the SQL text (or its explanation).
 
@@ -41,7 +41,7 @@ class Highlight:
     end: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Feedback:
     """One round of user feedback.
 

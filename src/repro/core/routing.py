@@ -87,7 +87,12 @@ def classify_feedback(text: str) -> str:
 
 
 class FeedbackRouter:
-    """Routes feedback to a type by prompting the (simulated) LLM."""
+    """Routes feedback to a type by prompting the (simulated) LLM.
+
+    The router keeps each feedback text's label, so a text is sent to the
+    model once per router: a sweep's routed rounds carry few distinct
+    texts, and each chat session has a router of its own.
+    """
 
     def __init__(self, llm: ChatModel) -> None:
         self._llm = llm
@@ -95,15 +100,24 @@ class FeedbackRouter:
             (text, label.capitalize())
             for label, text in FEEDBACK_TYPE_EXAMPLES.items()
         ]
+        self._labels: dict[str, str] = {}
 
     def route(self, feedback_text: str) -> str:
-        """Classify feedback into add / remove / edit."""
+        """Classify feedback into add / remove / edit.
+
+        Every call counts ``routing.decisions``. A call that raises
+        :class:`~repro.errors.LLMError` keeps nothing, so the next call
+        with the text prompts again.
+        """
         with obs.span("routing.route") as sp:
-            prompt = routing_prompt(feedback_text, examples=self._examples)
-            completion = self._llm.complete(prompt)
-            label = completion.text.strip().lower()
-            if label not in (ADD, REMOVE, EDIT):
-                label = EDIT
+            label = self._labels.get(feedback_text)
+            if label is None:
+                prompt = routing_prompt(feedback_text, examples=self._examples)
+                completion = self._llm.complete(prompt)
+                label = completion.text.strip().lower()
+                if label not in (ADD, REMOVE, EDIT):
+                    label = EDIT
+                self._labels[feedback_text] = label
             obs.count("routing.decisions", decision=label)
             sp.set("decision", label)
             return label

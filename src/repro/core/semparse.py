@@ -118,7 +118,7 @@ class SemanticParser:
     ) -> None:
         self._schema = schema
         self._config = config or ParserConfig()
-        self._linker = SchemaLinker(schema)
+        self._linker = schema.linker()
 
     @property
     def linker(self) -> SchemaLinker:

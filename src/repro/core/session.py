@@ -110,13 +110,16 @@ class FisqlPipeline:
         llm: Optional[ChatModel] = None,
         routing: bool = True,
         highlights: bool = False,
+        router: Optional[FeedbackRouter] = None,
     ) -> None:
         self._model = model
         self._llm = llm or model.llm
         self._routing = routing
         self._highlights = highlights
         self._demo_store = FeedbackDemoStore.default()
-        self._router = FeedbackRouter(self._llm)
+        # A router keeps every label it was given, so pipelines over one
+        # model may share one (an experiment context does).
+        self._router = router or FeedbackRouter(self._llm)
         self._lock = threading.Lock()
         #: Every round :meth:`correct` has run (None: no feedback), as
         #: :meth:`_run_round` returned it, by what the round reads.

@@ -19,7 +19,7 @@ All stochasticity is deterministic per (example, round) via stable hashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core.feedback import Feedback, Highlight
@@ -124,7 +124,9 @@ class SimulatedAnnotator:
         if feedback is None:
             return None
         if use_highlights:
-            feedback.highlight = self._make_highlight(delta, predicted)
+            feedback = replace(
+                feedback, highlight=self._make_highlight(delta, predicted)
+            )
         return feedback
 
     def _pick_delta(self, deltas: list[QueryDelta]) -> QueryDelta:

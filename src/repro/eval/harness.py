@@ -5,8 +5,9 @@ Building the full SPIDER-like suite and running the Assistant over the
 harness builds it once per (scale, seed) and caches it in-process.
 
 A context also runs once what two artifacts share: each dataset's error
-set, annotator and retriever, and one FISQL pipeline per (dataset,
-routing, highlights), whose rounds Table 2, Figure 8 and Table 3 reuse.
+set, annotator and retriever, each round's feedback, each feedback
+text's route, and one FISQL pipeline per (dataset, routing,
+highlights), whose rounds Table 2, Figure 8 and Table 3 reuse.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
+from repro.core.feedback import Feedback
 from repro.core.nl2sql import Nl2SqlModel
 from repro.core.retrieval import DemonstrationRetriever
+from repro.core.routing import FeedbackRouter
 from repro.core.session import FisqlPipeline
 from repro.core.user import AnnotatorConfig, SimulatedAnnotator
 from repro.datasets.base import (
@@ -36,7 +39,9 @@ from repro.durability import (
 from repro.eval.metrics import AccuracyReport, PredictionRecord, evaluate_model
 from repro.llm.interface import ChatModel
 from repro.llm.simulated import SimulatedLLM
+from repro.sql import ast
 from repro.sql.parser import parse_select
+from repro.sql.printer import print_select
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.semcache.store import SemanticAnswerCache
@@ -81,6 +86,7 @@ class ExperimentContext:
     _annotators: dict = field(default_factory=dict)
     _error_sets: dict = field(default_factory=dict)
     _pipelines: dict = field(default_factory=dict)
+    _router: Optional[FeedbackRouter] = None
 
     # -- models -----------------------------------------------------------------
 
@@ -185,15 +191,19 @@ class ExperimentContext:
         """The context's FISQL pipeline for one configuration (cached).
 
         Artifacts that correct with the same configuration share it, and
-        so reuse each other's rounds.
+        so reuse each other's rounds. Every pipeline routes through the
+        context's one router, so each feedback text is routed once.
         """
         key = (dataset, routing, highlights)
         if key not in self._pipelines:
+            if self._router is None:
+                self._router = FeedbackRouter(self.llm)
             self._pipelines[key] = FisqlPipeline(
                 model=self.assistant_model(dataset),
                 llm=self.llm,
                 routing=routing,
                 highlights=highlights,
+                router=self._router,
             )
         return self._pipelines[key]
 
@@ -222,13 +232,23 @@ class ExperimentContext:
 
 
 class _MultiDbAnnotator:
-    """Annotator facade that picks the right schema per example."""
+    """Annotator facade that picks the right schema per example.
+
+    It gives each round's feedback once. Query Rewrite and every FISQL
+    pipeline of a context ask for the same first-round feedback on the
+    same prediction, and feedback is a pure function of the example, the
+    two queries, the round and the highlight switch. The queries are
+    keyed by their printed text, not their trees, since
+    ``Literal(7) == Literal(7.0)``. Feedback is frozen, so every caller
+    shares one answer.
+    """
 
     def __init__(self, benchmark: Benchmark, config: AnnotatorConfig) -> None:
         self._benchmark = benchmark
         self._config = config
         self._lock = threading.Lock()
         self._per_db: dict[str, SimulatedAnnotator] = {}
+        self._given: dict[tuple, Optional[Feedback]] = {}
         self._example_db: dict[str, str] = {
             example.example_id: example.db_id
             for example in benchmark.examples
@@ -255,10 +275,38 @@ class _MultiDbAnnotator:
             example_id, gold, predicted
         )
 
-    def give_feedback(self, example_id, **kwargs):
-        return self._annotator(example_id).give_feedback(
-            example_id=example_id, **kwargs
+    def give_feedback(
+        self,
+        example_id: str,
+        question: str,
+        gold: ast.Select,
+        predicted: ast.Select,
+        round_index: int = 0,
+        use_highlights: bool = False,
+    ) -> Optional[Feedback]:
+        annotator = self._annotator(example_id)
+        key = (
+            example_id,
+            question,
+            print_select(gold),
+            print_select(predicted),
+            round_index,
+            use_highlights,
         )
+        with self._lock:
+            if key in self._given:
+                return self._given[key]
+        feedback = annotator.give_feedback(
+            example_id=example_id,
+            question=question,
+            gold=gold,
+            predicted=predicted,
+            round_index=round_index,
+            use_highlights=use_highlights,
+        )
+        with self._lock:
+            self._given[key] = feedback
+        return feedback
 
 
 _CONTEXT_CACHE: dict[tuple[str, int], ExperimentContext] = {}

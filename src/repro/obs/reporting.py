@@ -375,6 +375,10 @@ def _render_pipeline(snapshot: dict) -> str:
             f"retrieval: {_int(retrievals)} calls, {_int(ranked)} run, "
             f"{mean_demos} demos/call"
         )
+    links = _counter_total(snapshot, "linking.calls")
+    if links:
+        linked = _counter_total(snapshot, "linking.misses")
+        lines.append(f"linking: {_int(links)} calls, {_int(linked)} run")
     eval_by_verdict = _counter_by_label(snapshot, "eval.examples", "correct")
     evaluated = sum(eval_by_verdict.values())
     if evaluated:

@@ -8,11 +8,15 @@ per table/column (SPIDER ships the same information as "column names
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import CatalogError
 from repro.sql.types import DataType
+
+if TYPE_CHECKING:  # pragma: no cover - repro.core imports this module
+    from repro.core.linking import SchemaLinker
 
 
 @dataclass
@@ -102,6 +106,8 @@ class DatabaseSchema:
         if len(self._by_key) != len(self.tables):
             raise CatalogError(f"duplicate table names in database {name!r}")
         self._ddl: Optional[str] = None
+        self._linker: Optional["SchemaLinker"] = None
+        self._linker_lock = threading.Lock()
 
     def table(self, name: str) -> Table:
         """Look up a table by (case-insensitive) name."""
@@ -121,12 +127,14 @@ class DatabaseSchema:
         self.tables.append(table)
         self._by_key[table.key] = table
         self._ddl = None
+        self._linker = None
 
     def drop_table(self, name: str) -> None:
         table = self.table(name)
         self.tables.remove(table)
         del self._by_key[table.key]
         self._ddl = None
+        self._linker = None
 
     def resolve_column(self, column_name: str) -> list[tuple[Table, Column]]:
         """Return every (table, column) pair whose column matches the name."""
@@ -163,6 +171,24 @@ class DatabaseSchema:
         if self._ddl is None:
             self._ddl = self._render_ddl()
         return self._ddl
+
+    def linker(self) -> "SchemaLinker":
+        """The schema's one :class:`~repro.core.linking.SchemaLinker`.
+
+        Every parser and feedback editor for the database links through
+        it, so its memo answers each phrase once. Built on first use and
+        kept, like :meth:`ddl`, until :meth:`add_table` or
+        :meth:`drop_table` changes the table set.
+        """
+        linker = self._linker
+        if linker is None:
+            from repro.core.linking import SchemaLinker
+
+            with self._linker_lock:
+                if self._linker is None:
+                    self._linker = SchemaLinker(self)
+                linker = self._linker
+        return linker
 
     def _render_ddl(self) -> str:
         statements = []

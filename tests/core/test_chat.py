@@ -206,3 +206,18 @@ class TestSharedRound:
         assert response.sql == before
         assert response.result is not None
         assert "empty completion; kept previous SQL" in response.prediction.notes
+
+    def test_each_session_routes_a_feedback_text_once(
+        self, aep_db, aep_suite, llm
+    ):
+        # A session's router keeps its labels, so the memo is bounded by
+        # one conversation; a second session over the same model routes
+        # the text again.
+        for _session_index in range(2):
+            session = _session(aep_db, aep_suite, llm)
+            session.ask("How many audiences were created in January?")
+            for _attempt in range(2):
+                session.give_feedback("we are in 2024")
+        routed = [prompt for prompt in llm.prompts if prompt.kind == KIND_ROUTING]
+        assert len(routed) == 2
+        assert len(llm.feedback_prompts()) == 4

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.feedback import (
     ADD,
     EDIT,
@@ -11,6 +12,7 @@ from repro.core.feedback import (
     FeedbackDemoStore,
 )
 from repro.core.routing import FeedbackRouter, classify_feedback
+from repro.errors import LLMTimeoutError
 from repro.llm.simulated import SimulatedLLM
 
 
@@ -57,6 +59,22 @@ class _FixedLabelLLM:
         return Completion(text=self._label)
 
 
+class _CountingLLM:
+    """The simulated model, counting prompts; fails the first ``failures``."""
+
+    def __init__(self, failures=0):
+        self.prompts = []
+        self._failures = failures
+        self._model = SimulatedLLM()
+
+    def complete(self, prompt):
+        self.prompts.append(prompt.payload["feedback"])
+        if self._failures:
+            self._failures -= 1
+            raise LLMTimeoutError("scripted timeout")
+        return self._model.complete(prompt)
+
+
 class TestRouter:
     def test_router_uses_llm(self):
         router = FeedbackRouter(SimulatedLLM())
@@ -92,6 +110,33 @@ class TestRouter:
     def test_label_normalization(self, label, expected):
         """Case/whitespace variants of valid labels still route."""
         assert FeedbackRouter(_FixedLabelLLM(label)).route("x") == expected
+
+
+class TestRouterMemo:
+    """A router sends each feedback text to the model once."""
+
+    def test_a_repeated_text_makes_one_routing_completion(self):
+        llm = _CountingLLM()
+        router = FeedbackRouter(llm)
+        obs.enable(max_spans=0)
+        try:
+            labels = [router.route(text) for text in ("we are in 2024",) * 3]
+            labels.append(router.route("do not give descriptions"))
+            decisions = obs.get_metrics().counter_total("routing.decisions")
+        finally:
+            obs.disable()
+        assert labels == [EDIT, EDIT, EDIT, REMOVE]
+        assert llm.prompts == ["we are in 2024", "do not give descriptions"]
+        assert decisions == 4
+
+    def test_a_failed_call_keeps_nothing_and_is_retried(self):
+        llm = _CountingLLM(failures=1)
+        router = FeedbackRouter(llm)
+        with pytest.raises(LLMTimeoutError):
+            router.route("we are in 2024")
+        assert router.route("we are in 2024") == EDIT
+        assert router.route("we are in 2024") == EDIT
+        assert llm.prompts == ["we are in 2024"] * 2
 
 
 class TestDemoStore:

@@ -9,14 +9,22 @@ retrievals are in its memos.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import obs
+from repro.core.feedback import Feedback, Highlight
+from repro.core.user import SimulatedAnnotator
 from repro.eval.experiments import run_figure8, run_table2, run_table3
 from repro.eval.harness import ExperimentContext, build_context
+from repro.llm.interface import KIND_ROUTING
+from repro.llm.simulated import SimulatedLLM
+from repro.sql.parser import parse_select
+from repro.sql.printer import print_select
 
 
-def _fresh(workers: int = 1) -> ExperimentContext:
+def _fresh(workers: int = 1, llm=None) -> ExperimentContext:
     built = build_context(scale="small")
     return ExperimentContext(
         scale=built.scale,
@@ -24,6 +32,7 @@ def _fresh(workers: int = 1) -> ExperimentContext:
         spider=built.spider,
         aep_benchmark=built.aep_benchmark,
         aep_demos=built.aep_demos,
+        llm=llm or SimulatedLLM(),
         workers=workers,
     )
 
@@ -97,3 +106,103 @@ def test_two_workers_give_the_outcomes_of_one():
             ]
         )
     assert results[0] == results[1]
+
+
+@pytest.fixture()
+def given_feedback(monkeypatch):
+    """Every feedback the per-database annotators compute, by its key."""
+    keys: list[tuple] = []
+    give = SimulatedAnnotator.give_feedback
+
+    def counting(annotator, **kwargs):
+        keys.append(
+            (
+                kwargs["example_id"],
+                print_select(kwargs["gold"]),
+                print_select(kwargs["predicted"]),
+                kwargs["round_index"],
+                kwargs["use_highlights"],
+            )
+        )
+        return give(annotator, **kwargs)
+
+    monkeypatch.setattr(SimulatedAnnotator, "give_feedback", counting)
+    return keys
+
+
+def test_each_rounds_feedback_is_computed_once_per_context(given_feedback):
+    context = _fresh()
+    run_table2(context)
+    run_figure8(context)
+    run_table3(context)
+    assert given_feedback
+    assert len(given_feedback) == len(set(given_feedback))
+
+
+def test_the_annotator_answers_a_key_once_with_the_computed_feedback(
+    given_feedback,
+):
+    context = _fresh()
+    annotator = context.annotator_for("spider")
+    record = context.error_set("spider")[0]
+    example = record.example
+    request = dict(
+        example_id=example.example_id,
+        question=example.question,
+        gold=parse_select(example.gold_sql),
+        predicted=parse_select(record.predicted_sql),
+        round_index=1,
+        use_highlights=True,
+    )
+    first = annotator.give_feedback(**request)
+    assert annotator.give_feedback(**request) is first
+    assert len(given_feedback) == 1
+    annotator.give_feedback(**dict(request, round_index=2))
+    annotator.give_feedback(**dict(request, use_highlights=False))
+    assert len(given_feedback) == 3
+    schema = context.benchmark("spider").database(example.db_id).schema
+    fresh = SimulatedAnnotator(schema, annotator._config)
+    assert first == fresh.give_feedback(**request)
+
+
+def test_queries_are_keyed_by_their_text_not_their_tree(given_feedback):
+    context = _fresh()
+    annotator = context.annotator_for("spider")
+    example = context.benchmark("spider").examples[0]
+    gold = parse_select(example.gold_sql)
+    integer, real = parse_select("SELECT 7"), parse_select("SELECT 7.0")
+    # Equal trees (7 == 7.0) that a user sees as different queries.
+    assert integer == real
+    for predicted in (integer, real):
+        annotator.give_feedback(
+            example_id=example.example_id,
+            question=example.question,
+            gold=gold,
+            predicted=predicted,
+            round_index=1,
+        )
+    assert len(given_feedback) == 2
+
+
+def test_each_feedback_text_is_routed_once_per_context():
+    routed: list[str] = []
+
+    class RecordingLLM(SimulatedLLM):
+        def complete(self, prompt):
+            if prompt.kind == KIND_ROUTING:
+                routed.append(prompt.payload["feedback"])
+            return super().complete(prompt)
+
+    context = _fresh(llm=RecordingLLM())
+    run_table2(context)
+    run_table3(context)
+    assert routed
+    assert len(routed) == len(set(routed))
+
+
+def test_feedback_is_frozen():
+    feedback = Feedback("we are in 2024", Highlight("2023", 0, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        feedback.highlight = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        feedback.highlight.text = "2024"

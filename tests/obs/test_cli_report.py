@@ -55,6 +55,11 @@ class TestCliMetrics:
         assert execute is not None, out
         calls, run, _failures = map(int, execute.groups())
         assert 0 < run < calls
+        # The link memo links each phrase once per schema.
+        linking = re.search(r"linking: (\d+) calls, (\d+) run", out)
+        assert linking is not None, out
+        calls, run = map(int, linking.groups())
+        assert 0 < run < calls
 
     def test_no_flags_prints_no_report_and_stays_disabled(self, capsys):
         exit_code = cli_main(["figure2", "--scale", "small"])
@@ -208,6 +213,21 @@ class TestRunReportRendering:
             }
         )
         assert "execute: 10 calls, 3 run, 1 failures" in report
+
+    def test_linking_line_reports_calls_and_runs(self):
+        counters = {"linking.calls": 12, "linking.misses": 5}
+        report = render_run_report(
+            {
+                "enabled": True,
+                "counters": [
+                    {"name": name, "labels": {}, "value": value}
+                    for name, value in counters.items()
+                ],
+                "histograms": [],
+                "spans": [],
+            }
+        )
+        assert "linking: 12 calls, 5 run" in report
 
     def test_routing_shares_sum_to_100(self):
         snapshot = {
