@@ -676,6 +676,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")
     _validate_backend_arguments(args, parser)
+    _check_fault_workers(args, parser)
     _check_semcache_arguments(args, parser)
     semcache = _build_semcache(args)
     try:
@@ -793,6 +794,32 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if instrumented:
             obs.disable()
     return 0
+
+
+def _check_fault_workers(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    """Reject injected faults at more than one worker.
+
+    Each fault is drawn by the model's call index, and worker threads
+    reorder the calls, so the run would not repeat.
+    """
+    if args.workers == 1:
+        return
+    from repro.llm.router import parse_backend_spec
+
+    try:
+        specs = [parse_backend_spec(text) for text in args.backend or ()]
+    except ValueError as error:
+        parser.error(str(error))
+    if args.inject_faults is not None or any(
+        spec.option("fault") is not None for spec in specs
+    ):
+        parser.error(
+            "injected faults (--inject-faults or a backend's fault=) "
+            "need --workers 1: each fault is drawn by call order, which "
+            "worker threads change"
+        )
 
 
 def _build_llm(args: argparse.Namespace) -> Optional[ChatModel]:

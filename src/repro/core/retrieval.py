@@ -14,8 +14,7 @@ per context").
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,18 +37,19 @@ class DemonstrationRetriever:
         self, demonstrations: Sequence[Demonstration], top_k: int = 4
     ) -> None:
         self._demos = list(demonstrations)
-        self._top_k = top_k
-        self._vectorizer = TfidfVectorizer()
+        vectorizer = TfidfVectorizer()
         if self._demos:
-            self._matrix = self._vectorizer.fit_transform(
+            matrix = vectorizer.fit_transform(
                 [demo.question for demo in self._demos]
             )
         else:
-            self._matrix = np.zeros((0, 0))
-        self._lock = threading.Lock()
-        self._memo: OrderedDict[
-            tuple[str, Optional[str]], tuple[Demonstration, ...]
-        ] = OrderedDict()
+            matrix = np.zeros((0, 0))
+        # The memo holds what ranking reads, not the retriever: holding
+        # the retriever would make a reference cycle, and every dropped
+        # context's retrievers would wait for the cyclic collector.
+        self._rank = functools.lru_cache(maxsize=RETRIEVAL_MEMO_SIZE)(
+            functools.partial(_rank, self._demos, top_k, vectorizer, matrix)
+        )
 
     def __len__(self) -> int:
         return len(self._demos)
@@ -70,39 +70,30 @@ class DemonstrationRetriever:
         with obs.span("retrieval.retrieve", db=db_id), obs.timer(
             "retrieval.latency_ms"
         ):
-            key = (question, db_id)
-            with self._lock:
-                retrieved = self._memo.get(key)
-                if retrieved is not None:
-                    self._memo.move_to_end(key)
-            if retrieved is None:
-                obs.count("retrieval.misses")
-                retrieved = self._rank(question, db_id)
-                with self._lock:
-                    self._memo[key] = retrieved
-                    if len(self._memo) > RETRIEVAL_MEMO_SIZE:
-                        self._memo.popitem(last=False)
+            retrieved = self._rank(question, db_id)
             obs.count("retrieval.calls")
             obs.observe("retrieval.demos", len(retrieved))
             return list(retrieved)
 
-    def _rank(
-        self, question: str, db_id: Optional[str]
-    ) -> tuple[Demonstration, ...]:
-        k = self._top_k
-        query_vec = self._vectorizer.transform([question])[0]
-        # Retrieve a generous pool, then apply the same-database preference.
-        pool = cosine_top_k(
-            query_vec, self._matrix, min(len(self._demos), k * 4)
-        )
-        same_db = [
-            self._demos[i]
-            for i, _s in pool
-            if db_id and self._demos[i].db_id == db_id
-        ]
-        others = [
-            self._demos[i]
-            for i, _s in pool
-            if not (db_id and self._demos[i].db_id == db_id)
-        ]
-        return tuple((same_db + others)[:k])
+
+def _rank(
+    demos: list[Demonstration],
+    top_k: int,
+    vectorizer: TfidfVectorizer,
+    matrix: np.ndarray,
+    question: str,
+    db_id: Optional[str],
+) -> tuple[Demonstration, ...]:
+    """The top-k tuple for ``question``. Each retriever memoizes it, so
+    this body runs, and counts, only on a miss."""
+    obs.count("retrieval.misses")
+    query_vec = vectorizer.transform([question])[0]
+    # Retrieve a generous pool, then apply the same-database preference.
+    pool = cosine_top_k(query_vec, matrix, min(len(demos), top_k * 4))
+    same_db = [
+        demos[i] for i, _s in pool if db_id and demos[i].db_id == db_id
+    ]
+    others = [
+        demos[i] for i, _s in pool if not (db_id and demos[i].db_id == db_id)
+    ]
+    return tuple((same_db + others)[:top_k])

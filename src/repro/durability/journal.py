@@ -64,8 +64,8 @@ _SEALED_RE = re.compile(r"^segment-(\d{4})(?:\.w(\d+))?\.sealed\.json$")
 class RunJournal:
     """Append-only, crash-safe store of completed run items.
 
-    Thread-safe: evaluation shards and parallel correction loops append
-    from worker threads. Replay hits and appends are counted both on the
+    Thread-safe: evaluation sweeps and correction loops append from
+    worker threads. Replay hits and appends are counted both on the
     instance (``replayed``/``appended``, always available for the CLI
     summary) and as ``journal.*`` obs counters (when instrumented).
     """

@@ -14,7 +14,6 @@ per-example records behind their numbers, from which
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,6 +29,7 @@ from repro.eval.metrics import (
     correction_rate,
     evaluate_model,
     execution_correct,
+    map_in_order,
 )
 from repro.sql.parser import parse_select
 
@@ -113,51 +113,6 @@ class Table2Result:
         return cell.corrected_percent if cell is not None else float("nan")
 
 
-def _map_corrections(
-    context: ExperimentContext,
-    errors: list[PredictionRecord],
-    correct_one: Callable[[PredictionRecord], CorrectionOutcome],
-    scope: dict,
-) -> list[CorrectionOutcome]:
-    """Run one correction per error record, in record order.
-
-    With ``context.workers > 1`` the per-record corrections fan out over a
-    thread pool; every correction is a deterministic function of its
-    record (annotator draws are keyed by example id), so the ordered
-    result list is identical to the sequential one.
-
-    When the context carries a journal, sessions already journaled under
-    ``scope`` replay instead of re-running, and each fresh session is
-    journaled on completion — per-record determinism is what makes the
-    replayed/computed mix indistinguishable from an uninterrupted run.
-    """
-    journal = context.journal
-    run_one = correct_one
-    if journal is not None:
-        from repro.eval.journaling import (
-            correction_key,
-            outcome_from_dict,
-            outcome_to_dict,
-        )
-
-        def run_one(record: PredictionRecord) -> CorrectionOutcome:
-            key = correction_key(scope, record)
-            hit = journal.replay(key)
-            if hit is not None:
-                return outcome_from_dict(hit["value"])
-            outcome = correct_one(record)
-            journal.append(key, "correction", outcome_to_dict(outcome))
-            return outcome
-
-    if context.workers <= 1 or len(errors) <= 1:
-        return [run_one(record) for record in errors]
-    with ThreadPoolExecutor(
-        max_workers=min(context.workers, len(errors)),
-        thread_name_prefix="correct",
-    ) as executor:
-        return list(executor.map(run_one, errors))
-
-
 def make_fisql_corrector(
     context: ExperimentContext,
     dataset: str,
@@ -204,7 +159,14 @@ def _run_fisql(
         highlights=highlights,
         max_rounds=max_rounds,
     )
-    return _map_corrections(context, errors, correct_one, scope)
+    return map_in_order(
+        correct_one,
+        errors,
+        context.workers,
+        context.journal,
+        "correction",
+        scope,
+    )
 
 
 def _failed_outcome(example_id: str, error: Exception) -> CorrectionOutcome:
@@ -270,10 +232,12 @@ def _run_query_rewrite(
     dataset: str,
     errors: list[PredictionRecord],
 ) -> list[CorrectionOutcome]:
-    return _map_corrections(
-        context,
-        errors,
+    return map_in_order(
         make_query_rewrite_corrector(context, dataset),
+        errors,
+        context.workers,
+        context.journal,
+        "correction",
         context.scope("query_rewrite", dataset),
     )
 

@@ -72,8 +72,9 @@ class ExperimentContext:
     aep_benchmark: Benchmark
     aep_demos: list[Demonstration]
     llm: ChatModel = field(default_factory=SimulatedLLM)
-    #: Evaluation parallelism: worker threads for sharded sweeps. The
-    #: default is the sequential seed path.
+    #: Evaluation parallelism: worker threads for each sweep
+    #: (:func:`~repro.eval.metrics.map_in_order`). The default is the
+    #: sequential seed path.
     workers: int = 1
     #: Write-ahead journal for resumable sweeps (None = not journaling).
     journal: Optional[RunJournal] = None

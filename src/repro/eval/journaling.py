@@ -96,3 +96,16 @@ def outcome_from_dict(value: dict) -> CorrectionOutcome:
         rounds=[RoundRecord(**data) for data in value.get("rounds", ())],
         failure=value.get("failure"),
     )
+
+
+#: How a sweep journals each kind of item: ``(key, encode, decode)``,
+#: where ``key(scope, item)`` names the item's record, ``encode(result)``
+#: is its value and ``decode(item, value)`` rebuilds the result.
+CODECS = {
+    "prediction": (prediction_key, prediction_to_dict, prediction_from_dict),
+    "correction": (
+        correction_key,
+        outcome_to_dict,
+        lambda record, value: outcome_from_dict(value),
+    ),
+}

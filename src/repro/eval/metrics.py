@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from repro import obs
 from repro.core.nl2sql import Nl2SqlModel
@@ -15,6 +15,9 @@ from repro.sql.comparison import query_is_ordered, results_match
 from repro.sql.engine import Database
 from repro.sql.engine import QueryResult
 from repro.sql.parser import parse_query
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass
@@ -144,81 +147,49 @@ def _scored_record(
     )
 
 
-def _evaluate_examples(
-    model: Nl2SqlModel,
-    benchmark: Benchmark,
-    pool: Sequence[Example],
+def map_in_order(
+    run_one: Callable[[T], R],
+    items: Sequence[T],
+    workers: int = 1,
     journal=None,
+    kind: str = "",
     scope: Optional[dict] = None,
-) -> list[PredictionRecord]:
-    """Score a contiguous run of examples (one worker's shard).
+) -> list[R]:
+    """``run_one`` of each item, in item order.
 
-    With a ``journal``, already-journaled examples replay from it and only
-    the rest are predicted; each freshly computed record is journaled the
-    moment it is scored. The returned list keeps pool order regardless of
-    the replay/compute mix, so a resumed run's records are identical to an
-    uninterrupted run's.
+    ``workers > 1`` runs the items on that many threads (at most one per
+    item). Each result is a deterministic function of its item (model and
+    annotator draws are keyed by the example), so the list equals the
+    sequential one whichever thread finishes first.
+
+    With a ``journal`` (a :class:`repro.durability.RunJournal`), an item
+    journaled under ``scope`` replays instead of running, and each fresh
+    result is journaled as ``kind`` the moment it is ready
+    (:data:`repro.eval.journaling.CODECS` keys and encodes each kind). At
+    one worker the fresh items are journaled in item order, so a resumed
+    run's results equal an uninterrupted run's.
     """
-    slots: list[Optional[PredictionRecord]] = [None] * len(pool)
-    pending: list[tuple[int, Example, Optional[str]]] = []
+    settle = run_one
     if journal is not None:
-        from repro.eval.journaling import prediction_from_dict, prediction_key
+        from repro.eval.journaling import CODECS
 
-        for index, example in enumerate(pool):
-            key = prediction_key(scope or {}, example)
+        key_of, encode, decode = CODECS[kind]
+
+        def settle(item: T) -> R:
+            key = key_of(scope or {}, item)
             hit = journal.replay(key)
             if hit is not None:
-                slots[index] = prediction_from_dict(example, hit["value"])
-            else:
-                pending.append((index, example, key))
-    else:
-        pending = [(index, example, None) for index, example in enumerate(pool)]
+                return decode(item, hit["value"])
+            result = run_one(item)
+            journal.append(key, kind, encode(result))
+            return result
 
-    def settle(index: int, key: Optional[str], record: PredictionRecord) -> None:
-        if journal is not None and key is not None:
-            from repro.eval.journaling import prediction_to_dict
-
-            journal.append(key, "prediction", prediction_to_dict(record))
-        slots[index] = record
-
-    for index, example, key in pending:
-        database = benchmark.database(example.db_id)
-        try:
-            prediction = model.predict(example.question, database)
-        except LLMError as error:
-            settle(index, key, _failed_record(example, error))
-            continue
-        settle(
-            index,
-            key,
-            _scored_record(
-                benchmark, example, prediction.sql, prediction.notes
-            ),
-        )
-    return [record for record in slots if record is not None]
-
-
-def shard_examples(
-    pool: Sequence[Example], workers: int
-) -> list[list[Example]]:
-    """Contiguous, near-equal shards (empty shards are dropped).
-
-    Contiguity + concatenation in shard order is what makes the parallel
-    merge deterministic: the merged record list equals the sequential one
-    regardless of which worker finished first.
-    """
-    workers = max(1, workers)
-    pool = list(pool)
-    shards: list[list[Example]] = []
-    base, extra = divmod(len(pool), workers)
-    cursor = 0
-    for worker in range(workers):
-        size = base + (1 if worker < extra else 0)
-        if size == 0:
-            continue
-        shards.append(pool[cursor : cursor + size])
-        cursor += size
-    return shards
+    if workers <= 1 or len(items) <= 1:
+        return [settle(item) for item in items]
+    with ThreadPoolExecutor(
+        max_workers=min(workers, len(items)), thread_name_prefix="eval"
+    ) as executor:
+        return list(executor.map(settle, items))
 
 
 def evaluate_model(
@@ -231,41 +202,29 @@ def evaluate_model(
 ) -> AccuracyReport:
     """Run a model over a benchmark and score execution accuracy.
 
-    ``workers > 1`` shards the pool across worker threads (contiguous
-    shards, merged back in shard order — results are byte-identical to a
-    sequential run); a pool of at most one example runs sequentially.
-    ``journal`` (a :class:`repro.durability.RunJournal`) makes the sweep
-    resumable: journaled examples replay, fresh ones are computed and
-    journaled; ``scope`` namespaces the journal keys (see
-    :mod:`repro.eval.journaling`).
+    ``workers``, ``journal`` and ``scope`` go to :func:`map_in_order`:
+    worker threads leave the records byte-identical to a sequential run,
+    and a journal makes the sweep resumable, its keys namespaced by
+    ``scope`` (see :mod:`repro.eval.journaling`).
     """
-    report = AccuracyReport()
     pool = list(examples if examples is not None else benchmark.examples)
+
+    def score(example: Example) -> PredictionRecord:
+        database = benchmark.database(example.db_id)
+        try:
+            prediction = model.predict(example.question, database)
+        except LLMError as error:
+            return _failed_record(example, error)
+        return _scored_record(
+            benchmark, example, prediction.sql, prediction.notes
+        )
+
     with obs.span(
         "eval.evaluate_model", benchmark=benchmark.name, n=len(pool)
     ) as sp:
-        if workers <= 1 or len(pool) <= 1:
-            report.records.extend(
-                _evaluate_examples(model, benchmark, pool, journal, scope)
-            )
-        else:
-            shards = shard_examples(pool, workers)
-            with ThreadPoolExecutor(
-                max_workers=len(shards), thread_name_prefix="eval"
-            ) as executor:
-                futures = [
-                    executor.submit(
-                        _evaluate_examples,
-                        model,
-                        benchmark,
-                        shard,
-                        journal,
-                        scope,
-                    )
-                    for shard in shards
-                ]
-                for future in futures:
-                    report.records.extend(future.result())
+        report = AccuracyReport(
+            map_in_order(score, pool, workers, journal, "prediction", scope)
+        )
         sp.set("accuracy", report.accuracy)
         sp.set("failed", report.failed)
     return report

@@ -501,13 +501,9 @@ class ServeApp:
                 return self._json(200, {"deleted": session_id})
             if route == "session":
                 return self._session_info(session_id)
-            if route == "ask":
-                return self._ask(
-                    session_id, raw_body, arrived_at, idempotency_key
-                )
-            if route == "feedback":
-                return self._feedback(
-                    session_id, raw_body, arrived_at, idempotency_key
+            if route in ("ask", "feedback"):
+                return self._turn(
+                    route, session_id, raw_body, arrived_at, idempotency_key
                 )
             if route == "transcript":
                 return self._transcript(session_id)
@@ -730,66 +726,44 @@ class ServeApp:
             {"Idempotency-Replayed": "true"},
         )
 
-    def _ask(
+    def _turn(
         self,
+        route: str,
         session_id: str,
         raw_body: bytes,
         arrived_at: float,
         idempotency_key: Optional[str] = None,
     ) -> Tuple[int, str, bytes]:
-        request = AskRequest.from_payload(json_decode(raw_body))
+        """One ``ask`` or ``feedback`` turn on a session."""
+        ask = route == "ask"
+        payload = json_decode(raw_body)
+        request = (AskRequest if ask else FeedbackRequest).from_payload(payload)
         with self._gate.admit(self._peek_tenant(session_id)):
             with self._manager.acquire(session_id) as record:
                 if idempotency_key is not None:
-                    replay = self._replay(record, idempotency_key, "ask")
+                    replay = self._replay(record, idempotency_key, route)
                     if replay is not None:
                         return replay
                 # The session lock can queue us behind a slow turn; shed
                 # rather than start work the caller stopped waiting for.
                 self._gate.check_deadline(arrived_at)
-                response = record.chat.ask(request.question)
-                obs.count("serve.asks", tenant=record.tenant)
-                self._journal_turn(record, "ask")
-                result = self._json(
-                    200,
-                    {
-                        "session_id": record.session_id,
-                        "answer": answer_view(response),
-                        "turns": len(record.chat.turns),
-                    },
-                )
-                if idempotency_key is not None:
-                    record.idempotency.store(
-                        idempotency_key, "ask", result[0], result[2]
-                    )
-                return result
-
-    def _feedback(
-        self,
-        session_id: str,
-        raw_body: bytes,
-        arrived_at: float,
-        idempotency_key: Optional[str] = None,
-    ) -> Tuple[int, str, bytes]:
-        request = FeedbackRequest.from_payload(json_decode(raw_body))
-        with self._gate.admit(self._peek_tenant(session_id)):
-            with self._manager.acquire(session_id) as record:
-                if idempotency_key is not None:
-                    replay = self._replay(record, idempotency_key, "feedback")
-                    if replay is not None:
-                        return replay
-                self._gate.check_deadline(arrived_at)
-                if record.chat.current_sql is None:
+                if ask:
+                    response = record.chat.ask(request.question)
+                elif record.chat.current_sql is None:
                     raise ProtocolError(
                         409,
                         "no_question",
                         "feedback before any question was asked",
                     )
-                response = record.chat.give_feedback(
-                    request.feedback, highlight=request.highlight
+                else:
+                    response = record.chat.give_feedback(
+                        request.feedback, highlight=request.highlight
+                    )
+                obs.count(
+                    "serve.asks" if ask else "serve.feedbacks",
+                    tenant=record.tenant,
                 )
-                obs.count("serve.feedbacks", tenant=record.tenant)
-                self._journal_turn(record, "feedback")
+                self._journal_turn(record, route)
                 result = self._json(
                     200,
                     {
@@ -800,7 +774,7 @@ class ServeApp:
                 )
                 if idempotency_key is not None:
                     record.idempotency.store(
-                        idempotency_key, "feedback", result[0], result[2]
+                        idempotency_key, route, result[0], result[2]
                     )
                 return result
 

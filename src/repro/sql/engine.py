@@ -15,10 +15,9 @@ stays :class:`~repro.sql.schema.DatabaseSchema`, and rows enter through
 types. Every ``sqlite3`` error surfaces as a :class:`~repro.errors.SqlError`
 subclass, so a prediction that fails to run counts as wrong.
 
-Each connection memoizes query results by the SQL text SQLite runs, and
-the printed text, order flag and column names of each query tree it ran;
-every write through it clears both (DESIGN.md, "Each query runs once per
-database state").
+Each connection memoizes the column names and rows of each query tree it
+ran, and every write through it clears them (DESIGN.md, "Each query runs
+once per database state").
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import sqlite3
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from repro import obs
 from repro.errors import CatalogError, ExecutionError, SqlError
@@ -48,16 +47,11 @@ from repro.sql.types import DataType, SqlValue
 #: are a table's single-row INSERTs, which one slot serves.
 STATEMENT_CACHE_SIZE = 1
 
-#: How many query results each connection keeps (least recently used
-#: first out). After set-up and a full sweep the AEP database holds 129
-#: and no SPIDER database more than 20, so a sweep never evicts.
+#: How many query answers (a tree's column names and rows) each
+#: connection keeps, least recently used first out. After set-up and any
+#: number of full sweeps the AEP database holds 129 and no SPIDER database
+#: more than 20, so a sweep never evicts.
 RESULT_MEMO_SIZE = 256
-
-#: How many query plans (a tree's printed text, order flag and column
-#: names) each connection keeps, least recently used first out. After
-#: set-up and any number of full sweeps the AEP database holds 140 and no
-#: SPIDER database more than 20.
-PLAN_MEMO_SIZE = 256
 
 #: A call to a function SQLite may answer differently each time it runs.
 #: The printer writes every call as ``NAME(`` in upper case, so a query
@@ -122,33 +116,32 @@ class DmlResult:
 ExecuteResult = Union[QueryResult, DmlResult]
 
 
-class QueryPlan(NamedTuple):
-    """What running a query tree needs besides SQLite, worked out once.
+class _Answer(NamedTuple):
+    """A query tree's column names and rows on one database state.
 
-    It holds the tree, so the tree's ``id`` that keys it cannot be reused.
+    It holds the tree, so the tree's ``id`` that keys it cannot be reused
+    while it is kept.
     """
 
     tree: ast.Query
-    sql: str
-    ordered: bool
     columns: tuple[str, ...]
+    rows: tuple[Row, ...]
 
 
 class Connection:
     """One in-memory SQLite connection, shared by threads under one lock.
 
-    Serve threads and ``--workers`` shards share a suite's databases, so
+    Serve threads and ``--workers`` sweeps share a suite's databases, so
     the connection is opened with ``check_same_thread=False`` and each
     statement runs, with its rows fetched, while holding the lock.
 
-    :meth:`query` memoizes a query's rows by its SQL text, up to
-    :data:`RESULT_MEMO_SIZE` texts, and :meth:`plan` keeps up to
-    :data:`PLAN_MEMO_SIZE` query plans by tree identity. Every statement
-    that changes the database goes through :meth:`write`, which clears
-    both: DDL changes what ``*`` names.
+    :meth:`answer` keeps the answers of up to :data:`RESULT_MEMO_SIZE`
+    query trees, keyed by tree identity. Every statement that changes the
+    database goes through :meth:`write`, which clears them: DDL changes
+    what ``*`` names.
     """
 
-    __slots__ = ("_connection", "_lock", "_plans", "_results", "_writes")
+    __slots__ = ("_answers", "_connection", "_lock")
 
     def __init__(self) -> None:
         self._connection = sqlite3.connect(
@@ -158,55 +151,42 @@ class Connection:
             cached_statements=STATEMENT_CACHE_SIZE,
         )
         self._lock = threading.Lock()
-        self._results: OrderedDict[str, tuple[Row, ...]] = OrderedDict()
-        self._plans: OrderedDict[int, QueryPlan] = OrderedDict()
-        self._writes = 0
+        self._answers: OrderedDict[int, _Answer] = OrderedDict()
 
-    def plan(self, tree: ast.Query) -> tuple[Optional[QueryPlan], int]:
-        """The plan kept for ``tree`` (None when there is none), and the
-        write count to hand :meth:`keep_plan` with a new one."""
-        with self._lock:
-            plan = self._plans.get(id(tree))
-            if plan is not None:
-                self._plans.move_to_end(id(tree))
-            return plan, self._writes
+    def answer(
+        self,
+        tree: ast.Query,
+        column_names: Callable[[ast.Query], list[str]],
+    ) -> tuple[list[str], list[Row]]:
+        """The column names and rows of the query ``tree``, as lists of
+        the caller's own; rows sorted by
+        :func:`~repro.sql.comparison.row_sort_key` unless ``tree`` orders
+        them.
 
-    def keep_plan(self, plan: QueryPlan, writes: int) -> None:
-        """Keep ``plan`` unless a write ran since :meth:`plan` read ``writes``."""
-        with self._lock:
-            if self._writes == writes:
-                self._plans[id(plan.tree)] = plan
-                if len(self._plans) > PLAN_MEMO_SIZE:
-                    self._plans.popitem(last=False)
-
-    def query(self, sql: str, ordered: bool) -> list[Row]:
-        """The rows of the query ``sql``, sorted by
-        :func:`~repro.sql.comparison.row_sort_key` unless ``ordered``.
-
-        Answered from the memo when ``sql`` ran since the last write. A
-        miss counts ``sql.execute.misses``. A failing query is not
-        memoized, nor is one that calls a volatile function. The rows
-        are stored only if no write ran while they were fetched.
+        Answered from the memo when ``tree`` ran since the last write. A
+        miss counts ``sql.execute.misses`` and does its whole job under
+        the lock, so no write lands inside it: print, run, sort, name the
+        columns (after SQLite accepted the query, so a query SQLite
+        rejects fails with SQLite's error) and keep the answer. A failing
+        query is not kept, nor is one that calls a volatile function.
         """
+        key = id(tree)
         with self._lock:
-            rows = self._results.get(sql)
-            if rows is not None:
-                self._results.move_to_end(sql)
-            writes = self._writes
-        if rows is not None:
-            return list(rows)
-        obs.count("sql.execute.misses")
-        fetched = self.fetch(sql)
-        if not ordered:
-            fetched.sort(key=row_sort_key)
-        if _VOLATILE_CALL.search(sql) is None:
-            stored = tuple(fetched)
-            with self._lock:
-                if self._writes == writes:
-                    self._results[sql] = stored
-                    if len(self._results) > RESULT_MEMO_SIZE:
-                        self._results.popitem(last=False)
-        return fetched
+            kept = self._answers.get(key)
+            if kept is not None and kept.tree is tree:
+                self._answers.move_to_end(key)
+            else:
+                obs.count("sql.execute.misses")
+                sql = print_query(_runnable(tree))
+                rows = self._run(sql, ())[0]
+                if not query_is_ordered(tree):
+                    rows.sort(key=row_sort_key)
+                kept = _Answer(tree, tuple(column_names(tree)), tuple(rows))
+                if _VOLATILE_CALL.search(sql) is None:
+                    self._answers[key] = kept
+                    if len(self._answers) > RESULT_MEMO_SIZE:
+                        self._answers.popitem(last=False)
+        return list(kept.columns), list(kept.rows)
 
     def fetch(self, sql: str) -> list[Row]:
         """Run a statement that changes nothing and return its rows."""
@@ -216,13 +196,11 @@ class Connection:
     def write(self, sql: str, params: Sequence[SqlValue] = ()) -> int:
         """Run a statement that changes the database: rows affected.
 
-        Clears the memos first, so no later query sees rows or column
+        Clears the memo first, so no later query sees rows or column
         names from before.
         """
         with self._lock:
-            self._writes += 1
-            self._results.clear()
-            self._plans.clear()
+            self._answers.clear()
             return self._run(sql, params)[1]
 
     def _run(
@@ -321,11 +299,9 @@ class Database:
         A query with no top-level ORDER BY returns its rows sorted by
         :func:`~repro.sql.comparison.row_sort_key`, so its row order
         depends on neither the engine nor the order rows were inserted in.
-        SQLite runs a query only the first time its text arrives after a
-        write (:meth:`Connection.query`), and a tree is printed and its
-        columns named only the first time it runs after a write
-        (:meth:`Connection.plan`); every call still gets its own
-        :class:`QueryResult`.
+        A tree is printed, run and its columns named only the first time
+        it arrives after a write (:meth:`Connection.answer`); every call
+        still gets its own :class:`QueryResult`.
         """
         if not obs.is_enabled():
             return self._execute_ast(statement)
@@ -354,19 +330,7 @@ class Database:
         )  # pragma: no cover
 
     def _query(self, query: ast.Query) -> QueryResult:
-        plan, writes = self._connection.plan(query)
-        if plan is not None:
-            rows = self._connection.query(plan.sql, plan.ordered)
-            return QueryResult(columns=list(plan.columns), rows=rows)
-        sql = print_query(_runnable(query))
-        ordered = query_is_ordered(query)
-        rows = self._connection.query(sql, ordered)
-        # Named after SQLite ran it: a query SQLite rejects fails with
-        # SQLite's error, and is never planned.
-        columns = self._column_names(query)
-        self._connection.keep_plan(
-            QueryPlan(query, sql, ordered, tuple(columns)), writes
-        )
+        columns, rows = self._connection.answer(query, self._column_names)
         return QueryResult(columns=columns, rows=rows)
 
     # -- result column names ----------------------------------------------------

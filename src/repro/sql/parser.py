@@ -12,6 +12,7 @@ Entry points:
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import replace
 from typing import Optional
 
@@ -692,9 +693,20 @@ _TYPE_KEYWORDS = frozenset(
 PARSE_MEMO_SIZE = 4096
 
 
+#: A statement text that starts like a query: :func:`parse_statement`
+#: hands it to the query memo. A query behind a leading comment parses
+#: unmemoized, which costs only the parse.
+_QUERY_START = re.compile(r"\s*(?:\(|SELECT\b)", re.IGNORECASE)
+
+
 def parse_statement(text: str) -> ast.Statement:
-    """Parse one SQL statement (not memoized: DDL and DML are rare)."""
-    return _counted_parse(_parse_statement, text)
+    """Parse one SQL statement.
+
+    A query shares :func:`parse_query`'s memo, so a repeated query text
+    gets the same tree; DDL and DML are rare and are not memoized.
+    """
+    parse = _parse_query if _QUERY_START.match(text) else _parse_statement
+    return _counted_parse(parse, text)
 
 
 def parse_query(text: str) -> ast.Query:

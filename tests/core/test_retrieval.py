@@ -1,7 +1,9 @@
 """RAG demonstration retriever tests."""
 
+import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -96,7 +98,7 @@ class TestRetrievalMemo:
         questions = [f"singers number {i}" for i in range(RETRIEVAL_MEMO_SIZE + 1)]
         for question in questions:
             retriever.retrieve(question)
-        assert len(retriever._memo) == RETRIEVAL_MEMO_SIZE
+        assert retriever._rank.cache_info().currsize == RETRIEVAL_MEMO_SIZE
         retriever.retrieve(questions[-1])
         assert counters()["retrieval.misses"] == RETRIEVAL_MEMO_SIZE + 1
         retriever.retrieve(questions[0])
@@ -138,4 +140,21 @@ class TestRetrievalMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert problems == []
-        assert len(shared._memo) <= 2
+        assert shared._rank.cache_info().currsize <= 2
+
+
+def test_a_dropped_retriever_is_freed_without_the_cyclic_collector():
+    # Each sweep context builds its own retrievers, with their TF-IDF
+    # matrices; a memo that held its retriever would keep every dropped
+    # one alive until the cyclic collector ran.
+    retriever = DemonstrationRetriever(POOL, top_k=2)
+    retriever.retrieve("how many singers exist")
+    dropped = weakref.ref(retriever)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del retriever
+        assert dropped() is None
+    finally:
+        if enabled:
+            gc.enable()

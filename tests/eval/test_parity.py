@@ -2,17 +2,23 @@
 
 The acceptance bar for the dispatch layer is not "roughly the same
 accuracy" — it is byte-identical per-example outcomes and rendered
-artifacts across {sequential, sharded workers, warm completion cache}. These tests pin that equivalence on the SPIDER error
-set and on the table2 correction benchmark.
+artifacts across {sequential, worker threads, warm completion cache}.
+These tests pin that equivalence on the SPIDER error set and on the
+table2 correction benchmark, and pin the one sweep map they all run on.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.datasets.base import Example
+from repro.durability import RunJournal
 from repro.eval.experiments import run_figure2, run_table2
 from repro.eval.harness import build_context
-from repro.eval.metrics import evaluate_model, shard_examples
+from repro.eval.journaling import prediction_key, prediction_to_dict
+from repro.eval.metrics import PredictionRecord, evaluate_model, map_in_order
 from repro.eval.reporting import render_figure2, render_table2
 from repro.llm.dispatch import CachingChatModel, CompletionCache
 from repro.llm.simulated import SimulatedLLM
@@ -47,17 +53,63 @@ def _evaluate(examples, llm=None, workers=1):
     )
 
 
-class TestShardExamples:
-    def test_shards_partition_in_order(self, error_examples):
-        shards = shard_examples(error_examples, 4)
-        flattened = [example for shard in shards for example in shard]
-        assert flattened == list(error_examples)
-        sizes = [len(shard) for shard in shards]
-        assert max(sizes) - min(sizes) <= 1
+class _RecordingJournal(RunJournal):
+    """A run journal that also lists the keys appended to it, in order."""
 
-    def test_more_workers_than_examples(self, error_examples):
-        shards = shard_examples(error_examples[:2], 8)
-        assert [len(shard) for shard in shards] == [1, 1]
+    def __init__(self, directory) -> None:
+        super().__init__(directory)
+        self.appended_keys: list[str] = []
+
+    def append(self, key: str, kind: str, value: object) -> bool:
+        self.appended_keys.append(key)
+        return super().append(key, kind, value)
+
+
+class TestMapInOrder:
+    SCOPE = {"experiment": "map"}
+
+    @staticmethod
+    def _record(example: Example, sql: str) -> PredictionRecord:
+        return PredictionRecord(example=example, predicted_sql=sql, correct=True)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_half_journaled_list_comes_back_in_list_order(
+        self, tmp_path, workers
+    ):
+        examples = [
+            Example(f"ex{i}", "db", f"question {i}", f"SELECT {i}")
+            for i in range(9)
+        ]
+        keys = [prediction_key(self.SCOPE, example) for example in examples]
+        journal = _RecordingJournal(tmp_path)
+        for example, key in zip(examples[::2], keys[::2]):
+            journal.append(
+                key, "prediction", prediction_to_dict(self._record(example, "kept"))
+            )
+        journal.appended_keys.clear()
+        ran: list[str] = []
+
+        def run_one(example: Example) -> PredictionRecord:
+            ran.append(example.example_id)
+            # Later items finish first when threads run them side by side.
+            time.sleep(0.002 * (len(examples) - examples.index(example)))
+            return self._record(example, "fresh")
+
+        try:
+            records = map_in_order(
+                run_one, examples, workers, journal, "prediction", self.SCOPE
+            )
+        finally:
+            journal.close()
+        assert [record.example for record in records] == examples
+        assert [record.predicted_sql for record in records] == [
+            "kept", "fresh", "kept", "fresh", "kept", "fresh", "kept", "fresh", "kept",
+        ]
+        assert sorted(ran) == [example.example_id for example in examples[1::2]]
+        assert journal.replayed == 5
+        assert sorted(journal.appended_keys) == sorted(keys[1::2])
+        if workers == 1:
+            assert journal.appended_keys == keys[1::2]
 
 
 class TestOutcomeParity:
@@ -72,7 +124,7 @@ class TestOutcomeParity:
     def test_more_workers_than_examples_match_sequential(
         self, error_examples
     ):
-        # Eight workers over three examples: the empty shards drop out.
+        # Eight workers over three examples: one thread per example.
         baseline = _fingerprint(_evaluate(error_examples[:3]))
         sharded = _fingerprint(_evaluate(error_examples[:3], workers=8))
         assert sharded == baseline

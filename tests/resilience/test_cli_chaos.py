@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro import obs
 from repro.cli import main as cli_main
 
 #: Documented tolerance (percentage points) between fault-free and
@@ -74,7 +75,31 @@ class TestChaosRun:
 
     def test_chaos_artifact_deterministic_across_runs(self):
         argv = ["table2", "--scale", "small", "--inject-faults", "default"]
-        assert _run(argv) == _run(argv)
+        assert _run(argv) == _run(argv + ["--workers", "1"])
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            ["--inject-faults", "default"],
+            ["--backend", "primary=simulated,fault=outage", "--backend", "b=simulated"],
+        ],
+        ids=["inject-faults", "backend-fault"],
+    )
+    def test_injected_faults_at_more_workers_exit_before_any_work(
+        self, capsys, monkeypatch, faults
+    ):
+        # Each fault is drawn by call order, which worker threads change.
+        def refuse(**_kwargs):
+            raise AssertionError("build_context ran")
+
+        monkeypatch.setattr("repro.cli.build_context", refuse)
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(
+                ["run", "table2", "--scale", "small", "--metrics", "--workers", "2", *faults]
+            )
+        assert excinfo.value.code == 2
+        assert "need --workers 1" in capsys.readouterr().err
+        assert not obs.is_enabled()
 
     def test_none_profile_is_byte_identical_to_plain_run(self):
         plain = _run(["table2", "--scale", "small"])

@@ -142,7 +142,7 @@ class TestRoutedChaosCLI:
         # Wall-clock spans vary run to run; the artifact and the
         # resilience counters (failovers, ejections, per-backend
         # outcomes) must not.
-        first, second = _run(self.ARGV), _run(self.ARGV)
+        first, second = _run(self.ARGV), _run(self.ARGV + ["--workers", "1"])
         assert _artifact(first) == _artifact(second)
         assert _resilience_section(first) == _resilience_section(second)
 

@@ -1,10 +1,11 @@
-"""The query-result memo: each distinct query runs once per database state.
+"""The query memo: each distinct query runs once per database state.
 
-Every :class:`Database` connection keeps the rows of the queries it ran,
-keyed by the SQL text SQLite runs, and the plan (printed text, order flag
-and column names) of each tree it ran, keyed by the tree's identity.
-Every write through it clears both. ``serve`` request threads share a
-suite's databases, so the memo is also driven by readers racing a writer.
+Every :class:`Database` connection keeps the answer (column names and
+rows) of each query tree it ran, keyed by the tree's identity, and every
+write through it clears them. A query text reaches the memo through the
+parse memo, which hands each text one tree. ``serve`` request threads
+share a suite's databases, so the memo is also driven by readers racing a
+writer.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import pytest
 from repro import obs
 from repro.errors import CatalogError, ExecutionError
 from repro.sql import engine
-from repro.sql.engine import PLAN_MEMO_SIZE, RESULT_MEMO_SIZE, Database
-from repro.sql.parser import parse_query
+from repro.sql.engine import RESULT_MEMO_SIZE, Database
+from repro.sql.parser import Parser, parse_query
 from repro.sql.printer import print_query
 
 
@@ -149,20 +150,50 @@ def test_a_tree_is_printed_once_per_database_state(db, monkeypatch):
 
 
 def test_a_plan_made_before_a_write_is_not_kept(db, monkeypatch):
-    keep_plan = engine.Connection.keep_plan
+    # A write that arrives while a miss names its columns waits for the
+    # miss; it then clears what the miss kept, so the columns named before
+    # the DDL are not left behind for the runs after it.
+    tree = parse_query("SELECT * FROM t")
+    column_names = Database._column_names
 
-    def write_then_keep(connection, plan, writes):
-        monkeypatch.setattr(engine.Connection, "keep_plan", keep_plan)
+    def rebuild_t() -> None:
         db.execute("DROP TABLE t")
         db.execute("CREATE TABLE t (b INTEGER, c TEXT)")
-        keep_plan(connection, plan, writes)
 
-    monkeypatch.setattr(engine.Connection, "keep_plan", write_then_keep)
-    tree = parse_query("SELECT * FROM t")
-    # The plan was made before the DDL, so it names the old columns; it
-    # must not leave them behind for the runs after it.
+    writer = threading.Thread(target=rebuild_t)
+
+    def names_while_a_write_waits(database, query):
+        writer.start()
+        writer.join(timeout=0.2)
+        assert writer.is_alive(), "the write landed inside the miss"
+        return column_names(database, query)
+
+    monkeypatch.setattr(Database, "_column_names", names_while_a_write_waits)
     assert db.execute_ast(tree).columns == ["id", "name"]
+    monkeypatch.setattr(Database, "_column_names", column_names)
+    writer.join(timeout=10.0)
+    assert not writer.is_alive()
     assert db.execute_ast(tree).columns == ["b", "c"]
+
+
+def test_two_trees_of_one_text_each_run_once_and_answer_alike(db, counters):
+    text = "SELECT name FROM t"
+    first, second = Parser(text).parse_query(), Parser(text).parse_query()
+    assert first == second and first is not second
+    for _ in range(2):
+        for tree in (first, second):
+            result = db.execute_ast(tree)
+            assert (result.columns, result.rows) == (["name"], [("a",), ("b",)])
+    assert counters()["sql.execute.misses"] == 2
+
+
+def test_a_tree_runs_again_after_a_write(db, counters):
+    tree = parse_query(_COUNT)
+    assert [db.execute_ast(tree).scalar() for _ in range(2)] == [2, 2]
+    assert counters()["sql.execute.misses"] == 1
+    db.data("t").insert((3, "c"))
+    assert [db.execute_ast(tree).scalar() for _ in range(2)] == [3, 3]
+    assert counters()["sql.execute.misses"] == 2
 
 
 def test_each_call_gets_column_names_of_its_own(db):
@@ -171,23 +202,32 @@ def test_each_call_gets_column_names_of_its_own(db):
     assert db.execute_ast(tree).columns == ["name"]
 
 
-def test_a_failing_tree_fails_as_sqlite_says_and_is_not_planned(db):
+def test_a_failing_tree_fails_as_sqlite_says_and_is_not_planned(db, counters):
     tree = parse_query("SELECT * FROM missing")
     for _ in range(2):
         with pytest.raises(CatalogError, match="no such table: missing"):
             db.execute_ast(tree)
-    assert not db._connection._plans
+    # Not kept: SQLite ran it on both calls.
+    assert counters()["sql.execute.misses"] == 2
+    assert id(tree) not in db._connection._answers
 
 
-def test_the_plans_keep_the_most_recent_trees(db):
+def test_the_plans_keep_the_most_recent_trees(db, counters):
     trees = [
-        parse_query(f"SELECT id * {i} FROM t") for i in range(PLAN_MEMO_SIZE + 1)
+        parse_query(f"SELECT id * {i} FROM t") for i in range(RESULT_MEMO_SIZE + 1)
     ]
-    for tree in trees:
+    for tree in trees[:-1]:
         db.execute_ast(tree)
-    plans = db._connection._plans
-    assert len(plans) == PLAN_MEMO_SIZE
-    assert id(trees[0]) not in plans and id(trees[-1]) in plans
+    db.execute_ast(trees[0])  # a hit: now the most recently used
+    db.execute_ast(trees[-1])  # one tree too many
+    answers = db._connection._answers
+    assert len(answers) == RESULT_MEMO_SIZE
+    # The second tree was used least recently, so it left.
+    assert id(trees[1]) not in answers
+    assert id(trees[0]) in answers and id(trees[-1]) in answers
+    assert counters()["sql.execute.misses"] == RESULT_MEMO_SIZE + 1
+    db.execute_ast(trees[1])
+    assert counters()["sql.execute.misses"] == RESULT_MEMO_SIZE + 2
 
 
 @pytest.mark.parametrize(
@@ -237,29 +277,13 @@ def test_the_memo_keeps_the_most_recent_texts(db, counters):
     texts = [f"SELECT id + {i} FROM t" for i in range(RESULT_MEMO_SIZE + 1)]
     for text in texts:
         db.query(text)
-    assert len(db._connection._results) == RESULT_MEMO_SIZE
+    assert len(db._connection._answers) == RESULT_MEMO_SIZE
     # The first text was used least recently, so it left; the last stayed.
     db.query(texts[-1])
     assert counters()["sql.execute.misses"] == RESULT_MEMO_SIZE + 1
     db.query(texts[0])
     assert counters()["sql.execute.misses"] == RESULT_MEMO_SIZE + 2
-    assert len(db._connection._results) == RESULT_MEMO_SIZE
-
-
-def test_rows_fetched_before_a_write_are_not_kept(db, monkeypatch):
-    fetch = engine.Connection.fetch
-
-    def fetch_then_insert(connection, sql):
-        rows = fetch(connection, sql)
-        monkeypatch.setattr(engine.Connection, "fetch", fetch)
-        db.data("t").insert((3, "c"))
-        return rows
-
-    monkeypatch.setattr(engine.Connection, "fetch", fetch_then_insert)
-    # The read began before the insert, so it answers 2; it must not
-    # leave that answer behind for the reads after the insert.
-    assert db.query(_COUNT).scalar() == 2
-    assert db.query(_COUNT).scalar() == 3
+    assert len(db._connection._answers) == RESULT_MEMO_SIZE
 
 
 def test_readers_racing_a_writer_never_see_a_stale_count():

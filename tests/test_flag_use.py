@@ -21,13 +21,7 @@ SEARCHED = ("tests", ".github/workflows", "benchmarks")
 SUFFIXES = {".py", ".yml", ".yaml"}
 
 #: Options that need no caller.
-EXEMPT = {
-    "-h",
-    "--help",
-    # Kept or deleted together with --workers: ROADMAP's item "Decide the
-    # `--workers` thread tier on a workload that can use it".
-    "--hedge-after-ms",
-}
+EXEMPT = {"-h", "--help"}
 
 
 def _option_strings() -> set:

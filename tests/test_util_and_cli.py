@@ -628,6 +628,48 @@ class TestCliFlagBounds:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
+class TestCliHedgeFlag:
+    """--hedge-after-ms reaches the router a run or a serve tenant builds."""
+
+    BACKENDS = ["--backend", "a=simulated", "--backend", "b=simulated"]
+
+    @pytest.fixture()
+    def hedges(self, monkeypatch):
+        from repro.llm import router
+
+        seen: list = []
+        init = router.RoutingChatModel.__init__
+
+        def recording_init(model, pool, hedge_after_ms=None, **kwargs):
+            seen.append(hedge_after_ms)
+            init(model, pool, hedge_after_ms=hedge_after_ms, **kwargs)
+
+        monkeypatch.setattr(router.RoutingChatModel, "__init__", recording_init)
+        return seen
+
+    def test_run_hedges_after_it_and_prints_the_flagless_bytes(
+        self, capsys, hedges
+    ):
+        argv = ["run", "figure2", "--scale", "small", *self.BACKENDS]
+        assert cli_main(argv) == 0
+        flagless = capsys.readouterr().out
+        assert cli_main(argv + ["--hedge-after-ms", "50"]) == 0
+        assert capsys.readouterr().out == flagless
+        assert hedges == [None, 50.0]
+
+    def test_serve_hands_it_to_each_tenant_router(self, monkeypatch, hedges):
+        def fake_run_server(app, **kwargs) -> int:
+            client = ServeClient.in_process(app)
+            session = client.create_session(db="experience_platform")["id"]
+            client.ask(session, "How many audiences were created in January?")
+            return 0
+
+        monkeypatch.setattr("repro.serve.run_server", fake_run_server)
+        argv = ["serve", "--scale", "small", "--port", "0", *self.BACKENDS]
+        assert cli_main(argv + ["--hedge-after-ms", "50"]) == 0
+        assert hedges and set(hedges) == {50.0}
+
+
 class TestCliServeFlags:
     """serve's address, capacity, session directory and SLO target reach
     the app it hands to the server."""
