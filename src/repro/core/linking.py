@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from repro import obs
 from repro.errors import CatalogError
-from repro.nlp.similarity import string_similarity
+from repro.nlp.similarity import profile, similarity_bound, string_similarity
 from repro.nlp.stem import stem
 from repro.nlp.tokenize import tokenize
 from repro.sql.schema import Column, DatabaseSchema, Table
@@ -70,6 +70,8 @@ class SchemaLinker:
     #: Minimum score for a link to count as confident.
     TABLE_THRESHOLD = 0.5
     COLUMN_THRESHOLD = 0.45
+    #: Least character-level similarity that counts toward a table link.
+    TABLE_SIMILARITY_CUT = 0.62
 
     def __init__(self, schema: DatabaseSchema) -> None:
         self._schema = schema
@@ -79,6 +81,9 @@ class SchemaLinker:
         self._table_tokens = {
             table.key: set(identifier_tokens(table.name)) for table in self._tables
         }
+        # Each table's name as the character-level score reads it.
+        names = [table.name.replace("_", " ") for table in self._tables]
+        self._table_names = [(name, profile(name)) for name in names]
         # Tables are unhashable, so a column link is keyed by its table's
         # place here. The linker holds its tables, so no other live table
         # can share an id with one of them.
@@ -120,27 +125,31 @@ class SchemaLinker:
     def _argmax_table(self, phrase: str) -> Optional[TableLink]:
         best: Optional[TableLink] = None
         phrase_stems = {stem(token) for token in tokenize(phrase)}
-        for table in self._tables:
-            score = self._table_score(table, phrase, phrase_stems)
+        phrase_profile = profile(phrase)
+        cut = self.TABLE_SIMILARITY_CUT
+        scored = 0
+        for table, (name, name_profile) in zip(self._tables, self._table_names):
+            score = 0.0
+            if phrase_stems:
+                overlap = phrase_stems & self._table_tokens[table.key]
+                containment = len(overlap) / len(phrase_stems)
+                # Character-level similarity only counts when it is strong
+                # evidence (near-identical identifiers); weak edit
+                # similarity between unrelated words is noise and must not
+                # inform the link. A pair whose bound is under the cut
+                # needs no edit distance: its similarity counts as 0.
+                sim = 0.0
+                if similarity_bound(phrase_profile, name_profile) >= cut:
+                    scored += 1
+                    sim = string_similarity(phrase, name)
+                    if sim < cut:
+                        sim = 0.0
+                score = max(containment, sim)
             if best is None or score > best.score:
                 best = TableLink(table=table, score=score, phrase=phrase)
+        obs.count("linking.pairs", len(self._tables))
+        obs.count("linking.scored", scored)
         return best
-
-    def _table_score(
-        self, table: Table, phrase: str, phrase_stems: set[str]
-    ) -> float:
-        table_stems = self._table_tokens[table.key]
-        if not phrase_stems:
-            return 0.0
-        overlap = phrase_stems & table_stems
-        containment = len(overlap) / len(phrase_stems)
-        # Character-level similarity only counts when it is strong evidence
-        # (near-identical identifiers); weak edit similarity between
-        # unrelated words is noise and must not inform the link.
-        sim = string_similarity(phrase, table.name.replace("_", " "))
-        if sim < 0.62:
-            sim = 0.0
-        return max(containment, sim)
 
     # -- columns -------------------------------------------------------------
 
@@ -163,25 +172,40 @@ class SchemaLinker:
 
     def _argmax_column(self, table: Table, phrase: str) -> Optional[ColumnLink]:
         best: Optional[ColumnLink] = None
+        squashed_phrase = "".join(tokenize(phrase))
+        phrase_profile = profile(phrase)
+        scored = 0
         for column in table.columns:
-            score = self.column_score(column, phrase)
+            names = (column.name, column.nl_name)
+            if squashed_phrase == column.name.replace("_", "").lower():
+                score = 1.0
+            elif best is not None and best.score >= max(
+                similarity_bound(phrase_profile, profile(name)) for name in names
+            ):
+                # It cannot score over the best so far, and ties keep the
+                # first column.
+                continue
+            else:
+                scored += len(names)
+                score = max(string_similarity(phrase, name) for name in names)
             if best is None or score > best.score:
                 best = ColumnLink(
                     table=table, column=column, score=score, phrase=phrase
                 )
+        obs.count("linking.pairs", 2 * len(table.columns))
+        obs.count("linking.scored", scored)
         return best
 
     @staticmethod
     def column_score(column: Column, phrase: str) -> float:
         """Similarity between a phrase and one column's names."""
-        candidates = [column.name, column.nl_name]
-        score = max(string_similarity(phrase, cand) for cand in candidates)
         # Exact identifier match (ignoring separators) is decisive.
-        squashed_phrase = "".join(tokenize(phrase))
-        squashed_column = column.name.replace("_", "").lower()
-        if squashed_phrase == squashed_column:
+        if "".join(tokenize(phrase)) == column.name.replace("_", "").lower():
             return 1.0
-        return score
+        return max(
+            string_similarity(phrase, column.name),
+            string_similarity(phrase, column.nl_name),
+        )
 
     def name_column(self, table: Table) -> Optional[Column]:
         """The table's display-name column (``name``, ``*name``, or a

@@ -19,8 +19,10 @@ All stochasticity is deterministic per (example, round) via stable hashes.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.feedback import Feedback, Highlight
 from repro.sql import ast
@@ -31,6 +33,11 @@ from repro.util import stable_choice, stable_fraction
 
 #: Delta kinds the annotator addresses first when several are present.
 _PRIORITY = ("table", "select", "where", "group", "order", "distinct", "limit")
+
+#: How many (gold, predicted) diffs one annotator keeps (least recently
+#: used first out). A full sweep diffs 320 distinct pairs, 339 counted per
+#: database (a pair can recur in another database), at most 43 in one.
+DIFF_MEMO_SIZE = 256
 
 
 @dataclass
@@ -61,6 +68,8 @@ class SimulatedAnnotator:
         self._schema = schema
         self._config = config or AnnotatorConfig()
         self._salt = salt
+        self._lock = threading.Lock()
+        self._diffs: OrderedDict[tuple[int, int], tuple] = OrderedDict()
 
     # -- annotatability (the 101-of-243 selection) ------------------------------
 
@@ -68,7 +77,7 @@ class SimulatedAnnotator:
         self, example_id: str, gold: ast.Select, predicted: ast.Select
     ) -> bool:
         """Whether feedback can be written from the visible information."""
-        deltas = diff_queries(gold, predicted)
+        deltas = self._deltas(gold, predicted)
         if not deltas:
             return False
         if any(d.kind == "structure" for d in deltas):
@@ -93,7 +102,7 @@ class SimulatedAnnotator:
         use_highlights: bool = False,
     ) -> Optional[Feedback]:
         """Produce one round of feedback, or None when satisfied/stuck."""
-        deltas = diff_queries(gold, predicted)
+        deltas = self._deltas(gold, predicted)
         if not deltas:
             return None
         delta = self._pick_delta(deltas)
@@ -129,7 +138,31 @@ class SimulatedAnnotator:
             )
         return feedback
 
-    def _pick_delta(self, deltas: list[QueryDelta]) -> QueryDelta:
+    def _deltas(
+        self, gold: ast.Select, predicted: ast.Select
+    ) -> tuple[QueryDelta, ...]:
+        """``diff_queries(gold, predicted)``, computed once per pair of trees.
+
+        The error-set check and every round of feedback on one prediction
+        ask for the same diff. Pairs are keyed by the trees' identity, not
+        their equality: ``Literal(7) == Literal(7.0)``, but the feedback
+        quotes each as printed. A kept entry holds its trees, so their ids
+        cannot be reused while it is kept.
+        """
+        key = (id(gold), id(predicted))
+        with self._lock:
+            kept = self._diffs.get(key)
+            if kept is not None and kept[0] is gold and kept[1] is predicted:
+                self._diffs.move_to_end(key)
+                return kept[2]
+        deltas = tuple(diff_queries(gold, predicted))
+        with self._lock:
+            self._diffs[key] = (gold, predicted, deltas)
+            if len(self._diffs) > DIFF_MEMO_SIZE:
+                self._diffs.popitem(last=False)
+        return deltas
+
+    def _pick_delta(self, deltas: Sequence[QueryDelta]) -> QueryDelta:
         def rank(delta: QueryDelta) -> tuple[int, int]:
             try:
                 base = _PRIORITY.index(delta.kind)

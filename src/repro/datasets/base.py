@@ -103,6 +103,13 @@ class Demonstration:
     sql: str
     db_id: str
     glossary: dict[str, str] = field(default_factory=dict)
+    #: The phrasing conventions the demonstration teaches, derived from its
+    #: question and SQL the first time a prompt to the simulated model
+    #: holds it (:func:`repro.llm.simulated.derive_conventions`) and kept:
+    #: no demonstration is edited after it is built.
+    conventions: Optional[frozenset] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def render(self) -> str:
         return f"Question: {self.question}\nQuery: {self.sql}"

@@ -34,6 +34,7 @@ import hashlib
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -244,6 +245,17 @@ class _FakeHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _FakeHTTPServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that drops a keep-alive connection is no handler error;
+        # anything else still prints its traceback.
+        if isinstance(sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)):
+            return
+        super().handle_error(request, client_address)
+
+
 class FakeOpenAIServer:
     """An in-process OpenAI-compatible chat-completions server.
 
@@ -269,8 +281,7 @@ class FakeOpenAIServer:
         self._fail_retry_after: Optional[float] = None
         self._delay_s = 0.0
         self.requests = 0
-        self._httpd = ThreadingHTTPServer((host, port), _FakeHandler)
-        self._httpd.daemon_threads = True
+        self._httpd = _FakeHTTPServer((host, port), _FakeHandler)
         self._httpd.fake = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 

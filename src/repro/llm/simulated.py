@@ -55,45 +55,52 @@ _YEAR_RE = re.compile(r"\b((?:19|20)\d{2})\b")
 def derive_conventions(demos: Sequence[Demonstration]) -> frozenset:
     """In-context learning: which phrasing conventions do the demos teach?
 
-    Each convention is recognized from the (question, SQL) surface of a
-    demonstration — the same evidence an LLM would generalize from.
+    The union of what each demonstration teaches, derived once per
+    demonstration and kept on it (:attr:`Demonstration.conventions`).
     """
-    conventions: set[str] = set()
+    conventions: frozenset = frozenset()
     for demo in demos:
-        question = demo.question.lower()
-        try:
-            query = parse_query(demo.sql)
-        except SqlError:
-            continue
-        if not isinstance(query, ast.Select):
-            continue
-        if question.startswith("how many"):
-            for item in query.items:
-                call = item.expression
-                if isinstance(call, ast.FunctionCall):
-                    if call.name == "COUNT" and call.distinct:
-                        conventions.add(CONVENTION_COUNT_DISTINCT)
-                    if call.name == "SUM":
-                        conventions.add(CONVENTION_SUM_HOW_MANY)
-        if (
-            " values of " in question
-            and "different" not in question
-            and query.distinct
-        ):
-            conventions.add(CONVENTION_DISTINCT_VALUES)
-        if (
-            re.search(r"\bfirst \d+\b", question)
-            and " by " in question
-            and any(o.order is ast.SortOrder.DESC for o in query.order_by)
-        ):
-            conventions.add(CONVENTION_FIRST_IS_TOP)
-        if (
-            re.match(r"^(list|show|give) the [a-z]", question)
-            and " names" not in question
-            and " name " not in question
-            and len(query.items) == 1
-        ):
-            conventions.add(CONVENTION_NAME_ONLY)
+        if demo.conventions is None:
+            demo.conventions = _taught_by(demo)
+        conventions |= demo.conventions
+    return conventions
+
+
+def _taught_by(demo: Demonstration) -> frozenset:
+    """The conventions one demonstration teaches, recognized from its
+    (question, SQL) surface: the same evidence an LLM would generalize
+    from."""
+    conventions: set[str] = set()
+    question = demo.question.lower()
+    try:
+        query = parse_query(demo.sql)
+    except SqlError:
+        return frozenset()
+    if not isinstance(query, ast.Select):
+        return frozenset()
+    if question.startswith("how many"):
+        for item in query.items:
+            call = item.expression
+            if isinstance(call, ast.FunctionCall):
+                if call.name == "COUNT" and call.distinct:
+                    conventions.add(CONVENTION_COUNT_DISTINCT)
+                if call.name == "SUM":
+                    conventions.add(CONVENTION_SUM_HOW_MANY)
+    if " values of " in question and "different" not in question and query.distinct:
+        conventions.add(CONVENTION_DISTINCT_VALUES)
+    if (
+        re.search(r"\bfirst \d+\b", question)
+        and " by " in question
+        and any(o.order is ast.SortOrder.DESC for o in query.order_by)
+    ):
+        conventions.add(CONVENTION_FIRST_IS_TOP)
+    if (
+        re.match(r"^(list|show|give) the [a-z]", question)
+        and " names" not in question
+        and " name " not in question
+        and len(query.items) == 1
+    ):
+        conventions.add(CONVENTION_NAME_ONLY)
     return frozenset(conventions)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 from repro.nlp.stem import stem
 from repro.nlp.tokenize import tokenize
@@ -69,40 +70,88 @@ def jaccard(a: set, b: set) -> float:
     return len(a & b) / len(union)
 
 
-#: How many (phrase, identifier) pairs :func:`string_similarity` keeps
-#: scored. A full set-up plus one sweep scores 19,612 distinct pairs
-#: (791 phrases by 332 identifiers), so the sweep's pairs all fit.
-SIMILARITY_MEMO_SIZE = 1 << 15
+#: How many strings :func:`profile` keeps profiled (least recently used
+#: first out). A full set-up plus one sweep profiles 1,008 distinct
+#: strings, phrases and schema names together; the rest is room for
+#: ``serve``, whose questions bring new phrases.
+PROFILE_MEMO_SIZE = 4096
 
 
-@functools.lru_cache(maxsize=SIMILARITY_MEMO_SIZE)
+class Profile(NamedTuple):
+    """What :func:`string_similarity` reads of one string."""
+
+    #: Lower-cased, with underscores and spaces removed.
+    squashed: str
+    #: The stems of its tokens, underscores read as spaces.
+    stems: frozenset
+
+
+@functools.lru_cache(maxsize=PROFILE_MEMO_SIZE)
+def profile(text: str) -> Profile:
+    """The string's profile, computed once per distinct string and kept
+    up to :data:`PROFILE_MEMO_SIZE` strings; ``profile.__wrapped__``
+    computes it without the memo."""
+    norm = text.lower().replace("_", " ")
+    return Profile(
+        squashed=norm.replace(" ", ""),
+        stems=frozenset(stem(token) for token in tokenize(norm)),
+    )
+
+
 def string_similarity(a: str, b: str) -> float:
     """Blend of stemmed-token Jaccard and character edit similarity.
 
     Used for schema linking: 'release year' vs 'Song_release_year' should
     score high; unrelated phrases should score near zero.
 
-    The score is a pure function of the two strings, so each distinct
-    pair is scored once per process and kept, up to
-    :data:`SIMILARITY_MEMO_SIZE` pairs (least recently used first out);
-    ``string_similarity.__wrapped__`` scores without the memo.
+    Two strings equal after lower-casing and dropping underscores and
+    spaces score 1.0 (identifiers often squash words: "profile count" vs
+    "profilecount"). Any other pair scores
+    ``max(0.6 * jaccard + 0.4 * (1 - distance / longer), 0.85 *
+    containment)`` over the two strings' stem sets and squashed texts.
+    Each string is tokenized and stemmed once (:func:`profile`); a pair
+    costs set operations and one edit distance.
     """
-    a_norm = a.lower().replace("_", " ")
-    b_norm = b.lower().replace("_", " ")
-    if a_norm == b_norm:
+    a_profile, b_profile = profile(a), profile(b)
+    if a_profile.squashed == b_profile.squashed:
         return 1.0
-    # Identifiers often squash words: "profile count" vs "profilecount".
-    if a_norm.replace(" ", "") == b_norm.replace(" ", ""):
-        return 1.0
-    a_tokens = {stem(t) for t in tokenize(a_norm)}
-    b_tokens = {stem(t) for t in tokenize(b_norm)}
-    token_score = jaccard(a_tokens, b_tokens)
-    # containment bonus: all of one side's tokens inside the other
-    containment = 0.0
-    if a_tokens and b_tokens:
-        overlap = len(a_tokens & b_tokens)
-        containment = overlap / min(len(a_tokens), len(b_tokens))
-    edit_score = normalized_edit_similarity(
-        a_norm.replace(" ", ""), b_norm.replace(" ", "")
+    return _blend(
+        a_profile,
+        b_profile,
+        levenshtein(a_profile.squashed, b_profile.squashed),
     )
+
+
+def similarity_bound(a: Profile, b: Profile) -> float:
+    """An upper bound on :func:`string_similarity` of two profiled
+    strings, computed without an edit distance.
+
+    The edit distance of the squashed texts is at least the difference of
+    their lengths, and every later step of the blend (a division by the
+    longer length, ``1 -``, a positive scale, a sum, ``max``) is monotone
+    in IEEE doubles. So the bound, the blend at that least distance, is
+    never under the score, compared as floats; it equals the score when
+    the distance is the length difference.
+    """
+    if a.squashed == b.squashed:
+        return 1.0
+    return _blend(a, b, abs(len(a.squashed) - len(b.squashed)))
+
+
+def _blend(a: Profile, b: Profile, distance: int) -> float:
+    """The score of two profiles whose squashed texts differ, at squashed
+    edit distance ``distance``: the arithmetic of :func:`jaccard`, a
+    containment bonus and :func:`normalized_edit_similarity`."""
+    a_stems, b_stems = a.stems, b.stems
+    overlap = len(a_stems & b_stems)
+    if a_stems and b_stems:
+        # |a | b| = |a| + |b| - |a & b|: the same integers jaccard divides.
+        token_score = overlap / (len(a_stems) + len(b_stems) - overlap)
+        # All of one side's tokens inside the other.
+        containment = overlap / min(len(a_stems), len(b_stems))
+    else:
+        # jaccard of two empty sets is 1.0, of one empty set 0.0.
+        token_score = 0.0 if a_stems or b_stems else 1.0
+        containment = 0.0
+    edit_score = 1.0 - distance / max(len(a.squashed), len(b.squashed))
     return max(0.6 * token_score + 0.4 * edit_score, 0.85 * containment)

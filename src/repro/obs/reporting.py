@@ -378,7 +378,12 @@ def _render_pipeline(snapshot: dict) -> str:
     links = _counter_total(snapshot, "linking.calls")
     if links:
         linked = _counter_total(snapshot, "linking.misses")
-        lines.append(f"linking: {_int(links)} calls, {_int(linked)} run")
+        pairs = _counter_total(snapshot, "linking.pairs")
+        scored = _counter_total(snapshot, "linking.scored")
+        lines.append(
+            f"linking: {_int(links)} calls, {_int(linked)} run, "
+            f"{_int(pairs)} pairs, {_int(scored)} scored"
+        )
     eval_by_verdict = _counter_by_label(snapshot, "eval.examples", "correct")
     evaluated = sum(eval_by_verdict.values())
     if evaluated:

@@ -1,12 +1,18 @@
 """Schema-linking tests."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.linking import SchemaLinker, identifier_tokens
 from repro.core.semparse import ParserConfig, SemanticParser
 from repro.errors import CatalogError
+from repro.nlp.stem import stem
+from repro.nlp.tokenize import tokenize
 from repro.sql.schema import Column, DatabaseSchema, Table
 from repro.sql.types import DataType
+from tests.nlp.test_similarity_bound import _reference_similarity
 
 
 class TestIdentifierTokens:
@@ -153,3 +159,145 @@ class TestEmptySchema:
         parser = SemanticParser(_schema(), ParserConfig())
         with pytest.raises(CatalogError):
             parser.parse("how many singers are there")
+
+
+def _reference_table(tables: list[Table], phrase: str) -> tuple[Table, float]:
+    """Every table scored in key order by the reference formula; the first
+    best one wins."""
+    phrase_stems = {stem(token) for token in tokenize(phrase)}
+    best = None
+    for table in sorted(tables, key=lambda t: t.key):
+        score = 0.0
+        if phrase_stems:
+            table_stems = set(identifier_tokens(table.name))
+            containment = len(phrase_stems & table_stems) / len(phrase_stems)
+            sim = _reference_similarity(phrase, table.name.replace("_", " "))
+            score = max(containment, sim if sim >= 0.62 else 0.0)
+        if best is None or score > best[1]:
+            best = (table, score)
+    return best
+
+
+def _reference_column(table: Table, phrase: str) -> tuple[Column, float]:
+    """Every column scored by the reference formula; the first best wins."""
+    best = None
+    for column in table.columns:
+        score = max(
+            _reference_similarity(phrase, column.name),
+            _reference_similarity(phrase, column.nl_name),
+        )
+        if "".join(tokenize(phrase)) == column.name.replace("_", "").lower():
+            score = 1.0
+        if best is None or score > best[1]:
+            best = (column, score)
+    return best
+
+
+_WORDS = (
+    "release year song songs singer singers count profile status name "
+    "names title age created id"
+).split()
+_phrases = st.one_of(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz _", max_size=20),
+    st.text(max_size=8),
+)
+_identifiers = st.one_of(
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map("_".join),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=14),
+)
+
+
+@st.composite
+def _tables(draw) -> Table:
+    """A table whose columns often tie: NL names come from a small pool."""
+    names = draw(
+        st.lists(_identifiers, min_size=1, max_size=8, unique_by=str.lower)
+    )
+    columns = [
+        Column(
+            name,
+            DataType.TEXT,
+            nl_name=draw(st.one_of(st.just(""), st.sampled_from(_WORDS))),
+        )
+        for name in names
+    ]
+    return Table("t", columns)
+
+
+class TestPrunedArgmax:
+    """The argmaxes skip pairs their bound rules out, and link as if every
+    pair were scored: the same table or column object, the same score."""
+
+    @given(table=_tables(), phrase=_phrases)
+    # A later column whose bound is barely over the best so far, and one
+    # that only the identifier check (hyphens split tokens) scores 1.0.
+    @example(
+        table=Table(
+            "t",
+            [
+                Column("c1", DataType.TEXT, nl_name="release year"),
+                Column("c2", DataType.TEXT, nl_name="release years"),
+            ],
+        ),
+        phrase="release years",
+    )
+    @example(
+        table=Table(
+            "t",
+            [
+                Column("c1", DataType.TEXT, nl_name="release year"),
+                Column("release_year", DataType.TEXT),
+            ],
+        ),
+        phrase="release-year",
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_column_argmax_is_the_reference(self, table, phrase):
+        linker = SchemaLinker(DatabaseSchema("db", [table]))
+        link = linker._argmax_column(table, phrase)
+        column, score = _reference_column(table, phrase)
+        assert link.column is column and link.score == score
+
+    @given(
+        names=st.lists(_identifiers, min_size=1, max_size=8, unique_by=str.lower),
+        phrase=_phrases,
+    )
+    # Two of three stems shared and one letter more: a similarity of 0.675,
+    # over the 2/3 containment and under 0.7, so only the 0.62 cut keeps it.
+    @example(names=["song_release_datex"], phrase="song release date")
+    @settings(max_examples=300, deadline=None)
+    def test_the_table_argmax_is_the_reference(self, names, phrase):
+        schema = _schema(*names)
+        link = SchemaLinker(schema)._argmax_table(phrase)
+        table, score = _reference_table(schema.tables, phrase)
+        assert link.table is table and link.score == score
+
+    def test_tied_columns_keep_the_first(self):
+        columns = [
+            Column("c_b", DataType.TEXT, nl_name="release year"),
+            Column("c_a", DataType.TEXT, nl_name="release year"),
+            Column("c_c", DataType.TEXT, nl_name="release year"),
+        ]
+        table = Table("t", columns)
+        link = SchemaLinker(DatabaseSchema("db", [table]))._argmax_column(
+            table, "release years"
+        )
+        assert link.column is columns[0]
+        assert link.score == _reference_column(table, "release years")[1]
+
+    def test_the_bound_spares_most_pairs_their_full_score(self, aep_db):
+        linker = SchemaLinker(aep_db.schema)
+        table = aep_db.schema.table("hkg_dim_segment")
+        obs.enable(max_spans=0)
+        try:
+            for phrase in ("segments", "audiences", "profile count", "status"):
+                linker._argmax_table(phrase)
+                linker._argmax_column(table, phrase)
+            pairs = obs.get_metrics().counter_total("linking.pairs")
+            scored = obs.get_metrics().counter_total("linking.scored")
+        finally:
+            obs.disable()
+        considered = 4 * (len(aep_db.schema.tables) + 2 * len(table.columns))
+        assert pairs == considered
+        assert 0 < 2 * scored < pairs

@@ -1,8 +1,14 @@
 """Simulated-annotator tests: protocol compliance, verbalization, noise."""
 
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.core import user
 from repro.core.user import AnnotatorConfig, SimulatedAnnotator
+from repro.sql.analysis import diff_queries
 from repro.sql.parser import parse_query
 
 
@@ -227,3 +233,84 @@ class TestHighlights:
             use_highlights=False,
         )
         assert fb.highlight is None
+
+
+class TestDiffMemo:
+    """Each annotator diffs each (gold, predicted) pair of trees once."""
+
+    @pytest.fixture()
+    def diffs(self, monkeypatch):
+        calls: list[tuple] = []
+
+        def counting(gold, predicted):
+            calls.append((gold, predicted))
+            return diff_queries(gold, predicted)
+
+        monkeypatch.setattr(user, "diff_queries", counting)
+        return calls
+
+    def test_the_check_and_every_round_share_one_diff(self, annotator, diffs):
+        gold = parse_query("SELECT segmentname FROM hkg_dim_segment")
+        predicted = parse_query(
+            "SELECT segmentname, description FROM hkg_dim_segment"
+        )
+        assert annotator.can_annotate("e1", gold, predicted)
+        for use_highlights in (False, True):
+            for round_index in (1, 2):
+                feedback = annotator.give_feedback(
+                    "e1", "q", gold, predicted, round_index, use_highlights
+                )
+                assert feedback.text == "do not give descriptions"
+        assert diffs == [(gold, predicted)]
+
+    def test_equal_trees_of_other_texts_are_diffed_apart(self, music_db, diffs):
+        annotator = SimulatedAnnotator(
+            music_db.schema, AnnotatorConfig(vague_rate=0, misaligned_rate=0)
+        )
+        gold = parse_query("SELECT Name FROM singer WHERE Age > 30")
+        seven = parse_query("SELECT Name FROM singer WHERE Age > 7")
+        seven_point_zero = parse_query("SELECT Name FROM singer WHERE Age > 7.0")
+        # Literal(7) == Literal(7.0), but the highlight quotes each as printed.
+        assert seven == seven_point_zero
+        first = annotator.give_feedback("e1", "q", gold, seven, 1, True)
+        second = annotator.give_feedback("e1", "q", gold, seven_point_zero, 1, True)
+        assert first.highlight.text == "Age > 7"
+        assert second.highlight.text == "Age > 7.0"
+        assert len(diffs) == 2
+
+    def test_threads_share_a_bounded_memo(self, annotator):
+        gold = parse_query("SELECT segmentname FROM hkg_dim_segment")
+        texts = [
+            f"SELECT segmentname FROM hkg_dim_segment LIMIT {i}"
+            for i in range(user.DIFF_MEMO_SIZE + 64)
+        ]
+        pairs = [(gold, parse_query(text)) for text in texts]
+        expected = [tuple(diff_queries(g, p)) for g, p in pairs]
+        problems: list[str] = []
+        deadline = time.monotonic() + 30.0
+
+        def worker(offset: int) -> None:
+            for index in range(offset, offset + len(pairs)):
+                if time.monotonic() > deadline:
+                    return
+                index %= len(pairs)
+                if annotator._deltas(*pairs[index]) != expected[index]:
+                    problems.append(f"wrong diff for pair {index}")
+                if len(annotator._diffs) > user.DIFF_MEMO_SIZE:
+                    problems.append(f"memo holds {len(annotator._diffs)} pairs")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k * 37,)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not problems, problems[:5]
+        assert len(annotator._diffs) == user.DIFF_MEMO_SIZE

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import errno
+import http.client
+import json
+import queue
+import socket
+import struct
+import sys
 
 import pytest
 
 from repro.errors import LLMError, RateLimitError, TransientLLMError
+from repro.llm import http_backend
 from repro.llm.http_backend import (
     DEFAULT_MODEL,
     FakeOpenAIServer,
@@ -181,3 +188,53 @@ class TestFakeOpenAIServer:
             server.set_failure(None)
             model.complete(prompt())
             assert server.requests == 2
+
+    def test_a_dropped_connection_prints_nothing_and_a_handler_error_does(
+        self, capsys, monkeypatch
+    ):
+        handled: queue.Queue = queue.Queue()
+        handle_error = http_backend._FakeHTTPServer.handle_error
+
+        def spy(server, request, client_address):
+            try:
+                handle_error(server, request, client_address)
+            finally:
+                handled.put(sys.exc_info()[0])
+
+        monkeypatch.setattr(http_backend._FakeHTTPServer, "handle_error", spy)
+
+        def responder(request: dict) -> str:
+            if request["messages"][-1]["content"] == "raise":
+                raise RuntimeError("the responder failed")
+            return default_responder(request)
+
+        def post(connection, content: str) -> None:
+            body = json.dumps({"messages": [{"role": "user", "content": content}]})
+            connection.request("POST", "/v1/chat/completions", body=body)
+
+        with FakeOpenAIServer(responder=responder) as server:
+            kept = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+            post(kept, "hello")
+            response = kept.getresponse()
+            response.read()
+            assert response.status == 200
+            # Close with a reset while the server waits for the next request
+            # on the kept-alive connection, as a killed client does.
+            kept.sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            kept.close()
+            assert handled.get(timeout=5.0) is ConnectionResetError
+            assert capsys.readouterr().err == ""
+
+            failing = http.client.HTTPConnection(server.host, server.port, timeout=5.0)
+            try:
+                post(failing, "raise")
+                with pytest.raises(http.client.RemoteDisconnected):
+                    failing.getresponse()
+            finally:
+                failing.close()
+            assert handled.get(timeout=5.0) is RuntimeError
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: the responder failed" in err

@@ -18,8 +18,10 @@ from repro.llm.prompts import (
     rewrite_prompt,
     routing_prompt,
 )
+from repro.llm import simulated
 from repro.llm.simulated import SimulatedLLM, derive_conventions, merge_glossaries
 from repro.sql.engine import Database
+from repro.sql.parser import parse_query
 
 
 @pytest.fixture()
@@ -146,6 +148,43 @@ class TestConventionLearning:
             )
         ]
         assert derive_conventions(demos) == frozenset()
+
+    def test_each_demonstration_is_read_once(self, monkeypatch):
+        parsed: list[str] = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_query(text)
+
+        monkeypatch.setattr(simulated, "parse_query", counting)
+        distinct = Demonstration(
+            question="How many colors are represented among the cars?",
+            sql="SELECT COUNT(DISTINCT color) FROM car",
+            db_id="x",
+        )
+        total = Demonstration(
+            question="How many sales do the stores have altogether?",
+            sql="SELECT SUM(sales) FROM store",
+            db_id="x",
+        )
+        broken = Demonstration(question="how many x", sql="NOT SQL", db_id="x")
+        for _ in range(3):
+            assert derive_conventions([distinct, total, broken]) == {
+                "count_distinct",
+                "sum_how_many",
+            }
+        assert derive_conventions([total]) == {"sum_how_many"}
+        assert derive_conventions([]) == frozenset()
+        assert parsed == [distinct.sql, total.sql, broken.sql]
+        assert (distinct.conventions, broken.conventions) == (
+            {"count_distinct"},
+            frozenset(),
+        )
+        # What a demonstration taught is no part of its value.
+        assert distinct == Demonstration(
+            question=distinct.question, sql=distinct.sql, db_id="x"
+        )
+        assert "conventions" not in repr(distinct)
 
     def test_glossary_merge(self):
         demos = [

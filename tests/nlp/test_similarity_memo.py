@@ -1,8 +1,8 @@
 """The linking memos: each returns exactly what its function returns.
 
 ``serve`` request threads and ``--workers`` sweep threads share the
-``string_similarity`` memo, so it is also driven from several threads at
-once with more distinct pairs than it holds.
+``profile`` memo, so it is also driven from several threads at once with
+more distinct strings than it holds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nlp.similarity import SIMILARITY_MEMO_SIZE, string_similarity
+from repro.nlp.similarity import PROFILE_MEMO_SIZE, profile, string_similarity
 from repro.nlp.stem import stem
 
 _IDENTIFIER_CHARS = "abcdefghijklmnopqrstuvwxyz_ "
@@ -26,10 +26,15 @@ _phrases = st.one_of(
 @given(_phrases, _phrases)
 @settings(max_examples=200, deadline=None)
 def test_memoized_similarity_equals_the_function(a, b):
-    expected = string_similarity.__wrapped__(a, b)
-    # The first call may miss and the second hits; both are the score.
-    assert string_similarity(a, b) == expected
-    assert string_similarity(a, b) == expected
+    # The first call may miss and the second hits; both are the profile.
+    for text in (a, b):
+        expected = profile.__wrapped__(text)
+        assert profile(text) == expected
+        assert profile(text) == expected
+    # The score reads nothing but the two profiles.
+    profile.cache_clear()
+    fresh = string_similarity(a, b)
+    assert string_similarity(a, b) == fresh
 
 
 @given(_phrases)
@@ -41,34 +46,33 @@ def test_memoized_stem_equals_the_function(word):
 
 
 def test_threads_share_a_bounded_memo():
-    pairs = [
-        (f"phrase {i % 389}", f"col_{i // 389}_{i % 7}")
-        for i in range(SIMILARITY_MEMO_SIZE + 2048)
+    texts = [
+        f"phrase_{i % 389} col {i // 389}" for i in range(PROFILE_MEMO_SIZE + 2048)
     ]
-    assert len(set(pairs)) == len(pairs)
-    expected = {pair: string_similarity.__wrapped__(*pair) for pair in pairs}
-    string_similarity.cache_clear()
-    # Eight overlapping quarters cover every pair twice, so the memo fills
+    assert len(set(texts)) == len(texts)
+    expected = {text: profile.__wrapped__(text) for text in texts}
+    profile.cache_clear()
+    # Eight overlapping quarters cover every text twice, so the memo fills
     # and evicts; the deadline only bounds a pathologically slow machine.
     deadline = time.monotonic() + 30.0
     problems: list[str] = []
 
     def worker(offset: int) -> None:
-        order = (pairs[offset:] + pairs[:offset])[: len(pairs) // 4]
-        for pair in order:
+        order = (texts[offset:] + texts[:offset])[: len(texts) // 4]
+        for text in order:
             if time.monotonic() > deadline:
                 return
-            if string_similarity(*pair) != expected[pair]:
-                problems.append(f"wrong score for {pair!r}")
-            size = string_similarity.cache_info().currsize
-            if size > SIMILARITY_MEMO_SIZE:
-                problems.append(f"memo holds {size} pairs")
+            if profile(text) != expected[text]:
+                problems.append(f"wrong profile for {text!r}")
+            size = profile.cache_info().currsize
+            if size > PROFILE_MEMO_SIZE:
+                problems.append(f"memo holds {size} strings")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [
-            threading.Thread(target=worker, args=(k * len(pairs) // 8,))
+            threading.Thread(target=worker, args=(k * len(texts) // 8,))
             for k in range(8)
         ]
         for thread in threads:
@@ -77,10 +81,10 @@ def test_threads_share_a_bounded_memo():
             thread.join(timeout=60.0)
     finally:
         sys.setswitchinterval(interval)
-        info = string_similarity.cache_info()
-        # Drop the filler pairs; later tests start from an empty memo.
-        string_similarity.cache_clear()
+        info = profile.cache_info()
+        # Drop the filler strings; later tests start from an empty memo.
+        profile.cache_clear()
     assert not any(thread.is_alive() for thread in threads)
     assert not problems, problems[:5]
-    assert info.currsize == SIMILARITY_MEMO_SIZE
-    assert info.misses > SIMILARITY_MEMO_SIZE
+    assert info.currsize == PROFILE_MEMO_SIZE
+    assert info.misses > PROFILE_MEMO_SIZE

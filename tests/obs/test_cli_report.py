@@ -55,11 +55,15 @@ class TestCliMetrics:
         assert execute is not None, out
         calls, run, _failures = map(int, execute.groups())
         assert 0 < run < calls
-        # The link memo links each phrase once per schema.
-        linking = re.search(r"linking: (\d+) calls, (\d+) run", out)
+        # The link memo links each phrase once per schema, and the bound
+        # spares most pairs their full score.
+        linking = re.search(
+            r"linking: (\d+) calls, (\d+) run, (\d+) pairs, (\d+) scored", out
+        )
         assert linking is not None, out
-        calls, run = map(int, linking.groups())
+        calls, run, pairs, scored = map(int, linking.groups())
         assert 0 < run < calls
+        assert 0 < 2 * scored < pairs
 
     def test_no_flags_prints_no_report_and_stays_disabled(self, capsys):
         exit_code = cli_main(["figure2", "--scale", "small"])
@@ -215,7 +219,12 @@ class TestRunReportRendering:
         assert "execute: 10 calls, 3 run, 1 failures" in report
 
     def test_linking_line_reports_calls_and_runs(self):
-        counters = {"linking.calls": 12, "linking.misses": 5}
+        counters = {
+            "linking.calls": 12,
+            "linking.misses": 5,
+            "linking.pairs": 40,
+            "linking.scored": 9,
+        }
         report = render_run_report(
             {
                 "enabled": True,
@@ -227,7 +236,7 @@ class TestRunReportRendering:
                 "spans": [],
             }
         )
-        assert "linking: 12 calls, 5 run" in report
+        assert "linking: 12 calls, 5 run, 40 pairs, 9 scored" in report
 
     def test_routing_shares_sum_to_100(self):
         snapshot = {
