@@ -47,6 +47,72 @@ from repro.sql.schema import DatabaseSchema, Table
 from repro.util import stable_fraction
 
 _YEAR_RE = re.compile(r"\b((?:19|20)\d{2})\b")
+_DATE_YEAR_RE = re.compile(r"^((?:19|20)\d{2})-\d{2}-\d{2}")
+
+# Feedback patterns, matched against the lower-cased feedback, in the
+# order of :meth:`FeedbackEditor._candidates`' rules.
+_INSTEAD_OF_RE = re.compile(
+    r"(?:provide|use|show|give|select|i want)?\s*(?:the )?(.+?) "
+    r"(?:instead of|rather than|not) (?:the )?(.+)$"
+)
+_DO_NOT_GIVE_RE = re.compile(
+    r"(?:do not|don't|no need to|please don't) "
+    r"(?:give|show|include|return|display|list) (?:the |any )?(\w+)"
+)
+_REMOVE_COLUMN_RE = re.compile(
+    r"(?:remove|drop|omit|leave out|exclude) (?:the )?(\w+)"
+    r"(?: column| field)?"
+)
+_ADD_SELECT_RE = re.compile(
+    r"(?:also (?:show|include|give|return|display)|"
+    r"add|include) (?:the |a )?([\w ]+?)"
+    r"(?: as well| too| column| field)?$"
+)
+_ORDER_BY_RE = re.compile(
+    r"(?:order|sort) (?:the )?([\w ]+?) in (ascending|descending) order"
+)
+_DIRECTION_RE = re.compile(r"\b(descending|ascending)\b(?: order)?")
+_HIGHEST_FIRST_RE = re.compile(r"(highest|best|largest) first")
+_ADD_FILTER_RES = (
+    re.compile(
+        r"(?:only|just) (?:include|count|show|keep|list|want)?[\w ]*?"
+        r"(?:with|whose|where) (?:the )?([\w ]+?) (?:is |= ?|equals )?'?([\w ]+?)'?$"
+    ),
+    re.compile(r"\b([\w]+) (?:should be|must be|needs to be) '?([\w ]+?)'?$"),
+    re.compile(r"\bmeans? (?:the )?([\w ]+?) (?:is|=) '?([\w ]+?)'?$"),
+    re.compile(r"\bfilter (?:on|by) ([\w ]+?) (?:is |= ?)'?([\w ]+?)'?$"),
+)
+_REMOVE_CONDITION_RE = re.compile(
+    r"(?:remove|drop|ignore|do not use|don't use) the "
+    r"(?:condition|filter|restriction) on (?:the )?([\w ]+)$"
+)
+_DO_NOT_FILTER_RE = re.compile(r"do(?:n't| not) filter (?:by|on) ([\w ]+)$")
+_COUNT_DISTINCT_RE = re.compile(
+    r"(count (?:the )?(?:distinct|different|unique)|"
+    r"count each [\w ]+ (?:only )?once|"
+    r"(?:distinct|unique|different) (?:values|ones) (?:only|once)?)"
+)
+_SUM_NOT_COUNT_RE = re.compile(
+    r"(\bsum\b|\badd (?:them |the [\w ]+ )?up\b|\btotal\b.*\bnot\b.*\bcount\b|"
+    r"\bnot\b.*\bcount\b.*\bsum\b)"
+)
+_SUM_COLUMN_RE = re.compile(r"sum (?:up )?(?:the )?([\w ]+?)(?: values| column)?$")
+_DISTINCT_ROWS_RE = re.compile(
+    r"(remove (?:the )?duplicates|each (?:value|one|row) (?:only )?once|"
+    r"no duplicates|duplicates should not|only (?:the )?(?:distinct|unique|"
+    r"different) values)"
+)
+_USE_TABLE_RE = re.compile(
+    r"(?:use|look (?:in|at)|query|check)(?: the)? ([\w ]+?) table"
+)
+_STORED_IN_TABLE_RE = re.compile(
+    r"(?:are|is) (?:stored |kept |held )?in the ([\w ]+?) table"
+)
+_MEANT_TABLE_RE = re.compile(r"\bi mean(?:t)? the ([\w ]+?) table")
+_FACT_TABLE_RE = re.compile(r"(?:through|via|using|in) the ([\w ]+?) table")
+_SET_LIMIT_RE = re.compile(r"(?:limit (?:it )?to|only the first|top) (\d+)")
+_REMOVE_LIMIT_RE = re.compile(r"remove the limit|no limit|all of them, not just")
+_CHANGE_TO_RE = re.compile(r"^change (?:it |this |that )?to '?([\w\- ]+?)'?$")
 
 
 @dataclass
@@ -194,11 +260,7 @@ class FeedbackEditor:
 
     def _r_instead_of(self, text, feedback, previous, question, main_table):
         """'provide X instead of Y' → replace column (or value)."""
-        match = re.search(
-            r"(?:provide|use|show|give|select|i want)?\s*(?:the )?(.+?) "
-            r"(?:instead of|rather than|not) (?:the )?(.+)$",
-            text,
-        )
+        match = _INSTEAD_OF_RE.search(text)
         if match is None or "instead of" not in text and "rather than" not in text:
             return []
         new_phrase = match.group(1).strip()
@@ -243,17 +305,9 @@ class FeedbackEditor:
 
     def _r_remove_select(self, text, feedback, previous, question, main_table):
         """'do not give descriptions' → drop a select column."""
-        match = re.search(
-            r"(?:do not|don't|no need to|please don't) "
-            r"(?:give|show|include|return|display|list) (?:the |any )?(\w+)",
-            text,
-        )
+        match = _DO_NOT_GIVE_RE.search(text)
         if match is None:
-            match = re.search(
-                r"(?:remove|drop|omit|leave out|exclude) (?:the )?(\w+)"
-                r"(?: column| field)?",
-                text,
-            )
+            match = _REMOVE_COLUMN_RE.search(text)
         if match is None or main_table is None:
             return []
         phrase = match.group(1)
@@ -273,12 +327,7 @@ class FeedbackEditor:
 
     def _r_add_select(self, text, feedback, previous, question, main_table):
         """'also show the X' → add a select column."""
-        match = re.search(
-            r"(?:also (?:show|include|give|return|display)|"
-            r"add|include) (?:the |a )?([\w ]+?)"
-            r"(?: as well| too| column| field)?$",
-            text,
-        )
+        match = _ADD_SELECT_RE.search(text)
         if match is None or main_table is None:
             return []
         phrase = match.group(1).strip()
@@ -299,10 +348,7 @@ class FeedbackEditor:
     def _r_order(self, text, feedback, previous, question, main_table):
         """Ordering feedback: add an ORDER BY or flip its direction."""
         out = []
-        match = re.search(
-            r"(?:order|sort) (?:the )?([\w ]+?) in (ascending|descending) order",
-            text,
-        )
+        match = _ORDER_BY_RE.search(text)
         if match is not None and main_table is not None:
             phrase, direction_word = match.groups()
             link = self._linker.link_column(main_table, phrase.strip())
@@ -331,9 +377,7 @@ class FeedbackEditor:
                         pattern="order-by",
                     )
                 )
-        match = re.search(
-            r"\b(descending|ascending)\b(?: order)?", text
-        )
+        match = _DIRECTION_RE.search(text)
         if match is not None and previous.order_by and not out:
             direction = (
                 ast.SortOrder.DESC
@@ -352,7 +396,7 @@ class FeedbackEditor:
                     pattern="order-direction",
                 )
             )
-        if re.search(r"(highest|best|largest) first", text) and previous.order_by:
+        if _HIGHEST_FIRST_RE.search(text) and previous.order_by:
             items = tuple(
                 ast.OrderItem(item.expression, ast.SortOrder.DESC)
                 for item in previous.order_by
@@ -371,15 +415,8 @@ class FeedbackEditor:
         """'only include the ones whose status is active' → add a filter."""
         if main_table is None:
             return []
-        patterns = (
-            r"(?:only|just) (?:include|count|show|keep|list|want)?[\w ]*?"
-            r"(?:with|whose|where) (?:the )?([\w ]+?) (?:is |= ?|equals )?'?([\w ]+?)'?$",
-            r"\b([\w]+) (?:should be|must be|needs to be) '?([\w ]+?)'?$",
-            r"\bmeans? (?:the )?([\w ]+?) (?:is|=) '?([\w ]+?)'?$",
-            r"\bfilter (?:on|by) ([\w ]+?) (?:is |= ?)'?([\w ]+?)'?$",
-        )
-        for pattern in patterns:
-            match = re.search(pattern, text)
+        for pattern in _ADD_FILTER_RES:
+            match = pattern.search(text)
             if match is None:
                 continue
             column_phrase, value = match.groups()
@@ -418,13 +455,9 @@ class FeedbackEditor:
 
     def _r_remove_filter(self, text, feedback, previous, question, main_table):
         """'remove the condition on X' / 'do not filter by X'."""
-        match = re.search(
-            r"(?:remove|drop|ignore|do not use|don't use) the "
-            r"(?:condition|filter|restriction) on (?:the )?([\w ]+)$",
-            text,
-        )
+        match = _REMOVE_CONDITION_RE.search(text)
         if match is None:
-            match = re.search(r"do(?:n't| not) filter (?:by|on) ([\w ]+)$", text)
+            match = _DO_NOT_FILTER_RE.search(text)
         if match is None or main_table is None:
             return []
         link = self._linker.link_column(main_table, match.group(1).strip())
@@ -444,12 +477,7 @@ class FeedbackEditor:
 
     def _r_count_distinct(self, text, feedback, previous, question, main_table):
         """'count each value only once' / 'count the distinct X'."""
-        if not re.search(
-            r"(count (?:the )?(?:distinct|different|unique)|"
-            r"count each [\w ]+ (?:only )?once|"
-            r"(?:distinct|unique|different) (?:values|ones) (?:only|once)?)",
-            text,
-        ):
+        if not _COUNT_DISTINCT_RE.search(text):
             return []
         return [
             EditCandidate(
@@ -464,14 +492,10 @@ class FeedbackEditor:
 
     def _r_sum_not_count(self, text, feedback, previous, question, main_table):
         """'sum them up, do not count rows' → COUNT → SUM."""
-        if not re.search(
-            r"(\bsum\b|\badd (?:them |the [\w ]+ )?up\b|\btotal\b.*\bnot\b.*\bcount\b|"
-            r"\bnot\b.*\bcount\b.*\bsum\b)",
-            text,
-        ):
+        if not _SUM_NOT_COUNT_RE.search(text):
             return []
         argument: Optional[ast.Expression] = None
-        match = re.search(r"sum (?:up )?(?:the )?([\w ]+?)(?: values| column)?$", text)
+        match = _SUM_COLUMN_RE.search(text)
         if match is not None and main_table is not None:
             link = self._linker.link_column(main_table, match.group(1).strip())
             if link is not None:
@@ -493,12 +517,7 @@ class FeedbackEditor:
 
     def _r_distinct_rows(self, text, feedback, previous, question, main_table):
         """'remove duplicates' → SELECT DISTINCT."""
-        if not re.search(
-            r"(remove (?:the )?duplicates|each (?:value|one|row) (?:only )?once|"
-            r"no duplicates|duplicates should not|only (?:the )?(?:distinct|unique|"
-            r"different) values)",
-            text,
-        ):
+        if not _DISTINCT_ROWS_RE.search(text):
             return []
         if previous.distinct:
             return []
@@ -513,15 +532,11 @@ class FeedbackEditor:
 
     def _r_replace_table(self, text, feedback, previous, question, main_table):
         """'audiences are stored in the segment table' → retarget the query."""
-        match = re.search(
-            r"(?:use|look (?:in|at)|query|check)(?: the)? ([\w ]+?) table", text
-        )
+        match = _USE_TABLE_RE.search(text)
         if match is None:
-            match = re.search(
-                r"(?:are|is) (?:stored |kept |held )?in the ([\w ]+?) table", text
-            )
+            match = _STORED_IN_TABLE_RE.search(text)
         if match is None:
-            match = re.search(r"\bi mean(?:t)? the ([\w ]+?) table", text)
+            match = _MEANT_TABLE_RE.search(text)
         if match is None or main_table is None:
             return []
         link = self._linker.link_table(match.group(1).strip())
@@ -541,9 +556,7 @@ class FeedbackEditor:
 
     def _r_fact_join(self, text, feedback, previous, question, main_table):
         """'... linked through the activation table' → rebuild a fact join."""
-        match = re.search(
-            r"(?:through|via|using|in) the ([\w ]+?) table", text
-        )
+        match = _FACT_TABLE_RE.search(text)
         if match is None:
             return []
         fact_link = self._linker.link_table(match.group(1).strip())
@@ -628,7 +641,7 @@ class FeedbackEditor:
         )
 
     def _r_limit(self, text, feedback, previous, question, main_table):
-        match = re.search(r"(?:limit (?:it )?to|only the first|top) (\d+)", text)
+        match = _SET_LIMIT_RE.search(text)
         if match is not None:
             return [
                 EditCandidate(
@@ -638,7 +651,7 @@ class FeedbackEditor:
                     pattern="limit",
                 )
             ]
-        if re.search(r"remove the limit|no limit|all of them, not just", text):
+        if _REMOVE_LIMIT_RE.search(text):
             if previous.limit is None:
                 return []
             return [
@@ -653,7 +666,7 @@ class FeedbackEditor:
 
     def _r_change_to(self, text, feedback, previous, question, main_table):
         """Terse 'change to X' — needs grounding; highlights provide it."""
-        match = re.match(r"^change (?:it |this |that )?to '?([\w\- ]+?)'?$", text)
+        match = _CHANGE_TO_RE.match(text)
         if match is None:
             return []
         new_value = match.group(1).strip()
@@ -721,7 +734,7 @@ def _date_years_in(query: ast.Select) -> list[str]:
         for expr in _query_expressions(select):
             for node in ast.walk_expressions(expr):
                 if isinstance(node, ast.Literal) and isinstance(node.value, str):
-                    match = re.match(r"^((?:19|20)\d{2})-\d{2}-\d{2}", node.value)
+                    match = _DATE_YEAR_RE.match(node.value)
                     if match and match.group(1) not in years:
                         years.append(match.group(1))
     return years

@@ -14,7 +14,15 @@ from repro.core.feedback import ADD, EDIT, FEEDBACK_TYPE_EXAMPLES, REMOVE
 from repro.llm.interface import ChatModel
 from repro.llm.prompts import routing_prompt
 
-_REMOVE_CUES = (
+
+def _compiled(*patterns: str) -> tuple[re.Pattern, ...]:
+    return tuple(re.compile(pattern) for pattern in patterns)
+
+
+#: "remove duplicates" asks to ADD a DISTINCT, not to remove a clause.
+_DISTINCT_CUES = _compiled(r"\bremove duplicates\b", r"\bonly once\b")
+
+_REMOVE_CUES = _compiled(
     r"\bdo not\b",
     r"\bdon't\b",
     r"\bremove\b",
@@ -28,7 +36,7 @@ _REMOVE_CUES = (
     r"\bleave out\b",
 )
 
-_EDIT_CUES = (
+_EDIT_CUES = _compiled(
     r"\binstead of\b",
     r"\bshould be\b",
     r"\bchange\b",
@@ -49,7 +57,7 @@ _EDIT_CUES = (
     r"\bcount\b.*\bdistinct\b",
 )
 
-_ADD_CUES = (
+_ADD_CUES = _compiled(
     r"\balso\b",
     r"\badd\b",
     r"\binclude\b",
@@ -69,20 +77,15 @@ _ADD_CUES = (
 def classify_feedback(text: str) -> str:
     """Rule-of-thumb classification used by the simulated LLM."""
     lowered = text.lower()
-    # "remove duplicates" asks to ADD a DISTINCT, not to remove a clause.
-    if re.search(r"\bremove duplicates\b", lowered) or re.search(
-        r"\bonly once\b", lowered
-    ):
+    if any(cue.search(lowered) for cue in _DISTINCT_CUES):
         return ADD
-    for cue in _REMOVE_CUES:
-        if re.search(cue, lowered):
-            return REMOVE
-    for cue in _EDIT_CUES:
-        if re.search(cue, lowered):
-            return EDIT
-    for cue in _ADD_CUES:
-        if re.search(cue, lowered):
-            return ADD
+    for cues, label in (
+        (_REMOVE_CUES, REMOVE),
+        (_EDIT_CUES, EDIT),
+        (_ADD_CUES, ADD),
+    ):
+        if any(cue.search(lowered) for cue in cues):
+            return label
     return EDIT
 
 

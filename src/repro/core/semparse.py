@@ -81,6 +81,62 @@ _AGG_WORDS = {
     "total": "SUM",
 }
 
+_AGG_ALT = "|".join(_AGG_WORDS)
+
+# Question patterns, matched against the normalized question, one per
+# handler (in :meth:`SemanticParser.parse` order), then the entity-phrase
+# filters of :func:`_split_entity_filters`.
+_JOIN_PAIR_RE = re.compile(
+    r"^show the name of each (.+?) together with the name of its (.+)$"
+)
+_GROUP_COUNT_RE = re.compile(r"^how many (.+?) are there for each (.+)$")
+_COUNT_MONTH_RE = re.compile(
+    rf"^how many (.+?) were (\w+) in ({_MONTH_ALT})(?: (\d{{4}}))?$"
+)
+_COUNT_HAVE_VALUE_RE = re.compile(r"^how many (.+?) have (.+?) '(.+)'$")
+_COUNT_MEASURE_TOTAL_RE = re.compile(
+    r"^how many (.+?) do the (.+?) have (?:altogether|in total)$"
+)
+_COUNT_CATEGORY_VALUES_RE = re.compile(
+    r"^how many (.+?) (?:are represented among the|do the) (.+?)"
+    r"(?: come from)?$"
+)
+_COUNT_PLAIN_RE = re.compile(r"^how many (.+?) (?:are there|do we have|exist)$")
+_AGGREGATE_RE = re.compile(rf"^what is the ({_AGG_ALT}) (.+)$")
+_AGGREGATE_DIVIDER_RE = re.compile(r" (?:of|across) (?:all |our |the )?")
+_SUPERLATIVE_SHOW_RE = re.compile(
+    r"^(?:show|give) the (.+?) by the (.+?) with the (highest|lowest) (.+)$"
+)
+_ATTR_OF_NAMED_RE = re.compile(r"^what is the (.+) of the (.+?) named '(.+)'$")
+_SUPERLATIVE_WHAT_RE = re.compile(
+    r"^what is the (.+) of the (.+?) with the (highest|lowest) (.+)$"
+)
+_DISTINCT_VALUES_RE = re.compile(
+    r"^what are the (different )?(.+?) values of the (.+)$"
+)
+_LIST_TOP_N_RE = re.compile(
+    r"^(?:list|show|give) the names? of the (top|first) (\d+) (.+?) by (.+)$"
+)
+_LIST_NAMES_RE = re.compile(
+    r"^(?:list|show|give|what are) the names? of (?:all |the )?(.+)$"
+)
+_LIST_ENTITIES_RE = re.compile(r"^(?:list|show|give) the (.+)$")
+_WHICH_ENTITIES_RE = re.compile(r"^which (.+?) (?:is|are) (.+)$")
+_ABOVE_AVERAGE_RE = re.compile(
+    r"^(.+?) whose (.+?) is (above|below) the average$"
+)
+_COMPARISON_FILTER_RE = re.compile(
+    rf"^(.+?) (?:whose|with) (.+?) (?:is )?({_COMPARISON_ALT}) "
+    r"(\d+(?:\.\d+)?)$"
+)
+_BETWEEN_FILTER_RE = re.compile(
+    r"^(.+?) with (.+?) between (\d+(?:\.\d+)?) and (\d+(?:\.\d+)?)$"
+)
+_MONTH_FILTER_RE = re.compile(
+    rf"^(.+?) (\w+) in ({_MONTH_ALT})(?: (\d{{4}}))?$"
+)
+_SPACE_RE = re.compile(r"\s+")
+
 
 @dataclass
 class ParserConfig:
@@ -252,9 +308,7 @@ class SemanticParser:
     # -- handlers ------------------------------------------------------------------
 
     def _p_count_plain(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^how many (.+?) (?:are there|do we have|exist)$", text
-        )
+        match = _COUNT_PLAIN_RE.match(text)
         if match is None:
             return None
         link, modifiers = self._resolve_entity(match.group(1))
@@ -263,10 +317,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table)
 
     def _p_count_month(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            rf"^how many (.+?) were (\w+) in ({_MONTH_ALT})(?: (\d{{4}}))?$",
-            text,
-        )
+        match = _COUNT_MONTH_RE.match(text)
         if match is None:
             return None
         entity, verb, month_word, year_text = match.groups()
@@ -285,7 +336,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table, notes=notes)
 
     def _p_count_have_value(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(r"^how many (.+?) have (.+?) '(.+)'$", text)
+        match = _COUNT_HAVE_VALUE_RE.match(text)
         if match is None:
             return None
         entity, attr_phrase, value = match.groups()
@@ -299,9 +350,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table)
 
     def _p_count_measure_total(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^how many (.+?) do the (.+?) have (?:altogether|in total)$", text
-        )
+        match = _COUNT_MEASURE_TOTAL_RE.match(text)
         if match is None:
             return None
         measure_phrase, entity = match.groups()
@@ -323,11 +372,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table)
 
     def _p_count_category_values(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^how many (.+?) (?:are represented among the|do the) (.+?)"
-            r"(?: come from)?$",
-            text,
-        )
+        match = _COUNT_CATEGORY_VALUES_RE.match(text)
         if match is None:
             return None
         value_phrase, entity = match.groups()
@@ -349,8 +394,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table)
 
     def _p_aggregate(self, text: str) -> Optional[ParseOutcome]:
-        agg_alt = "|".join(_AGG_WORDS)
-        match = re.match(rf"^what is the ({agg_alt}) (.+)$", text)
+        match = _AGGREGATE_RE.match(text)
         if match is None:
             return None
         agg_word, rest = match.groups()
@@ -358,7 +402,7 @@ class SemanticParser:
         # branches of all teams"), so try every "of/across" split point and
         # keep the one where both the entity and the column link best.
         best: Optional[tuple[float, Column, TableLink]] = None
-        for divider in re.finditer(r" (?:of|across) (?:all |our |the )?", rest):
+        for divider in _AGGREGATE_DIVIDER_RE.finditer(rest):
             attr_phrase = rest[: divider.start()]
             entity = rest[divider.end():]
             if not attr_phrase or not entity:
@@ -386,19 +430,13 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table)
 
     def _p_superlative_what(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^what is the (.+) of the (.+?) with the (highest|lowest) (.+)$",
-            text,
-        )
+        match = _SUPERLATIVE_WHAT_RE.match(text)
         if match is None:
             return None
         return self._superlative(*match.groups())
 
     def _p_superlative_show(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^(?:show|give) the (.+?) by the (.+?) with the (highest|lowest) (.+)$",
-            text,
-        )
+        match = _SUPERLATIVE_SHOW_RE.match(text)
         if match is None:
             return None
         return self._superlative(*match.groups())
@@ -424,7 +462,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table, notes=notes)
 
     def _p_attr_of_named(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(r"^what is the (.+) of the (.+?) named '(.+)'$", text)
+        match = _ATTR_OF_NAMED_RE.match(text)
         if match is None:
             return None
         attr_phrase, entity, name_value = match.groups()
@@ -442,9 +480,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table, notes=notes)
 
     def _p_distinct_values(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^what are the (different )?(.+?) values of the (.+)$", text
-        )
+        match = _DISTINCT_VALUES_RE.match(text)
         if match is None:
             return None
         different, attr_phrase, entity = match.groups()
@@ -463,10 +499,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table)
 
     def _p_list_top_n(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^(?:list|show|give) the names? of the (top|first) (\d+) (.+?) by (.+)$",
-            text,
-        )
+        match = _LIST_TOP_N_RE.match(text)
         if match is None:
             return None
         rank_word, n_text, entity, attr_phrase = match.groups()
@@ -490,22 +523,20 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table)
 
     def _p_list_names(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^(?:list|show|give|what are) the names? of (?:all |the )?(.+)$", text
-        )
+        match = _LIST_NAMES_RE.match(text)
         if match is None:
             return None
         remainder = match.group(1)
         return self._entity_listing(remainder, names_only=True)
 
     def _p_list_entities(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(r"^(?:list|show|give) the (.+)$", text)
+        match = _LIST_ENTITIES_RE.match(text)
         if match is None:
             return None
         return self._entity_listing(match.group(1), names_only=False)
 
     def _p_which_entities(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(r"^which (.+?) (?:is|are) (.+)$", text)
+        match = _WHICH_ENTITIES_RE.match(text)
         if match is None:
             return None
         entity, _rest = match.groups()
@@ -555,7 +586,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=link.table, notes=notes)
 
     def _p_group_count(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(r"^how many (.+?) are there for each (.+)$", text)
+        match = _GROUP_COUNT_RE.match(text)
         if match is None:
             return None
         entity, key_phrase = match.groups()
@@ -605,10 +636,7 @@ class SemanticParser:
         return ParseOutcome(query=query, main_table=child)
 
     def _p_join_pair(self, text: str) -> Optional[ParseOutcome]:
-        match = re.match(
-            r"^show the name of each (.+?) together with the name of its (.+)$",
-            text,
-        )
+        match = _JOIN_PAIR_RE.match(text)
         if match is None:
             return None
         child_phrase, parent_phrase = match.groups()
@@ -670,9 +698,7 @@ def _split_entity_filters(remainder: str):
     """
     remainder = remainder.strip().rstrip(".")
 
-    match = re.match(
-        r"^(.+?) whose (.+?) is (above|below) the average$", remainder
-    )
+    match = _ABOVE_AVERAGE_RE.match(remainder)
     if match is not None:
         entity, attr_phrase, word = match.groups()
 
@@ -696,11 +722,7 @@ def _split_entity_filters(remainder: str):
 
         return entity, build_avg
 
-    match = re.match(
-        rf"^(.+?) (?:whose|with) (.+?) (?:is )?({_COMPARISON_ALT}) "
-        r"(\d+(?:\.\d+)?)$",
-        remainder,
-    )
+    match = _COMPARISON_FILTER_RE.match(remainder)
     if match is not None:
         entity, attr_phrase, cmp_word, number = match.groups()
 
@@ -718,10 +740,7 @@ def _split_entity_filters(remainder: str):
 
         return entity, build_cmp
 
-    match = re.match(
-        r"^(.+?) with (.+?) between (\d+(?:\.\d+)?) and (\d+(?:\.\d+)?)$",
-        remainder,
-    )
+    match = _BETWEEN_FILTER_RE.match(remainder)
     if match is not None:
         entity, attr_phrase, low, high = match.groups()
 
@@ -740,9 +759,7 @@ def _split_entity_filters(remainder: str):
 
         return entity, build_between
 
-    match = re.match(
-        rf"^(.+?) (\w+) in ({_MONTH_ALT})(?: (\d{{4}}))?$", remainder
-    )
+    match = _MONTH_FILTER_RE.match(remainder)
     if match is not None:
         entity, verb, month_word, year_text = match.groups()
 
@@ -774,7 +791,7 @@ def _split_entity_filters(remainder: str):
 
 def _normalize(question: str) -> str:
     text = question.strip().lower()
-    text = re.sub(r"\s+", " ", text)
+    text = _SPACE_RE.sub(" ", text)
     return text.rstrip("?.! ")
 
 

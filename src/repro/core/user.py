@@ -19,6 +19,7 @@ All stochasticity is deterministic per (example, round) via stable hashes.
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -30,6 +31,8 @@ from repro.sql.analysis import QueryDelta, diff_queries
 from repro.sql.printer import print_expression, print_select
 from repro.sql.schema import DatabaseSchema
 from repro.util import stable_choice, stable_fraction
+
+_DATE_YEAR_RE = re.compile(r"^((?:19|20)\d{2})-\d{2}-\d{2}")
 
 #: Delta kinds the annotator addresses first when several are present.
 _PRIORITY = ("table", "select", "where", "group", "order", "distinct", "limit")
@@ -462,13 +465,11 @@ def _call_column(call: ast.FunctionCall) -> Optional[str]:
 
 def _condition_year(condition) -> Optional[str]:
     """The year of a date-literal comparison, if that is what it is."""
-    import re
-
     if not isinstance(condition, ast.Expression):
         return None
     for node in ast.walk_expressions(condition):
         if isinstance(node, ast.Literal) and isinstance(node.value, str):
-            match = re.match(r"^((?:19|20)\d{2})-\d{2}-\d{2}", node.value)
+            match = _DATE_YEAR_RE.match(node.value)
             if match:
                 return match.group(1)
     return None

@@ -14,7 +14,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.datasets.base import Benchmark, Example, month_range, results_differ
+from repro.datasets.base import (
+    Benchmark,
+    Demonstration,
+    Example,
+    demonstrations_from_examples,
+    month_range,
+    results_differ,
+)
 from repro.datasets.names import (
     CURRENT_YEAR,
     ENTITY_CATEGORIES,
@@ -80,6 +87,13 @@ class SpiderSuite:
     benchmark: Benchmark
     train_examples: list[Example]
     generated: dict[str, GeneratedDatabase]
+    #: The RAG demonstrations of the train split, built with the suite,
+    #: so every context that shares the suite shares them and the
+    #: conventions each one keeps (:attr:`Demonstration.conventions`).
+    demos: list[Demonstration] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.demos = demonstrations_from_examples(self.train_examples)
 
     @property
     def dev_examples(self) -> list[Example]:

@@ -23,11 +23,7 @@ from repro.core.retrieval import DemonstrationRetriever
 from repro.core.routing import FeedbackRouter
 from repro.core.session import FisqlPipeline
 from repro.core.user import AnnotatorConfig, SimulatedAnnotator
-from repro.datasets.base import (
-    Benchmark,
-    Demonstration,
-    demonstrations_from_examples,
-)
+from repro.datasets.base import Benchmark, Demonstration
 from repro.datasets.aep import generate_aep_suite
 from repro.datasets.spider import SpiderSuite, generate_spider_suite
 from repro.durability import (
@@ -41,7 +37,6 @@ from repro.llm.interface import ChatModel
 from repro.llm.simulated import SimulatedLLM
 from repro.sql import ast
 from repro.sql.parser import parse_select
-from repro.sql.printer import print_select
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.semcache.store import SemanticAnswerCache
@@ -104,10 +99,15 @@ class ExperimentContext:
         return self._wrap(Nl2SqlModel(llm=self.llm, retriever=None))
 
     def spider_assistant_model(self):
-        """The Assistant's RAG pipeline over the SPIDER train pool."""
+        """The Assistant's RAG pipeline over the SPIDER train pool.
+
+        Each context ranks with a retriever of its own, over the suite's
+        one set of demonstrations (:attr:`SpiderSuite.demos`).
+        """
         if self._spider_retriever is None:
-            demos = demonstrations_from_examples(self.spider.train_examples)
-            self._spider_retriever = DemonstrationRetriever(demos, top_k=4)
+            self._spider_retriever = DemonstrationRetriever(
+                self.spider.demos, top_k=4
+            )
         return self._wrap(
             Nl2SqlModel(llm=self.llm, retriever=self._spider_retriever)
         )
@@ -239,9 +239,11 @@ class _MultiDbAnnotator:
     pipeline of a context ask for the same first-round feedback on the
     same prediction, and feedback is a pure function of the example, the
     two queries, the round and the highlight switch. The queries are
-    keyed by their printed text, not their trees, since
-    ``Literal(7) == Literal(7.0)``. Feedback is frozen, so every caller
-    shares one answer.
+    keyed by the identity of their trees, which every caller gets from
+    the parse memo: equality would not do, since
+    ``Literal(7) == Literal(7.0)``. Each entry holds its two trees, so
+    their ids cannot be reused while it is kept. Feedback is frozen, so
+    every caller shares one answer.
     """
 
     def __init__(self, benchmark: Benchmark, config: AnnotatorConfig) -> None:
@@ -249,7 +251,8 @@ class _MultiDbAnnotator:
         self._config = config
         self._lock = threading.Lock()
         self._per_db: dict[str, SimulatedAnnotator] = {}
-        self._given: dict[tuple, Optional[Feedback]] = {}
+        #: key -> (gold, predicted, feedback)
+        self._given: dict[tuple, tuple] = {}
         self._example_db: dict[str, str] = {
             example.example_id: example.db_id
             for example in benchmark.examples
@@ -289,14 +292,15 @@ class _MultiDbAnnotator:
         key = (
             example_id,
             question,
-            print_select(gold),
-            print_select(predicted),
+            id(gold),
+            id(predicted),
             round_index,
             use_highlights,
         )
         with self._lock:
-            if key in self._given:
-                return self._given[key]
+            kept = self._given.get(key)
+        if kept is not None and kept[0] is gold and kept[1] is predicted:
+            return kept[2]
         feedback = annotator.give_feedback(
             example_id=example_id,
             question=question,
@@ -306,7 +310,7 @@ class _MultiDbAnnotator:
             use_highlights=use_highlights,
         )
         with self._lock:
-            self._given[key] = feedback
+            self._given[key] = (gold, predicted, feedback)
         return feedback
 
 

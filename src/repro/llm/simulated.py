@@ -50,6 +50,11 @@ from repro.sql.printer import print_query
 
 _MONTH_ALT = "|".join(m.lower() for m in MONTH_NAMES)
 _YEAR_RE = re.compile(r"\b((?:19|20)\d{2})\b")
+_BARE_YEAR_RE = re.compile(r"\b(?:19|20)\d{2}\b")
+_MONTH_RE = re.compile(rf"\b({_MONTH_ALT})\b")
+_MONTH_YEAR_RE = re.compile(rf"\b({_MONTH_ALT})\s+(?:19|20)\d{{2}}\b")
+_FIRST_N_RE = re.compile(r"\bfirst \d+\b")
+_LISTING_RE = re.compile(r"^(list|show|give) the [a-z]")
 
 
 def derive_conventions(demos: Sequence[Demonstration]) -> frozenset:
@@ -89,13 +94,13 @@ def _taught_by(demo: Demonstration) -> frozenset:
     if " values of " in question and "different" not in question and query.distinct:
         conventions.add(CONVENTION_DISTINCT_VALUES)
     if (
-        re.search(r"\bfirst \d+\b", question)
+        _FIRST_N_RE.search(question)
         and " by " in question
         and any(o.order is ast.SortOrder.DESC for o in query.order_by)
     ):
         conventions.add(CONVENTION_FIRST_IS_TOP)
     if (
-        re.match(r"^(list|show|give) the [a-z]", question)
+        _LISTING_RE.match(question)
         and " names" not in question
         and " name " not in question
         and len(query.items) == 1
@@ -245,11 +250,9 @@ class SimulatedLLM:
         feedback without restructuring the question around it.
         """
         years = _YEAR_RE.findall(feedback)
-        month_match = re.search(rf"\b({_MONTH_ALT})\b", question.lower())
+        month_match = _MONTH_RE.search(question.lower())
         if years and month_match is not None:
-            has_year_already = re.search(
-                rf"\b({_MONTH_ALT})\s+(?:19|20)\d{{2}}\b", question.lower()
-            )
+            has_year_already = _MONTH_YEAR_RE.search(question.lower())
             if has_year_already is None:
                 month_word = month_match.group(1)
                 pattern = re.compile(rf"\b{month_word}\b", re.IGNORECASE)
@@ -259,6 +262,6 @@ class SimulatedLLM:
                 )
             # Replace the existing year.
             return (
-                re.sub(r"\b(?:19|20)\d{2}\b", years[-1], question, count=1) + "?"
+                _BARE_YEAR_RE.sub(years[-1], question, count=1) + "?"
             )
         return f"{question}, and note that {feedback}?"

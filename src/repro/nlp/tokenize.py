@@ -5,6 +5,10 @@ from __future__ import annotations
 import re
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+(?:\.\d+)?|'[^']*'|\"[^\"]*\"")
+_SPACE_RE = re.compile(r"\s+")
+_SINGLE_QUOTED_RE = re.compile(r"'([^']*)'")
+_DOUBLE_QUOTED_RE = re.compile(r'"([^"]*)"')
+_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 
 #: Words that carry no schema-linking signal.
 STOPWORDS = frozenset(
@@ -22,7 +26,7 @@ STOPWORDS = frozenset(
 
 def normalize(text: str) -> str:
     """Lower-case and collapse whitespace."""
-    return re.sub(r"\s+", " ", text.strip().lower())
+    return _SPACE_RE.sub(" ", text.strip().lower())
 
 
 def tokenize(text: str) -> list[str]:
@@ -58,9 +62,9 @@ def ngrams(tokens: list[str], max_n: int = 3) -> list[tuple[int, int, str]]:
 
 def quoted_strings(text: str) -> list[str]:
     """Extract quoted literals (single or double quotes) from text."""
-    return re.findall(r"'([^']*)'", text) + re.findall(r'"([^"]*)"', text)
+    return _SINGLE_QUOTED_RE.findall(text) + _DOUBLE_QUOTED_RE.findall(text)
 
 
 def numbers_in(text: str) -> list[float]:
     """Extract numeric values mentioned in text."""
-    return [float(m) for m in re.findall(r"\d+(?:\.\d+)?", text)]
+    return [float(m) for m in _NUMBER_RE.findall(text)]

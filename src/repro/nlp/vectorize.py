@@ -97,4 +97,4 @@ def cosine_top_k(
     k = min(k, matrix.shape[0])
     top = np.argpartition(-scores, k - 1)[:k]
     ranked = top[np.argsort(-scores[top], kind="stable")]
-    return [(int(i), float(scores[i])) for i in ranked]
+    return list(zip(ranked.tolist(), scores[ranked].tolist()))

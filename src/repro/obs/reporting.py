@@ -193,6 +193,9 @@ def _render_sql(snapshot: dict) -> str:
     execute_calls = _counter_total(snapshot, "sql.execute.calls")
     executed = _counter_total(snapshot, "sql.execute.misses")
     execute_failures = _counter_total(snapshot, "sql.execute.failures")
+    compare_calls = _counter_total(snapshot, "sql.compare.calls")
+    compared_equal = _counter_total(snapshot, "sql.compare.equal")
+    compared_sorted = _counter_total(snapshot, "sql.compare.sorted")
     if not parse_calls and not execute_calls:
         return "(no SQL activity recorded)"
     lines = [
@@ -200,6 +203,8 @@ def _render_sql(snapshot: dict) -> str:
         f"{_int(parse_failures)} failures",
         f"execute: {_int(execute_calls)} calls, {_int(executed)} run, "
         f"{_int(execute_failures)} failures",
+        f"compare: {_int(compare_calls)} calls, {_int(compared_equal)} equal, "
+        f"{_int(compared_sorted)} sorted",
     ]
     latency = _histogram(snapshot, "sql.execute.latency_ms", {})
     if latency and latency["count"]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro import obs
 from repro.sql import ast
 from repro.sql.types import SqlValue, values_equal
 
@@ -52,7 +53,13 @@ def results_match(
     ordered: bool = False,
     float_tol: float = 1e-6,
 ) -> bool:
-    """Compare two result sets under execution-accuracy semantics."""
+    """Compare two result sets under execution-accuracy semantics.
+
+    Counts ``sql.compare.calls``; an unordered comparison also counts
+    ``sql.compare.equal`` when equal row lists answer it, or
+    ``sql.compare.sorted`` when it normalizes and sorts.
+    """
+    obs.count("sql.compare.calls")
     if len(gold.rows) != len(predicted.rows):
         return False
     if gold.rows and predicted.rows and len(gold.rows[0]) != len(predicted.rows[0]):
@@ -62,6 +69,14 @@ def results_match(
             rows_equal(g, p, float_tol)
             for g, p in zip(gold.rows, predicted.rows)
         )
+    # Equal row lists have equal sorted canonical forms: values that are
+    # ``==`` normalize to equal values of one type. The engine returns an
+    # unordered answer in ``row_sort_key`` order, so a correct prediction
+    # usually gives the very same list.
+    if gold.rows == predicted.rows:
+        obs.count("sql.compare.equal")
+        return True
+    obs.count("sql.compare.sorted")
     # Multiset comparison via sorted canonical forms. Exact float values are
     # normalized first; the tolerance path falls back to greedy matching
     # only when the sorted comparison fails.

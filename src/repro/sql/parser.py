@@ -16,6 +16,7 @@ import re
 from dataclasses import replace
 from typing import Optional
 
+from repro import obs
 from repro.errors import ParseError, SqlError
 from repro.sql import ast
 from repro.sql.lexer import tokenize
@@ -731,24 +732,18 @@ def parse_select(text: str) -> Optional[ast.Select]:
 
 
 def _parse_statement(text: str) -> ast.Statement:
-    from repro import obs
-
     obs.count("sql.parse.misses")
     return Parser(text).parse_statement()
 
 
 @functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def _parse_query(text: str) -> ast.Query:
-    from repro import obs
-
     # Runs only when the memo misses, so this counts real parses.
     obs.count("sql.parse.misses")
     return Parser(text).parse_query()
 
 
 def _counted_parse(parse, text: str):
-    from repro import obs
-
     if not obs.is_enabled():
         return parse(text)
     obs.count("sql.parse.calls")

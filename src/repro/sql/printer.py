@@ -7,6 +7,8 @@ all supported nodes (round-trip property, tested with hypothesis).
 
 from __future__ import annotations
 
+import functools
+
 from repro.sql import ast
 from repro.sql.tokens import KEYWORDS
 
@@ -31,11 +33,18 @@ SQLITE_RESERVED = frozenset(
 
 _QUOTED_WORDS = KEYWORDS | SQLITE_RESERVED
 
+#: How many names :func:`format_identifier` keeps formatted (least
+#: recently used first out). A schema's names recur in every query
+#: printed against it.
+IDENTIFIER_MEMO_SIZE = 4096
 
+
+@functools.lru_cache(maxsize=IDENTIFIER_MEMO_SIZE)
 def format_identifier(name: str) -> str:
     """Quote an identifier the lexer would split or read as a keyword, or
     that SQLite would not read as a name. A ``"`` inside a quoted name is
-    doubled, as SQLite writes it."""
+    doubled, as SQLite writes it. Each name is formatted once, up to
+    :data:`IDENTIFIER_MEMO_SIZE` names."""
     if (
         not name
         or any(ch in _NEEDS_QUOTES for ch in name)

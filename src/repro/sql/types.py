@@ -136,5 +136,8 @@ def values_equal(left: SqlValue, right: SqlValue, float_tol: float = 1e-6) -> bo
     # bool is an int here, so TRUE equals 1.
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         left_n, right_n = float(left), float(right)
+        # Equal first: ``inf - inf`` is NaN, which no tolerance accepts.
+        if left_n == right_n:
+            return True
         return abs(left_n - right_n) <= float_tol * max(1.0, abs(left_n), abs(right_n))
     return str(left) == str(right)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datasets.aep import generate_aep_suite
+from repro.datasets.base import demonstrations_from_examples
 from repro.datasets.spider import generate_spider_suite
 from repro.durability.suites import (
     SUITE_SCHEMA_VERSION,
@@ -40,6 +41,14 @@ class TestRoundTrip:
             d.question for d in aep_demos
         ]
         assert demos2[0].glossary == aep_demos[0].glossary
+
+    def test_spider_demonstrations_are_rebuilt_on_load(self, tmp_path, tiny_env):
+        spider, aep_benchmark, aep_demos = tiny_env
+        save_suites(tmp_path, "tiny", 7, spider, aep_benchmark, aep_demos)
+        spider2, _, _ = load_suites(tmp_path, "tiny", 7)
+        assert spider2.demos == demonstrations_from_examples(spider.train_examples)
+        assert spider2.demos == spider.demos
+        assert not any(a is b for a, b in zip(spider2.demos, spider.demos))
 
     def test_databases_survive_with_rows(self, tmp_path, tiny_env):
         spider, aep_benchmark, aep_demos = tiny_env

@@ -16,11 +16,14 @@ import pytest
 from repro import obs
 from repro.core.feedback import Feedback, Highlight
 from repro.core.user import SimulatedAnnotator
+from repro.datasets.spider import SpiderSuite
+from repro.eval import harness
 from repro.eval.experiments import run_figure8, run_table2, run_table3
 from repro.eval.harness import ExperimentContext, build_context
+from repro.llm import simulated
 from repro.llm.interface import KIND_ROUTING
 from repro.llm.simulated import SimulatedLLM
-from repro.sql.parser import parse_select
+from repro.sql.parser import Parser, parse_select
 from repro.sql.printer import print_select
 
 
@@ -165,7 +168,7 @@ def test_the_annotator_answers_a_key_once_with_the_computed_feedback(
     assert first == fresh.give_feedback(**request)
 
 
-def test_queries_are_keyed_by_their_text_not_their_tree(given_feedback):
+def test_queries_are_keyed_by_their_tree_not_their_equality(given_feedback):
     context = _fresh()
     annotator = context.annotator_for("spider")
     example = context.benchmark("spider").examples[0]
@@ -182,6 +185,137 @@ def test_queries_are_keyed_by_their_text_not_their_tree(given_feedback):
             round_index=1,
         )
     assert len(given_feedback) == 2
+
+
+def _first_request(context: ExperimentContext) -> dict:
+    record = context.error_set("spider")[0]
+    example = record.example
+    return dict(
+        example_id=example.example_id,
+        question=example.question,
+        gold=parse_select(example.gold_sql),
+        predicted=parse_select(record.predicted_sql),
+        round_index=1,
+        use_highlights=True,
+    )
+
+
+def test_trees_that_print_alike_each_get_the_annotators_own_feedback(
+    given_feedback,
+):
+    context = _fresh()
+    annotator = context.annotator_for("spider")
+    request = _first_request(context)
+    sql = print_select(request["predicted"])
+    twins = [Parser(sql).parse_query() for _ in range(2)]
+    assert twins[0] is not twins[1] and print_select(twins[1]) == sql
+    db_id = context.error_set("spider")[0].example.db_id
+    schema = context.benchmark("spider").database(db_id).schema
+    given = [
+        annotator.give_feedback(**dict(request, predicted=twin)) for twin in twins
+    ]
+    assert len(given_feedback) == 2
+    own = SimulatedAnnotator(schema, annotator._config)
+    for twin, feedback in zip(twins, given):
+        assert feedback is not None
+        assert feedback == own.give_feedback(**dict(request, predicted=twin))
+
+
+def test_a_hit_needs_both_trees_and_each_entry_keeps_them(given_feedback):
+    context = _fresh()
+    annotator = context.annotator_for("spider")
+    request = _first_request(context)
+    gold, predicted = request["gold"], request["predicted"]
+    first = annotator.give_feedback(**request)
+    assert annotator.give_feedback(**request) is first
+    assert len(given_feedback) == 1
+    gold_twin = Parser(print_select(gold)).parse_query()
+    predicted_twin = Parser(print_select(predicted)).parse_query()
+    annotator.give_feedback(**dict(request, predicted=predicted_twin))
+    annotator.give_feedback(**dict(request, gold=gold_twin))
+    assert len(given_feedback) == 3
+    kept = [(entry[0], entry[1]) for entry in annotator._given.values()]
+    assert len(kept) == 3
+    for pair in ((gold, predicted), (gold, predicted_twin), (gold_twin, predicted)):
+        assert any(k[0] is pair[0] and k[1] is pair[1] for k in kept)
+    # An entry under the trees' ids answers only for the very same trees.
+    key = next(
+        key
+        for key, entry in annotator._given.items()
+        if entry[0] is gold and entry[1] is predicted
+    )
+    annotator._given[key] = (gold_twin, predicted_twin, "stale")
+    assert annotator.give_feedback(**request) == first
+    assert len(given_feedback) == 4
+
+
+def test_a_sweep_gives_each_printed_requests_feedback_once(
+    given_feedback, monkeypatch
+):
+    requested: list[tuple] = []
+    give = harness._MultiDbAnnotator.give_feedback
+
+    def recording(annotator, **kwargs):
+        requested.append(
+            (
+                kwargs["example_id"],
+                print_select(kwargs["gold"]),
+                print_select(kwargs["predicted"]),
+                kwargs["round_index"],
+                kwargs["use_highlights"],
+            )
+        )
+        return give(annotator, **kwargs)
+
+    monkeypatch.setattr(harness._MultiDbAnnotator, "give_feedback", recording)
+    context = _fresh()
+    run_table2(context)
+    run_figure8(context)
+    run_table3(context)
+    # As often as a memo keyed by printed text would compute, and no more.
+    assert len(requested) > len(given_feedback) > 0
+    assert len(given_feedback) == len(set(requested))
+
+
+def test_contexts_over_one_suite_share_its_demonstrations(monkeypatch):
+    built = build_context(scale="small")
+    # A suite of its own, so no earlier test has taught its demonstrations.
+    suite = SpiderSuite(
+        benchmark=built.spider.benchmark,
+        train_examples=built.spider.train_examples,
+        generated=built.spider.generated,
+    )
+    assert suite == built.spider
+    assert all(demo.conventions is None for demo in suite.demos)
+    taught: list[int] = []
+    taught_by = simulated._taught_by
+
+    def counting(demo):
+        taught.append(id(demo))
+        return taught_by(demo)
+
+    monkeypatch.setattr(simulated, "_taught_by", counting)
+    contexts = [
+        ExperimentContext(
+            scale=built.scale,
+            seed=built.seed,
+            spider=suite,
+            aep_benchmark=built.aep_benchmark,
+            aep_demos=built.aep_demos,
+        )
+        for _ in range(2)
+    ]
+    counts = []
+    for context in contexts:
+        context.assistant_report("spider")
+        counts.append(len(taught))
+    assert 0 < counts[0] == counts[1]
+    assert len(taught) == len(set(taught))
+    first, second = (context._spider_retriever for context in contexts)
+    assert first is not second
+    for retriever in (first, second):
+        assert len(retriever._demos) == len(suite.demos)
+        assert all(a is b for a, b in zip(retriever._demos, suite.demos))
 
 
 def test_each_feedback_text_is_routed_once_per_context():

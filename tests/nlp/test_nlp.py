@@ -289,3 +289,21 @@ class TestTfidf:
 
     def test_empty_matrix_top_k(self):
         assert cosine_top_k(np.zeros(3), np.zeros((0, 3)), 5) == []
+
+    def test_top_k_pairs_are_python_numbers_of_the_old_conversion(self):
+        def per_element(query, matrix, k):
+            scores = matrix @ query
+            k = min(k, matrix.shape[0])
+            top = np.argpartition(-scores, k - 1)[:k]
+            ranked = top[np.argsort(-scores[top], kind="stable")]
+            return [(int(i), float(scores[i])) for i in ranked]
+
+        vec = TfidfVectorizer()
+        matrix = vec.fit_transform(self.CORPUS * 3)
+        for question in ("how many singers", "average age of songs", "zzz"):
+            query = vec.transform([question])[0]
+            for k in (1, 4, 12, 20):
+                top = cosine_top_k(query, matrix, k)
+                assert top == per_element(query, matrix, k)
+                for index, score in top:
+                    assert type(index) is int and type(score) is float

@@ -64,6 +64,12 @@ class TestCliMetrics:
         calls, run, pairs, scored = map(int, linking.groups())
         assert 0 < run < calls
         assert 0 < 2 * scored < pairs
+        # Equal row lists answer some unordered comparisons without a sort.
+        compare = re.search(r"compare: (\d+) calls, (\d+) equal, (\d+) sorted", out)
+        assert compare is not None, out
+        calls, equal, sorted_ = map(int, compare.groups())
+        assert 0 < equal < calls
+        assert equal + sorted_ <= calls
 
     def test_no_flags_prints_no_report_and_stays_disabled(self, capsys):
         exit_code = cli_main(["figure2", "--scale", "small"])
@@ -217,6 +223,26 @@ class TestRunReportRendering:
             }
         )
         assert "execute: 10 calls, 3 run, 1 failures" in report
+
+    def test_compare_line_reports_calls_equal_and_sorted(self):
+        counters = {
+            "sql.parse.calls": 1,
+            "sql.compare.calls": 12,
+            "sql.compare.equal": 5,
+            "sql.compare.sorted": 4,
+        }
+        report = render_run_report(
+            {
+                "enabled": True,
+                "counters": [
+                    {"name": name, "labels": {}, "value": value}
+                    for name, value in counters.items()
+                ],
+                "histograms": [],
+                "spans": [],
+            }
+        )
+        assert "compare: 12 calls, 5 equal, 4 sorted" in report
 
     def test_linking_line_reports_calls_and_runs(self):
         counters = {

@@ -1,12 +1,18 @@
 """Printer tests including the parse∘print round-trip property."""
 
+import sys
+import threading
+import time
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.sql import ast
 from repro.sql.engine import Database
 from repro.sql.parser import parse_expression, parse_query, parse_statement
+from repro.sql.tokens import KEYWORDS
 from repro.sql.printer import (
+    IDENTIFIER_MEMO_SIZE,
     SQLITE_RESERVED,
     format_identifier,
     format_literal,
@@ -75,6 +81,93 @@ class TestIdentifiers:
         query = parse_query(sql)
         assert print_query(query) == sql
         assert parse_query(print_query(query)) == query
+
+
+def _reference_format_identifier(name):
+    """The quoting rule, applied to the name anew on every call."""
+    if (
+        not name
+        or any(ch in " -+/*().,;'\"`" for ch in name)
+        or not (name[0].isalpha() or name[0] == "_")
+        or name.upper() in KEYWORDS | SQLITE_RESERVED
+    ):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
+_KEYWORD_NAMES = sorted(KEYWORDS | SQLITE_RESERVED)
+_IDENTIFIER_NAMES = (
+    _KEYWORD_NAMES
+    + [word.lower() for word in _KEYWORD_NAMES]
+    + [word.capitalize() for word in _KEYWORD_NAMES]
+    + ['a"b', '"', '""x', "two words", " lead", "1abc", "9", "_x", "x1", ""]
+    + ["été", "Ünïcode", "naïve_col", "名前", "Ωmega", "²x", "ǅz", "x-y", "ab`c"]
+    + ["MiXeD", "camelCase", "Song_Name", "singer_id", "SELECTED", "orders"]
+)
+
+
+class TestIdentifierMemo:
+    """``format_identifier`` keeps each name's quoting, bounded."""
+
+    def test_every_name_is_quoted_by_the_rule(self):
+        for name in _IDENTIFIER_NAMES:
+            expected = _reference_format_identifier(name)
+            # The first call may miss and the second hits.
+            assert format_identifier(name) == expected, name
+            assert format_identifier(name) == expected, name
+
+    @given(
+        st.one_of(
+            st.text(max_size=8),
+            st.text(alphabet="aZ_1 \"é-", max_size=6),
+            st.sampled_from(_KEYWORD_NAMES).map(str.title),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_memo_equals_the_rule(self, name):
+        assert format_identifier(name) == _reference_format_identifier(name)
+        assert format_identifier(name) == _reference_format_identifier(name)
+
+    def test_threads_keep_the_memo_within_its_cap(self):
+        # Every third name needs quotes; 2,048 more names than the memo holds.
+        names = [
+            f"col_{i}" if i % 3 else f"Col {i}"
+            for i in range(IDENTIFIER_MEMO_SIZE + 2048)
+        ]
+        format_identifier.cache_clear()
+        deadline = time.monotonic() + 30.0
+        problems: list[str] = []
+
+        def worker(offset: int) -> None:
+            order = (names[offset:] + names[:offset])[: len(names) // 4]
+            for name in order:
+                if time.monotonic() > deadline:
+                    return
+                if format_identifier(name) != _reference_format_identifier(name):
+                    problems.append(f"wrong quoting for {name!r}")
+                size = format_identifier.cache_info().currsize
+                if size > IDENTIFIER_MEMO_SIZE:
+                    problems.append(f"memo holds {size} names")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k * len(names) // 8,))
+                for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            info = format_identifier.cache_info()
+            format_identifier.cache_clear()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not problems, problems[:5]
+        assert info.currsize == IDENTIFIER_MEMO_SIZE
+        assert info.misses > IDENTIFIER_MEMO_SIZE
 
 
 #: SQLite 3.40.1's keywords (https://www.sqlite.org/lang_keywords.html).
