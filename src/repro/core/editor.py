@@ -36,7 +36,6 @@ from repro.sql.edits import (
     ReplaceColumn,
     ReplaceLiteral,
     ReplaceQuery,
-    ReplaceTable,
     ReplaceWhereConjunct,
     SetDistinct,
     SetLimit,
@@ -316,9 +315,16 @@ class FeedbackEditor:
         link = self._linker.link_column(main_table, phrase)
         if link is None:
             return []
+        items = tuple(
+            item
+            for item in previous.items
+            if _mentions_column(item.expression, link.column.name)
+        )
         return [
             EditCandidate(
-                operation=RemoveSelectItem(column=link.column.name),
+                operation=RemoveSelectItem(
+                    items, description=f"do not select {link.column.name}"
+                ),
                 score=0.9,
                 feedback_type=REMOVE,
                 pattern="remove-select",
@@ -429,15 +435,10 @@ class FeedbackEditor:
                 ast.ColumnRef(link.column.name),
                 ast.Literal(value),
             )
-            existing = [
-                c
-                for c in conjuncts(previous.where)
-                if _mentions_column(c, link.column.name)
-            ]
+            existing = _conditions_on(previous, link.column.name)
             if existing:
                 operation: EditOperation = ReplaceWhereConjunct(
-                    matcher=_column_matcher(link.column.name),
-                    condition=condition,
+                    old=existing[0], condition=condition
                 )
                 ftype = EDIT
             else:
@@ -466,7 +467,7 @@ class FeedbackEditor:
         return [
             EditCandidate(
                 operation=RemoveWhereConjunct(
-                    matcher=_column_matcher(link.column.name),
+                    _conditions_on(previous, link.column.name),
                     description=f"remove the condition on {link.column.name}",
                 ),
                 score=0.9,
@@ -769,11 +770,9 @@ def _mentions_column(expr: ast.Expression, column: str) -> bool:
     return False
 
 
-def _column_matcher(column: str):
-    def matcher(expr: ast.Expression) -> bool:
-        return _mentions_column(expr, column)
-
-    return matcher
+def _conditions_on(query: ast.Select, column: str) -> tuple[ast.Expression, ...]:
+    """The WHERE conjuncts of ``query`` that mention ``column``."""
+    return tuple(c for c in conjuncts(query.where) if _mentions_column(c, column))
 
 
 def _existing_count_argument(query: ast.Select) -> Optional[ast.Expression]:

@@ -250,17 +250,6 @@ class SchemaLinker:
                 return column
         return None
 
-    def column_anywhere(self, phrase: str) -> Optional[ColumnLink]:
-        """Best column across all tables (used when no table is anchored)."""
-        best: Optional[ColumnLink] = None
-        for table in self._tables:
-            link = self._best_column(table, phrase)
-            if link is not None and (best is None or link.score > best.score):
-                best = link
-        if best is not None and best.score >= self.COLUMN_THRESHOLD:
-            return best
-        return None
-
 
 @functools.lru_cache(maxsize=LINK_MEMO_SIZE)
 def _memo_link(

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.linking import SchemaLinker, TableLink
+from repro.core.linking import ColumnLink, SchemaLinker, TableLink
 from repro.datasets.names import MODEL_DEFAULT_YEAR, MONTH_NAMES
 from repro.nlp.stem import stem
 from repro.nlp.tokenize import tokenize
@@ -281,8 +281,8 @@ class SemanticParser:
 
     def _resolve_target_column(
         self, phrase: str, table: Table
-    ) -> tuple[Optional[Column], Optional[str]]:
-        """Resolve the asked-for attribute phrase to a column.
+    ) -> tuple[Optional[ColumnLink], Optional[str]]:
+        """Link the asked-for attribute phrase to a column.
 
         Implements the paper's ambiguity failure: ``X of the Y`` first tries
         to read Y as an entity; when Y is not a table, the modifier is
@@ -298,12 +298,11 @@ class SemanticParser:
                     f"could not resolve entity {modifier!r}; "
                     f"linked bare head {head!r}"
                 )
-                return (link.column if link else None), note
+                return link, note
             # The modifier names another entity — keep the full phrase and
             # link it within the *current* table (our templates never need a
             # cross-table attribute here).
-        link = self._linker.link_column(table, phrase)
-        return (link.column if link else None), None
+        return self._linker.link_column(table, phrase), None
 
     # -- handlers ------------------------------------------------------------------
 
@@ -341,9 +340,10 @@ class SemanticParser:
             return None
         entity, attr_phrase, value = match.groups()
         link, modifiers = self._resolve_entity(entity)
-        column, _note = self._resolve_target_column(attr_phrase, link.table)
-        if column is None:
+        target, _note = self._resolve_target_column(attr_phrase, link.table)
+        if target is None:
             return None
+        column = target.column
         filters = self._modifier_filters(link.table, modifiers)
         filters.append(_eq(column.name, self._original_case(value)))
         query = _select_count(link.table, filters)
@@ -355,9 +355,10 @@ class SemanticParser:
             return None
         measure_phrase, entity = match.groups()
         link, _modifiers = self._resolve_entity(entity)
-        column, _note = self._resolve_target_column(measure_phrase, link.table)
-        if column is None:
+        target, _note = self._resolve_target_column(measure_phrase, link.table)
+        if target is None:
             return None
+        column = target.column
         function = (
             "SUM" if self._config.knows(CONVENTION_SUM_HOW_MANY) else "COUNT"
         )
@@ -377,9 +378,10 @@ class SemanticParser:
             return None
         value_phrase, entity = match.groups()
         link, _modifiers = self._resolve_entity(entity)
-        column, _note = self._resolve_target_column(value_phrase, link.table)
-        if column is None:
+        target, _note = self._resolve_target_column(value_phrase, link.table)
+        if target is None:
             return None
+        column = target.column
         distinct = self._config.knows(CONVENTION_COUNT_DISTINCT)
         query = ast.Select(
             items=(
@@ -408,12 +410,19 @@ class SemanticParser:
             if not attr_phrase or not entity:
                 continue
             link, _modifiers = self._resolve_entity(entity)
-            column, _note = self._resolve_target_column(attr_phrase, link.table)
-            if column is None:
+            target, note = self._resolve_target_column(attr_phrase, link.table)
+            if target is None:
                 continue
-            score = link.score + self._linker.column_score(column, attr_phrase)
+            # The link scores the phrase itself, except the bare-head
+            # fallback of an unresolved "X of the Y": score the whole phrase.
+            if note is None:
+                score = link.score + target.score
+            else:
+                score = link.score + self._linker.column_score(
+                    target.column, attr_phrase
+                )
             if best is None or score > best[0]:
-                best = (score, column, link)
+                best = (score, target.column, link)
         if best is None:
             return None
         _score, column, link = best
@@ -446,16 +455,16 @@ class SemanticParser:
     ) -> Optional[ParseOutcome]:
         link, _modifiers = self._resolve_entity(entity)
         target, note = self._resolve_target_column(target_phrase, link.table)
-        order_column, _n2 = self._resolve_target_column(attr_phrase, link.table)
-        if target is None or order_column is None:
+        order, _n2 = self._resolve_target_column(attr_phrase, link.table)
+        if target is None or order is None:
             return None
         direction = (
             ast.SortOrder.DESC if direction_word == "highest" else ast.SortOrder.ASC
         )
         query = ast.Select(
-            items=(ast.SelectItem(ast.ColumnRef(target.name)),),
+            items=(ast.SelectItem(ast.ColumnRef(target.column.name)),),
             source=ast.TableRef(link.table.name),
-            order_by=(ast.OrderItem(ast.ColumnRef(order_column.name), direction),),
+            order_by=(ast.OrderItem(ast.ColumnRef(order.column.name), direction),),
             limit=1,
         )
         notes = [note] if note else []
@@ -467,12 +476,12 @@ class SemanticParser:
             return None
         attr_phrase, entity, name_value = match.groups()
         link, _modifiers = self._resolve_entity(entity)
-        column, note = self._resolve_target_column(attr_phrase, link.table)
+        target, note = self._resolve_target_column(attr_phrase, link.table)
         name_column = self._linker.name_column(link.table)
-        if column is None or name_column is None:
+        if target is None or name_column is None:
             return None
         query = ast.Select(
-            items=(ast.SelectItem(ast.ColumnRef(column.name)),),
+            items=(ast.SelectItem(ast.ColumnRef(target.column.name)),),
             source=ast.TableRef(link.table.name),
             where=_eq(name_column.name, self._original_case(name_value)),
         )
@@ -485,9 +494,10 @@ class SemanticParser:
             return None
         different, attr_phrase, entity = match.groups()
         link, _modifiers = self._resolve_entity(entity)
-        column, _note = self._resolve_target_column(attr_phrase, link.table)
-        if column is None:
+        target, _note = self._resolve_target_column(attr_phrase, link.table)
+        if target is None:
             return None
+        column = target.column
         distinct = bool(different) or self._config.knows(
             CONVENTION_DISTINCT_VALUES
         )
@@ -505,8 +515,8 @@ class SemanticParser:
         rank_word, n_text, entity, attr_phrase = match.groups()
         link, _modifiers = self._resolve_entity(entity)
         name_column = self._linker.name_column(link.table)
-        order_column, _note = self._resolve_target_column(attr_phrase, link.table)
-        if name_column is None or order_column is None:
+        order, _note = self._resolve_target_column(attr_phrase, link.table)
+        if name_column is None or order is None:
             return None
         if rank_word == "top":
             direction = ast.SortOrder.DESC
@@ -517,7 +527,7 @@ class SemanticParser:
         query = ast.Select(
             items=(ast.SelectItem(ast.ColumnRef(name_column.name)),),
             source=ast.TableRef(link.table.name),
-            order_by=(ast.OrderItem(ast.ColumnRef(order_column.name), direction),),
+            order_by=(ast.OrderItem(ast.ColumnRef(order.column.name), direction),),
             limit=int(n_text),
         )
         return ParseOutcome(query=query, main_table=link.table)
@@ -703,9 +713,10 @@ def _split_entity_filters(remainder: str):
         entity, attr_phrase, word = match.groups()
 
         def build_avg(parser: SemanticParser, table: Table):
-            column, _note = parser._resolve_target_column(attr_phrase, table)
-            if column is None:
+            target, _note = parser._resolve_target_column(attr_phrase, table)
+            if target is None:
                 return None
+            column = target.column
             op = _COMPARISONS[word]
             sub = ast.Select(
                 items=(
@@ -727,9 +738,10 @@ def _split_entity_filters(remainder: str):
         entity, attr_phrase, cmp_word, number = match.groups()
 
         def build_cmp(parser: SemanticParser, table: Table):
-            column, _note = parser._resolve_target_column(attr_phrase, table)
-            if column is None:
+            target, _note = parser._resolve_target_column(attr_phrase, table)
+            if target is None:
                 return None
+            column = target.column
             value = float(number) if "." in number else int(number)
             condition = ast.BinaryOp(
                 _COMPARISONS[cmp_word],
@@ -745,9 +757,10 @@ def _split_entity_filters(remainder: str):
         entity, attr_phrase, low, high = match.groups()
 
         def build_between(parser: SemanticParser, table: Table):
-            column, _note = parser._resolve_target_column(attr_phrase, table)
-            if column is None:
+            target, _note = parser._resolve_target_column(attr_phrase, table)
+            if target is None:
                 return None
+            column = target.column
             low_v = float(low) if "." in low else int(low)
             high_v = float(high) if "." in high else int(high)
             condition = ast.Between(

@@ -7,7 +7,8 @@ internals. The simulator enforces the same protocol:
 
 * It knows the *intent* (the gold query's semantics — exactly what a user
   who asked the question knows) and compares the visible behaviour against
-  it via the structural diff (:mod:`repro.sql.analysis`).
+  it via the structural diff, which returns the edit operations that would
+  turn the prediction into gold (:func:`repro.sql.edits.diff_queries`).
 * It verbalizes **one** error per round, as the paper observed users doing.
 * It is imperfect on purpose, with calibrated rates of *vague* feedback
   (terse, ungrounded — "change to 2024") and *misaligned* feedback
@@ -27,15 +28,28 @@ from typing import Optional, Sequence
 
 from repro.core.feedback import Feedback, Highlight
 from repro.sql import ast
-from repro.sql.analysis import QueryDelta, diff_queries
+from repro.sql.edits import (
+    AddGroupKey,
+    AddSelectItem,
+    AddWhereConjunct,
+    EditOperation,
+    RemoveGroupKey,
+    RemoveSelectItem,
+    RemoveWhereConjunct,
+    ReplaceSelectItem,
+    ReplaceTable,
+    ReplaceWhereConjunct,
+    SetDistinct,
+    SetLimit,
+    SetOrderBy,
+    SetSource,
+    diff_queries,
+)
 from repro.sql.printer import print_expression, print_select
 from repro.sql.schema import DatabaseSchema
 from repro.util import stable_choice, stable_fraction
 
 _DATE_YEAR_RE = re.compile(r"^((?:19|20)\d{2})-\d{2}-\d{2}")
-
-#: Delta kinds the annotator addresses first when several are present.
-_PRIORITY = ("table", "select", "where", "group", "order", "distinct", "limit")
 
 #: How many (gold, predicted) diffs one annotator keeps (least recently
 #: used first out). A full sweep diffs 320 distinct pairs, 339 counted per
@@ -54,8 +68,9 @@ class AnnotatorConfig:
     vague_rate: float = 0.10
     #: Probability the feedback misdiagnoses the error entirely.
     misaligned_rate: float = 0.10
-    #: Cap on how many distinct errors a query may contain and still be
-    #: considered annotatable from the visible information.
+    #: Cap on how many distinct errors (diff operations) a query may
+    #: contain and still be considered annotatable from the visible
+    #: information.
     max_expressible_deltas: int = 3
 
 
@@ -83,8 +98,6 @@ class SimulatedAnnotator:
         deltas = self._deltas(gold, predicted)
         if not deltas:
             return False
-        if any(d.kind == "structure" for d in deltas):
-            return False
         if len(deltas) > self._config.max_expressible_deltas:
             return False
         if self._config.annotate_rate < 1.0:
@@ -108,7 +121,7 @@ class SimulatedAnnotator:
         deltas = self._deltas(gold, predicted)
         if not deltas:
             return None
-        delta = self._pick_delta(deltas)
+        operation = self._pick_delta(deltas)
 
         misaligned = (
             stable_fraction(self._salt, "misaligned", example_id)
@@ -132,18 +145,18 @@ class SimulatedAnnotator:
             stable_fraction(self._salt, "vague", example_id)
             < self._config.vague_rate
         )
-        feedback = self._verbalize(delta, question, predicted, vague)
+        feedback = self._verbalize(operation, question, predicted, vague)
         if feedback is None:
             return None
         if use_highlights:
             feedback = replace(
-                feedback, highlight=self._make_highlight(delta, predicted)
+                feedback, highlight=self._make_highlight(operation, predicted)
             )
         return feedback
 
     def _deltas(
         self, gold: ast.Select, predicted: ast.Select
-    ) -> tuple[QueryDelta, ...]:
+    ) -> tuple[EditOperation, ...]:
         """``diff_queries(gold, predicted)``, computed once per pair of trees.
 
         The error-set check and every round of feedback on one prediction
@@ -165,38 +178,32 @@ class SimulatedAnnotator:
                 self._diffs.popitem(last=False)
         return deltas
 
-    def _pick_delta(self, deltas: Sequence[QueryDelta]) -> QueryDelta:
-        def rank(delta: QueryDelta) -> tuple[int, int]:
-            try:
-                base = _PRIORITY.index(delta.kind)
-            except ValueError:
-                base = len(_PRIORITY)
+    def _pick_delta(self, deltas: Sequence[EditOperation]) -> EditOperation:
+        def rank(operation: EditOperation) -> tuple[int, int]:
             # Among missing tables, users describe the *relationship* —
             # which lives in the fact/link table (the one with FKs).
             fact_bonus = 1
-            if delta.kind == "table" and delta.action == "add":
-                name = delta.gold if isinstance(delta.gold, str) else ""
+            if isinstance(operation, SetSource) and operation.joined:
+                name = operation.table
                 if self._schema.has_table(name) and self._schema.table(
                     name
                 ).foreign_keys:
                     fact_bonus = 0
-            return (base, fact_bonus)
+            return (_RANK[type(operation)], fact_bonus)
 
-        return sorted(deltas, key=rank)[0]
+        return min(deltas, key=rank)
 
     # -- verbalization ------------------------------------------------------------
 
     def _verbalize(
         self,
-        delta: QueryDelta,
+        operation: EditOperation,
         question: str,
         predicted: ast.Select,
         vague: bool,
     ) -> Optional[Feedback]:
-        handler = getattr(self, f"_v_{delta.kind}", None)
-        if handler is None:
-            return None
-        return handler(delta, question, predicted, vague)
+        handler = _HANDLERS[_RANK[type(operation)]][1]
+        return handler(self, operation, question, predicted, vague)
 
     def _column_nl(self, table_name: Optional[str], column_name: str) -> str:
         if table_name and self._schema.has_table(table_name):
@@ -205,11 +212,11 @@ class SimulatedAnnotator:
                 return table.column(column_name).nl_name
         return column_name.replace("_", " ")
 
-    def _v_select(self, delta, question, predicted, vague):
+    def _v_select(self, operation, question, predicted, vague):
         table_name = _main_table_name(predicted)
-        if delta.action == "edit":
-            gold_expr = delta.gold.expression
-            pred_expr = delta.pred.expression
+        if isinstance(operation, ReplaceSelectItem):
+            gold_expr = operation.new.expression
+            pred_expr = operation.old.expression
             # COUNT vs COUNT DISTINCT / SUM — aggregate-level feedback.
             if isinstance(gold_expr, ast.FunctionCall) and isinstance(
                 pred_expr, ast.FunctionCall
@@ -243,8 +250,8 @@ class SimulatedAnnotator:
                     intent_kind="select_edit",
                 )
             return None
-        if delta.action == "remove":
-            pred_col = _expr_column(delta.pred.expression)
+        if isinstance(operation, RemoveSelectItem):
+            pred_col = _expr_column(operation.items[0].expression)
             if pred_col is None:
                 return None
             nl = self._column_nl(table_name, pred_col)
@@ -252,67 +259,53 @@ class SimulatedAnnotator:
             return Feedback(
                 text=f"do not give {plural}", intent_kind="select_remove"
             )
-        if delta.action == "add":
-            gold_col = _expr_column(delta.gold.expression)
-            if gold_col is None:
-                return None
-            nl = self._column_nl(table_name, gold_col)
-            return Feedback(
-                text=f"also show the {nl}", intent_kind="select_add"
-            )
-        return None
-
-    def _v_where(self, delta, question, predicted, vague):
-        table_name = _main_table_name(predicted)
-        if delta.action in ("edit", "add"):
-            gold_cond = delta.gold
-            # Year corrections get the paper's canonical phrasing.
-            year = _condition_year(gold_cond)
-            if year is not None and delta.action == "edit":
-                if vague:
-                    return Feedback(
-                        text=f"change to {year}", intent_kind="year_vague"
-                    )
-                return Feedback(
-                    text=f"we are in {year}", intent_kind="year"
-                )
-            column, value = _condition_column_value(gold_cond)
-            if column is not None and value is not None:
-                nl = self._column_nl(table_name, column)
-                if vague:
-                    return Feedback(
-                        text=f"change to '{value}'", intent_kind="filter_vague"
-                    )
-                phrase = stable_choice(
-                    [
-                        f"only include the ones whose {nl} is '{value}'",
-                        f"I meant only those with {nl} '{value}'",
-                        f"that means the {nl} is '{value}'",
-                    ],
-                    self._salt,
-                    "filter-phrase",
-                    question,
-                    column,
-                )
-                return Feedback(text=phrase, intent_kind="filter")
+        gold_col = _expr_column(operation.expression)
+        if gold_col is None:
             return None
-        if delta.action == "remove":
-            column, _value = _condition_column_value(delta.pred)
+        nl = self._column_nl(table_name, gold_col)
+        return Feedback(text=f"also show the {nl}", intent_kind="select_add")
+
+    def _v_where(self, operation, question, predicted, vague):
+        table_name = _main_table_name(predicted)
+        if isinstance(operation, RemoveWhereConjunct):
+            column, _value = _condition_column_value(operation.conditions[0])
             if column is None:
                 return None
             nl = self._column_nl(table_name, column)
             return Feedback(
                 text=f"remove the condition on {nl}", intent_kind="filter_remove"
             )
-        return None
-
-    def _v_table(self, delta, question, predicted, vague):
-        if delta.action != "edit" or not isinstance(delta.gold, str):
-            # Missing join tables are expressed through the fact relation.
-            if delta.action == "add" and isinstance(delta.gold, str):
-                return self._v_fact_table(delta, question)
+        gold_cond = operation.condition
+        # Year corrections get the paper's canonical phrasing.
+        year = _condition_year(gold_cond)
+        if year is not None and isinstance(operation, ReplaceWhereConjunct):
+            if vague:
+                return Feedback(text=f"change to {year}", intent_kind="year_vague")
+            return Feedback(text=f"we are in {year}", intent_kind="year")
+        column, value = _condition_column_value(gold_cond)
+        if column is None or value is None:
             return None
-        gold_table = delta.gold
+        nl = self._column_nl(table_name, column)
+        if vague:
+            return Feedback(text=f"change to '{value}'", intent_kind="filter_vague")
+        phrase = stable_choice(
+            [
+                f"only include the ones whose {nl} is '{value}'",
+                f"I meant only those with {nl} '{value}'",
+                f"that means the {nl} is '{value}'",
+            ],
+            self._salt,
+            "filter-phrase",
+            question,
+            column,
+        )
+        return Feedback(text=phrase, intent_kind="filter")
+
+    def _v_table(self, operation, question, predicted, vague):
+        if isinstance(operation, SetSource):
+            # Missing join tables are expressed through the fact relation.
+            return self._v_fact_table(operation.table) if operation.joined else None
+        gold_table = operation.new
         if self._schema.has_table(gold_table):
             nl = self._schema.table(gold_table).nl_name
         else:
@@ -327,8 +320,7 @@ class SimulatedAnnotator:
             text=f"use the {nl} table", intent_kind="table_edit"
         )
 
-    def _v_fact_table(self, delta, question):
-        table_name = delta.gold
+    def _v_fact_table(self, table_name):
         if not self._schema.has_table(table_name):
             return None
         table = self._schema.table(table_name)
@@ -343,22 +335,24 @@ class SimulatedAnnotator:
             intent_kind="fact_join",
         )
 
-    def _v_group(self, delta, question, predicted, vague):
-        if delta.action == "add":
-            column = _expr_column(delta.gold)
-            if column is None:
-                return None
-            nl = self._column_nl(_main_table_name(predicted), column)
-            return Feedback(
-                text=f"break the numbers down by {nl}", intent_kind="group_add"
-            )
-        return None
+    def _v_group(self, operation, question, predicted, vague):
+        if isinstance(operation, RemoveGroupKey):
+            return None
+        column = _expr_column(operation.expression)
+        if column is None:
+            return None
+        nl = self._column_nl(_main_table_name(predicted), column)
+        return Feedback(
+            text=f"break the numbers down by {nl}", intent_kind="group_add"
+        )
 
-    def _v_order(self, delta, question, predicted, vague):
-        if delta.action == "add":
-            items = delta.gold
-            if not items:
-                return None
+    def _v_order(self, operation, question, predicted, vague):
+        items = operation.items
+        if not items:
+            return Feedback(
+                text="no need to sort the results", intent_kind="order_remove"
+            )
+        if not predicted.order_by:
             column = _expr_column(items[0].expression) or "names"
             nl = self._column_nl(_main_table_name(predicted), column)
             direction = (
@@ -370,25 +364,15 @@ class SimulatedAnnotator:
                 text=f"order the {nl}s in {direction} order.",
                 intent_kind="order_add",
             )
-        if delta.action == "edit":
-            items = delta.gold
-            direction = (
-                "descending"
-                if items and items[0].order is ast.SortOrder.DESC
-                else "ascending"
-            )
-            return Feedback(
-                text=f"sort in {direction} order, please",
-                intent_kind="order_edit",
-            )
-        if delta.action == "remove":
-            return Feedback(
-                text="no need to sort the results", intent_kind="order_remove"
-            )
-        return None
+        direction = (
+            "descending" if items[0].order is ast.SortOrder.DESC else "ascending"
+        )
+        return Feedback(
+            text=f"sort in {direction} order, please", intent_kind="order_edit"
+        )
 
-    def _v_distinct(self, delta, question, predicted, vague):
-        if delta.action == "add":
+    def _v_distinct(self, operation, question, predicted, vague):
+        if operation.distinct:
             return Feedback(
                 text="remove duplicates from the results",
                 intent_kind="distinct_add",
@@ -398,10 +382,10 @@ class SimulatedAnnotator:
             intent_kind="distinct_remove",
         )
 
-    def _v_limit(self, delta, question, predicted, vague):
-        if delta.action in ("add", "edit"):
+    def _v_limit(self, operation, question, predicted, vague):
+        if operation.limit is not None:
             return Feedback(
-                text=f"limit it to {delta.gold}", intent_kind="limit"
+                text=f"limit it to {operation.limit}", intent_kind="limit"
             )
         return Feedback(
             text="remove the limit, show all of them", intent_kind="limit_remove"
@@ -410,29 +394,56 @@ class SimulatedAnnotator:
     # -- highlights -------------------------------------------------------------
 
     def _make_highlight(
-        self, delta: QueryDelta, predicted: ast.Select
+        self, operation: EditOperation, predicted: ast.Select
     ) -> Optional[Highlight]:
         """Highlight the SQL span containing the part being discussed."""
         sql_text = print_select(predicted)
         target: Optional[str] = None
-        if delta.kind == "where" and delta.pred is not None:
-            target = print_expression(delta.pred)
-        elif delta.kind == "where" and delta.pred is None:
+        if isinstance(operation, ReplaceWhereConjunct):
+            target = print_expression(operation.old)
+        elif isinstance(operation, RemoveWhereConjunct):
+            target = print_expression(operation.conditions[0])
+        elif isinstance(operation, AddWhereConjunct):
             # Nothing wrong is *present*; the user highlights the FROM
             # clause to show where the restriction belongs.
             table_name = _main_table_name(predicted)
             if table_name is not None:
                 target = f"FROM {table_name}"
-        elif delta.kind == "select" and delta.pred is not None:
-            target = print_expression(delta.pred.expression)
-        elif delta.kind == "order" and delta.pred:
-            target = print_expression(delta.pred[0].expression)
+        elif isinstance(operation, ReplaceSelectItem):
+            target = print_expression(operation.old.expression)
+        elif isinstance(operation, RemoveSelectItem):
+            target = print_expression(operation.items[0].expression)
+        elif isinstance(operation, SetOrderBy) and predicted.order_by:
+            target = print_expression(predicted.order_by[0].expression)
         if target is None:
             return None
         start = sql_text.find(target)
         if start == -1:
             return None
         return Highlight(text=target, start=start, end=start + len(target))
+
+
+#: The diff's operations by the part of the query they change, in the order
+#: the annotator addresses them when several are present, each with the
+#: handler that verbalizes it.
+_HANDLERS = (
+    ((ReplaceTable, SetSource), SimulatedAnnotator._v_table),
+    (
+        (ReplaceSelectItem, AddSelectItem, RemoveSelectItem),
+        SimulatedAnnotator._v_select,
+    ),
+    (
+        (ReplaceWhereConjunct, AddWhereConjunct, RemoveWhereConjunct),
+        SimulatedAnnotator._v_where,
+    ),
+    ((AddGroupKey, RemoveGroupKey), SimulatedAnnotator._v_group),
+    ((SetOrderBy,), SimulatedAnnotator._v_order),
+    ((SetDistinct,), SimulatedAnnotator._v_distinct),
+    ((SetLimit,), SimulatedAnnotator._v_limit),
+)
+_RANK = {
+    kind: rank for rank, (kinds, _handler) in enumerate(_HANDLERS) for kind in kinds
+}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@ the helpers both suite generators share."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.errors import DatasetError
@@ -63,30 +61,12 @@ class Benchmark:
             )
         return self.databases[db_id]
 
-    def examples_for(self, db_id: str) -> list[Example]:
-        return [ex for ex in self.examples if ex.db_id == db_id]
-
     def trapped_examples(self) -> list[Example]:
         return [ex for ex in self.examples if ex.is_trapped]
 
     def __len__(self) -> int:
         return len(self.examples)
 
-    def save_examples(self, path: Path) -> None:
-        """Write the example list (not the databases) as JSON lines."""
-        with open(path, "w") as handle:
-            for example in self.examples:
-                handle.write(json.dumps(example.to_dict()) + "\n")
-
-    @staticmethod
-    def load_examples(path: Path) -> list[Example]:
-        examples = []
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    examples.append(Example.from_dict(json.loads(line)))
-        return examples
 
 
 @dataclass

@@ -73,12 +73,6 @@ class GeneratedDatabase:
     database: Database
     tables: list[GeneratedTable]
 
-    def table_meta(self, name: str) -> GeneratedTable:
-        for meta in self.tables:
-            if meta.table.name.lower() == name.lower():
-                return meta
-        raise DatasetError(f"no generated table {name!r} in {self.db_id!r}")
-
 
 @dataclass
 class SpiderSuite:

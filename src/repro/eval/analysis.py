@@ -22,7 +22,7 @@ from repro.datasets.base import Benchmark
 from repro.errors import SqlError
 from repro.eval.metrics import PredictionRecord
 from repro.sql import ast
-from repro.sql.analysis import diff_queries
+from repro.sql.edits import diff_queries
 from repro.sql.parser import parse_query
 
 CAUSE_MULTI_ERROR = "multiple_errors"

@@ -69,19 +69,6 @@ class AccuracyReport:
         """The skip-and-record examples (no prediction produced)."""
         return [record for record in self.records if record.failed]
 
-    def by_hardness(self) -> dict[str, tuple[int, int]]:
-        """SPIDER-style breakdown: hardness → (correct, total)."""
-        buckets: dict[str, list[int]] = {}
-        for record in self.records:
-            bucket = buckets.setdefault(record.example.hardness, [0, 0])
-            bucket[1] += 1
-            if record.correct:
-                bucket[0] += 1
-        return {
-            hardness: (correct, total)
-            for hardness, (correct, total) in sorted(buckets.items())
-        }
-
     def by_trap_kind(self) -> dict[str, tuple[int, int]]:
         """Breakdown by planted difficulty: kind → (correct, total)."""
         buckets: dict[str, list[int]] = {}

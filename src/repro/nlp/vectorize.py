@@ -78,10 +78,6 @@ class TfidfVectorizer:
         self.fit(corpus)
         return self.transform(corpus)
 
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self._vocabulary)
-
 
 def cosine_top_k(
     query: np.ndarray, matrix: np.ndarray, k: int

@@ -179,18 +179,6 @@ class MetricsRegistry:
                 if counter_name == name
             )
 
-    def counter_by_label(self, name: str, label: str) -> dict:
-        """Counter values grouped by one label's value."""
-        grouped: dict = {}
-        with self._lock:
-            items = list(self._counters.items())
-        for (counter_name, labels), value in items:
-            if counter_name != name:
-                continue
-            label_value = dict(labels).get(label)
-            grouped[label_value] = grouped.get(label_value, 0) + value
-        return grouped
-
     # -- snapshot ------------------------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -1,13 +1,18 @@
-"""Typed edit operations on SELECT ASTs.
+"""Typed edit operations on SELECT ASTs, and the diff that finds them.
 
-FISQL's feedback editor translates user feedback into these operations and
-applies them to the previous turn's SQL. Each operation is pure: AST nodes
-are frozen, so ``apply`` builds a new tree from its input (with
-:func:`dataclasses.replace` and :func:`repro.sql.ast.rewrite`) and shares
-the subtrees it keeps. Operations raise
-:class:`~repro.errors.EditError` when they cannot anchor to the query (e.g.
-replacing a column that is not present) — the session layer surfaces that as
-"could not interpret the feedback".
+One language describes a change to a query on both sides of FISQL's loop.
+The feedback editor translates user feedback into these operations and
+applies them to the previous turn's SQL; :func:`diff_queries` returns the
+operations that turn a predicted query into the gold one, and the simulated
+annotator verbalizes one of them.
+
+Operations are plain data: frozen dataclasses that name the AST nodes they
+act on, so they print and compare. ``apply`` is pure: AST nodes are frozen,
+so it builds a new tree from its input (with :func:`dataclasses.replace` and
+:func:`repro.sql.ast.rewrite`) and shares the subtrees it keeps. Operations
+raise :class:`~repro.errors.EditError` when they cannot anchor to the query
+(e.g. replacing a column that is not present) — the session layer surfaces
+that as "could not interpret the feedback".
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable, Optional
 
 from repro.errors import EditError
 from repro.sql import ast
-from repro.sql.analysis import conjuncts, join_conjuncts
+from repro.sql.analysis import conjuncts, join_conjuncts, tables_used
 from repro.sql.printer import print_expression
 
 
@@ -36,14 +41,10 @@ class EditOperation:
         raise NotImplementedError
 
 
-def rewrite_query_expressions(
-    query: ast.Select, fn: Callable, clauses: bool = True
-) -> ast.Select:
+def rewrite_query_expressions(query: ast.Select, fn: Callable) -> ast.Select:
     """``query`` with :func:`~repro.sql.ast.rewrite` applied to its select
-    list and, with ``clauses``, to its WHERE, GROUP BY, HAVING and ORDER BY
-    expressions, in that order. The FROM clause is left alone."""
-    if not clauses:
-        return replace(query, items=ast.rewrite(query.items, fn))
+    list, WHERE, GROUP BY, HAVING and ORDER BY expressions, in that order.
+    The FROM clause is left alone."""
     return replace(
         query,
         items=ast.rewrite(query.items, fn),
@@ -54,14 +55,12 @@ def rewrite_query_expressions(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplaceColumn(EditOperation):
-    """Rename ``old`` to ``new`` — in the select list only, or everywhere."""
+    """Rename column ``old`` to ``new`` in the select list."""
 
     old: str
     new: str
-    everywhere: bool = False
-    new_table: Optional[str] = None
 
     def apply(self, query: ast.Select) -> ast.Select:
         old = self.old.lower()
@@ -74,27 +73,18 @@ class ReplaceColumn(EditOperation):
                 return replace(node, column=self.new)
             return node
 
-        out = rewrite_query_expressions(query, rename, clauses=self.everywhere)
+        items = ast.rewrite(query.items, rename)
         if hits == 0:
             raise EditError(
                 f"column {self.old!r} does not appear in the query"
             )
-        if self.new_table is not None:
-            new = self.new.lower()
-
-            def retable(node):
-                if isinstance(node, ast.ColumnRef) and node.column.lower() == new:
-                    return replace(node, table=self.new_table)
-                return node
-
-            out = replace(out, items=ast.rewrite(out.items, retable))
-        return out
+        return replace(query, items=items)
 
     def describe(self) -> str:
         return f"replace column {self.old} with {self.new}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplaceLiteral(EditOperation):
     """Replace literal ``old`` with ``new`` wherever it occurs.
 
@@ -149,7 +139,7 @@ class ReplaceLiteral(EditOperation):
         return f"replace value {self.old!r} with {self.new!r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplaceAggregate(EditOperation):
     """Swap the aggregate function (and optionally its argument/DISTINCT)."""
 
@@ -184,17 +174,17 @@ class ReplaceAggregate(EditOperation):
                 node, name=self.new_function, args=args, distinct=distinct
             )
 
-        out = rewrite_query_expressions(query, swap, clauses=False)
+        items = ast.rewrite(query.items, swap)
         if hits == 0:
             raise EditError("no matching aggregate call to replace")
-        return out
+        return replace(query, items=items)
 
     def describe(self) -> str:
         extra = " DISTINCT" if self.distinct else ""
         return f"use aggregate {self.new_function.upper()}{extra}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplaceQuery(EditOperation):
     """Swap in an entirely new query (used for structural rebuilds)."""
 
@@ -207,7 +197,28 @@ class ReplaceQuery(EditOperation):
         return "rebuild the query"
 
 
-@dataclass
+@dataclass(frozen=True)
+class ReplaceSelectItem(EditOperation):
+    """Replace the select item ``old`` with ``new``."""
+
+    old: ast.SelectItem
+    new: ast.SelectItem
+
+    def apply(self, query: ast.Select) -> ast.Select:
+        items = list(query.items)
+        if self.old not in items:
+            raise EditError("item to replace is not in the select list")
+        items[items.index(self.old)] = self.new
+        return replace(query, items=tuple(items))
+
+    def describe(self) -> str:
+        return (
+            f"select {print_expression(self.new.expression)} "
+            f"instead of {print_expression(self.old.expression)}"
+        )
+
+
+@dataclass(frozen=True)
 class AddSelectItem(EditOperation):
     feedback_type = "add"
 
@@ -226,42 +237,32 @@ class AddSelectItem(EditOperation):
         return f"also select {print_expression(self.expression)}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RemoveSelectItem(EditOperation):
+    """Remove the select items equal to any of ``items``."""
+
     feedback_type = "remove"
 
-    column: str
+    items: tuple[ast.SelectItem, ...]
+    description: str = ""
 
     def apply(self, query: ast.Select) -> ast.Select:
         if len(query.items) <= 1:
             raise EditError("cannot remove the only select item")
-        kept = []
-        removed = 0
-        for item in query.items:
-            if self._mentions(item.expression):
-                removed += 1
-            else:
-                kept.append(item)
-        if removed == 0:
-            raise EditError(f"{self.column!r} is not in the select list")
+        kept = tuple(item for item in query.items if item not in self.items)
+        if len(kept) == len(query.items):
+            raise EditError("no matching item in the select list")
         if not kept:
             raise EditError("removal would empty the select list")
-        return replace(query, items=tuple(kept))
-
-    def _mentions(self, expr: ast.Expression) -> bool:
-        for node in ast.walk_expressions(expr):
-            if (
-                isinstance(node, ast.ColumnRef)
-                and node.column.lower() == self.column.lower()
-            ):
-                return True
-        return False
+        return replace(query, items=kept)
 
     def describe(self) -> str:
-        return f"do not select {self.column}"
+        return self.description or "do not select " + ", ".join(
+            print_expression(item.expression) for item in self.items
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AddWhereConjunct(EditOperation):
     feedback_type = "add"
 
@@ -285,50 +286,78 @@ class AddWhereConjunct(EditOperation):
         return f"add condition {print_expression(self.condition)}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RemoveWhereConjunct(EditOperation):
+    """Remove the WHERE conjuncts equal to any of ``conditions``."""
+
     feedback_type = "remove"
 
-    matcher: Callable[[ast.Expression], bool]
-    description: str = "remove a condition"
+    conditions: tuple[ast.Expression, ...]
+    description: str = ""
 
     def apply(self, query: ast.Select) -> ast.Select:
         parts = conjuncts(query.where)
-        kept = [part for part in parts if not self.matcher(part)]
+        kept = [part for part in parts if part not in self.conditions]
         if len(kept) == len(parts):
             raise EditError("no matching condition to remove")
         return replace(query, where=join_conjuncts(kept))
 
     def describe(self) -> str:
-        return self.description
+        return self.description or "remove condition " + " AND ".join(
+            print_expression(condition) for condition in self.conditions
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplaceWhereConjunct(EditOperation):
-    """Replace the conjunct(s) selected by ``matcher`` with ``condition``."""
+    """Replace the first WHERE conjunct equal to ``old`` with ``condition``."""
 
-    matcher: Callable[[ast.Expression], bool]
+    old: ast.Expression
     condition: ast.Expression
 
     def apply(self, query: ast.Select) -> ast.Select:
         parts = conjuncts(query.where)
-        replaced = False
-        new_parts: list[ast.Expression] = []
-        for part in parts:
-            if not replaced and self.matcher(part):
-                new_parts.append(self.condition)
-                replaced = True
-            else:
-                new_parts.append(part)
-        if not replaced:
+        if self.old not in parts:
             raise EditError("no matching condition to replace")
-        return replace(query, where=join_conjuncts(new_parts))
+        parts[parts.index(self.old)] = self.condition
+        return replace(query, where=join_conjuncts(parts))
 
     def describe(self) -> str:
         return f"condition should be {print_expression(self.condition)}"
 
 
-@dataclass
+@dataclass(frozen=True)
+class AddGroupKey(EditOperation):
+    feedback_type = "add"
+
+    expression: ast.Expression
+
+    def apply(self, query: ast.Select) -> ast.Select:
+        if self.expression in query.group_by:
+            raise EditError("already a GROUP BY key")
+        return replace(query, group_by=(*query.group_by, self.expression))
+
+    def describe(self) -> str:
+        return f"group by {print_expression(self.expression)}"
+
+
+@dataclass(frozen=True)
+class RemoveGroupKey(EditOperation):
+    feedback_type = "remove"
+
+    expression: ast.Expression
+
+    def apply(self, query: ast.Select) -> ast.Select:
+        if self.expression not in query.group_by:
+            raise EditError("not a GROUP BY key")
+        keys = tuple(key for key in query.group_by if key != self.expression)
+        return replace(query, group_by=keys)
+
+    def describe(self) -> str:
+        return f"do not group by {print_expression(self.expression)}"
+
+
+@dataclass(frozen=True)
 class SetOrderBy(EditOperation):
     items: tuple[ast.OrderItem, ...] = ()
 
@@ -349,7 +378,7 @@ class SetOrderBy(EditOperation):
         return f"order by {rendered}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SetLimit(EditOperation):
     limit: Optional[int] = None
 
@@ -366,7 +395,7 @@ class SetLimit(EditOperation):
         return f"limit to {self.limit} rows"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SetDistinct(EditOperation):
     distinct: bool = True
 
@@ -383,7 +412,7 @@ class SetDistinct(EditOperation):
         return "select distinct values" if self.distinct else "keep duplicates"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplaceTable(EditOperation):
     """Point the query at a different base table (single-table FROM)."""
 
@@ -408,3 +437,208 @@ class ReplaceTable(EditOperation):
 
     def describe(self) -> str:
         return f"use table {self.new} instead of {self.old}"
+
+
+@dataclass(frozen=True)
+class SetSource(EditOperation):
+    """Give the query the FROM clause ``source``, which joins in ``table``
+    (``joined``) or leaves it out."""
+
+    table: str
+    source: Optional[ast.TableExpression]
+    joined: bool = True
+
+    @property
+    def feedback_type(self) -> str:  # type: ignore[override]
+        return "add" if self.joined else "remove"
+
+    def apply(self, query: ast.Select) -> ast.Select:
+        return replace(query, source=self.source)
+
+    def describe(self) -> str:
+        verb = "include" if self.joined else "drop"
+        return f"{verb} table {self.table}"
+
+
+# ---------------------------------------------------------------------------
+# The diff: the operations that turn a prediction into gold
+# ---------------------------------------------------------------------------
+
+
+def diff_queries(gold: ast.Select, pred: ast.Select) -> list[EditOperation]:
+    """The operations that turn ``pred`` into ``gold``, clause by clause.
+
+    One operation per difference, in clause order: select items, tables,
+    WHERE conjuncts (join conditions aside), GROUP BY keys, ORDER BY, LIMIT
+    and DISTINCT. Each names the nodes it acts on: the ``pred`` node it
+    replaces or removes and the ``gold`` node it puts in. Applied to
+    ``pred`` in this order, they give a query that SQLite answers like
+    ``gold`` for every annotatable error of the generated suites
+    (``tests/eval/test_edit_oracle.py``).
+    """
+    operations = _diff_select_items(gold, pred)
+    operations += _diff_tables(gold, pred)
+    operations += _diff_where(gold, pred)
+    operations += _diff_group(gold, pred)
+    if _order_keys(gold) != _order_keys(pred):
+        operations.append(SetOrderBy(gold.order_by))
+    if gold.limit != pred.limit:
+        operations.append(SetLimit(gold.limit))
+    if gold.distinct != pred.distinct:
+        operations.append(SetDistinct(gold.distinct))
+    return operations
+
+
+def _expr_key(expr: ast.Expression) -> str:
+    # Table qualifiers are presentation detail for diffing purposes:
+    # ``T2.destinationname`` and ``destinationname`` denote the same output.
+    if isinstance(expr, ast.ColumnRef):
+        return expr.column.lower()
+    return print_expression(expr).lower()
+
+
+def _order_keys(query: ast.Select) -> list[tuple[str, ast.SortOrder]]:
+    return [(_expr_key(item.expression), item.order) for item in query.order_by]
+
+
+def _diff_select_items(gold: ast.Select, pred: ast.Select) -> list[EditOperation]:
+    gold_keys = [_expr_key(item.expression) for item in gold.items]
+    pred_keys = [_expr_key(item.expression) for item in pred.items]
+    unmatched_gold = [
+        item for item, key in zip(gold.items, gold_keys) if key not in pred_keys
+    ]
+    unmatched_pred = [
+        item for item, key in zip(pred.items, pred_keys) if key not in gold_keys
+    ]
+
+    # Pair up plausible edits: same aggregate different argument, same
+    # column family, or positional leftovers.
+    operations: list[EditOperation] = []
+    while unmatched_gold and unmatched_pred:
+        gold_item = unmatched_gold.pop(0)
+        pred_item = _pop_best_match(gold_item, unmatched_pred)
+        operations.append(ReplaceSelectItem(old=pred_item, new=gold_item))
+    operations.extend(
+        AddSelectItem(item.expression, item.alias) for item in unmatched_gold
+    )
+    operations.extend(RemoveSelectItem((item,)) for item in unmatched_pred)
+    return operations
+
+
+def _pop_best_match(
+    gold_item: ast.SelectItem, candidates: list[ast.SelectItem]
+) -> ast.SelectItem:
+    gold_expr = gold_item.expression
+    if isinstance(gold_expr, ast.FunctionCall):
+        for index, cand in enumerate(candidates):
+            if isinstance(cand.expression, ast.FunctionCall):
+                return candidates.pop(index)
+    if isinstance(gold_expr, ast.ColumnRef):
+        for index, cand in enumerate(candidates):
+            if isinstance(cand.expression, ast.ColumnRef):
+                return candidates.pop(index)
+    return candidates.pop(0)
+
+
+def _diff_tables(gold: ast.Select, pred: ast.Select) -> list[EditOperation]:
+    gold_tables = tables_used(gold)
+    pred_tables = tables_used(pred)
+    missing = sorted(gold_tables - pred_tables)
+    extra = sorted(pred_tables - gold_tables)
+    # Pair missing and extra tables in order as renames; a table left over
+    # takes gold's whole FROM clause, joins and aliases included.
+    operations: list[EditOperation] = [
+        ReplaceTable(old=pred_table, new=gold_table)
+        for gold_table, pred_table in zip(missing, extra)
+    ]
+    paired = len(operations)
+    operations.extend(SetSource(name, gold.source) for name in missing[paired:])
+    operations.extend(
+        SetSource(name, gold.source, joined=False) for name in extra[paired:]
+    )
+    return operations
+
+
+def _condition_signature(expr: ast.Expression) -> Optional[tuple[str, str]]:
+    """(column, op-family) signature for pairing WHERE conjuncts."""
+    if isinstance(expr, ast.BinaryOp) and expr.op.is_comparison:
+        if isinstance(expr.left, ast.ColumnRef):
+            return (expr.left.column.lower(), "cmp")
+    if isinstance(expr, ast.Like) and isinstance(expr.operand, ast.ColumnRef):
+        return (expr.operand.column.lower(), "like")
+    if isinstance(expr, ast.Between) and isinstance(expr.operand, ast.ColumnRef):
+        return (expr.operand.column.lower(), "between")
+    if isinstance(expr, (ast.InList, ast.InSubquery)) and isinstance(
+        expr.operand, ast.ColumnRef
+    ):
+        return (expr.operand.column.lower(), "in")
+    if isinstance(expr, ast.IsNull) and isinstance(expr.operand, ast.ColumnRef):
+        return (expr.operand.column.lower(), "null")
+    return None
+
+
+def _is_join_condition(expr: ast.Expression) -> bool:
+    return (
+        isinstance(expr, ast.BinaryOp)
+        and expr.op is ast.BinaryOperator.EQ
+        and isinstance(expr.left, ast.ColumnRef)
+        and isinstance(expr.right, ast.ColumnRef)
+    )
+
+
+def _diff_where(gold: ast.Select, pred: ast.Select) -> list[EditOperation]:
+    gold_conj = [c for c in conjuncts(gold.where) if not _is_join_condition(c)]
+    pred_conj = [c for c in conjuncts(pred.where) if not _is_join_condition(c)]
+    gold_keys = {_expr_key(c): c for c in gold_conj}
+    pred_keys = {_expr_key(c): c for c in pred_conj}
+
+    unmatched_gold = [c for k, c in gold_keys.items() if k not in pred_keys]
+    unmatched_pred = [c for k, c in pred_keys.items() if k not in gold_keys]
+    operations: list[EditOperation] = []
+
+    # Pair by signature first (same column & operator family → an edit).
+    still_gold: list[ast.Expression] = []
+    for gold_c in unmatched_gold:
+        signature = _condition_signature(gold_c)
+        paired = False
+        if signature is not None:
+            for index, pred_c in enumerate(unmatched_pred):
+                if _condition_signature(pred_c) == signature:
+                    operations.append(
+                        ReplaceWhereConjunct(unmatched_pred.pop(index), gold_c)
+                    )
+                    paired = True
+                    break
+        if not paired:
+            still_gold.append(gold_c)
+
+    # Pair remaining by same-column different-family, then leftovers.
+    for gold_c in still_gold:
+        signature = _condition_signature(gold_c)
+        column = signature[0] if signature else None
+        paired = False
+        if column is not None:
+            for index, pred_c in enumerate(unmatched_pred):
+                pred_sig = _condition_signature(pred_c)
+                if pred_sig is not None and pred_sig[0] == column:
+                    operations.append(
+                        ReplaceWhereConjunct(unmatched_pred.pop(index), gold_c)
+                    )
+                    paired = True
+                    break
+        if not paired:
+            operations.append(AddWhereConjunct(gold_c))
+    operations.extend(RemoveWhereConjunct((pred_c,)) for pred_c in unmatched_pred)
+    return operations
+
+
+def _diff_group(gold: ast.Select, pred: ast.Select) -> list[EditOperation]:
+    gold_keys = {_expr_key(e): e for e in gold.group_by}
+    pred_keys = {_expr_key(e): e for e in pred.group_by}
+    operations: list[EditOperation] = [
+        AddGroupKey(e) for key, e in gold_keys.items() if key not in pred_keys
+    ]
+    operations.extend(
+        RemoveGroupKey(e) for key, e in pred_keys.items() if key not in gold_keys
+    )
+    return operations

@@ -101,10 +101,6 @@ class QueryResult:
             return None
         return self.rows[0][0]
 
-    def to_dicts(self) -> list[dict[str, SqlValue]]:
-        """Rows as dictionaries keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
 
 @dataclass
 class DmlResult:

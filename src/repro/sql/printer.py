@@ -8,6 +8,7 @@ all supported nodes (round-trip property, tested with hypothesis).
 from __future__ import annotations
 
 import functools
+import math
 
 from repro.sql import ast
 from repro.sql.tokens import KEYWORDS
@@ -67,6 +68,10 @@ def format_literal(value: object) -> str:
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
     if isinstance(value, float):
+        # SQL has no infinity literal, but 1e999 overflows to it in the
+        # lexer and in SQLite; repr would print ``inf``, a column name.
+        if math.isinf(value):
+            return "1e999" if value > 0 else "-1e999"
         # repr keeps round-trip precision; strip a trailing ".0" is NOT done
         # so the literal lexes back as a FLOAT.
         return repr(value)

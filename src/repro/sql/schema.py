@@ -136,14 +136,6 @@ class DatabaseSchema:
         self._ddl = None
         self._linker = None
 
-    def resolve_column(self, column_name: str) -> list[tuple[Table, Column]]:
-        """Return every (table, column) pair whose column matches the name."""
-        matches = []
-        for table in self.tables:
-            if table.has_column(column_name):
-                matches.append((table, table.column(column_name)))
-        return matches
-
     def join_path(self, left: str, right: str) -> Optional[ForeignKey]:
         """Find a direct FK linking ``left`` to ``right`` (either direction).
 

@@ -9,6 +9,7 @@ the same convention SQLite uses for TEXT dates.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Union
 
 from repro.errors import TypeMismatchError
@@ -139,5 +140,8 @@ def values_equal(left: SqlValue, right: SqlValue, float_tol: float = 1e-6) -> bo
         # Equal first: ``inf - inf`` is NaN, which no tolerance accepts.
         if left_n == right_n:
             return True
+        # An infinite value equals only itself: its tolerance is infinite.
+        if math.isinf(left_n) or math.isinf(right_n):
+            return False
         return abs(left_n - right_n) <= float_tol * max(1.0, abs(left_n), abs(right_n))
     return str(left) == str(right)

@@ -81,12 +81,6 @@ class TestColumnLinking:
         table = aep_db.schema.table("hkg_dim_segment")
         assert linker.link_column(table, "quarterly revenue") is None
 
-    def test_column_anywhere(self, aep_db):
-        linker = SchemaLinker(aep_db.schema)
-        link = linker.column_anywhere("rows ingested")
-        assert link.column.name == "rowsingested"
-        assert link.table.name == "hkg_fact_ingestion"
-
 
 class TestSpecialColumns:
     def test_name_column_plain(self, music_db):
@@ -153,7 +147,6 @@ class TestEmptySchema:
     def test_link_table_and_column_anywhere_find_nothing(self):
         linker = SchemaLinker(_schema())
         assert linker.link_table("singers") is None
-        assert linker.column_anywhere("name") is None
 
     def test_semantic_parser_raises_catalog_error(self):
         parser = SemanticParser(_schema(), ParserConfig())

@@ -289,3 +289,50 @@ class TestParserOutputValidity:
             if not execution_correct(db, example.gold_sql, sql):
                 wrong += 1
         assert wrong / len(trapped) > 0.9
+
+
+class TestAggregateScoresFromTheLinkMemo:
+    """An aggregate question scores its column from the link the target
+    resolution just made, so a sweep scores no column outside the memo."""
+
+    def test_a_warm_small_sweep_scores_no_column_again(self, monkeypatch):
+        from repro.core.linking import SchemaLinker
+        from repro.eval.harness import ExperimentContext, build_context
+        from repro.eval.predictions import read_digests, row_digests, sweep_rows
+        from tests.eval.test_prediction_goldens import GOLDEN
+
+        resolved = []
+        direct = []
+        resolve = SemanticParser._resolve_target_column
+        column_score = SchemaLinker.column_score
+
+        def recording(parser, phrase, table):
+            answer = resolve(parser, phrase, table)
+            resolved.append((phrase, answer))
+            return answer
+
+        monkeypatch.setattr(SemanticParser, "_resolve_target_column", recording)
+        monkeypatch.setattr(
+            SchemaLinker,
+            "column_score",
+            staticmethod(lambda column, phrase: direct.append(phrase)),
+        )
+        built = build_context("small")
+        fresh = ExperimentContext(
+            scale=built.scale,
+            seed=built.seed,
+            spider=built.spider,
+            aep_benchmark=built.aep_benchmark,
+            aep_demos=built.aep_demos,
+        )
+        digests = row_digests(sweep_rows(fresh))
+        monkeypatch.undo()
+
+        assert direct == []
+        assert digests == read_digests(GOLDEN)
+        # Each plain resolution's link scores its column exactly as a
+        # direct score of the phrase would.
+        plain = [(p, link) for p, (link, note) in resolved if link and not note]
+        assert len(plain) > 100
+        for phrase, link in plain:
+            assert link.score == column_score(link.column, phrase), phrase

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import user
 from repro.core.user import AnnotatorConfig, SimulatedAnnotator
-from repro.sql.analysis import diff_queries
+from repro.sql.edits import diff_queries
 from repro.sql.parser import parse_query
 
 
@@ -314,3 +314,154 @@ class TestDiffMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert not problems, problems[:5]
         assert len(annotator._diffs) == user.DIFF_MEMO_SIZE
+
+
+S = "hkg_dim_segment"
+ORDERED = f"SELECT segmentname FROM {S} ORDER BY profilecount"
+FILTERED = f"SELECT segmentname FROM {S} WHERE status"
+JOINED = (
+    f"SELECT T1.segmentname FROM {S} AS T1 JOIN hkg_fact_activation AS T2 "
+    "ON T1.segmentid = T2.segmentid"
+)
+
+
+class TestEveryOperation:
+    """What the annotator says for each operation the diff returns, and
+    which part of the prediction it highlights. Order, limit and DISTINCT
+    read add or edit from the prediction; tables come before select items,
+    and DISTINCT before LIMIT."""
+
+    @pytest.mark.parametrize(
+        "gold_sql, pred_sql, expected",
+        [
+            pytest.param(
+                f"{ORDERED} DESC",
+                f"SELECT segmentname FROM {S}",
+                ("order the profile counts in descending order.", "order_add", None),
+                id="order-add",
+            ),
+            pytest.param(
+                f"{ORDERED} DESC",
+                f"{ORDERED} ASC",
+                ("sort in descending order, please", "order_edit", "profilecount"),
+                id="order-edit",
+            ),
+            pytest.param(
+                f"SELECT segmentname FROM {S}",
+                f"{ORDERED} DESC",
+                ("no need to sort the results", "order_remove", "profilecount"),
+                id="order-remove",
+            ),
+            pytest.param(
+                f"SELECT segmentname FROM {S} LIMIT 5",
+                f"SELECT segmentname FROM {S}",
+                ("limit it to 5", "limit", None),
+                id="limit-add",
+            ),
+            pytest.param(
+                f"SELECT segmentname FROM {S} LIMIT 5",
+                f"SELECT segmentname FROM {S} LIMIT 3",
+                ("limit it to 5", "limit", None),
+                id="limit-edit",
+            ),
+            pytest.param(
+                f"SELECT segmentname FROM {S}",
+                f"SELECT segmentname FROM {S} LIMIT 3",
+                ("remove the limit, show all of them", "limit_remove", None),
+                id="limit-remove",
+            ),
+            pytest.param(
+                f"SELECT DISTINCT status FROM {S}",
+                f"SELECT status FROM {S}",
+                ("remove duplicates from the results", "distinct_add", None),
+                id="distinct-add",
+            ),
+            pytest.param(
+                f"SELECT status FROM {S}",
+                f"SELECT DISTINCT status FROM {S}",
+                ("keep all rows, including duplicates", "distinct_remove", None),
+                id="distinct-remove",
+            ),
+            pytest.param(
+                f"SELECT DISTINCT status FROM {S} LIMIT 2",
+                f"SELECT status FROM {S}",
+                ("remove duplicates from the results", "distinct_add", None),
+                id="distinct-before-limit",
+            ),
+            pytest.param(
+                f"SELECT status, COUNT(*) FROM {S} GROUP BY status",
+                f"SELECT status, COUNT(*) FROM {S}",
+                ("break the numbers down by status", "group_add", None),
+                id="group-add",
+            ),
+            pytest.param(
+                f"SELECT COUNT(*) FROM {S}",
+                f"SELECT COUNT(*) FROM {S} GROUP BY status",
+                None,
+                id="group-remove",
+            ),
+            pytest.param(
+                f"SELECT segmentname, profilecount FROM {S}",
+                f"SELECT segmentname FROM {S}",
+                ("also show the profile count", "select_add", None),
+                id="select-add",
+            ),
+            pytest.param(
+                f"SELECT segmentname FROM {S}",
+                f"SELECT description FROM {S}",
+                (
+                    "provide the segment name instead of the description",
+                    "select_edit",
+                    "description",
+                ),
+                id="select-edit",
+            ),
+            pytest.param(
+                f"SELECT segmentname FROM {S}",
+                f"{FILTERED} = 'active'",
+                ("remove the condition on status", "filter_remove", "status = 'active'"),
+                id="where-remove",
+            ),
+            pytest.param(
+                f"{FILTERED} = 'active'",
+                f"SELECT segmentname FROM {S}",
+                ("that means the status is 'active'", "filter", f"FROM {S}"),
+                id="where-add",
+            ),
+            pytest.param(
+                f"{FILTERED} = 'active'",
+                f"{FILTERED} = 'draft'",
+                ("that means the status is 'active'", "filter", "status = 'draft'"),
+                id="where-edit",
+            ),
+            pytest.param(
+                f"SELECT COUNT(*) FROM {S}",
+                "SELECT COUNT(*) FROM hkg_dim_dataset",
+                ("by audiences I mean the segment table", "table_edit", None),
+                id="table-edit",
+            ),
+            pytest.param(
+                f"SELECT segmentname FROM {S}",
+                "SELECT datasetname FROM hkg_dim_dataset",
+                ("by audiences I mean the segment table", "table_edit", None),
+                id="table-before-select",
+            ),
+            pytest.param(
+                f"SELECT segmentname FROM {S}", JOINED, None, id="table-remove"
+            ),
+        ],
+    )
+    def test_feedback_and_highlight(self, annotator, gold_sql, pred_sql, expected):
+        feedback = feedback_for(
+            annotator,
+            gold_sql,
+            pred_sql,
+            question="how many audiences are there",
+            use_highlights=True,
+        )
+        if expected is None:
+            assert feedback is None
+            return
+        text, intent_kind, highlight = expected
+        assert (feedback.text, feedback.intent_kind) == (text, intent_kind)
+        assert (feedback.highlight and feedback.highlight.text) == highlight

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.datasets.aep import AEP_DB_ID, build_aep_database, generate_aep_suite
-from repro.datasets.base import Benchmark, Example, demonstrations_from_examples
+from repro.datasets.base import Example, demonstrations_from_examples
 from repro.datasets.spider import generate_spider_suite
 from repro.datasets.traps import ALL_TRAPS, trap_for, traps_for_dataset
 from repro.sql.comparison import query_is_ordered, results_match
@@ -196,17 +196,9 @@ class TestContainers:
 
     def test_benchmark_helpers(self, small_suite):
         benchmark = small_suite.benchmark
-        example = benchmark.examples[0]
-        assert benchmark.examples_for(example.db_id)
         assert len(benchmark) == len(benchmark.examples)
         with pytest.raises(Exception):
             benchmark.database("missing")
-
-    def test_save_load_examples(self, small_suite, tmp_path):
-        path = tmp_path / "examples.jsonl"
-        small_suite.benchmark.save_examples(path)
-        loaded = Benchmark.load_examples(path)
-        assert loaded == small_suite.benchmark.examples
 
     def test_demonstrations_from_examples(self, small_suite):
         demos = demonstrations_from_examples(small_suite.train_examples[:5])

@@ -256,7 +256,7 @@ class TestTfidf:
     def test_fit_transform_shape(self):
         vec = TfidfVectorizer()
         matrix = vec.fit_transform(self.CORPUS)
-        assert matrix.shape == (4, vec.vocabulary_size)
+        assert matrix.shape == (4, len(vec._vocabulary))
 
     def test_rows_are_normalized(self):
         matrix = TfidfVectorizer().fit_transform(self.CORPUS)

@@ -86,10 +86,6 @@ class TestCounters:
         assert registry.counter_value("llm.calls", kind="nl2sql") == 2
         assert registry.counter_value("llm.calls", kind="routing") == 1
         assert registry.counter_total("llm.calls") == 3
-        assert registry.counter_by_label("llm.calls", "kind") == {
-            "nl2sql": 2,
-            "routing": 1,
-        }
 
     def test_missing_counter_reads_zero(self):
         registry = MetricsRegistry()

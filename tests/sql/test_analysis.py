@@ -1,17 +1,40 @@
 """AST analysis: conjuncts, table usage, and the gold-vs-pred diff."""
 
+import pytest
+
+from repro.eval.metrics import execution_correct
 from repro.sql import ast
 from repro.sql.analysis import (
     conjuncts,
-    diff_queries,
     join_conjuncts,
     tables_used,
 )
+from repro.sql.edits import (
+    AddGroupKey,
+    AddSelectItem,
+    AddWhereConjunct,
+    RemoveSelectItem,
+    RemoveWhereConjunct,
+    ReplaceSelectItem,
+    ReplaceTable,
+    ReplaceWhereConjunct,
+    SetDistinct,
+    SetLimit,
+    SetOrderBy,
+    SetSource,
+    diff_queries,
+)
+from repro.sql.engine import Database
 from repro.sql.parser import parse_expression, parse_query
+from repro.sql.printer import print_select
 
 
 def deltas_of(gold_sql, pred_sql):
     return diff_queries(parse_query(gold_sql), parse_query(pred_sql))
+
+
+def types_of(gold_sql, pred_sql):
+    return [type(op) for op in deltas_of(gold_sql, pred_sql)]
 
 
 class TestConjuncts:
@@ -53,47 +76,54 @@ class TestSelectDiff:
         ) == []
 
     def test_select_edit(self):
-        (delta,) = deltas_of("SELECT song_name FROM t", "SELECT name FROM t")
-        assert (delta.kind, delta.action) == ("select", "edit")
+        (op,) = deltas_of("SELECT song_name FROM t", "SELECT name FROM t")
+        assert op == ReplaceSelectItem(
+            old=ast.SelectItem(ast.ColumnRef("name")),
+            new=ast.SelectItem(ast.ColumnRef("song_name")),
+        )
 
     def test_select_remove(self):
-        (delta,) = deltas_of(
+        (op,) = deltas_of(
             "SELECT name FROM t", "SELECT name, description FROM t"
         )
-        assert (delta.kind, delta.action) == ("select", "remove")
+        assert op == RemoveSelectItem((ast.SelectItem(ast.ColumnRef("description")),))
 
     def test_select_add(self):
-        (delta,) = deltas_of(
+        (op,) = deltas_of(
             "SELECT name, age FROM t", "SELECT name FROM t"
         )
-        assert (delta.kind, delta.action) == ("select", "add")
+        assert op == AddSelectItem(ast.ColumnRef("age"))
 
     def test_aggregate_paired_as_edit(self):
-        (delta,) = deltas_of(
+        (op,) = deltas_of(
             "SELECT COUNT(DISTINCT a) FROM t", "SELECT COUNT(a) FROM t"
         )
-        assert (delta.kind, delta.action) == ("select", "edit")
+        assert isinstance(op, ReplaceSelectItem)
+        assert op.new.expression.distinct and not op.old.expression.distinct
 
 
 class TestWhereDiff:
     def test_literal_edit_same_column(self):
-        deltas = deltas_of(
+        (op,) = deltas_of(
             "SELECT a FROM t WHERE d >= '2024-01-01'",
             "SELECT a FROM t WHERE d >= '2023-01-01'",
         )
-        assert [(d.kind, d.action) for d in deltas] == [("where", "edit")]
+        assert op == ReplaceWhereConjunct(
+            old=parse_expression("d >= '2023-01-01'"),
+            condition=parse_expression("d >= '2024-01-01'"),
+        )
 
     def test_missing_condition(self):
-        (delta,) = deltas_of(
+        (op,) = deltas_of(
             "SELECT a FROM t WHERE status = 'active'", "SELECT a FROM t"
         )
-        assert (delta.kind, delta.action) == ("where", "add")
+        assert op == AddWhereConjunct(parse_expression("status = 'active'"))
 
     def test_extra_condition(self):
-        (delta,) = deltas_of(
+        (op,) = deltas_of(
             "SELECT a FROM t", "SELECT a FROM t WHERE b = 1"
         )
-        assert (delta.kind, delta.action) == ("where", "remove")
+        assert op == RemoveWhereConjunct((parse_expression("b = 1"),))
 
     def test_join_conditions_excluded(self):
         deltas = deltas_of(
@@ -105,55 +135,109 @@ class TestWhereDiff:
 
 class TestOtherDiffs:
     def test_table_edit(self):
-        (delta,) = deltas_of("SELECT a FROM t", "SELECT a FROM u")
-        assert (delta.kind, delta.action) == ("table", "edit")
-        assert delta.gold == "t"
+        (op,) = deltas_of("SELECT a FROM t", "SELECT a FROM u")
+        assert op == ReplaceTable(old="u", new="t")
 
     def test_missing_table_add(self):
-        deltas = deltas_of(
-            "SELECT T1.a FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id",
-            "SELECT a FROM t",
+        gold = parse_query(
+            "SELECT T1.a FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id"
         )
-        kinds = {(d.kind, d.action) for d in deltas}
-        assert ("table", "add") in kinds
+        deltas = diff_queries(gold, parse_query("SELECT a FROM t"))
+        assert SetSource("u", gold.source) in deltas
 
     def test_order_direction_edit(self):
-        deltas = deltas_of(
+        assert types_of(
             "SELECT a FROM t ORDER BY a DESC", "SELECT a FROM t ORDER BY a ASC"
-        )
-        assert [(d.kind, d.action) for d in deltas] == [("order", "edit")]
+        ) == [SetOrderBy]
 
     def test_order_missing(self):
-        (delta,) = deltas_of(
+        (op,) = deltas_of(
             "SELECT a FROM t ORDER BY a ASC", "SELECT a FROM t"
         )
-        assert (delta.kind, delta.action) == ("order", "add")
+        assert op == SetOrderBy(
+            (ast.OrderItem(ast.ColumnRef("a"), ast.SortOrder.ASC),)
+        )
 
     def test_limit_edit_and_add(self):
         (edit,) = deltas_of("SELECT a FROM t LIMIT 5", "SELECT a FROM t LIMIT 3")
-        assert (edit.kind, edit.action) == ("limit", "edit")
+        assert edit == SetLimit(5)
         (add,) = deltas_of("SELECT a FROM t LIMIT 5", "SELECT a FROM t")
-        assert (add.kind, add.action) == ("limit", "add")
+        assert add == SetLimit(5)
 
     def test_distinct_add(self):
-        (delta,) = deltas_of("SELECT DISTINCT a FROM t", "SELECT a FROM t")
-        assert (delta.kind, delta.action) == ("distinct", "add")
+        (op,) = deltas_of("SELECT DISTINCT a FROM t", "SELECT a FROM t")
+        assert op == SetDistinct(True)
 
     def test_group_by_add(self):
         deltas = deltas_of(
             "SELECT a, COUNT(*) FROM t GROUP BY a",
             "SELECT a, COUNT(*) FROM t",
         )
-        assert ("group", "add") in {(d.kind, d.action) for d in deltas}
-
-    def test_structure_mismatch(self):
-        deltas = diff_queries(
-            parse_query("SELECT a FROM t UNION SELECT a FROM u"),
-            parse_query("SELECT a FROM t"),
-        )
-        assert deltas[0].kind == "structure"
+        assert AddGroupKey(ast.ColumnRef("a")) in deltas
 
     def test_count_errors(self):
-        gold = parse_query("SELECT name FROM t WHERE status = 'a' LIMIT 3")
-        pred = parse_query("SELECT name, description FROM t")
-        assert len(diff_queries(gold, pred)) == 3
+        # One operation per difference, in clause order.
+        assert types_of(
+            "SELECT name FROM t WHERE status = 'a' LIMIT 3",
+            "SELECT name, description FROM t",
+        ) == [RemoveSelectItem, AddWhereConjunct, SetLimit]
+
+
+@pytest.fixture(scope="module")
+def oracle_db():
+    """A small fixed database for the diff's oracle."""
+    db = Database.from_ddl(
+        "oracle",
+        """
+        CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b TEXT);
+        CREATE TABLE u (id INTEGER PRIMARY KEY, a INTEGER, c TEXT);
+        """,
+    )
+    db.execute(
+        "INSERT INTO t VALUES (1, 3, 'x'), (2, 1, 'y'), (3, 2, 'x'), "
+        "(4, 2, 'z'), (5, 5, 'y')"
+    )
+    db.execute("INSERT INTO u VALUES (1, 9, 'p'), (3, 8, 'q'), (5, 7, 'p')")
+    return db
+
+
+class TestOracle:
+    """Shapes no sweep produces: the diff's operations, applied to the
+    prediction in order, give a query SQLite answers like gold."""
+
+    @pytest.mark.parametrize(
+        "gold_sql, pred_sql",
+        [
+            # table edit
+            ("SELECT a FROM t", "SELECT a FROM u"),
+            # a table gold joins and the prediction lacks
+            (
+                "SELECT T1.b FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id",
+                "SELECT b FROM t",
+            ),
+            # order add and edit
+            ("SELECT a FROM t ORDER BY a DESC", "SELECT a FROM t"),
+            ("SELECT a FROM t ORDER BY a DESC", "SELECT a FROM t ORDER BY a ASC"),
+            # limit add and edit
+            ("SELECT a FROM t ORDER BY a LIMIT 2", "SELECT a FROM t ORDER BY a"),
+            (
+                "SELECT a FROM t ORDER BY a LIMIT 2",
+                "SELECT a FROM t ORDER BY a LIMIT 4",
+            ),
+            # DISTINCT, both ways
+            ("SELECT DISTINCT b FROM t", "SELECT b FROM t"),
+            ("SELECT b FROM t", "SELECT DISTINCT b FROM t"),
+            # GROUP BY key added and removed
+            ("SELECT b, COUNT(*) FROM t GROUP BY b", "SELECT b, COUNT(*) FROM t"),
+            (
+                "SELECT b, COUNT(*) FROM t GROUP BY b",
+                "SELECT b, COUNT(*) FROM t GROUP BY b, a",
+            ),
+        ],
+    )
+    def test_applied_diff_answers_like_gold(self, oracle_db, gold_sql, pred_sql):
+        assert not execution_correct(oracle_db, gold_sql, pred_sql)
+        edited = parse_query(pred_sql)
+        for operation in deltas_of(gold_sql, pred_sql):
+            edited = operation.apply(edited)
+        assert execution_correct(oracle_db, gold_sql, print_select(edited))

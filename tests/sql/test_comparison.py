@@ -1,5 +1,6 @@
 """Execution-accuracy comparison semantics."""
 
+import math
 import random
 
 import hypothesis.strategies as st
@@ -17,6 +18,7 @@ from repro.sql.comparison import (
 )
 from repro.sql.engine import Database, QueryResult
 from repro.sql.parser import parse_query
+from repro.sql.types import values_equal
 
 
 def make(rows, columns=None):
@@ -150,9 +152,11 @@ def _reference_values_equal(left, right, float_tol=1e-6):
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         left_n, right_n = float(left), float(right)
         # Equal numbers are equal: ``inf - inf`` is NaN, which no
-        # tolerance accepts.
+        # tolerance accepts. An infinite number equals only itself.
         if left_n == right_n:
             return True
+        if math.isinf(left_n) or math.isinf(right_n):
+            return False
         return abs(left_n - right_n) <= float_tol * max(
             1.0, abs(left_n), abs(right_n)
         )
@@ -304,6 +308,15 @@ class TestInfiniteValues:
         for ordered in (False, True):
             assert results_match(make(self.ROWS), make(near), ordered)
         assert rows_equal((INF, -INF), (INF, -INF))
+
+    def test_an_infinite_value_matches_only_itself(self):
+        assert not values_equal(INF, 5.0) and not values_equal(-INF, INF)
+        for ordered in (False, True):
+            for other in ([(5.0,)], [(-INF,)]):
+                assert not results_match(make([(INF,)]), make(other), ordered)
+                assert not results_match(make(other), make([(INF,)]), ordered)
+            assert results_match(make([(INF,)]), make([(INF,)]), ordered)
+            assert results_match(make([(INF,)]), make([(float("1e999"),)]), ordered)
 
     def test_an_ordered_query_over_infinities_matches_itself(self):
         database = Database.from_ddl("inf", "CREATE TABLE t (id INTEGER, x REAL)")

@@ -1,23 +1,29 @@
 """Typed edit operations on SELECT ASTs."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import EditError
 from repro.sql import ast
 from repro.sql.edits import (
+    AddGroupKey,
     AddSelectItem,
     AddWhereConjunct,
+    RemoveGroupKey,
     RemoveSelectItem,
     RemoveWhereConjunct,
     ReplaceAggregate,
     ReplaceColumn,
     ReplaceLiteral,
     ReplaceQuery,
+    ReplaceSelectItem,
     ReplaceTable,
     ReplaceWhereConjunct,
     SetDistinct,
     SetLimit,
     SetOrderBy,
+    SetSource,
 )
 from repro.sql.parser import Parser, parse_expression, parse_query
 from repro.sql.printer import print_query
@@ -25,6 +31,10 @@ from repro.sql.printer import print_query
 
 def q(sql):
     return parse_query(sql)
+
+
+def item(*columns):
+    return tuple(ast.SelectItem(ast.ColumnRef(column)) for column in columns)
 
 
 def apply(op, sql):
@@ -42,13 +52,6 @@ class TestReplaceColumn:
             "SELECT name FROM singer WHERE name = 'X'",
         )
         assert out == "SELECT song_name FROM singer WHERE name = 'X'"
-
-    def test_everywhere(self):
-        out = apply(
-            ReplaceColumn(old="name", new="song_name", everywhere=True),
-            "SELECT name FROM singer WHERE name = 'X'",
-        )
-        assert out == "SELECT song_name FROM singer WHERE song_name = 'X'"
 
     def test_missing_column_raises(self):
         with pytest.raises(EditError):
@@ -138,18 +141,39 @@ class TestSelectItems:
 
     def test_remove(self):
         out = apply(
-            RemoveSelectItem(column="description"),
+            RemoveSelectItem(item("description")),
             "SELECT name, description FROM t",
         )
         assert out == "SELECT name FROM t"
 
     def test_remove_only_item_raises(self):
         with pytest.raises(EditError):
-            RemoveSelectItem(column="name").apply(q("SELECT name FROM t"))
+            RemoveSelectItem(item("name")).apply(q("SELECT name FROM t"))
 
     def test_remove_absent_raises(self):
         with pytest.raises(EditError):
-            RemoveSelectItem(column="zzz").apply(q("SELECT a, b FROM t"))
+            RemoveSelectItem(item("zzz")).apply(q("SELECT a, b FROM t"))
+
+    def test_remove_every_item_raises(self):
+        with pytest.raises(EditError):
+            RemoveSelectItem(item("a", "b")).apply(q("SELECT a, b FROM t"))
+
+    def test_replace_names_one_item(self):
+        out = apply(
+            ReplaceSelectItem(
+                old=ast.SelectItem(parse_expression("COUNT(a)")),
+                new=ast.SelectItem(parse_expression("COUNT(DISTINCT a)")),
+            ),
+            "SELECT a, COUNT(a) FROM t",
+        )
+        assert out == "SELECT a, COUNT(DISTINCT a) FROM t"
+
+    def test_replace_absent_raises(self):
+        with pytest.raises(EditError):
+            ReplaceSelectItem(
+                old=ast.SelectItem(parse_expression("b")),
+                new=ast.SelectItem(parse_expression("c")),
+            ).apply(q("SELECT a FROM t"))
 
 
 class TestWhereEdits:
@@ -174,39 +198,47 @@ class TestWhereEdits:
             )
 
     def test_remove_conjunct(self):
-        def mentions_b(expr):
-            return any(
-                isinstance(n, ast.ColumnRef) and n.column == "b"
-                for n in ast.walk_expressions(expr)
-            )
-
         out = apply(
-            RemoveWhereConjunct(matcher=mentions_b),
+            RemoveWhereConjunct((parse_expression("b = 2"),)),
             "SELECT x FROM t WHERE a = 1 AND b = 2",
         )
         assert out == "SELECT x FROM t WHERE a = 1"
 
     def test_remove_last_conjunct_clears_where(self):
         out = apply(
-            RemoveWhereConjunct(matcher=lambda e: True),
+            RemoveWhereConjunct((parse_expression("a = 1"),)),
             "SELECT x FROM t WHERE a = 1",
         )
         assert out == "SELECT x FROM t"
 
+    def test_remove_absent_conjunct_raises(self):
+        with pytest.raises(EditError):
+            RemoveWhereConjunct(()).apply(q("SELECT x FROM t WHERE a = 1"))
+
     def test_replace_conjunct(self):
         out = apply(
             ReplaceWhereConjunct(
-                matcher=lambda e: True,
+                old=parse_expression("a = 1"),
                 condition=parse_expression("a = 9"),
             ),
             "SELECT x FROM t WHERE a = 1",
         )
         assert out == "SELECT x FROM t WHERE a = 9"
 
+    def test_replace_acts_on_the_first_equal_conjunct(self):
+        out = apply(
+            ReplaceWhereConjunct(
+                old=parse_expression("a = 1"),
+                condition=parse_expression("a = 9"),
+            ),
+            "SELECT x FROM t WHERE b = 2 AND a = 1 AND a = 1",
+        )
+        assert out == "SELECT x FROM t WHERE b = 2 AND a = 9 AND a = 1"
+
     def test_replace_no_match_raises(self):
         with pytest.raises(EditError):
             ReplaceWhereConjunct(
-                matcher=lambda e: False, condition=parse_expression("a = 9")
+                old=parse_expression("a = 2"), condition=parse_expression("a = 9")
             ).apply(q("SELECT x FROM t WHERE a = 1"))
 
 
@@ -243,6 +275,30 @@ class TestClauseEdits:
         with pytest.raises(EditError):
             ReplaceTable(old="x", new="y").apply(q("SELECT a FROM t"))
 
+    def test_group_keys(self):
+        key = parse_expression("b")
+        out = apply(AddGroupKey(key), "SELECT b, COUNT(*) FROM t")
+        assert out == "SELECT b, COUNT(*) FROM t GROUP BY b"
+        out = apply(RemoveGroupKey(key), "SELECT COUNT(*) FROM t GROUP BY a, b")
+        assert out == "SELECT COUNT(*) FROM t GROUP BY a"
+        with pytest.raises(EditError):
+            AddGroupKey(key).apply(q("SELECT b FROM t GROUP BY b"))
+        with pytest.raises(EditError):
+            RemoveGroupKey(key).apply(q("SELECT b FROM t"))
+
+    def test_set_source_takes_the_whole_from_clause(self):
+        joined = q("SELECT T1.b FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id")
+        op = SetSource("u", joined.source)
+        assert apply(op, "SELECT b FROM t") == (
+            "SELECT b FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id"
+        )
+        assert op.feedback_type == "add"
+        dropped = SetSource("u", q("SELECT b FROM t").source, joined=False)
+        assert apply(dropped, "SELECT b FROM t JOIN u ON t.id = u.id") == (
+            "SELECT b FROM t"
+        )
+        assert dropped.feedback_type == "remove"
+
     def test_replace_query(self):
         replacement = q("SELECT b FROM u")
         assert apply(ReplaceQuery(new_query=replacement), "SELECT a FROM t") == (
@@ -250,24 +306,39 @@ class TestClauseEdits:
         )
 
 
+def every_operation():
+    return [
+        ReplaceColumn(old="a", new="b"),
+        ReplaceLiteral(old="x", new="y"),
+        ReplaceAggregate("SUM"),
+        AddSelectItem(expression=parse_expression("a")),
+        RemoveSelectItem(item("a")),
+        ReplaceSelectItem(old=item("a")[0], new=item("b")[0]),
+        AddWhereConjunct(condition=parse_expression("a = 1")),
+        RemoveWhereConjunct((parse_expression("a = 1"),)),
+        ReplaceWhereConjunct(
+            old=parse_expression("a = 2"), condition=parse_expression("a = 1")
+        ),
+        AddGroupKey(parse_expression("a")),
+        RemoveGroupKey(parse_expression("a")),
+        SetSource("t", q("SELECT a FROM t").source),
+        SetOrderBy(()),
+        SetLimit(1),
+        SetDistinct(True),
+        ReplaceTable(old="a", new="b"),
+        ReplaceQuery(new_query=q("SELECT 1")),
+    ]
+
+
 class TestDescriptions:
     def test_all_ops_have_descriptions(self):
-        ops = [
-            ReplaceColumn(old="a", new="b"),
-            ReplaceLiteral(old="x", new="y"),
-            ReplaceAggregate("SUM"),
-            AddSelectItem(expression=parse_expression("a")),
-            RemoveSelectItem(column="a"),
-            AddWhereConjunct(condition=parse_expression("a = 1")),
-            RemoveWhereConjunct(matcher=lambda e: True),
-            ReplaceWhereConjunct(
-                matcher=lambda e: True, condition=parse_expression("a = 1")
-            ),
-            SetOrderBy(()),
-            SetLimit(1),
-            SetDistinct(True),
-            ReplaceTable(old="a", new="b"),
-            ReplaceQuery(new_query=q("SELECT 1")),
-        ]
-        for op in ops:
+        for op in every_operation():
             assert isinstance(op.describe(), str) and op.describe()
+
+    def test_all_ops_are_plain_data(self):
+        # No field holds a callable, so an operation prints, compares and
+        # hashes by the nodes it names.
+        for op, again in zip(every_operation(), every_operation()):
+            assert op == again and hash(op) == hash(again)
+            for field in dataclasses.fields(op):
+                assert not callable(getattr(op, field.name)), (op, field.name)

@@ -254,17 +254,6 @@ class TestSqliteFacade:
 
 
 class TestSchemaApi:
-    def test_resolve_column(self):
-        schema = DatabaseSchema(
-            "s",
-            [
-                Table("a", [Column("x", DataType.INTEGER)]),
-                Table("b", [Column("x", DataType.INTEGER), Column("y", DataType.TEXT)]),
-            ],
-        )
-        assert len(schema.resolve_column("x")) == 2
-        assert len(schema.resolve_column("y")) == 1
-
     def test_duplicate_columns_rejected(self):
         with pytest.raises(CatalogError):
             Table("t", [Column("x", DataType.INTEGER), Column("X", DataType.TEXT)])

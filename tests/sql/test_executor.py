@@ -40,9 +40,8 @@ class TestProjection:
         assert music_db.query("SELECT COUNT(*) FROM singer").scalar() == 6
 
     def test_to_dicts(self, music_db):
-        dicts = music_db.query(
-            "SELECT Name FROM singer WHERE singer_id = 1"
-        ).to_dicts()
+        result = music_db.query("SELECT Name FROM singer WHERE singer_id = 1")
+        dicts = [dict(zip(result.columns, row)) for row in result.rows]
         assert dicts == [{"Name": "Joe Sharp"}]
 
 

