@@ -406,6 +406,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_backend_arguments(serve)
+    serve.add_argument(
+        "--probe-interval-ms",
+        type=_bounded(float, 0, strict=True),
+        metavar="MS",
+        help=(
+            "probe every backend every MS, also those whose breaker is "
+            "closed (default: each second, only breakers whose cooldown "
+            "is over)"
+        ),
+    )
     _add_semcache_arguments(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -548,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_backend_arguments(sub: argparse.ArgumentParser) -> None:
-    """The multi-backend router flags, shared by ``run`` and ``serve``."""
+    """The multi-backend router flag, shared by ``run`` and ``serve``."""
     sub.add_argument(
         "--backend",
         action="append",
@@ -558,24 +568,6 @@ def _add_backend_arguments(sub: argparse.ArgumentParser) -> None:
             "simulated, http). Options: model=, base-url=, api-key=, "
             "timeout-s=, fault=, fault-seed=, retries=, deadline-ms=, "
             "breaker-threshold=, breaker-reset-ms="
-        ),
-    )
-    sub.add_argument(
-        "--hedge-after-ms",
-        type=_bounded(float, 0),
-        metavar="MS",
-        help=(
-            "fire a hedged request at the next backend when the primary "
-            "has not answered within MS (default: no hedging)"
-        ),
-    )
-    sub.add_argument(
-        "--probe-interval-ms",
-        type=_bounded(float, 0, strict=True),
-        metavar="MS",
-        help=(
-            "minimum spacing between health probes of ejected backends "
-            "(default: the readmission delay)"
         ),
     )
 
@@ -657,13 +649,8 @@ def _validate_backend_arguments(
                 "per-backend fault= option instead "
                 "(e.g. --backend primary=simulated,fault=outage)"
             )
-        return
-    for flag, value in (
-        ("--hedge-after-ms", args.hedge_after_ms),
-        ("--probe-interval-ms", args.probe_interval_ms),
-    ):
-        if value is not None:
-            parser.error(f"{flag} requires at least one --backend")
+    elif getattr(args, "probe_interval_ms", None) is not None:
+        parser.error("--probe-interval-ms requires at least one --backend")
 
 
 # -- run ---------------------------------------------------------------------------
@@ -863,8 +850,8 @@ def _build_routed_llm(args: argparse.Namespace) -> ChatModel:
     """A :class:`RoutingChatModel` over the ``--backend`` pool.
 
     Runs use the same deterministic virtual clock as the single-model
-    resilient stack, with lazy on-path probing so ejection/readmission
-    cycles replay identically for a given seed and fault profile.
+    resilient stack, so each breaker's trips and its half-open calls
+    replay identically for a given seed and fault profile.
     """
     from repro.llm.router import (
         RoutingChatModel,
@@ -885,13 +872,8 @@ def _build_routed_llm(args: argparse.Namespace) -> ChatModel:
         default_retries=retries,
         default_deadline_ms=args.llm_timeout,
         default_breaker_reset_ms=250.0,
-        probe_interval_ms=args.probe_interval_ms,
     )
-    return RoutingChatModel(
-        pool,
-        hedge_after_ms=args.hedge_after_ms,
-        probe_on_path=True,
-    )
+    return RoutingChatModel(pool)
 
 
 def _remove_empty_stub(path: str) -> None:
@@ -933,7 +915,6 @@ def _cmd_serve(
                 seed=args.seed,
                 default_retries=args.llm_retries,
                 default_deadline_ms=args.llm_timeout,
-                probe_interval_ms=args.probe_interval_ms,
             )
         except ValueError as error:
             parser.error(str(error))
@@ -978,7 +959,6 @@ def _cmd_serve(
         request_deadline_ms=args.request_deadline_ms,
         slo_latency_ms=args.slo_latency_ms,
         slo_target=args.slo_target,
-        hedge_after_ms=args.hedge_after_ms,
     )
     app = ServeApp.from_context(
         context,
@@ -990,9 +970,9 @@ def _cmd_serve(
         semcache=semcache,
     )
     if pool is not None:
-        # Background readmission probes: an ejected backend re-enters
-        # rotation without waiting for live traffic to trip a probe.
-        pool.start_probing()
+        # Background probes: a tripped breaker's half-open call goes out
+        # once its cooldown is over, without waiting for live traffic.
+        pool.start_probing(args.probe_interval_ms)
     try:
         return run_server(
             app,

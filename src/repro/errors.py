@@ -94,14 +94,6 @@ class CircuitOpenError(LLMError):
     """
 
 
-class NoHealthyBackendError(CircuitOpenError):
-    """Every backend in the routing pool is ejected or circuit-open.
-
-    A :class:`CircuitOpenError` subclass so the serve layer maps it to the
-    same 503 fail-fast path as a single open breaker.
-    """
-
-
 class OverloadError(ReproError):
     """The request was shed before doing work: the system is over capacity.
 

@@ -8,21 +8,7 @@ from repro.eval.experiments import (
     Table2Result,
     Table3Result,
 )
-
-
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-
-    def fmt(row: list[str]) -> str:
-        return " | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-
-    rule = "-+-".join("-" * w for w in widths)
-    lines = [fmt(headers), rule]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+from repro.obs.reporting import _table
 
 
 def ascii_bar(value: float, scale: float = 100.0, width: int = 40) -> str:

@@ -238,7 +238,7 @@ def _telemetry_families(telemetry: dict, family) -> None:
             "fisql_llm_backend_outcomes_windowed",
             "gauge",
             "Windowed routed-call outcomes per backend "
-            "(ok/error/failover/skipped/rejected/hedge/hedge_win).",
+            "(ok/error/failover/rejected).",
         )
         for name in sorted(backend_views):
             outcomes = backend_views[name].get("outcomes", {})
@@ -285,22 +285,22 @@ def _backend_families(backends: dict, family) -> None:
     healthy = family(
         "fisql_llm_backend_healthy",
         "gauge",
-        "1 while the backend is in rotation, 0 while ejected.",
+        "1 while the backend's breaker is closed, 0 while it is ejected.",
     )
     failures = family(
         "fisql_llm_backend_consecutive_failures",
         "gauge",
-        "Consecutive live-call/probe failures feeding ejection.",
+        "The breaker's failure streak toward its threshold.",
     )
     ejections = family(
         "fisql_llm_backend_ejections_total",
         "counter",
-        "Times the backend was ejected from rotation.",
+        "Times the backend's breaker tripped from closed to open.",
     )
     readmissions = family(
         "fisql_llm_backend_readmissions_total",
         "counter",
-        "Times an ejected backend was probed healthy and readmitted.",
+        "Times the backend's breaker closed again.",
     )
     breaker = family(
         "fisql_llm_backend_breaker_state",

@@ -19,6 +19,8 @@ from repro.obs.metrics import find_histogram
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
+    """Columns padded to their widest cell, joined by ``" | "`` under a
+    ``-+-`` rule: the layout of the paper artifacts and the run report."""
     widths = [len(h) for h in headers]
     for row in rows:
         for index, cell in enumerate(row):
@@ -269,20 +271,21 @@ def _render_resilience(snapshot: dict) -> str:
         failovers = sum(
             per.get("failover", 0) for per in backend_outcomes.values()
         )
-        hedges = sum(per.get("hedge", 0) for per in backend_outcomes.values())
-        lines.append(
-            f"backend failovers: {_int(failovers)}, "
-            f"hedged requests: {_int(hedges)}"
-        )
+        lines.append(f"backend failovers: {_int(failovers)}")
         for backend in sorted(backend_outcomes):
             lines.append(
                 f"backend {backend}: "
                 f"{_label_summary(backend_outcomes[backend])}"
             )
-    ejections = _counter_by_label(snapshot, "llm.backend.ejections", "backend")
+    # A backend is ejected while its breaker is open: its trips are the
+    # ejections, its recoveries the readmissions. Breakers without a
+    # backend label (a tenant's, a single-model run's) are not counted.
+    ejections = _counter_by_label(snapshot, "llm.breaker.trips", "backend")
     readmissions = _counter_by_label(
-        snapshot, "llm.backend.readmissions", "backend"
+        snapshot, "llm.breaker.recoveries", "backend"
     )
+    ejections.pop(None, None)
+    readmissions.pop(None, None)
     if ejections or readmissions:
         lines.append(
             f"backend ejections: {_int(sum(ejections.values()))}, "

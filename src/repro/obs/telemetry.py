@@ -295,7 +295,7 @@ class TelemetryHub:
         """One routed-backend outcome (the :class:`BackendPool` hook).
 
         Successful calls carry a real latency; bookkeeping outcomes
-        (failover, skipped, hedge) arrive with ``0.0`` and only count.
+        (failover, rejected) arrive with ``0.0`` and only count.
         """
         with self._lock:
             series = self._backend_outcomes.get((name, outcome))

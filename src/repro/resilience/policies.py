@@ -123,10 +123,13 @@ class CircuitBreaker:
     """A closed/open/half-open circuit breaker over consecutive failures.
 
     ``name`` and ``labels`` identify the breaker on its
-    ``breaker.transition`` structured-log events (e.g. ``tenant=acme`` for
-    a tenant stack, ``backend=primary`` for a router backend), so state
-    changes are observable as they happen instead of only by polling
-    :attr:`state`.
+    ``breaker.transition`` structured-log events and its
+    ``llm.breaker.trips``/``llm.breaker.recoveries`` counters (e.g.
+    ``tenant=acme`` for a tenant stack, ``backend=primary`` for a router
+    backend), so state changes are observable as they happen instead of
+    only by polling :attr:`state`. :attr:`trips` counts the times the
+    breaker left closed for open; :attr:`recoveries` the times it closed
+    again. A failed half-open probe re-opens the breaker without a trip.
     """
 
     def __init__(
@@ -153,6 +156,8 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_in_flight = False
+        self._trips = 0
+        self._recoveries = 0
 
     @property
     def name(self) -> str:
@@ -162,6 +167,22 @@ class CircuitBreaker:
     def state(self) -> str:
         with self._lock:
             return self._state
+
+    @property
+    def consecutive_failures(self) -> int:
+        """The failure streak that trips the breaker at the threshold."""
+        with self._lock:
+            return self._consecutive_failures
+
+    @property
+    def trips(self) -> int:
+        with self._lock:
+            return self._trips
+
+    @property
+    def recoveries(self) -> int:
+        with self._lock:
+            return self._recoveries
 
     def time_until_probe(self) -> Optional[float]:
         """Milliseconds until an open breaker admits its half-open probe.
@@ -183,6 +204,12 @@ class CircuitBreaker:
         if state != self._state:
             previous = self._state
             self._state = state
+            if previous == BREAKER_CLOSED:
+                self._trips += 1
+                obs.count("llm.breaker.trips", **self._labels)
+            elif state == BREAKER_CLOSED:
+                self._recoveries += 1
+                obs.count("llm.breaker.recoveries", **self._labels)
             obs.count("llm.breaker.state", state=state)
             obs.event(
                 "breaker.transition",

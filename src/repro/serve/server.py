@@ -142,9 +142,6 @@ class TenantPolicy:
     #: 5xx). ``None`` keeps the default objective (500 ms).
     slo_latency_ms: Optional[float] = None
     slo_target: float = 0.95
-    #: Tail-latency hedging delay for the router (only used when the app
-    #: has a backend pool, which fails over down the pool order).
-    hedge_after_ms: Optional[float] = None
 
     def slo(self) -> SloPolicy:
         """The telemetry-plane SLO this policy configures."""
@@ -284,12 +281,10 @@ class ServeApp:
         if self._pool is not None:
             # Routed serving: the pool's backends already carry their own
             # resilient stacks and backend-scoped breakers; each tenant
-            # gets a cheap routing facade with the policy's hedging, with
-            # the shared cache *above* the router (a cache hit must never
-            # touch — or fail over — a backend).
-            model = RoutingChatModel(
-                self._pool, hedge_after_ms=policy.hedge_after_ms
-            )
+            # gets a cheap routing facade, with the shared cache *above*
+            # the router (a cache hit must never touch — or fail over — a
+            # backend).
+            model = RoutingChatModel(self._pool)
             if self._shared_cache is not None:
                 model = CachingChatModel(
                     model,
@@ -601,7 +596,8 @@ class ServeApp:
         if self._pool is not None:
             # Backend health is operator information, like breakers: even
             # an all-ejected pool must not flip readiness — requests fail
-            # fast with 503 circuit_open while probes work on readmission.
+            # fast with 503 circuit_open while the breakers' half-open
+            # probes work on readmission.
             payload["backends"] = self._pool.health_snapshot()
         return ready, payload
 

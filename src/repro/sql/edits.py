@@ -220,10 +220,14 @@ class ReplaceSelectItem(EditOperation):
 
 @dataclass(frozen=True)
 class AddSelectItem(EditOperation):
+    """Add a select item at ``position`` (clamped to the list), or at the
+    end when ``position`` is None."""
+
     feedback_type = "add"
 
     expression: ast.Expression
     alias: Optional[str] = None
+    position: Optional[int] = None
 
     def apply(self, query: ast.Select) -> ast.Select:
         key = print_expression(self.expression).lower()
@@ -231,7 +235,10 @@ class AddSelectItem(EditOperation):
             if print_expression(item.expression).lower() == key:
                 raise EditError("expression already in the select list")
         added = ast.SelectItem(expression=self.expression, alias=self.alias)
-        return replace(query, items=(*query.items, added))
+        items = list(query.items)
+        position = len(items) if self.position is None else self.position
+        items.insert(min(max(position, 0), len(items)), added)
+        return replace(query, items=tuple(items))
 
     def describe(self) -> str:
         return f"also select {print_expression(self.expression)}"
@@ -453,11 +460,43 @@ class SetSource(EditOperation):
         return "add" if self.joined else "remove"
 
     def apply(self, query: ast.Select) -> ast.Select:
+        # A column qualifier names a table through the old FROM clause;
+        # give it that table's name or alias in the new one. A qualifier
+        # whose table the new clause lacks stays as it is.
+        old_tables = {
+            qualifier.lower(): name.lower()
+            for qualifier, name in _qualifiers(query.source)
+        }
+        new_qualifiers: dict[str, str] = {}
+        for qualifier, name in _qualifiers(self.source):
+            new_qualifiers.setdefault(name.lower(), qualifier)
+
+        def requalify(node):
+            if isinstance(node, (ast.ColumnRef, ast.Star)) and node.table:
+                table = old_tables.get(node.table.lower())
+                qualifier = new_qualifiers.get(table, node.table)
+                if qualifier != node.table:
+                    return replace(node, table=qualifier)
+            return node
+
+        query = rewrite_query_expressions(query, requalify)
         return replace(query, source=self.source)
 
     def describe(self) -> str:
         verb = "include" if self.joined else "drop"
         return f"{verb} table {self.table}"
+
+
+def _qualifiers(
+    source: Optional[ast.TableExpression],
+) -> list[tuple[str, str]]:
+    """(qualifier, table name) for each base table of a FROM clause, in
+    order; the qualifier is the table's alias, or its name."""
+    if isinstance(source, ast.TableRef):
+        return [(source.alias or source.name, source.name)]
+    if isinstance(source, ast.Join):
+        return _qualifiers(source.left) + _qualifiers(source.right)
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +558,8 @@ def _diff_select_items(gold: ast.Select, pred: ast.Select) -> list[EditOperation
         pred_item = _pop_best_match(gold_item, unmatched_pred)
         operations.append(ReplaceSelectItem(old=pred_item, new=gold_item))
     operations.extend(
-        AddSelectItem(item.expression, item.alias) for item in unmatched_gold
+        AddSelectItem(item.expression, item.alias, gold.items.index(item))
+        for item in unmatched_gold
     )
     operations.extend(RemoveSelectItem((item,)) for item in unmatched_pred)
     return operations

@@ -16,6 +16,7 @@ from repro.errors import EditError
 from repro.eval.harness import ExperimentContext, build_context
 from repro.eval.metrics import execution_correct
 from repro.sql.edits import diff_queries
+from repro.sql.engine import Database
 from repro.sql.parser import parse_select
 from repro.sql.printer import print_select
 
@@ -57,3 +58,29 @@ def test_the_diff_turns_every_small_scale_error_into_gold():
     checked, failures = oracle_failures(build_context("small", SEED))
     assert checked == 59
     assert not failures, "\n".join(failures)
+
+
+def test_the_diff_turns_a_dropped_join_and_a_leading_item_into_gold():
+    # Two shapes no generated error has: a prediction that joins a table
+    # gold lacks and qualifies its columns with the join's aliases, and a
+    # select item gold lists before the prediction's.
+    database = Database.from_ddl(
+        "oracle",
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER);"
+        "CREATE TABLE u (id INTEGER PRIMARY KEY, c INTEGER)",
+    )
+    database.execute("INSERT INTO t VALUES (1, 10, 100), (2, 20, 200)")
+    database.execute("INSERT INTO u VALUES (1, 7)")
+    for gold_sql, predicted_sql in (
+        (
+            "SELECT b FROM t",
+            "SELECT T1.b FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id",
+        ),
+        ("SELECT b, a FROM t", "SELECT a FROM t"),
+    ):
+        edited = parse_select(predicted_sql)
+        for operation in diff_queries(parse_select(gold_sql), edited):
+            edited = operation.apply(edited)
+        assert execution_correct(database, gold_sql, print_select(edited)), (
+            print_select(edited)
+        )

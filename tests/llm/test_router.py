@@ -1,4 +1,5 @@
-"""Router unit tests: candidates, failover, ejection, hedging, parsers."""
+"""Router unit tests: pool order, failover, breaker-driven health, probes,
+parsers."""
 
 from __future__ import annotations
 
@@ -7,12 +8,7 @@ import time
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import (
-    CircuitOpenError,
-    LLMError,
-    NoHealthyBackendError,
-    TransientLLMError,
-)
+from repro.errors import CircuitOpenError, LLMError, TransientLLMError
 from repro.llm.interface import (
     KIND_ROUTING,
     Completion,
@@ -25,6 +21,12 @@ from repro.llm.router import (
     build_backend_pool,
     parse_backend_spec,
     probe_prompt,
+)
+from repro.resilience import (
+    CircuitBreaker,
+    ResilientChatModel,
+    RetryPolicy,
+    VirtualClock,
 )
 
 
@@ -42,27 +44,46 @@ class FakeClock:
 class ScriptedModel:
     """Replays a script of completions/exceptions, then a default."""
 
-    def __init__(self, script=None, default="ok", delay_s=0.0):
+    def __init__(self, script=None, default="ok"):
         self.script = list(script or [])
         self.default = default
-        self.delay_s = delay_s
         self.calls: list[Prompt] = []
 
     def complete(self, prompt: Prompt) -> Completion:
         self.calls.append(prompt)
-        if self.delay_s:
-            time.sleep(self.delay_s)
         item = self.script.pop(0) if self.script else self.default
         if isinstance(item, Exception):
             raise item
         return Completion(text=item)
 
+    def probes(self) -> int:
+        return sum(call == probe_prompt() for call in self.calls)
+
+
+def make_backend(name, model, clock=None, threshold=5, reset_ms=1000.0):
+    """A backend as ``build_backend_pool`` builds it: the model behind a
+    resilient stack (no retries) around the backend's own breaker."""
+    now = clock.now if clock is not None else time.monotonic
+    breaker = CircuitBreaker(
+        failure_threshold=threshold,
+        reset_after_ms=reset_ms,
+        clock=now,
+        name=name,
+        labels={"backend": name},
+    )
+    stack = ResilientChatModel(
+        model, retry=RetryPolicy(max_retries=0), breaker=breaker, clock=now
+    )
+    return Backend(name, stack, breaker)
+
 
 def make_pool(models: dict, clock=None, **kwargs) -> BackendPool:
-    backends = [Backend(name, model) for name, model in models.items()]
-    if clock is not None:
-        kwargs["clock"] = clock.now
-    return BackendPool(backends, **kwargs)
+    return BackendPool(
+        [
+            make_backend(name, model, clock=clock, **kwargs)
+            for name, model in models.items()
+        ]
+    )
 
 
 def routing_prompt(text: str = "q") -> Prompt:
@@ -77,7 +98,10 @@ class TestPoolShape:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             BackendPool(
-                [Backend("a", ScriptedModel()), Backend("a", ScriptedModel())]
+                [
+                    make_backend("a", ScriptedModel()),
+                    make_backend("a", ScriptedModel()),
+                ]
             )
 
     def test_lookup_and_contains(self):
@@ -87,6 +111,10 @@ class TestPoolShape:
         assert pool["b"].name == "b"
         with pytest.raises(KeyError):
             pool["missing"]
+
+    def test_a_backend_needs_a_breaker(self):
+        with pytest.raises(ValueError, match="circuit breaker"):
+            Backend("a", ScriptedModel(), None)
 
 
 class TestRouting:
@@ -105,15 +133,24 @@ class TestFailover:
         pool = make_pool({"primary": primary, "secondary": secondary})
         router = RoutingChatModel(pool)
         assert router.complete(routing_prompt()).text == "saved"
-        assert pool["primary"].health.consecutive_failures == 1
-        assert pool["secondary"].health.calls_ok == 1
+        assert pool["primary"].breaker.consecutive_failures == 1
+        assert pool["primary"].calls_failed == 1
+        assert pool["secondary"].calls_ok == 1
 
     def test_circuit_open_fails_over(self):
-        primary = ScriptedModel(script=[CircuitOpenError("open")])
+        primary = ScriptedModel(default=TransientLLMError("down"))
         secondary = ScriptedModel(default="saved")
-        pool = make_pool({"primary": primary, "secondary": secondary})
+        pool = make_pool(
+            {"primary": primary, "secondary": secondary}, threshold=1
+        )
         router = RoutingChatModel(pool)
+        router.complete(routing_prompt())  # trips the primary's breaker
+        # The open breaker refuses inside the primary's own stack: the
+        # router fails over without the call reaching the primary.
         assert router.complete(routing_prompt()).text == "saved"
+        assert len(primary.calls) == 1
+        assert pool["primary"].calls_failed == 1
+        assert pool["secondary"].calls_ok == 2
 
     def test_fatal_error_propagates_without_failover(self):
         primary = ScriptedModel(script=[LLMError("bad request")])
@@ -137,6 +174,9 @@ class TestFailover:
 
 
 class TestEjectionAndReadmission:
+    """A backend's breaker is its health: a trip ejects it, and closing
+    again after the half-open call readmits it."""
+
     def test_ejection_after_consecutive_failures(self):
         clock = FakeClock()
         primary = ScriptedModel(default=TransientLLMError("down"))
@@ -144,76 +184,83 @@ class TestEjectionAndReadmission:
         pool = make_pool(
             {"primary": primary, "secondary": secondary},
             clock=clock,
-            eject_after=2,
+            threshold=2,
         )
         router = RoutingChatModel(pool)
-        for _ in range(2):
-            router.complete(routing_prompt())
-        assert not pool["primary"].health.healthy
-        assert pool["primary"].health.ejections == 1
-        # Ejected backends are skipped entirely on later calls.
+        router.complete(routing_prompt())
+        assert pool.health_snapshot()["primary"]["healthy"] is True
+        router.complete(routing_prompt())
+        entry = pool.health_snapshot()["primary"]
+        assert entry["healthy"] is False
+        assert entry["ejections"] == 1
+        # An ejected backend's calls stop at its open breaker.
         calls_before = len(primary.calls)
         router.complete(routing_prompt())
         assert len(primary.calls) == calls_before
 
     def test_all_ejected_fails_fast(self):
         clock = FakeClock()
-        pool = make_pool(
-            {"only": ScriptedModel(default=TransientLLMError("down"))},
-            clock=clock,
-            eject_after=1,
-        )
+        only = ScriptedModel(default=TransientLLMError("down"))
+        pool = make_pool({"only": only}, clock=clock, threshold=1)
         router = RoutingChatModel(pool)
         with pytest.raises(TransientLLMError):
             router.complete(routing_prompt())
-        with pytest.raises(NoHealthyBackendError):
+        with pytest.raises(CircuitOpenError):
             router.complete(routing_prompt())
+        assert len(only.calls) == 1
 
     def test_readmission_probe_after_delay(self):
-        clock = FakeClock()
+        # Under the virtual clock the CLI runs on, the first live call
+        # after the cooldown is the breaker's half-open probe: its
+        # success readmits the backend, and no probe prompt goes out.
+        clock = VirtualClock()
         primary = ScriptedModel(
             script=[TransientLLMError("down")], default="back"
         )
         pool = make_pool(
             {"primary": primary, "secondary": ScriptedModel(default="2nd")},
             clock=clock,
-            eject_after=1,
-            readmit_after_ms=1000.0,
+            threshold=1,
+            reset_ms=1000.0,
         )
-        router = RoutingChatModel(pool, probe_on_path=True)
+        router = RoutingChatModel(pool)
         router.complete(routing_prompt())  # fails over, ejects primary
-        assert not pool["primary"].health.healthy
-        # Before the readmission delay: no probe fires.
+        assert pool.health_snapshot()["primary"]["healthy"] is False
+        # Before the cooldown the primary is not called.
         clock.advance(0.5)
-        router.complete(routing_prompt())
-        assert pool["primary"].health.probes == 0
-        # After the delay the probe succeeds and readmits.
+        assert router.complete(routing_prompt()).text == "2nd"
+        assert len(primary.calls) == 1
+        # After it, the next live call goes through and readmits.
         clock.advance(0.6)
         assert router.complete(routing_prompt()).text == "back"
-        health = pool["primary"].health
-        assert health.healthy
-        assert health.probes == 1
-        assert health.readmissions == 1
+        entry = pool.health_snapshot()["primary"]
+        assert entry["healthy"] is True
+        assert entry["ejections"] == 1
+        assert entry["readmissions"] == 1
+        assert primary.probes() == 0
 
     def test_failed_probe_keeps_backend_ejected(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         primary = ScriptedModel(default=TransientLLMError("still down"))
         pool = make_pool(
             {"primary": primary, "secondary": ScriptedModel()},
             clock=clock,
-            eject_after=1,
-            readmit_after_ms=1000.0,
+            threshold=1,
+            reset_ms=1000.0,
         )
-        router = RoutingChatModel(pool, probe_on_path=True)
+        router = RoutingChatModel(pool)
         router.complete(routing_prompt())
-        clock.advance(1.1)
-        router.complete(routing_prompt())
-        health = pool["primary"].health
-        assert not health.healthy
-        assert health.probe_failures == 1
-        # Probes are themselves rate-limited to the readmission interval.
-        router.complete(routing_prompt())
-        assert health.probes == 1
+        for _ in range(3):
+            # Each cooldown lets one half-open call through; each fails
+            # and re-opens the breaker, which is not a new ejection.
+            clock.advance(1.1)
+            router.complete(routing_prompt())
+            router.complete(routing_prompt())
+        entry = pool.health_snapshot()["primary"]
+        assert len(primary.calls) == 4
+        assert entry["healthy"] is False
+        assert entry["ejections"] == 1
+        assert entry["readmissions"] == 0
 
     def test_probe_prompt_is_cheap_routing_kind(self):
         prompt = probe_prompt()
@@ -225,55 +272,93 @@ class TestEjectionAndReadmission:
         pool = make_pool(
             {"only": ScriptedModel(default=TransientLLMError("down"))},
             clock=clock,
-            eject_after=1,
+            threshold=1,
+            reset_ms=5000.0,
         )
         router = RoutingChatModel(pool)
         with pytest.raises(TransientLLMError):
             router.complete(routing_prompt())
         clock.advance(2.0)
-        snapshot = pool.health_snapshot()
-        entry = snapshot["only"]
-        assert entry["healthy"] is False
-        assert entry["ejections"] == 1
-        assert entry["ejected_for_ms"] == pytest.approx(2000.0)
+        assert pool.health_snapshot()["only"] == {
+            "healthy": False,
+            "consecutive_failures": 1,
+            "calls_ok": 0,
+            "calls_failed": 1,
+            "ejections": 1,
+            "readmissions": 0,
+            "breaker": "open",
+            "breaker_probe_in_ms": 3000.0,
+        }
 
 
-class TestHedging:
-    def test_fast_primary_never_hedges(self):
-        primary = ScriptedModel(default="fast")
-        hedge = ScriptedModel(default="never")
-        pool = make_pool({"primary": primary, "hedge": hedge})
-        router = RoutingChatModel(pool, hedge_after_ms=500.0)
-        assert router.complete(routing_prompt()).text == "fast"
-        assert not hedge.calls
+class TestProbing:
+    """The background prober of ``serve``: each round probes a breaker
+    whose cooldown is over, and with liveness every closed breaker."""
 
-    def test_slow_primary_hedges_and_hedge_wins(self):
-        primary = ScriptedModel(default="slow", delay_s=0.4)
-        hedge = ScriptedModel(default="quick")
-        pool = make_pool({"primary": primary, "hedge": hedge})
-        router = RoutingChatModel(pool, hedge_after_ms=30.0)
-        started = time.monotonic()
-        out = router.complete(routing_prompt())
-        elapsed = time.monotonic() - started
-        assert out.text == "quick"
-        assert elapsed < 0.35
-        assert pool["hedge"].health.calls_ok == 1
-
-    def test_both_hedge_slots_fail_then_third_serves(self):
+    def test_a_round_probes_a_due_breaker_once_and_readmits(self):
+        clock = FakeClock()
+        primary = ScriptedModel(script=[TransientLLMError("down")])
+        secondary = ScriptedModel()
         pool = make_pool(
-            {
-                "a": ScriptedModel(default=TransientLLMError("a"), delay_s=0.05),
-                "b": ScriptedModel(default=TransientLLMError("b")),
-                "c": ScriptedModel(default="third"),
-            }
+            {"primary": primary, "secondary": secondary},
+            clock=clock,
+            threshold=1,
+            reset_ms=1000.0,
         )
-        router = RoutingChatModel(pool, hedge_after_ms=1.0)
-        assert router.complete(routing_prompt()).text == "third"
+        RoutingChatModel(pool).complete(routing_prompt())  # ejects primary
+        pool.probe_round()  # cooldown not over: nothing is due
+        assert primary.probes() == 0
+        clock.advance(1.0)
+        pool.probe_round()
+        assert primary.probes() == 1
+        entry = pool.health_snapshot()["primary"]
+        assert entry["healthy"] is True
+        assert entry["readmissions"] == 1
+        pool.probe_round()  # closed again: no longer due
+        assert primary.probes() == 1
+        # A closed breaker is probed only for liveness, and a probe is
+        # not a routed call.
+        assert secondary.probes() == 0
+        assert pool["primary"].calls_ok == 0
 
-    def test_negative_hedge_rejected(self):
-        pool = make_pool({"a": ScriptedModel()})
-        with pytest.raises(ValueError):
-            RoutingChatModel(pool, hedge_after_ms=-1.0)
+    def test_a_failed_probe_waits_out_a_new_cooldown(self):
+        clock = FakeClock()
+        primary = ScriptedModel(default=TransientLLMError("down"))
+        pool = make_pool(
+            {"primary": primary}, clock=clock, threshold=1, reset_ms=1000.0
+        )
+        with pytest.raises(TransientLLMError):
+            RoutingChatModel(pool).complete(routing_prompt())
+        clock.advance(1.0)
+        pool.probe_round()
+        pool.probe_round()
+        assert primary.probes() == 1
+        assert pool.health_snapshot()["primary"]["ejections"] == 1
+
+    def test_liveness_probes_every_closed_breaker(self):
+        first, second = ScriptedModel(), ScriptedModel()
+        pool = make_pool({"first": first, "second": second})
+        pool.probe_round(liveness=True)
+        assert (first.probes(), second.probes()) == (1, 1)
+
+    def test_the_background_loop_readmits(self):
+        primary = ScriptedModel(script=[TransientLLMError("down")])
+        pool = make_pool(
+            {"primary": primary, "secondary": ScriptedModel()},
+            threshold=1,
+            reset_ms=20.0,
+        )
+        RoutingChatModel(pool).complete(routing_prompt())
+        pool.start_probing(interval_ms=5.0)
+        try:
+            deadline = time.monotonic() + 5.0
+            while not pool.health_snapshot()["primary"]["healthy"]:
+                assert time.monotonic() < deadline, "never readmitted"
+                time.sleep(0.01)
+        finally:
+            pool.stop_probing()
+        assert pool.health_snapshot()["primary"]["readmissions"] == 1
+        assert primary.probes() >= 1
 
 
 class TestParsers:
@@ -370,16 +455,17 @@ class TestBuildBackendPool:
         pool = build_backend_pool(
             [
                 parse_backend_spec(
-                    "primary=simulated,fault=outage,retries=0"
+                    "primary=simulated,fault=outage,retries=0,"
+                    "breaker-threshold=2"
                 ),
                 parse_backend_spec("secondary=simulated"),
             ],
             clock=clock.now,
             sleep=lambda s: clock.advance(s),
-            eject_after=2,
         )
         router = RoutingChatModel(pool)
         for i in range(20):
             out = router.complete(routing_prompt(f"q{i}"))
             assert isinstance(out, Completion)
-        assert pool["secondary"].health.calls_ok > 0
+        assert pool["secondary"].calls_ok > 0
+        assert pool.health_snapshot()["primary"]["ejections"] == 1

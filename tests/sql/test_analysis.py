@@ -92,7 +92,7 @@ class TestSelectDiff:
         (op,) = deltas_of(
             "SELECT name, age FROM t", "SELECT name FROM t"
         )
-        assert op == AddSelectItem(ast.ColumnRef("age"))
+        assert op == AddSelectItem(ast.ColumnRef("age"), position=1)
 
     def test_aggregate_paired_as_edit(self):
         (op,) = deltas_of(

@@ -133,6 +133,19 @@ class TestSelectItems:
         )
         assert out == "SELECT name, age FROM t"
 
+    def test_add_at_a_position(self):
+        age = parse_expression("age")
+        assert apply(
+            AddSelectItem(expression=age, position=0), "SELECT name, id FROM t"
+        ) == "SELECT age, name, id FROM t"
+        assert apply(
+            AddSelectItem(expression=age, position=1), "SELECT name, id FROM t"
+        ) == "SELECT name, age, id FROM t"
+        # A position past the end is clamped to the list.
+        assert apply(
+            AddSelectItem(expression=age, position=9), "SELECT name FROM t"
+        ) == "SELECT name, age FROM t"
+
     def test_add_duplicate_raises(self):
         with pytest.raises(EditError):
             AddSelectItem(expression=parse_expression("name")).apply(
@@ -298,6 +311,19 @@ class TestClauseEdits:
             "SELECT b FROM t"
         )
         assert dropped.feedback_type == "remove"
+
+    def test_set_source_requalifies_columns(self):
+        joined = "SELECT T1.b, T2.c FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id"
+        # T1 names t, which the new clause names t; u is gone, so T2 stays.
+        dropped = SetSource("u", q("SELECT b FROM t").source, joined=False)
+        assert apply(dropped, joined) == "SELECT t.b, T2.c FROM t"
+        aliased = SetSource(
+            "v", q("SELECT * FROM v AS A JOIN t AS B ON A.id = B.id").source
+        )
+        assert apply(aliased, "SELECT t.b, t.* FROM t WHERE t.b > 1") == (
+            "SELECT B.b, B.* FROM v AS A JOIN t AS B ON A.id = B.id "
+            "WHERE B.b > 1"
+        )
 
     def test_replace_query(self):
         replacement = q("SELECT b FROM u")

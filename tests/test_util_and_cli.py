@@ -546,8 +546,6 @@ BOUND_CASES = [
     (["run", "figure2", "--llm-timeout", "0"], "must be > 0: 0.0"),
     (["run", "figure2", "--workers", "0"], "must be >= 1: 0"),
     (["run", "figure2", "--cache-max", "0"], "must be >= 1: 0"),
-    (["run", "figure2", "--hedge-after-ms", "-1"], "must be >= 0: -1.0"),
-    (["run", "figure2", "--probe-interval-ms", "0"], "must be > 0: 0.0"),
     (["run", "figure2", "--semantic-cache-max", "0"], "must be >= 1: 0"),
     (["run", "figure2", "--semantic-cache-ttl-s", "0"], "must be > 0: 0.0"),
     (["serve", "--max-sessions", "0"], "must be >= 1: 0"),
@@ -562,7 +560,6 @@ BOUND_CASES = [
     (["serve", "--slo-target", "0"], "must be > 0 and < 1: 0.0"),
     (["serve", "--read-timeout-ms", "0"], "must be > 0: 0.0"),
     (["serve", "--max-body-bytes", "0"], "must be >= 1: 0"),
-    (["serve", "--hedge-after-ms", "-1"], "must be >= 0: -1.0"),
     (["serve", "--probe-interval-ms", "0"], "must be > 0: 0.0"),
     (["serve", "--semantic-cache-max", "0"], "must be >= 1: 0"),
     (["serve", "--semantic-cache-ttl-s", "0"], "must be > 0: 0.0"),
@@ -619,6 +616,9 @@ class TestCliFlagBounds:
             ["top", "--once", "--interval", "2"],
             ["top", "--once", "--timeout", "10"],
             ["trace-summary", "trace.jsonl", "--depth", "1"],
+            ["run", "figure2", "--hedge-after-ms", "50"],
+            ["serve", "--hedge-after-ms", "50"],
+            ["run", "figure2", "--probe-interval-ms", "200"],
         ],
     )
     def test_deleted_flags_are_unrecognized(
@@ -628,46 +628,30 @@ class TestCliFlagBounds:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
-class TestCliHedgeFlag:
-    """--hedge-after-ms reaches the router a run or a serve tenant builds."""
-
-    BACKENDS = ["--backend", "a=simulated", "--backend", "b=simulated"]
+class TestCliProbeFlag:
+    """serve's --probe-interval-ms reaches the pool's background prober."""
 
     @pytest.fixture()
-    def hedges(self, monkeypatch):
-        from repro.llm import router
+    def intervals(self, monkeypatch):
+        from repro.llm.router import BackendPool
 
         seen: list = []
-        init = router.RoutingChatModel.__init__
-
-        def recording_init(model, pool, hedge_after_ms=None, **kwargs):
-            seen.append(hedge_after_ms)
-            init(model, pool, hedge_after_ms=hedge_after_ms, **kwargs)
-
-        monkeypatch.setattr(router.RoutingChatModel, "__init__", recording_init)
+        monkeypatch.setattr(
+            BackendPool, "start_probing", lambda pool, ms=None: seen.append(ms)
+        )
+        monkeypatch.setattr("repro.serve.run_server", lambda app, **kw: 0)
         return seen
 
-    def test_run_hedges_after_it_and_prints_the_flagless_bytes(
-        self, capsys, hedges
-    ):
-        argv = ["run", "figure2", "--scale", "small", *self.BACKENDS]
+    def test_serve_probes_at_the_interval(self, intervals):
+        argv = ["serve", "--scale", "small", "--port", "0",
+                "--backend", "a=simulated"]
+        assert cli_main(argv + ["--probe-interval-ms", "200"]) == 0
         assert cli_main(argv) == 0
-        flagless = capsys.readouterr().out
-        assert cli_main(argv + ["--hedge-after-ms", "50"]) == 0
-        assert capsys.readouterr().out == flagless
-        assert hedges == [None, 50.0]
+        assert intervals == [200.0, None]
 
-    def test_serve_hands_it_to_each_tenant_router(self, monkeypatch, hedges):
-        def fake_run_server(app, **kwargs) -> int:
-            client = ServeClient.in_process(app)
-            session = client.create_session(db="experience_platform")["id"]
-            client.ask(session, "How many audiences were created in January?")
-            return 0
-
-        monkeypatch.setattr("repro.serve.run_server", fake_run_server)
-        argv = ["serve", "--scale", "small", "--port", "0", *self.BACKENDS]
-        assert cli_main(argv + ["--hedge-after-ms", "50"]) == 0
-        assert hedges and set(hedges) == {50.0}
+    def test_the_interval_needs_a_backend(self, capsys, no_build_context):
+        err = _rejected(capsys, ["serve", "--probe-interval-ms", "200"])
+        assert "--probe-interval-ms requires at least one --backend" in err
 
 
 class TestCliServeFlags:
