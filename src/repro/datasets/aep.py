@@ -157,8 +157,9 @@ def build_aep_database(seed: int = 7041) -> Database:
         return date_in(rng.choice((2023, 2023, 2024, 2024)), rng.randint(1, 12))
 
     statuses = ("active", "active", "active", "inactive", "draft")
-    for index, name in enumerate(_SEGMENT_NAMES, start=1):
-        db.data("hkg_dim_segment").insert(
+    # Each table's rows are drawn in order, then written in one call.
+    db.data("hkg_dim_segment").insert(
+        *[
             (
                 index,
                 name,
@@ -167,9 +168,11 @@ def build_aep_database(seed: int = 7041) -> Database:
                 spread_date(),
                 rng.randint(500, 250000),
             )
-        )
-    for index, name in enumerate(_DESTINATION_NAMES, start=1):
-        db.data("hkg_dim_destination").insert(
+            for index, name in enumerate(_SEGMENT_NAMES, start=1)
+        ]
+    )
+    db.data("hkg_dim_destination").insert(
+        *[
             (
                 index,
                 name,
@@ -177,24 +180,26 @@ def build_aep_database(seed: int = 7041) -> Database:
                 rng.choice(statuses),
                 spread_date(),
             )
-        )
-    activation_id = 1
+            for index, name in enumerate(_DESTINATION_NAMES, start=1)
+        ]
+    )
+    activations = []
     for segment_id in range(1, len(_SEGMENT_NAMES) + 1):
         for destination_id in rng.sample(
             range(1, len(_DESTINATION_NAMES) + 1), rng.randint(0, 4)
         ):
-            db.data("hkg_fact_activation").insert(
+            activations.append(
                 (
-                    activation_id,
+                    len(activations) + 1,
                     segment_id,
                     destination_id,
                     spread_date(),
                     rng.choice(("success", "success", "failed")),
                 )
             )
-            activation_id += 1
-    for index, name in enumerate(_DATASET_NAMES, start=1):
-        db.data("hkg_dim_dataset").insert(
+    db.data("hkg_fact_activation").insert(*activations)
+    db.data("hkg_dim_dataset").insert(
+        *[
             (
                 index,
                 name,
@@ -203,22 +208,24 @@ def build_aep_database(seed: int = 7041) -> Database:
                 rng.choice(statuses),
                 spread_date(),
             )
-        )
-    ingestion_id = 1
+            for index, name in enumerate(_DATASET_NAMES, start=1)
+        ]
+    )
+    ingestions = []
     for dataset_id in range(1, len(_DATASET_NAMES) + 1):
         for _ in range(rng.randint(2, 6)):
-            db.data("hkg_fact_ingestion").insert(
+            ingestions.append(
                 (
-                    ingestion_id,
+                    len(ingestions) + 1,
                     dataset_id,
                     spread_date(),
                     rng.randint(100, 90000),
                     rng.randint(0, 400),
                 )
             )
-            ingestion_id += 1
-    for index, name in enumerate(_JOURNEY_NAMES, start=1):
-        db.data("hkg_dim_journey").insert(
+    db.data("hkg_fact_ingestion").insert(*ingestions)
+    db.data("hkg_dim_journey").insert(
+        *[
             (
                 index,
                 name,
@@ -226,7 +233,9 @@ def build_aep_database(seed: int = 7041) -> Database:
                 rng.choice(statuses),
                 spread_date(),
             )
-        )
+            for index, name in enumerate(_JOURNEY_NAMES, start=1)
+        ]
+    )
     return db
 
 

@@ -301,28 +301,27 @@ class SpiderGenerator:
         database: Database,
         metas: list[GeneratedTable],
     ) -> None:
+        """Draw each table's rows and write them in one call. A row's
+        values are drawn in column order: id, name, attributes, compound
+        name, foreign key."""
         row_counts: dict[str, int] = {}
         for meta in metas:
             n_rows = rng.randint(18, 55)
             row_counts[meta.table.key] = n_rows
-            data = database.data(meta.table.name)
+            parent_rows = (
+                row_counts[meta.parent.table.key] if meta.parent is not None else 0
+            )
+            rows = []
             for row_id in range(1, n_rows + 1):
-                values: dict[str, object] = {
-                    meta.id_column: row_id,
-                    "name": make_entity_name(rng, meta.category),
-                }
+                row = [row_id, make_entity_name(rng, meta.category)]
                 for spec in meta.attrs:
-                    values[spec.column] = make_value(
-                        rng, spec, meta.status_values
-                    )
+                    row.append(make_value(rng, spec, meta.status_values))
                 if meta.compound_noun:
-                    values[f"{meta.compound_noun}_name"] = make_entity_name(
-                        rng, "object"
-                    )
+                    row.append(make_entity_name(rng, "object"))
                 if meta.parent is not None:
-                    parent_rows = row_counts[meta.parent.table.key]
-                    values[meta.fk_column] = rng.randint(1, parent_rows)
-                data.insert_named(values)
+                    row.append(rng.randint(1, parent_rows))
+                rows.append(row)
+            database.data(meta.table.name).insert(*rows)
 
     # -- question generation -----------------------------------------------------------
 

@@ -16,7 +16,8 @@ failure), and a short sha256 of :func:`~repro.sql.comparison.result_fingerprint`
 of the SQL run on the example's database (``"<error>"`` when it does not
 run). :func:`row_digests` reduces rows to one short digest per row key:
 the prediction goldens pin those, so a changed golden names each example
-whose row changed, appeared or disappeared.
+whose row changed, appeared or disappeared. :func:`suite_digests` does
+the same for what set-up builds: each table's rows and each example.
 """
 
 from __future__ import annotations
@@ -158,6 +159,33 @@ def row_digests(rows: list[PredictionRow]) -> dict[str, str]:
         if row.key in digests:
             raise ValueError(f"duplicate prediction row {row.key!r}")
         digests[row.key] = row.digest
+    return digests
+
+
+def suite_digests(context: ExperimentContext) -> dict[str, str]:
+    """Key → short digest of everything set-up builds: each table's rows
+    in rowid order (``<dataset>/db/<db_id>/<table>``), each example
+    (``<dataset>/dev/<example_id>``, SPIDER's train split under
+    ``spider/train``) and each AEP demonstration (``aep/demo/<index>``).
+    The suite goldens pin these, so a changed golden names each table or
+    example that set-up no longer builds the same."""
+    digests: dict[str, str] = {}
+    for dataset in ("spider", "aep"):
+        benchmark = context.benchmark(dataset)
+        for db_id, database in benchmark.databases.items():
+            for table in database.schema.tables:
+                rows = database.data(table.name).rows
+                digests[f"{dataset}/db/{db_id}/{table.key}"] = _short_sha256(
+                    repr(rows)
+                )
+        for example in benchmark.examples:
+            digests[f"{dataset}/dev/{example.example_id}"] = _short_sha256(
+                repr(example)
+            )
+    for example in context.spider.train_examples:
+        digests[f"spider/train/{example.example_id}"] = _short_sha256(repr(example))
+    for index, demo in enumerate(context.aep_demos):
+        digests[f"aep/demo/{index}"] = _short_sha256(repr(demo))
     return digests
 
 

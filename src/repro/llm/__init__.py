@@ -1,15 +1,13 @@
-"""Simulated LLM backend, prompt library, and cached dispatch."""
+"""Simulated LLM backend, prompt library, and cached dispatch.
 
-from repro.llm.http_backend import FakeOpenAIServer, HttpChatModel
-from repro.llm.router import (
-    Backend,
-    BackendPool,
-    BackendSpec,
-    RoutingChatModel,
-    build_backend_pool,
-    parse_backend_spec,
-    probe_prompt,
-)
+The HTTP backend and the backend router (with the resilience layer it
+wraps each backend in) load on first use of one of their names, so
+``import repro`` imports no ``http.server``, and ``python -m
+repro.llm.http_backend`` runs a module the package has not imported.
+"""
+
+import importlib
+
 from repro.llm.dispatch import (
     CachingChatModel,
     CompletionCache,
@@ -62,3 +60,25 @@ __all__ = [
     "rewrite_prompt",
     "routing_prompt",
 ]
+
+#: Exported names resolved on first access, by the module that holds each.
+_LAZY = {
+    "FakeOpenAIServer": "repro.llm.http_backend",
+    "HttpChatModel": "repro.llm.http_backend",
+    "Backend": "repro.llm.router",
+    "BackendPool": "repro.llm.router",
+    "BackendSpec": "repro.llm.router",
+    "RoutingChatModel": "repro.llm.router",
+    "build_backend_pool": "repro.llm.router",
+    "parse_backend_spec": "repro.llm.router",
+    "probe_prompt": "repro.llm.router",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -198,7 +198,9 @@ def _render_sql(snapshot: dict) -> str:
     compare_calls = _counter_total(snapshot, "sql.compare.calls")
     compared_equal = _counter_total(snapshot, "sql.compare.equal")
     compared_sorted = _counter_total(snapshot, "sql.compare.sorted")
-    if not parse_calls and not execute_calls:
+    stored_rows = _counter_total(snapshot, "sql.storage.rows")
+    storage_writes = _counter_total(snapshot, "sql.storage.writes")
+    if not parse_calls and not execute_calls and not storage_writes:
         return "(no SQL activity recorded)"
     lines = [
         f"parse: {_int(parse_calls)} calls, {_int(parsed)} parsed, "
@@ -207,6 +209,7 @@ def _render_sql(snapshot: dict) -> str:
         f"{_int(execute_failures)} failures",
         f"compare: {_int(compare_calls)} calls, {_int(compared_equal)} equal, "
         f"{_int(compared_sorted)} sorted",
+        f"storage: {_int(stored_rows)} rows in {_int(storage_writes)} writes",
     ]
     latency = _histogram(snapshot, "sql.execute.latency_ms", {})
     if latency and latency["count"]:

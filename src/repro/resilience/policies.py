@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import obs
-from repro.errors import CircuitOpenError, LLMError, TransientLLMError
+from repro.errors import CircuitOpenError, TransientLLMError
 from repro.llm.interface import ChatModel, Completion, Prompt
 from repro.util import stable_fraction
 
@@ -331,7 +331,9 @@ class ResilientChatModel:
                     backoff_ms=backoff,
                 )
                 self._sleep(backoff / 1000.0)
-            except LLMError:
+            except BaseException:
+                # Any other failure, an LLMError or not, is a failure of the
+                # call: a half-open breaker must not keep its probe open.
                 if self._breaker is not None:
                     self._breaker.record_failure()
                 raise

@@ -43,8 +43,10 @@ from repro.sql.types import DataType, SqlValue
 #: Prepared statements ``sqlite3`` keeps per connection. Python's default
 #: of 128 on each of a suite's 201 connections raised the peak RSS of a
 #: full build plus its prediction rows from 78.3 to 95.7 MB (DESIGN.md,
-#: "Why SQL runs on sqlite3"); the statements that repeat back to back
-#: are a table's single-row INSERTs, which one slot serves.
+#: "Why SQL runs on sqlite3"). Little repeats back to back any more: a
+#: bulk write prepares its INSERT once for all its rows, and a query tree
+#: runs once per database state. The one slot stays: a cache of none saved
+#: 0.6 MB when every row was its own INSERT, and has not been measured since.
 STATEMENT_CACHE_SIZE = 1
 
 #: How many query answers (a tree's column names and rows) each
@@ -133,8 +135,8 @@ class Connection:
 
     :meth:`answer` keeps the answers of up to :data:`RESULT_MEMO_SIZE`
     query trees, keyed by tree identity. Every statement that changes the
-    database goes through :meth:`write`, which clears them: DDL changes
-    what ``*`` names.
+    database goes through :meth:`write`, and every batch of rows through
+    :meth:`write_rows`; both clear them: DDL changes what ``*`` names.
     """
 
     __slots__ = ("_answers", "_connection", "_lock")
@@ -174,7 +176,7 @@ class Connection:
             else:
                 obs.count("sql.execute.misses")
                 sql = print_query(_runnable(tree))
-                rows = self._run(sql, ())[0]
+                rows = self._run(sql)[0]
                 if not query_is_ordered(tree):
                     rows.sort(key=row_sort_key)
                 kept = _Answer(tree, tuple(column_names(tree)), tuple(rows))
@@ -187,9 +189,9 @@ class Connection:
     def fetch(self, sql: str) -> list[Row]:
         """Run a statement that changes nothing and return its rows."""
         with self._lock:
-            return self._run(sql, ())[0]
+            return self._run(sql)[0]
 
-    def write(self, sql: str, params: Sequence[SqlValue] = ()) -> int:
+    def write(self, sql: str) -> int:
         """Run a statement that changes the database: rows affected.
 
         Clears the memo first, so no later query sees rows or column
@@ -197,14 +199,30 @@ class Connection:
         """
         with self._lock:
             self._answers.clear()
-            return self._run(sql, params)[1]
+            return self._run(sql)[1]
 
-    def _run(
-        self, sql: str, params: Sequence[SqlValue]
-    ) -> tuple[list[Row], int]:
+    def write_rows(self, sql: str, rows: Sequence[Row]) -> None:
+        """Run the INSERT ``sql`` once for each of ``rows``, all in one
+        transaction: every row is stored, or none when one fails.
+
+        Clears the memo once, first, as :meth:`write` does.
+        """
+        with self._lock:
+            self._answers.clear()
+            self._connection.execute("BEGIN")
+            try:
+                self._connection.executemany(sql, rows)
+            except BaseException as exc:
+                self._connection.execute("ROLLBACK")
+                if isinstance(exc, _SQLITE_ERRORS):
+                    raise _sql_error(exc) from exc
+                raise
+            self._connection.execute("COMMIT")
+
+    def _run(self, sql: str) -> tuple[list[Row], int]:
         """(fetched rows, rows affected); the caller holds the lock."""
         try:
-            cursor = self._connection.execute(sql, params)
+            cursor = self._connection.execute(sql)
             return cursor.fetchall(), cursor.rowcount
         except _SQLITE_ERRORS as exc:
             raise _sql_error(exc) from exc
@@ -264,13 +282,9 @@ class Database:
     def load_rows(
         self, table_name: str, rows: Iterable[Sequence[SqlValue]]
     ) -> int:
-        """Bulk-insert rows (values in declaration order). Returns count."""
-        data = self.data(table_name)
-        count = 0
-        for row in rows:
-            data.insert(row)
-            count += 1
-        return count
+        """Insert rows (values in declaration order) in one write, all or
+        none. Returns count."""
+        return self.data(table_name).insert(*rows)
 
     def row_count(self, table_name: str) -> int:
         return len(self.data(table_name))
@@ -395,18 +409,18 @@ class Database:
         return DmlResult(rows_affected=0)
 
     def _insert(self, stmt: ast.Insert) -> DmlResult:
+        """All rows or none, as SQLite runs one INSERT statement."""
         data = self.data(stmt.table)
-        for row_exprs in stmt.rows:
-            values = self._values(row_exprs)
-            if stmt.columns:
-                if len(values) != len(stmt.columns):
-                    raise ExecutionError(
-                        "INSERT value count does not match column list"
-                    )
-                data.insert_named(dict(zip(stmt.columns, values)))
-            else:
-                data.insert(values)
-        return DmlResult(rows_affected=len(stmt.rows))
+        rows = [self._values(row_exprs) for row_exprs in stmt.rows]
+        if not stmt.columns:
+            return DmlResult(rows_affected=data.insert(*rows))
+        if any(len(values) != len(stmt.columns) for values in rows):
+            raise ExecutionError("INSERT value count does not match column list")
+        return DmlResult(
+            rows_affected=data.insert_named(
+                *[dict(zip(stmt.columns, values)) for values in rows]
+            )
+        )
 
     def _values(self, exprs: Sequence[ast.Expression]) -> list[SqlValue]:
         """Evaluate one VALUES row. Literals keep their Python value for

@@ -72,6 +72,9 @@ def format_literal(value: object) -> str:
         # lexer and in SQLite; repr would print ``inf``, a column name.
         if math.isinf(value):
             return "1e999" if value > 0 else "-1e999"
+        # Nor a NaN literal: SQLite stores and returns every NaN as NULL.
+        if math.isnan(value):
+            return "NULL"
         # repr keeps round-trip precision; strip a trailing ".0" is NOT done
         # so the literal lexes back as a FLOAT.
         return repr(value)

@@ -60,7 +60,7 @@ class DataType(enum.Enum):
 
 
 #: The Python type a stored value of each declared type already has.
-_NATIVE = {
+NATIVE_TYPES = {
     DataType.INTEGER: int,
     DataType.REAL: float,
     DataType.TEXT: str,
@@ -75,7 +75,7 @@ def coerce(value: SqlValue, dtype: DataType) -> SqlValue:
     NULL passes through every type. Raises
     :class:`~repro.errors.TypeMismatchError` for impossible coercions.
     """
-    if value is None or type(value) is _NATIVE[dtype]:
+    if value is None or type(value) is NATIVE_TYPES[dtype]:
         return value
     if dtype is DataType.INTEGER:
         if isinstance(value, bool):

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import errno
 import http.client
+import importlib
 import json
+import os
 import queue
 import socket
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro.llm
 from repro.errors import LLMError, RateLimitError, TransientLLMError
 from repro.llm import http_backend
 from repro.llm.http_backend import (
@@ -238,3 +243,47 @@ class TestFakeOpenAIServer:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert "RuntimeError: the responder failed" in err
+
+
+class TestStandaloneStub:
+    """The stub runs as ``python -m repro.llm.http_backend``, a module
+    ``import repro`` no longer imports, so runpy has nothing to warn of."""
+
+    @staticmethod
+    def _run(*args: str) -> subprocess.CompletedProcess:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+
+    def test_module_runs_with_runtime_warnings_as_errors(self):
+        result = self._run(
+            "-W", "error::RuntimeWarning", "-m", "repro.llm.http_backend", "--help"
+        )
+        assert result.returncode == 0, result.stderr
+        assert "usage: python -m repro.llm.http_backend" in result.stdout
+
+    def test_import_repro_loads_no_transport_router_or_resilience(self):
+        result = self._run(
+            "-c",
+            "import sys, repro; print(sorted(m for m in sys.modules if m in "
+            "('http.server', 'repro.llm.http_backend', 'repro.llm.router') "
+            "or m.startswith('repro.resilience')))",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_lazy_exports_resolve_to_their_modules(self):
+        for name, module in repro.llm._LAZY.items():
+            assert name in repro.llm.__all__
+            assert getattr(repro.llm, name) is getattr(
+                importlib.import_module(module), name
+            )
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.llm.nope

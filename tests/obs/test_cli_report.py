@@ -70,6 +70,11 @@ class TestCliMetrics:
         calls, equal, sorted_ = map(int, compare.groups())
         assert 0 < equal < calls
         assert equal + sorted_ <= calls
+        # Set-up writes each table's rows in one bulk write.
+        storage = re.search(r"storage: (\d+) rows in (\d+) writes", out)
+        assert storage is not None, out
+        rows, writes = map(int, storage.groups())
+        assert 0 < 10 * writes < rows
 
     def test_no_flags_prints_no_report_and_stays_disabled(self, capsys):
         exit_code = cli_main(["figure2", "--scale", "small"])
@@ -243,6 +248,21 @@ class TestRunReportRendering:
             }
         )
         assert "compare: 12 calls, 5 equal, 4 sorted" in report
+
+    def test_storage_line_reports_rows_and_writes(self):
+        counters = {"sql.storage.rows": 87, "sql.storage.writes": 3}
+        report = render_run_report(
+            {
+                "enabled": True,
+                "counters": [
+                    {"name": name, "labels": {}, "value": value}
+                    for name, value in counters.items()
+                ],
+                "histograms": [],
+                "spans": [],
+            }
+        )
+        assert "storage: 87 rows in 3 writes" in report
 
     def test_linking_line_reports_calls_and_runs(self):
         counters = {

@@ -209,6 +209,32 @@ class TestCircuitBreaker:
             model.complete(make_prompt())
         assert breaker.state == BREAKER_OPEN
 
+    def test_half_open_probe_resolves_on_an_error_outside_llm_errors(self):
+        clock = VirtualClock()
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_after_ms=100, clock=clock.now
+        )
+        inner = ScriptedLLM([TransientLLMError, KeyError, SQL])
+        model = resilient(
+            inner, retry=RetryPolicy(max_retries=0), breaker=breaker,
+            clock=clock,
+        )
+        with pytest.raises(TransientLLMError):
+            model.complete(make_prompt())
+        assert breaker.state == BREAKER_OPEN
+        clock.sleep(0.2)
+        # The half-open call fails outside the LLMError family: the error
+        # propagates unchanged and the probe counts as failed.
+        with pytest.raises(KeyError, match="scripted failure"):
+            model.complete(make_prompt())
+        assert breaker.state == BREAKER_OPEN
+        with pytest.raises(CircuitOpenError):
+            model.complete(make_prompt())
+        clock.sleep(0.2)  # the model has recovered; the next cooldown ends
+        assert model.complete(make_prompt()).text == SQL
+        assert breaker.state == BREAKER_CLOSED
+        assert inner.calls == 3
+
     def test_half_open_allows_single_probe(self):
         clock = VirtualClock()
         breaker = CircuitBreaker(

@@ -168,6 +168,32 @@ def test_set_operations_match_sqlite(rows):
         theirs.close()
 
 
+@pytest.mark.parametrize(
+    "values",
+    ["(1, 'a'), (2, 'b'), (1, 'c')", "(3, 'c'), (7, 'd'), (4, 'e')"],
+    ids=["key repeated in the statement", "key already stored"],
+)
+def test_a_failing_multi_row_insert_leaves_the_table_as_sqlite_does(values):
+    ddl = "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)"
+    ours = Database.from_ddl("diff", ddl)
+    theirs = sqlite3.connect(":memory:")
+    try:
+        theirs.execute(ddl)
+        stored = "INSERT INTO t VALUES (7, 'x'), (5, 'y')"
+        ours.execute(stored)
+        theirs.execute(stored)
+        statement = f"INSERT INTO t VALUES {values}"
+        with pytest.raises(SqlError, match="UNIQUE constraint failed"):
+            ours.execute(statement)
+        with pytest.raises(sqlite3.IntegrityError):
+            theirs.execute(statement)
+        assert ours.data("t").rows == theirs.execute(
+            "SELECT * FROM t ORDER BY rowid"
+        ).fetchall() == [(5, "y"), (7, "x")]
+    finally:
+        theirs.close()
+
+
 @pytest.fixture(scope="module")
 def sweep_statements():
     """Each distinct (database, statement) ``Database.execute_ast`` runs

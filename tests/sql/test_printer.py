@@ -1,6 +1,7 @@
 """Printer tests including the parse∘print round-trip property."""
 
 import math
+import sqlite3
 import sys
 import threading
 import time
@@ -60,6 +61,19 @@ class TestLiterals:
         ]
         database.execute("INSERT INTO t VALUES (2, -1e999)")
         assert database.query("SELECT id, x FROM t").rows == [(2, -math.inf)]
+
+    def test_nan_prints_as_null_and_answers_like_a_bound_nan(self):
+        # SQL has no NaN literal, and SQLite turns every NaN into NULL.
+        select = ast.Select(items=(ast.SelectItem(ast.Literal(math.nan)),))
+        assert print_query(select) == "SELECT NULL"
+        bound = sqlite3.connect(":memory:")
+        try:
+            answer = bound.execute("SELECT ?", (math.nan,)).fetchall()
+            assert bound.execute("SELECT 1e999 - 1e999").fetchall() == answer
+        finally:
+            bound.close()
+        database = Database.from_ddl("nan", "CREATE TABLE t (x REAL)")
+        assert database.query(print_query(select)).rows == answer == [(None,)]
 
 
 class TestIdentifiers:

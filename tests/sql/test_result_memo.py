@@ -79,6 +79,12 @@ _COUNT = "SELECT COUNT(*) FROM t"
 #: answer before and after.
 _WRITES = {
     "TableData.insert": (lambda d: d.data("t").insert((3, "c")), _COUNT, 2, 3),
+    "TableData.insert rows": (
+        lambda d: d.data("t").insert((3, "c"), (4, "d"), (5, "e")),
+        _COUNT,
+        2,
+        5,
+    ),
     "TableData.insert_named": (
         lambda d: d.data("t").insert_named({"id": 3, "name": "c"}),
         _COUNT,
@@ -92,6 +98,12 @@ _WRITES = {
         4,
     ),
     "INSERT": (lambda d: d.execute("INSERT INTO t VALUES (3, 'c')"), _COUNT, 2, 3),
+    "INSERT rows": (
+        lambda d: d.execute("INSERT INTO t VALUES (3, 'c'), (4, 'd')"),
+        _COUNT,
+        2,
+        4,
+    ),
     "UPDATE": (
         lambda d: d.execute("UPDATE t SET name = 'z' WHERE id = 1"),
         "SELECT name FROM t WHERE id = 1",

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import CatalogError, ExecutionError
+from repro import obs
+from repro.errors import CatalogError, ExecutionError, SqlError
 from repro.sql.engine import Database
 from repro.sql.schema import Column, DatabaseSchema, Table
 from repro.sql.types import DataType
@@ -76,6 +77,114 @@ class TestStorage:
         db = Database.from_ddl("s", "CREATE TABLE t (n TEXT)")
         db.execute("INSERT INTO t VALUES ('b'), ('c'), ('a')")
         assert db.data("t").rows == [("b",), ("c",), ("a",)]
+
+
+#: A row stored before each bulk insert below.
+_STORED = (100, "kept", 1.0)
+
+#: Each way a row can fail, as the k-th row of a bulk insert.
+_BAD_ROWS = {
+    "wrong width": (9, "x"),
+    "uncoercible value": (9, "x", "not a number"),
+    "NULL INTEGER key": (None, "x", 1.0),
+    "key repeated in the batch": (1, "again", 2.0),
+    "key already stored": (100, "again", 2.0),
+}
+
+
+class TestBulkInsert:
+    """``insert(*rows)`` checks each row as the one-row path does, then
+    stores all its rows or none."""
+
+    @staticmethod
+    def _fresh(table_data):
+        data = Database(DatabaseSchema("s", [table_data.table])).data("t")
+        data.insert(_STORED)
+        return data
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("cause", sorted(_BAD_ROWS))
+    def test_a_bad_kth_row_raises_the_one_row_error_and_stores_none(
+        self, table_data, cause, k
+    ):
+        rows = [(i, f"r{i}", float(i)) for i in range(1, 5)]
+        rows.insert(k, _BAD_ROWS[cause])
+        one_by_one = self._fresh(table_data)
+        with pytest.raises(SqlError) as single:
+            for row in rows:
+                one_by_one.insert(row)
+        assert len(one_by_one) == 1 + k  # the one-row path failed at row k
+        bulk = self._fresh(table_data)
+        with pytest.raises(type(single.value)) as batch:
+            bulk.insert(*rows)
+        assert str(batch.value) == str(single.value)
+        assert bulk.rows == [_STORED]
+
+    def test_a_bad_named_row_stores_none(self, table_data):
+        with pytest.raises(CatalogError):
+            table_data.insert_named({"id": 1}, {"id": 2, "bogus": 0})
+        assert len(table_data) == 0
+
+    def test_named_rows_map_onto_positions(self, table_data):
+        assert table_data.insert_named({"score": 0.5, "id": 2}, {"ID": 1}) == 2
+        assert table_data.rows == [(1, None, None), (2, None, 0.5)]
+
+    def test_a_failing_multi_row_insert_statement_stores_none(self, table_data):
+        db = Database(DatabaseSchema("s", [table_data.table]))
+        with pytest.raises(ExecutionError, match="UNIQUE"):
+            db.execute("INSERT INTO t VALUES (1, 'a', NULL), (1, 'b', NULL)")
+        with pytest.raises(ExecutionError, match="column list"):
+            db.execute("INSERT INTO t (id, name) VALUES (2, 'c'), (3)")
+        assert db.data("t").rows == []
+        result = db.execute("INSERT INTO t (name, id) VALUES ('c', 2), ('d', 3)")
+        assert result.rows_affected == 2
+        assert db.data("t").rows == [(2, "c", None), (3, "d", None)]
+
+    def test_values_of_another_type_are_coerced(self, table_data):
+        assert table_data.insert((1, "a", 2), ("2", 5, None), (False, "c", 1.5)) == 3
+        assert table_data.rows == [(0, "c", 1.5), (1, "a", 2.0), (2, "5", None)]
+
+    def test_no_rows_writes_nothing_and_keeps_the_memo(self):
+        db = Database.from_ddl(
+            "s", "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)"
+        )
+        db.execute("INSERT INTO t VALUES (1, 'a')")
+        obs.enable(max_spans=0)
+        try:
+            db.query("SELECT name FROM t")
+            assert db.data("t").insert() == 0
+            assert db.load_rows("t", []) == 0
+            db.query("SELECT name FROM t")
+            metrics = obs.get_metrics()
+            assert metrics.counter_value("sql.execute.misses") == 1
+            assert metrics.counter_value("sql.storage.writes") == 0
+        finally:
+            obs.disable()
+
+    def test_rows_keep_insertion_order(self):
+        db = Database.from_ddl(
+            "s",
+            "CREATE TABLE t (n TEXT); CREATE TABLE k (id INTEGER PRIMARY KEY)",
+        )
+        db.data("t").insert(("b",), ("c",), ("a",))
+        db.load_rows("t", [("e",), ("d",)])
+        assert db.data("t").rows == [("b",), ("c",), ("a",), ("e",), ("d",)]
+        # An INTEGER key is the rowid, so its rows come back in key order.
+        db.data("k").insert((3,), (1,), (2,))
+        assert db.data("k").rows == [(1,), (2,), (3,)]
+
+    def test_each_write_counts_once_with_its_rows(self, table_data):
+        obs.enable(max_spans=0)
+        try:
+            table_data.insert((1, "a", None), (2, "b", None), (3, "c", None))
+            table_data.insert_named({"id": 4})
+            with pytest.raises(ExecutionError):
+                table_data.insert((5, "e", None), (5, "f", None))
+            metrics = obs.get_metrics()
+            assert metrics.counter_value("sql.storage.writes") == 2
+            assert metrics.counter_value("sql.storage.rows") == 4
+        finally:
+            obs.disable()
 
 
 class TestRowFrame:
