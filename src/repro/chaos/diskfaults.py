@@ -26,8 +26,8 @@ Subprocess scenarios arm via the environment::
 Sites instrumented today (grep for ``disk_fault(`` to confirm):
 
 ========================  =====================================================
-``disk.atomic_write``     every atomic temp-file write (journal seals, caches,
-                          suites, session files)
+``disk.atomic_write``     every atomic temp-file write (caches, suites,
+                          session files)
 ``disk.replace``          the ``os.replace`` publish step (supports ``torn``)
 ``disk.journal_append``   the fsync'd write-ahead journal line
 ``disk.session_save``     session-store persistence on eviction

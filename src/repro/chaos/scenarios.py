@@ -142,7 +142,6 @@ def disk_full_mid_sweep(work_dir: Path) -> dict:
         outputs_degraded = _drive_sweep(
             catalog, journal, degraded_dir / "sessions", "s"
         )
-        journal.seal()
         journal.close()
         turns_ok = sum(1 for status, _body in outputs_degraded if status == 200)
         checks.append(
@@ -185,13 +184,15 @@ def disk_full_mid_sweep(work_dir: Path) -> dict:
         obs.disable()
 
     # The survivors reload without drama: only records fsync'd before
-    # the fault, no quarantined files anywhere (nothing was torn).
+    # the fault, every line verified, no quarantined files anywhere
+    # (nothing was torn).
     reloaded = RunJournal(degraded_dir / "journal")
     checks.append(
         _Check(
             "surviving journal reloads cleanly",
-            len(reloaded) == 2,
-            f"{len(reloaded)} records survived (2 fsync'd before ENOSPC)",
+            len(reloaded) == 2 and reloaded.skipped_lines == 0,
+            f"{len(reloaded)} records survived (2 fsync'd before ENOSPC), "
+            f"{reloaded.skipped_lines} lines skipped",
         )
     )
     reloaded.close()
@@ -209,7 +210,6 @@ def disk_full_mid_sweep(work_dir: Path) -> dict:
     outputs_clean = _drive_sweep(
         catalog, clean_journal, clean_dir / "sessions", "s"
     )
-    clean_journal.seal()
     clean_journal.close()
     checks.append(
         _Check(

@@ -9,7 +9,7 @@ Subcommands::
     fisql-repro top --port 8080                     # live /statusz dashboard
     fisql-repro cache stats --cache-dir /tmp/cache  # cache store ops
     fisql-repro semcache replay --semantic-cache-dir /tmp/sc  # replay log
-    fisql-repro journal compact --journal /tmp/j    # fold sealed segments
+    fisql-repro journal stats --journal /tmp/j      # records, segments
     fisql-repro trace-summary /tmp/t.jsonl          # re-render a trace
 
 Back-compat: the bare artifact form still works — ``fisql-repro figure2
@@ -491,16 +491,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     journal = subparsers.add_parser(
         "journal",
-        help="inspect or compact a run journal directory",
+        help="inspect a run journal directory",
     )
     journal.add_argument(
         "action",
-        choices=("compact", "stats"),
-        help=(
-            "compact = fold sealed segments into one checksummed segment "
-            "(resume-equivalent, fewer files); stats = print record and "
-            "segment counts"
-        ),
+        choices=("stats",),
+        help="stats = print record, segment and skipped-line counts",
     )
     journal.add_argument(
         "--journal",
@@ -767,10 +763,8 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 line += f" saved to {args.semantic_cache_dir}"
             print(line, file=sys.stderr)
         if journal is not None:
-            # Seal the active segment so every record on disk is now
-            # checksummed, then report to stderr — stdout (the artifacts)
-            # must stay byte-identical across cold and resumed runs.
-            journal.seal()
+            # Report to stderr: stdout (the artifacts) must stay
+            # byte-identical across cold and resumed runs.
             journal.close()
             print(f"[journal] {journal.summary()}", file=sys.stderr)
     except BaseException:
@@ -866,7 +860,7 @@ def _build_routed_llm(args: argparse.Namespace) -> ChatModel:
     clock = VirtualClock(tick=0.001)
     pool = build_backend_pool(
         specs,
-        clock=clock.now,
+        clock=clock,
         sleep=clock.sleep,
         seed=args.seed,
         default_retries=retries,
@@ -1120,35 +1114,17 @@ def _cmd_semcache(
 def _cmd_journal(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    """Compact a journal's sealed segments, or print its shape."""
-    from repro.durability import compact_journal, journal_stats
+    """Print a journal's record, segment and skipped-line counts."""
+    from repro.durability import journal_stats
 
     try:
-        if args.action == "compact":
-            stats = compact_journal(args.journal)
-            if stats["output"] is None:
-                print(
-                    f"journal {args.journal}: nothing to compact "
-                    f"({stats['segments']} sealed segments, "
-                    f"{stats['records']} records)"
-                )
-            else:
-                line = (
-                    f"journal {args.journal}: compacted "
-                    f"{stats['segments']} sealed segments into "
-                    f"{stats['output']} ({stats['records']} records)"
-                )
-                if stats["quarantined"]:
-                    line += f"; {stats['quarantined']} corrupt quarantined"
-                print(line)
-        else:
-            stats = journal_stats(args.journal)
-            print(f"journal {args.journal}")
-            print(f"  records:         {stats['records']}")
-            print(f"  sealed segments: {stats['sealed_segments']}")
-            print(f"  active segments: {stats['active_segments']}")
+        stats = journal_stats(args.journal)
     except FileNotFoundError as error:
         parser.error(str(error))
+    print(f"journal {args.journal}")
+    print(f"  records:       {stats['records']}")
+    print(f"  segments:      {stats['segments']}")
+    print(f"  skipped lines: {stats['skipped_lines']}")
     return 0
 
 

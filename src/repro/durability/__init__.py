@@ -10,15 +10,17 @@ Layers:
 
 * :mod:`repro.durability.atomic` — the shared atomic-write + checksum
   primitive. Every JSON file the stack persists (completion cache,
-  session store, journal segments, suites) goes through temp-file +
-  ``fsync`` + ``os.replace``; readers verify a canonical-JSON checksum and
+  session store, suites) goes through temp-file + ``fsync`` +
+  ``os.replace``; readers verify a canonical-JSON checksum and
   *quarantine* torn or corrupt files (rename to ``*.corrupt``) instead of
   crashing or silently mis-loading.
 * :mod:`repro.durability.journal` — the write-ahead **run journal**: each
   completed eval item / correction session is appended as one fsync'd
-  canonical-JSON record keyed by the same canonical-hash construction the
-  completion cache uses. ``fisql-repro run --journal DIR --resume`` skips
-  journaled items and merges to byte-identical artifacts.
+  line in the same checksummed envelope, keyed by the same
+  canonical-hash construction the completion cache uses; a line that
+  fails its checksum or version is skipped and its item recomputes.
+  ``fisql-repro run --journal DIR --resume`` skips journaled items and
+  merges to byte-identical artifacts.
 * :mod:`repro.durability.suites` — persisted SPIDER/AEP suites: the
   generated benchmark (databases + splits + demos) serialized once so
   resumes and warm starts skip the dominant ``harness.suite_build_ms``.
@@ -46,7 +48,6 @@ from repro.durability.crashpoints import (
 from repro.durability.journal import (
     JOURNAL_SCHEMA_VERSION,
     RunJournal,
-    compact_journal,
     journal_stats,
 )
 from repro.durability.suites import (
@@ -66,7 +67,6 @@ __all__ = [
     "atomic_write_text",
     "canonical_json",
     "canonical_key",
-    "compact_journal",
     "crash_point",
     "disarm_crash_points",
     "journal_stats",

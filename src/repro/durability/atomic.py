@@ -1,7 +1,7 @@
 """Atomic, checksummed JSON files: the one way anything here touches disk.
 
 Three guarantees, shared by every persister in the stack (completion
-cache, session store, journal segments, suite files):
+cache, session store, suite files):
 
 1. **Atomic replace** — content is written to a temp file in the *same*
    directory, flushed and ``fsync``'d, then ``os.replace``'d over the
@@ -14,6 +14,11 @@ cache, session store, journal segments, suite files):
    ``.corrupt-N``) and the reader reports "absent". The data they held is
    re-derived by the caller; a bad file can never crash a loader or be
    half-loaded, and the evidence is kept on disk for inspection.
+
+The checksummed envelope is also the run journal's line format:
+:func:`checksummed_json` wraps a payload as one canonical-JSON line and
+:func:`verify_checksummed` unwraps it, for a whole file here and for each
+journal record in :mod:`repro.durability.journal`.
 
 :func:`canonical_json` / :func:`canonical_key` are the same construction
 :func:`repro.llm.dispatch.canonical_prompt_key` uses (sorted keys, compact
@@ -66,15 +71,13 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_text(
-    path: Union[str, Path], text: str, fsync: bool = True
-) -> Path:
+def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temp file lives in the target's directory so the replace is a
-    same-filesystem rename. With ``fsync`` (the default) the content hits
-    the platters before the rename, and the directory entry after it —
-    a crash leaves either the complete old file or the complete new one.
+    same-filesystem rename. The content is fsync'd before the rename, and
+    the directory entry after it — a crash leaves either the complete old
+    file or the complete new one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -84,8 +87,7 @@ def atomic_write_text(
         with open(tmp_path, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         disk_fault("disk.replace", tmp_path=tmp_path, target=path)
         os.replace(tmp_path, path)
     except BaseException:
@@ -94,25 +96,53 @@ def atomic_write_text(
         except OSError:
             pass
         raise
-    if fsync:
-        _fsync_directory(path.parent)
+    _fsync_directory(path.parent)
     return path
 
 
-def write_checksummed_json(
-    path: Union[str, Path], payload: object, fsync: bool = True
-) -> Path:
+def checksummed_json(payload: object) -> str:
+    """``payload`` in its ``{algorithm, checksum, payload}`` envelope.
+
+    The text is canonical JSON, so equal payloads give equal bytes, and
+    it is one line: JSON escapes every newline inside a string.
+    """
+    return canonical_json(
+        {
+            "algorithm": CHECKSUM_ALGORITHM,
+            "checksum": canonical_key(payload),
+            "payload": payload,
+        }
+    )
+
+
+def verify_checksummed(data: bytes) -> Optional[object]:
+    """The payload of a checksummed envelope; None unless ``data`` is one.
+
+    ``data`` must be UTF-8 JSON holding an envelope that names
+    :data:`CHECKSUM_ALGORITHM` and whose checksum matches its payload.
+    A payload of None reads as absent too.
+    """
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except ValueError:  # not UTF-8 (UnicodeDecodeError), or not JSON
+        return None
+    if (
+        isinstance(document, dict)
+        and document.get("algorithm") == CHECKSUM_ALGORITHM
+        and "payload" in document
+        and document.get("checksum") == canonical_key(document["payload"])
+    ):
+        return document["payload"]
+    return None
+
+
+def write_checksummed_json(path: Union[str, Path], payload: object) -> Path:
     """Atomically persist ``payload`` wrapped in a checksummed envelope.
 
     The document is itself canonical JSON, so two processes persisting
     equal payloads write byte-identical files.
     """
-    document = {
-        "algorithm": CHECKSUM_ALGORITHM,
-        "checksum": canonical_key(payload),
-        "payload": payload,
-    }
-    return atomic_write_text(path, canonical_json(document) + "\n", fsync=fsync)
+    return atomic_write_text(path, checksummed_json(payload) + "\n")
 
 
 def quarantine_file(path: Union[str, Path]) -> Optional[Path]:
@@ -146,22 +176,12 @@ def read_checksummed_json(
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return None
+        data = path.read_bytes()
     except OSError:
         return None
-    try:
-        document = json.loads(text)
-    except ValueError:
-        document = None
-    if (
-        isinstance(document, dict)
-        and "payload" in document
-        and isinstance(document.get("checksum"), str)
-        and document.get("checksum") == canonical_key(document["payload"])
-    ):
-        return document["payload"]
+    payload = verify_checksummed(data)
+    if payload is not None:
+        return payload
     obs.count("durability.quarantined", kind=kind)
     if quarantine:
         quarantine_file(path)

@@ -225,7 +225,11 @@ class BackendPool:
     # -- health reporting -----------------------------------------------------
 
     def health_snapshot(self) -> dict:
-        """Per-backend health for ``/readyz``, ``/statusz``, and metrics."""
+        """Per-backend health for ``/readyz``, ``/statusz``, and metrics.
+
+        Reading it moves no virtual clock: each breaker's countdown is
+        read through the clock's ``peek`` when it has one.
+        """
         snapshot: dict = {}
         for backend in self._backends:
             breaker = backend.breaker
@@ -424,7 +428,10 @@ def build_backend_pool(
     Each backend gets its own :class:`ResilientChatModel` stack and a
     backend-scoped :class:`CircuitBreaker` named after it, so one
     backend's failures never trip a sibling's breaker; ``clock`` drives
-    the breakers' cooldowns and the stacks' deadlines. ``fault=PROFILE``
+    the breakers' cooldowns and the stacks' deadlines. Pass a
+    :class:`~repro.resilience.policies.VirtualClock` itself, not its
+    ``now``, so that :meth:`BackendPool.health_snapshot` reads it without
+    a tick. ``fault=PROFILE``
     wraps that backend (alone) in a seeded
     :class:`~repro.resilience.faults.FaultInjectingChatModel` for chaos
     runs.

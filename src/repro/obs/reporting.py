@@ -326,9 +326,6 @@ def _render_durability(snapshot: dict) -> str:
         if replayed:
             line += f" (replayed by kind: {_label_summary(replayed)})"
         lines.append(line)
-    sealed = _counter_total(snapshot, "journal.segments_sealed")
-    if sealed:
-        lines.append(f"journal segments sealed: {_int(sealed)}")
     suites_saved = _counter_total(snapshot, "suite.saved")
     suites_loaded = _counter_total(snapshot, "suite.loaded")
     # Suite timers carry a scale label; match by name only.

@@ -47,6 +47,8 @@ class VirtualClock:
     deadlines and breaker cooldowns still observe a consistent timeline.
     A non-zero ``tick`` models per-call latency, letting an open breaker's
     cooldown elapse with call traffic even though nothing really sleeps.
+    :meth:`peek` reads the time without a tick, for inspection that must
+    not move the timeline; a breaker given the instance inspects with it.
     """
 
     def __init__(self, start: float = 0.0, tick: float = 0.0) -> None:
@@ -61,6 +63,10 @@ class VirtualClock:
         return value
 
     __call__ = now
+
+    def peek(self) -> float:
+        """The current time, without advancing it by a tick."""
+        return self._now
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
@@ -130,6 +136,10 @@ class CircuitBreaker:
     only by polling :attr:`state`. :attr:`trips` counts the times the
     breaker left closed for open; :attr:`recoveries` the times it closed
     again. A failed half-open probe re-opens the breaker without a trip.
+
+    ``clock`` times the cooldown. When it offers ``peek()`` (a
+    :class:`VirtualClock`), :meth:`time_until_probe` reads it through that,
+    so inspecting a breaker never moves a ticking virtual clock.
     """
 
     def __init__(
@@ -149,6 +159,7 @@ class CircuitBreaker:
         self._failure_threshold = failure_threshold
         self._reset_after_ms = reset_after_ms
         self._clock = clock
+        self._peek = getattr(clock, "peek", clock)
         self._name = name
         self._labels = dict(labels or {})
         self._lock = threading.Lock()
@@ -196,7 +207,7 @@ class CircuitBreaker:
                 return None
             if self._state == BREAKER_HALF_OPEN:
                 return 0.0
-            elapsed_ms = (self._clock() - self._opened_at) * 1000.0
+            elapsed_ms = (self._peek() - self._opened_at) * 1000.0
             return max(0.0, self._reset_after_ms - elapsed_ms)
 
     def _transition(self, state: str) -> None:

@@ -80,6 +80,24 @@ class TestChecksummedJson:
         assert read_checksummed_json(path) is None
         assert (tmp_path / "doc.json.corrupt").exists()
 
+    def test_bytes_that_are_not_utf8_quarantined(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_checksummed_json(path, {"name": "é"})
+        data = bytearray(path.read_bytes())
+        data[data.index("é".encode("utf-8"))] = 0xFF  # rot one byte
+        path.write_bytes(bytes(data))
+        assert read_checksummed_json(path) is None
+        assert (tmp_path / "doc.json.corrupt").exists()
+
+    def test_unknown_algorithm_quarantined(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_checksummed_json(path, {"v": 1})
+        document = json.loads(path.read_text())
+        document["algorithm"] = "md5"
+        path.write_text(json.dumps(document))
+        assert read_checksummed_json(path) is None
+        assert (tmp_path / "doc.json.corrupt").exists()
+
     def test_plain_json_without_envelope_quarantined(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text('{"just": "data"}')

@@ -1,21 +1,36 @@
-"""The run journal: fsync'd appends, sealing, torn tails, replay."""
+"""The run journal: checksummed lines, one segment per process, replay."""
 
 import json
 
 import pytest
 
+from repro.durability.atomic import checksummed_json, verify_checksummed
 from repro.durability.crashpoints import (
     SimulatedCrash,
     arm_crash_point,
     disarm_crash_points,
 )
-from repro.durability.journal import RunJournal
+from repro.durability.journal import (
+    JOURNAL_SCHEMA_VERSION,
+    RunJournal,
+    journal_stats,
+)
 
 
 @pytest.fixture(autouse=True)
 def _disarm_after_each_test():
     yield
     disarm_crash_points()
+
+
+def _lines(path):
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+def _line(key, value, version=JOURNAL_SCHEMA_VERSION):
+    return checksummed_json(
+        {"key": key, "kind": "x", "v": version, "value": value}
+    )
 
 
 class TestAppendReplay:
@@ -48,32 +63,38 @@ class TestAppendReplay:
         assert len(journal) == 2
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            RunJournal(tmp_path, segment_max_records=0)
+        # A journal takes only its directory: no rotation or fsync knob.
+        with pytest.raises(TypeError):
+            RunJournal(tmp_path, segment_max_records=3)
+        with pytest.raises(TypeError):
+            RunJournal(tmp_path, fsync=False)
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("x")
+        with pytest.raises(OSError):
+            RunJournal(not_a_directory)
+
+    def test_reload_returns_records_as_appended(self, tmp_path):
+        journal = RunJournal(tmp_path)
+        journal.append("k", "x", {"b": [1, 2.5, None], "a": "é"})
+        in_memory = journal.get("k")
+        journal.close()
+        assert RunJournal(tmp_path).get("k") == in_memory == {
+            "key": "k",
+            "kind": "x",
+            "value": {"a": "é", "b": [1, 2.5, None]},
+        }
 
 
 class TestSegments:
-    def test_rotation_seals_full_segments(self, tmp_path):
-        journal = RunJournal(tmp_path, segment_max_records=3)
-        for index in range(7):
+    def test_one_segment_per_process(self, tmp_path):
+        journal = RunJournal(tmp_path)
+        for index in range(300):
             journal.append(f"k{index}", "x", index)
         journal.close()
-        assert journal.sealed == 2
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == [
-            "segment-0000.sealed.json",
-            "segment-0001.sealed.json",
-            "segment-0002.jsonl",
-        ]
-
-    def test_reload_sees_sealed_and_active(self, tmp_path):
-        first = RunJournal(tmp_path, segment_max_records=3)
-        for index in range(7):
-            first.append(f"k{index}", "x", index)
-        first.close()
-        second = RunJournal(tmp_path, segment_max_records=3)
-        assert len(second) == 7
-        assert second.replay("k6")["value"] == 6
+        # No rotation: however many records, one process writes one file.
+        assert [p.name for p in tmp_path.iterdir()] == ["segment-0000.jsonl"]
+        assert len(_lines(tmp_path / "segment-0000.jsonl")) == 300
+        assert len(RunJournal(tmp_path)) == 300
 
     def test_new_process_opens_fresh_segment(self, tmp_path):
         first = RunJournal(tmp_path)
@@ -85,14 +106,40 @@ class TestSegments:
         # The second writer never appends to the first's possibly-torn file.
         assert (tmp_path / "segment-0000.jsonl").exists()
         assert (tmp_path / "segment-0001.jsonl").exists()
+        assert len(RunJournal(tmp_path)) == 2
 
-    def test_explicit_seal(self, tmp_path):
+    def test_a_process_that_appends_nothing_adds_no_segment(self, tmp_path):
+        first = RunJournal(tmp_path)
+        first.append("a", "x", 1)
+        first.close()
+        replaying = RunJournal(tmp_path)
+        assert not replaying.append("a", "x", 1)  # already journaled
+        replaying.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["segment-0000.jsonl"]
+
+    def test_later_segment_wins_ties(self, tmp_path):
+        (tmp_path / "segment-0000.jsonl").write_text(
+            _line("shared", "old") + "\n", encoding="utf-8"
+        )
+        (tmp_path / "segment-0001.jsonl").write_text(
+            _line("shared", "new") + "\n", encoding="utf-8"
+        )
+        assert RunJournal(tmp_path).get("shared")["value"] == "new"
+
+    def test_only_segment_files_are_read(self, tmp_path):
+        # Names outside ``segment-NNNN.jsonl`` (the sealed and per-worker
+        # files of earlier layouts among them) are not journal segments.
+        for name in (
+            "segment-0000.sealed.json",
+            "segment-0000.w101.jsonl",
+            "notes.jsonl",
+        ):
+            (tmp_path / name).write_text(_line(name, 1) + "\n")
         journal = RunJournal(tmp_path)
-        journal.append("a", "x", 1)
-        journal.seal()
-        assert (tmp_path / "segment-0000.sealed.json").exists()
-        assert not (tmp_path / "segment-0000.jsonl").exists()
-        assert len(RunJournal(tmp_path)) == 1
+        assert len(journal) == 0
+        journal.append("k", "x", 1)
+        journal.close()
+        assert (tmp_path / "segment-0000.jsonl").exists()
 
 
 class TestCrashShapes:
@@ -103,24 +150,11 @@ class TestCrashShapes:
         journal.close()
         path = tmp_path / "segment-0000.jsonl"
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "c", "kind": "x", "val')  # torn write
+            handle.write(_line("c", 3)[:-9])  # torn write
         reloaded = RunJournal(tmp_path)
         assert len(reloaded) == 2
         assert "c" not in reloaded
-
-    def test_corrupt_sealed_segment_quarantined(self, tmp_path):
-        journal = RunJournal(tmp_path, segment_max_records=2)
-        for index in range(4):
-            journal.append(f"k{index}", "x", index)
-        journal.close()
-        sealed = tmp_path / "segment-0000.sealed.json"
-        sealed.write_text("rotted bytes")
-        reloaded = RunJournal(tmp_path)
-        # The two records of the corrupt segment are lost (recomputable);
-        # the other segment still replays, and the evidence is kept aside.
-        assert len(reloaded) == 2
-        assert reloaded.quarantined == 1
-        assert (tmp_path / "segment-0000.sealed.json.corrupt").exists()
+        assert reloaded.skipped_lines == 1
 
     def test_durable_before_crash_point(self, tmp_path):
         """A record is on disk before its crash point can fire."""
@@ -130,19 +164,104 @@ class TestCrashShapes:
         journal.append("b", "x", 2)
         with pytest.raises(SimulatedCrash):
             journal.append("c", "x", 3)
-        # No close, no seal: simulate the process dying right here.
+        # No close: simulate the process dying right here.
         reloaded = RunJournal(tmp_path)
         assert len(reloaded) == 3
         assert reloaded.replay("c")["value"] == 3
 
-    def test_crash_during_seal_loses_nothing(self, tmp_path):
-        arm_crash_point("journal.seal", on_hit=1, action="raise")
-        journal = RunJournal(tmp_path, segment_max_records=2)
-        journal.append("a", "x", 1)
-        with pytest.raises(SimulatedCrash):
-            journal.append("b", "x", 2)  # fills the segment -> seal -> boom
+    def test_a_damaged_line_costs_only_its_own_record(self, tmp_path):
+        journal = RunJournal(tmp_path)
+        for key in ("a", "b", "c"):
+            journal.append(key, "x", key)
+        journal.close()
+        path = tmp_path / "segment-0000.jsonl"
+        first, second, third = _lines(path)
+        path.write_bytes(b"\n".join([first, b"rotted bytes", third, b""]))
         reloaded = RunJournal(tmp_path)
-        assert len(reloaded) == 2  # the raw .jsonl still holds both
+        assert [key for key in "abc" if key in reloaded] == ["a", "c"]
+        assert reloaded.skipped_lines == 1
+
+    def test_a_flipped_digit_replays_nothing_wrong(self, tmp_path):
+        journal = RunJournal(tmp_path)
+        journal.append("a", "x", {"rows": 123})
+        journal.append("b", "x", {"rows": 456})
+        journal.close()
+        path = tmp_path / "segment-0000.jsonl"
+        path.write_bytes(
+            path.read_bytes().replace(b'"rows":123', b'"rows":124')
+        )
+        reloaded = RunJournal(tmp_path)
+        assert reloaded.get("a") is None  # recomputed, never a wrong value
+        assert reloaded.get("b")["value"] == {"rows": 456}
+
+    def test_one_flipped_digit_costs_one_record_of_many(self, tmp_path):
+        journal = RunJournal(tmp_path)
+        for index in range(300):
+            journal.append(f"k{index}", "x", {"tag": f"target-{index:04d}"})
+        journal.close()
+        (path,) = [
+            p for p in tmp_path.iterdir() if b"target-0005" in p.read_bytes()
+        ]
+        path.write_bytes(
+            path.read_bytes().replace(b"target-0005", b"target-0006")
+        )
+        reloaded = RunJournal(tmp_path)
+        assert len(reloaded) == 299
+        assert "k5" not in reloaded
+        assert reloaded.get("k6")["value"] == {"tag": "target-0006"}
+
+    def test_a_line_of_another_version_is_skipped(self, tmp_path):
+        lines = [
+            # Bare records, as version 1 wrote them, of versions 1 and 99,
+            # and a checksummed line of version 99: none of them replays.
+            json.dumps({"key": "v1", "kind": "x", "v": 1, "value": 1}),
+            json.dumps({"key": "bare", "kind": "x", "v": 99, "value": 2}),
+            _line("future", 3, version=99),
+            _line("current", 4),
+        ]
+        (tmp_path / "segment-0000.jsonl").write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8"
+        )
+        reloaded = RunJournal(tmp_path)
+        assert len(reloaded) == 1
+        assert reloaded.get("current")["value"] == 4
+        assert reloaded.skipped_lines == 3
+
+    def test_line_separators_inside_strings_stay_one_record(self, tmp_path):
+        text = "one\u2028two\u2029three\x85four\nfive"
+        journal = RunJournal(tmp_path)
+        journal.append("a", "x", "before")
+        journal.append("b", "x", text)
+        journal.append("c", "x", "after")
+        journal.close()
+        reloaded = RunJournal(tmp_path)
+        assert len(reloaded) == 3
+        assert reloaded.get("b")["value"] == text
+        assert reloaded.skipped_lines == 0
+        assert journal_stats(tmp_path)["records"] == 3
+
+    def test_a_resumed_crash_leaves_every_line_checksummed(self, tmp_path):
+        arm_crash_point("journal.append", on_hit=4, action="raise")
+        crashed = RunJournal(tmp_path)
+        with pytest.raises(SimulatedCrash):
+            for index in range(10):
+                crashed.append(f"k{index}", "x", index)
+        disarm_crash_points()
+        resumed = RunJournal(tmp_path)
+        for index in range(10):
+            resumed.append(f"k{index}", "x", index)
+        resumed.close()
+        # Two processes appended: two segments, every line verified.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "segment-0000.jsonl",
+            "segment-0001.jsonl",
+        ]
+        lines = [
+            line for path in tmp_path.iterdir() for line in _lines(path)
+        ]
+        assert len(lines) == 10
+        assert all(verify_checksummed(line) for line in lines)
+        crashed.close()
 
 
 class TestIntrospection:
@@ -154,16 +273,21 @@ class TestIntrospection:
         assert stats["records"] == 1
         assert stats["appended"] == 1
         assert stats["replayed"] == 1
+        assert stats["skipped_lines"] == 0
         assert "1 appended, 1 replayed" in journal.summary()
 
     def test_records_are_canonical_json_lines(self, tmp_path):
         journal = RunJournal(tmp_path)
         journal.append("a", "x", {"b": 1, "a": 2})
         journal.close()
-        line = (tmp_path / "segment-0000.jsonl").read_text().strip()
-        assert json.loads(line) == {
+        data = (tmp_path / "segment-0000.jsonl").read_bytes()
+        payload = {
             "key": "a",
             "kind": "x",
-            "v": 1,
+            "v": JOURNAL_SCHEMA_VERSION,
             "value": {"a": 2, "b": 1},
         }
+        # One line: the checksummed envelope the atomic writer uses.
+        assert data == (checksummed_json(payload) + "\n").encode()
+        assert verify_checksummed(data) == payload
+        assert json.loads(data)["algorithm"] == "sha256"

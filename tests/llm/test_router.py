@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.cli import _build_parser, _build_routed_llm
 from repro.cli import main as cli_main
 from repro.errors import CircuitOpenError, LLMError, TransientLLMError
 from repro.llm.interface import (
@@ -359,6 +360,59 @@ class TestProbing:
             pool.stop_probing()
         assert pool.health_snapshot()["primary"]["readmissions"] == 1
         assert primary.probes() >= 1
+
+
+class TestHealthReadsMoveNoClock:
+    """Reading a routed run's health leaves its virtual clock alone: the
+    breakers' countdowns read the clock's ``peek``, not its ticking
+    ``now``."""
+
+    SPECS = [
+        "primary=simulated,fault=outage,retries=0,breaker-threshold=1,"
+        "breaker-reset-ms=20",
+        "secondary=simulated",
+    ]
+
+    def _routed(self):
+        argv = ["run", "table2"]
+        for spec in self.SPECS:
+            argv += ["--backend", spec]
+        return _build_routed_llm(_build_parser().parse_args(argv))
+
+    def _drive(self, snapshot_between_calls: bool) -> list:
+        """The primary's counts after each of 120 routed calls."""
+        router = self._routed()
+        primary = router.pool["primary"]
+        counts = []
+        for index in range(120):
+            router.complete(routing_prompt(f"use the name column {index}"))
+            if snapshot_between_calls:
+                router.pool.health_snapshot()
+            counts.append(
+                (
+                    primary.calls_ok,
+                    primary.calls_failed,
+                    primary.breaker.trips,
+                    primary.breaker.recoveries,
+                )
+            )
+        return counts
+
+    def test_two_snapshots_in_a_row_are_equal(self):
+        router = self._routed()
+        while router.pool["primary"].breaker.trips == 0:
+            router.complete(routing_prompt())
+        first = router.pool.health_snapshot()
+        assert "breaker_probe_in_ms" in first["primary"]
+        assert router.pool.health_snapshot() == first
+
+    def test_snapshots_between_calls_leave_the_half_open_call_in_place(self):
+        plain = self._drive(snapshot_between_calls=False)
+        watched = self._drive(snapshot_between_calls=True)
+        # The primary tripped and was readmitted by a half-open call...
+        assert plain[-1][3] >= 1
+        # ...on the same call whether or not health was read in between.
+        assert watched == plain
 
 
 class TestParsers:

@@ -299,6 +299,16 @@ class TestTimeUntilProbe:
         clock.sleep(1.0)
         assert breaker.time_until_probe() == 0.0
 
+    def test_reading_a_ticking_clock_moves_no_time(self):
+        clock = VirtualClock(tick=0.001)
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_after_ms=1000, clock=clock
+        )
+        breaker.record_failure()
+        opened = clock.peek()
+        assert breaker.time_until_probe() == breaker.time_until_probe()
+        assert clock.peek() == opened
+
     def test_zero_while_half_open(self):
         clock = VirtualClock()
         breaker = CircuitBreaker(

@@ -55,7 +55,7 @@ def _routed_table2(specs) -> tuple:
     clock = VirtualClock(tick=0.001)
     pool = build_backend_pool(
         [parse_backend_spec(spec) for spec in specs],
-        clock=clock.now,
+        clock=clock,
         sleep=clock.sleep,
         seed=20250325,
     )
