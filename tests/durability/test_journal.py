@@ -108,6 +108,22 @@ class TestSegments:
         assert (tmp_path / "segment-0001.jsonl").exists()
         assert len(RunJournal(tmp_path)) == 2
 
+    def test_reload_sees_sealed_and_active(self, tmp_path):
+        # An earlier process's segment is finished for good; the segment a
+        # live journal is still appending to is active. A reload sees both.
+        first = RunJournal(tmp_path)
+        for index in range(4):
+            first.append(f"k{index}", "x", index)
+        first.close()
+        second = RunJournal(tmp_path)
+        for index in range(4, 7):
+            second.append(f"k{index}", "x", index)
+        reloaded = RunJournal(tmp_path)
+        second.close()
+        assert len(reloaded) == 7
+        assert reloaded.replay("k0")["value"] == 0
+        assert reloaded.replay("k6")["value"] == 6
+
     def test_a_process_that_appends_nothing_adds_no_segment(self, tmp_path):
         first = RunJournal(tmp_path)
         first.append("a", "x", 1)
