@@ -1,17 +1,17 @@
 """Deterministic hostile-environment chaos: disk and transport faults.
 
-PR 2 made the *model* tier chaos-testable: seeded LLM fault injection,
-retry/breaker stacks, degraded rounds — with the guarantee that a chaos
-run is deterministic and a no-flag run is byte-identical. This package
-extends that guarantee down to the environment:
+The model tier is chaos-testable through :mod:`repro.resilience` (seeded
+LLM faults, retry/breaker stacks, degraded rounds), with the guarantee
+that a chaos run is deterministic and a no-flag run is byte-identical.
+This package extends that guarantee down to the environment:
 
-* :mod:`repro.chaos.diskfaults` — seeded fault injection for the disk
-  plane (``ENOSPC``/``EIO``/``EROFS``/torn ``os.replace``) at named
-  crash-point-style sites inside :mod:`repro.durability.atomic`, the run
-  journal, the completion cache, the semantic cache, and the session
-  store. The stores respond by flipping into a *degraded read-only*
-  mode (``durability.degraded`` counters + a run-report line) instead of
-  crashing the sweep.
+* Disk faults come from the one fault hook,
+  :mod:`repro.durability.faultpoints`: ``ENOSPC``/``EIO``/``EROFS`` or a
+  torn ``os.replace`` at the atomic writer, the run journal and the
+  semantic cache's question log. The atomic writer degrades every
+  whole-file persister by one rule, and the journal flips into a
+  *degraded read-only* mode; both count ``durability.degraded`` for the
+  run report instead of crashing the sweep.
 * :mod:`repro.chaos.transport` — hostile HTTP clients (slow-loris
   header trickles, torn request bodies, oversized posts) used by the
   transport-hardening tests and the scenario runner.
@@ -20,26 +20,6 @@ extends that guarantee down to the environment:
   invariants (degraded-mode completion + byte-identical ``--resume``,
   drain under slow-loris flood, exactly-once retried turns).
 
-Layering: :mod:`diskfaults` imports nothing above :mod:`repro.obs`, so
-the durability layer can call its hook without an import cycle.
+Layering: this package sits above :mod:`repro.durability` and imports
+from it; nothing in :mod:`repro.durability` imports this package.
 """
-
-from repro.chaos.diskfaults import (
-    DISK_FAULT_ENV,
-    DiskFaultProfile,
-    arm_disk_fault,
-    arm_disk_profile,
-    disarm_disk_faults,
-    disk_fault,
-    disk_fault_stats,
-)
-
-__all__ = [
-    "DISK_FAULT_ENV",
-    "DiskFaultProfile",
-    "arm_disk_fault",
-    "arm_disk_profile",
-    "disarm_disk_faults",
-    "disk_fault",
-    "disk_fault_stats",
-]

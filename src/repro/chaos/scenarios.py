@@ -37,14 +37,14 @@ from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 from repro import obs
-from repro.chaos.diskfaults import (
-    arm_disk_fault,
-    disarm_disk_faults,
-    disk_fault_stats,
-)
 from repro.chaos.transport import oversized_body, slow_loris, torn_body
 from repro.core import DemonstrationRetriever
 from repro.datasets import build_aep_database, generate_aep_suite
+from repro.durability.faultpoints import (
+    arm_fault_point,
+    disarm_fault_points,
+    fault_hits,
+)
 from repro.durability.journal import RunJournal
 from repro.serve import (
     CatalogEntry,
@@ -135,8 +135,12 @@ def disk_full_mid_sweep(work_dir: Path) -> dict:
     try:
         # The third journal append hits a full disk, and the disk stays
         # full (sticky): everything after that must run from memory.
-        arm_disk_fault(
-            "disk.journal_append", on_hit=3, error="enospc", sticky=True
+        full_from = 3
+        arm_fault_point(
+            "disk.journal_append",
+            on_hit=full_from,
+            action="enospc",
+            sticky=True,
         )
         journal = RunJournal(degraded_dir / "journal")
         outputs_degraded = _drive_sweep(
@@ -159,12 +163,13 @@ def disk_full_mid_sweep(work_dir: Path) -> dict:
                 f"{journal.degraded_writes} degraded appends",
             )
         )
-        stats = disk_fault_stats()
+        hits = fault_hits().get("disk.journal_append", 0)
+        injected = max(0, hits - full_from + 1)
         checks.append(
             _Check(
                 "the fault actually fired",
-                stats["injected"] >= 1,
-                f"{stats['injected']} injected OSErrors",
+                injected >= 1,
+                f"{injected} injected OSErrors",
             )
         )
         snapshot = obs.snapshot()
@@ -180,7 +185,7 @@ def disk_full_mid_sweep(work_dir: Path) -> dict:
             )
         )
     finally:
-        disarm_disk_faults()
+        disarm_fault_points()
         obs.disable()
 
     # The survivors reload without drama: only records fsync'd before

@@ -1,7 +1,7 @@
 """Hostile HTTP clients: raw-socket attack traffic for the serve layer.
 
-Where :mod:`repro.chaos.diskfaults` attacks the storage plane, this
-module attacks the wire. Each injector is a deliberately misbehaving
+Where the disk fault points of :mod:`repro.durability.faultpoints`
+attack the storage plane, this module attacks the wire. Each injector is a deliberately misbehaving
 client built on bare sockets — no :mod:`http.client`, which is too
 polite to produce these shapes:
 

@@ -1087,8 +1087,8 @@ def _cmd_semcache(
         replay,
     )
 
-    records = read_question_log(args.semantic_cache_dir)
-    if not records:
+    records, skipped = read_question_log(args.semantic_cache_dir)
+    if not records and not skipped:
         parser.error(
             f"no question log found under {args.semantic_cache_dir!r} "
             "(run or serve with --semantic-cache --semantic-cache-dir first)"
@@ -1104,6 +1104,7 @@ def _cmd_semcache(
     for db_id, database in context.aep_benchmark.databases.items():
         schemas.setdefault(db_id, database.schema)
     report = replay(store, schemas, records)
+    report["skipped_lines"] = skipped
     print(render_replay_report(report))
     return 0
 

@@ -10,10 +10,13 @@ Layers:
 
 * :mod:`repro.durability.atomic` — the shared atomic-write + checksum
   primitive. Every JSON file the stack persists (completion cache,
-  session store, suites) goes through temp-file + ``fsync`` +
-  ``os.replace``; readers verify a canonical-JSON checksum and
-  *quarantine* torn or corrupt files (rename to ``*.corrupt``) instead of
-  crashing or silently mis-loading.
+  session store, semantic cache, suites) goes through temp-file +
+  ``fsync`` + ``os.replace``; readers verify a canonical-JSON checksum
+  and *quarantine* torn or corrupt files (rename to ``*.corrupt``)
+  instead of crashing or silently mis-loading. The writer also holds the
+  one degrade rule: a write the disk refuses returns None and counts
+  ``durability.degraded{kind}``, so a full disk costs durability, never
+  the run.
 * :mod:`repro.durability.journal` — the write-ahead **run journal**: each
   completed eval item / correction session is appended as one fsync'd
   line in the same checksummed envelope, keyed by the same
@@ -24,10 +27,12 @@ Layers:
 * :mod:`repro.durability.suites` — persisted SPIDER/AEP suites: the
   generated benchmark (databases + splits + demos) serialized once so
   resumes and warm starts skip the dominant ``harness.suite_build_ms``.
-* :mod:`repro.durability.crashpoints` — seeded deterministic crash
-  injection (``FISQL_CRASH_POINT=journal.append:12`` kills the process
-  with SIGKILL on the 12th journal append), the chaos half of the
-  crash-recovery proof.
+* :mod:`repro.durability.faultpoints` — the one fault hook: fail the
+  Nth hit of a named site by SIGKILL, :class:`SimulatedCrash`, or a real
+  ``OSError`` (``FISQL_CRASH_POINT=journal.append:12`` kills the process
+  on the 12th journal append; ``disk.atomic_write:1:enospc`` fills the
+  disk under the first whole-file write), the chaos half of the
+  crash-recovery and degradation proofs.
 """
 
 from repro.durability.atomic import (
@@ -38,12 +43,13 @@ from repro.durability.atomic import (
     read_checksummed_json,
     write_checksummed_json,
 )
-from repro.durability.crashpoints import (
+from repro.durability.faultpoints import (
     CRASH_POINT_ENV,
     SimulatedCrash,
-    arm_crash_point,
-    crash_point,
-    disarm_crash_points,
+    arm_fault_point,
+    disarm_fault_points,
+    fault_hits,
+    fault_point,
 )
 from repro.durability.journal import (
     JOURNAL_SCHEMA_VERSION,
@@ -63,12 +69,13 @@ __all__ = [
     "RunJournal",
     "SUITE_SCHEMA_VERSION",
     "SimulatedCrash",
-    "arm_crash_point",
+    "arm_fault_point",
     "atomic_write_text",
     "canonical_json",
     "canonical_key",
-    "crash_point",
-    "disarm_crash_points",
+    "disarm_fault_points",
+    "fault_hits",
+    "fault_point",
     "journal_stats",
     "load_suites",
     "quarantine_file",

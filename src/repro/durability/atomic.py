@@ -1,7 +1,7 @@
 """Atomic, checksummed JSON files: the one way anything here touches disk.
 
-Three guarantees, shared by every persister in the stack (completion
-cache, session store, suite files):
+Four guarantees, shared by every persister in the stack (completion
+cache, session store, semantic cache, suite files):
 
 1. **Atomic replace** — content is written to a temp file in the *same*
    directory, flushed and ``fsync``'d, then ``os.replace``'d over the
@@ -14,15 +14,21 @@ cache, session store, suite files):
    ``.corrupt-N``) and the reader reports "absent". The data they held is
    re-derived by the caller; a bad file can never crash a loader or be
    half-loaded, and the evidence is kept on disk for inspection.
+4. **Degrade** — a write the disk refuses (full, read-only, I/O error)
+   costs durability, never the run: :func:`write_checksummed_json`
+   catches the ``OSError``, counts ``durability.degraded{kind}``, logs one
+   event and returns None, and the caller keeps serving from memory. It
+   is the one place a whole-file write's ``OSError`` is caught.
 
-The checksummed envelope is also the run journal's line format:
-:func:`checksummed_json` wraps a payload as one canonical-JSON line and
-:func:`verify_checksummed` unwraps it, for a whole file here and for each
-journal record in :mod:`repro.durability.journal`.
+The checksummed envelope is also the line format of the run journal and
+the semantic cache's question log: :func:`checksummed_json` wraps a
+payload as one canonical-JSON line and :func:`verify_checksummed`
+unwraps it, and :func:`read_checksummed_lines` reads a file of such
+lines for both.
 
-:func:`canonical_json` / :func:`canonical_key` are the same construction
-:func:`repro.llm.dispatch.canonical_prompt_key` uses (sorted keys, compact
-separators, SHA-256), so journal keys and cache keys hash identically for
+:func:`canonical_key` (sorted keys, compact separators, SHA-256) keys the
+journal, and :func:`repro.llm.dispatch.canonical_prompt_key` hashes
+through it too, so journal keys and cache keys hash identically for
 identical material.
 """
 
@@ -31,25 +37,42 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 from typing import Optional, Union
 
 from repro import obs
-from repro.chaos.diskfaults import disk_fault
+from repro.durability.faultpoints import fault_point
 
 #: Checksum algorithm recorded in every checksummed document.
 CHECKSUM_ALGORITHM = "sha256"
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _escape_surrogate(match: "re.Match[str]") -> str:
+    return f"\\u{ord(match.group()):04x}"
+
 
 def canonical_json(payload: object) -> str:
-    """The canonical JSON text for a payload (sorted keys, stable bytes)."""
-    return json.dumps(
+    """The canonical JSON text for a payload (sorted keys, stable bytes).
+
+    Text stays raw UTF-8, except a lone surrogate (``"\\ud800"`` in a
+    request body parses to one), which UTF-8 cannot encode: it is written
+    as its ``\\udXXX`` escape, which reads back as the same string. A high
+    surrogate followed by a low one reads back as the one character the
+    pair encodes, as JSON defines.
+    """
+    text = json.dumps(
         payload,
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=False,
         default=str,
     )
+    if text.isascii():  # the usual case, and O(1): nothing to escape
+        return text
+    return _SURROGATE.sub(_escape_surrogate, text)
 
 
 def canonical_key(payload: object) -> str:
@@ -83,12 +106,12 @@ def atomic_write_text(path: Union[str, Path], text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_path = path.parent / f".{path.name}.tmp.{os.getpid()}"
     try:
-        disk_fault("disk.atomic_write", tmp_path=tmp_path, target=path)
+        fault_point("disk.atomic_write", tmp_path=tmp_path, target=path)
         with open(tmp_path, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-        disk_fault("disk.replace", tmp_path=tmp_path, target=path)
+        fault_point("disk.replace", tmp_path=tmp_path, target=path)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -136,13 +159,47 @@ def verify_checksummed(data: bytes) -> Optional[object]:
     return None
 
 
-def write_checksummed_json(path: Union[str, Path], payload: object) -> Path:
-    """Atomically persist ``payload`` wrapped in a checksummed envelope.
+def read_checksummed_lines(
+    path: Union[str, Path]
+) -> list[Optional[object]]:
+    """The payload of each checksummed line of a file; None where one fails.
+
+    Lines split on ``\\n`` alone: JSON escapes every newline inside a
+    string, while U+2028 and its kin stay raw, so ``str.splitlines`` would
+    cut a record in two. Bytes are verified line by line, so one byte
+    that is not UTF-8 costs its own line. Empty lines hold no record; an
+    unreadable file holds none.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return []
+    return [verify_checksummed(line) for line in data.split(b"\n") if line]
+
+
+def write_checksummed_json(
+    path: Union[str, Path], payload: object, kind: str
+) -> Optional[Path]:
+    """Atomically persist ``payload`` in a checksummed envelope.
 
     The document is itself canonical JSON, so two processes persisting
     equal payloads write byte-identical files.
+
+    A write the disk refuses costs durability, never the run: the old
+    file stays as it was, the loss counts as ``durability.degraded``
+    labelled by ``kind`` and is logged as one event, and None comes back.
     """
-    return atomic_write_text(path, checksummed_json(payload) + "\n")
+    try:
+        return atomic_write_text(path, checksummed_json(payload) + "\n")
+    except OSError as error:
+        obs.count("durability.degraded", kind=kind)
+        obs.event(
+            "durability.degraded",
+            kind=kind,
+            path=str(path),
+            error=f"{type(error).__name__}: {error}",
+        )
+        return None
 
 
 def quarantine_file(path: Union[str, Path]) -> Optional[Path]:
@@ -165,14 +222,14 @@ def quarantine_file(path: Union[str, Path]) -> Optional[Path]:
 
 
 def read_checksummed_json(
-    path: Union[str, Path], quarantine: bool = True, kind: str = "file"
+    path: Union[str, Path], kind: str = "file"
 ) -> Optional[object]:
     """Load a checksummed document's payload; None when absent or corrupt.
 
     Corruption — unreadable bytes, non-JSON, a missing envelope, or a
-    checksum mismatch — quarantines the file (when ``quarantine``) and
-    counts ``durability.quarantined`` labelled by ``kind``. The caller
-    re-derives the data; a torn file never crashes the loader.
+    checksum mismatch — quarantines the file and counts
+    ``durability.quarantined`` labelled by ``kind``. The caller re-derives
+    the data; a torn file never crashes the loader.
     """
     path = Path(path)
     try:
@@ -183,6 +240,5 @@ def read_checksummed_json(
     if payload is not None:
         return payload
     obs.count("durability.quarantined", kind=kind)
-    if quarantine:
-        quarantine_file(path)
+    quarantine_file(path)
     return None

@@ -20,9 +20,10 @@ writes only to it, so it never appends after another writer's
 possibly-torn tail, and a process that appends nothing adds no file.
 
 One reader serves both :class:`RunJournal` and :func:`journal_stats`. It
-splits each segment on ``\\n`` alone (JSON escapes every newline inside a
-string, while U+2028 and its kin stay raw), skips and counts every line
-whose envelope, checksum or version fails, and reads on. Damage costs
+reads each segment by the line rule the semantic cache's question log
+shares (:func:`~repro.durability.atomic.read_checksummed_lines`: split on
+``\\n`` alone, verify each line), skips and counts every line whose
+envelope, checksum or version fails, and reads on. Damage costs
 exactly the records on the damaged lines, and a torn tail from a killed
 writer is one bad last line.
 
@@ -41,9 +42,8 @@ from pathlib import Path
 from typing import BinaryIO, Optional, Union
 
 from repro import obs
-from repro.chaos.diskfaults import disk_fault
-from repro.durability.atomic import checksummed_json, verify_checksummed
-from repro.durability.crashpoints import crash_point
+from repro.durability.atomic import checksummed_json, read_checksummed_lines
+from repro.durability.faultpoints import fault_point
 
 #: Bump when the journal record layout changes: a line of another
 #: version is skipped, and its item recomputes.
@@ -52,9 +52,8 @@ JOURNAL_SCHEMA_VERSION = 2
 _SEGMENT_RE = re.compile(r"^segment-(\d{4,})\.jsonl$")
 
 
-def _record(line: bytes) -> Optional[dict]:
-    """The record one journal line holds; None when the line fails."""
-    payload = verify_checksummed(line)
+def _record(payload: object) -> Optional[dict]:
+    """The record a verified line's payload holds; None when it fails."""
     if not isinstance(payload, dict):
         return None
     version = payload.pop("v", None)
@@ -84,14 +83,8 @@ def _read(directory: Path) -> tuple[dict, int, int, int]:
     records: dict[str, dict] = {}
     skipped = 0
     for _index, path in segments:
-        try:
-            data = path.read_bytes()
-        except OSError:
-            continue
-        for line in data.split(b"\n"):
-            if not line:
-                continue
-            record = _record(line)
+        for payload in read_checksummed_lines(path):
+            record = _record(payload)
             if record is None:
                 skipped += 1
             else:
@@ -227,7 +220,7 @@ class RunJournal:
             durable = not self._degraded
             if durable:
                 try:
-                    disk_fault("disk.journal_append")
+                    fault_point("disk.journal_append")
                     if self._handle is None:
                         self._handle = open(self._segment_path(), "ab")
                     self._handle.write(data)
@@ -241,7 +234,7 @@ class RunJournal:
             self._records[key] = record
             if durable:
                 self.appended += 1
-                crash_point("journal.append")
+                fault_point("journal.append")
             else:
                 self.degraded_writes += 1
         if durable:

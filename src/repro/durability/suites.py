@@ -68,8 +68,13 @@ def save_suites(
     spider: SpiderSuite,
     aep_benchmark: Benchmark,
     aep_demos: list[Demonstration],
-) -> Path:
-    """Persist a generated environment for ``(scale, seed)``."""
+) -> Optional[Path]:
+    """Persist a generated environment for ``(scale, seed)``.
+
+    A disk fault costs the suite file, never the run: the writer counts a
+    degraded ``suite`` write and None comes back, so the next start
+    generates again.
+    """
     payload = {
         "version": SUITE_SCHEMA_VERSION,
         "scale": scale,
@@ -91,9 +96,11 @@ def save_suites(
             ],
         },
     }
-    path = suite_path(directory, scale, seed)
-    write_checksummed_json(path, payload)
-    obs.count("suite.saved", scale=scale)
+    path = write_checksummed_json(
+        suite_path(directory, scale, seed), payload, "suite"
+    )
+    if path is not None:
+        obs.count("suite.saved", scale=scale)
     return path
 
 

@@ -23,16 +23,17 @@ carries the request id in serve traffic).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro import obs
-from repro.chaos.diskfaults import disk_fault
 from repro.datasets.base import Demonstration
-from repro.durability.atomic import read_checksummed_json, write_checksummed_json
+from repro.durability.atomic import (
+    canonical_key,
+    read_checksummed_json,
+    write_checksummed_json,
+)
 from repro.llm.interface import ChatModel, Completion, Prompt
 from repro.sql.schema import DatabaseSchema
 
@@ -78,18 +79,13 @@ def _canonical_value(value: object) -> object:
 
 def canonical_prompt_key(prompt: Prompt) -> str:
     """A deterministic hex digest identifying a prompt's full content."""
-    material = json.dumps(
+    return canonical_key(
         {
             "kind": prompt.kind,
             "text": prompt.text,
             "payload": _canonical_value(prompt.payload),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-        default=str,
+        }
     )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 # -- completion cache --------------------------------------------------------------
@@ -225,29 +221,20 @@ class CompletionCache:
         write identical bytes, and a crash mid-save leaves the previous
         file intact rather than a torn one.
 
-        A disk fault (ENOSPC, EIO, read-only filesystem) degrades
-        gracefully: the save is skipped, ``save_failed`` flips, and a
-        ``durability.degraded`` counter records the loss — a full disk
-        costs cache warmth, never the run. Returns 0 on a failed save.
+        A disk fault (ENOSPC, EIO, read-only filesystem) costs cache
+        warmth, never the run: the writer counts the loss as a degraded
+        ``completion_cache`` write, ``save_failed`` flips, and 0 comes
+        back.
         """
-        directory = Path(directory)
         with self._lock:
             entries = {
                 key: {"text": text, "notes": list(notes)}
                 for key, (text, notes) in self._entries.items()
             }
         document = {"version": CACHE_SCHEMA_VERSION, "entries": entries}
-        try:
-            disk_fault("disk.cache_save")
-            directory.mkdir(parents=True, exist_ok=True)
-            write_checksummed_json(directory / CACHE_FILENAME, document)
-        except OSError as error:
+        path = Path(directory) / CACHE_FILENAME
+        if write_checksummed_json(path, document, "completion_cache") is None:
             self.save_failed = True
-            obs.count("durability.degraded", kind="completion_cache")
-            obs.event(
-                "cache.save_failed",
-                error=f"{type(error).__name__}: {error}",
-            )
             return 0
         return len(entries)
 

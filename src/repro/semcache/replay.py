@@ -12,35 +12,30 @@ they reach users, not after.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.durability.atomic import read_checksummed_lines
 from repro.semcache.store import LOG_FILENAME, SemanticAnswerCache
 from repro.sql.schema import DatabaseSchema
 
 
 def read_question_log(
     directory: Union[str, Path]
-) -> list[dict[str, object]]:
-    """Parse ``questions.jsonl``; malformed lines are skipped, not fatal."""
-    path = Path(directory) / LOG_FILENAME
+) -> tuple[list[dict[str, object]], int]:
+    """The rounds ``questions.jsonl`` holds, and how many lines failed.
+
+    Lines are read by the run journal's rule: a line whose bytes,
+    envelope or checksum fail is skipped and counted, never fatal.
+    """
     records: list[dict[str, object]] = []
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return records
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records
+    skipped = 0
+    for payload in read_checksummed_lines(Path(directory) / LOG_FILENAME):
+        if isinstance(payload, dict):
+            records.append(payload)
+        else:
+            skipped += 1
+    return records, skipped
 
 
 def replay(
@@ -119,6 +114,7 @@ def render_replay_report(
     lines = [
         "semcache replay",
         f"  rounds:        {rounds}",
+        f"  skipped lines: {int(report.get('skipped_lines', 0))}",
         f"  hits:          {hits} ({_rate(hits, answered)} of answerable)",
         f"  misses:        {misses}",
         f"  bypasses:      {bypasses}"

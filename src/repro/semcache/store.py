@@ -38,12 +38,12 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro import obs
-from repro.chaos.diskfaults import disk_fault
 from repro.durability.atomic import (
-    canonical_json,
+    checksummed_json,
     read_checksummed_json,
     write_checksummed_json,
 )
+from repro.durability.faultpoints import fault_point
 from repro.semcache.fingerprint import display_fingerprint, schema_fingerprint
 from repro.semcache.signature import build_signature
 from repro.sql.schema import DatabaseSchema
@@ -183,9 +183,9 @@ class SemanticAnswerCache:
     def save(self) -> Optional[Path]:
         """Atomically persist entries, fingerprints, and counters.
 
-        A failing disk degrades gracefully: the save is skipped,
-        ``save_failed`` flips, and ``durability.degraded`` records the
-        loss — the in-memory store keeps serving. Returns None then.
+        A failing disk degrades gracefully: the writer counts the loss
+        as a degraded ``semcache`` write, ``save_failed`` flips, and the
+        in-memory store keeps serving. Returns None then.
         """
         path = self._store_path()
         if path is None:
@@ -201,17 +201,10 @@ class SemanticAnswerCache:
                 },
                 "stats": dict(self._stats),
             }
-        try:
-            disk_fault("disk.semcache_save")
-            return write_checksummed_json(path, payload)
-        except OSError as error:
+        written = write_checksummed_json(path, payload, "semcache")
+        if written is None:
             self.save_failed = True
-            obs.count("durability.degraded", kind="semcache")
-            obs.event(
-                "semcache.save_failed",
-                error=f"{type(error).__name__}: {error}",
-            )
-            return None
+        return written
 
     # -- classification -----------------------------------------------------
 
@@ -435,7 +428,11 @@ class SemanticAnswerCache:
         kind: str,
         served_sql: Optional[str] = None,
     ) -> None:
-        """Append one round to the replay question log (when persistent)."""
+        """Append one round to the replay question log (when persistent).
+
+        Each round is one checksummed line (the run journal's format), so
+        the reader verifies every line and skips a damaged one alone.
+        """
         path = self._log_path()
         if path is None:
             return
@@ -448,15 +445,15 @@ class SemanticAnswerCache:
             "reason": lookup.reason,
             "sql": served_sql,
         }
-        line = canonical_json(record) + "\n"
+        data = (checksummed_json(record) + "\n").encode("utf-8")
         with self._log_lock:
             if self._log_degraded:
                 return
             try:
-                disk_fault("disk.semcache_log")
+                fault_point("disk.semcache_log")
                 path.parent.mkdir(parents=True, exist_ok=True)
-                with open(path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
+                with open(path, "ab") as handle:
+                    handle.write(data)
                     handle.flush()
             except OSError as error:
                 self._log_degraded = True

@@ -24,8 +24,6 @@ import threading
 from pathlib import Path
 from typing import Optional, Union
 
-from repro import obs
-from repro.chaos.diskfaults import disk_fault
 from repro.durability.atomic import (
     read_checksummed_json,
     write_checksummed_json,
@@ -76,9 +74,10 @@ class SessionStore:
         """Persist one evicted session; False when the id is unsafe.
 
         A disk fault (full, read-only, I/O error) is absorbed rather than
-        propagated: the eviction proceeds on in-memory state, the failure
-        is counted as a degraded write, and False is returned. Sessions
-        are independent files, so later saves retry the disk fresh.
+        propagated: the eviction proceeds on in-memory state, the writer
+        counts the failure as a degraded ``session`` write, and False is
+        returned. Sessions are independent files, so later saves retry the
+        disk fresh.
 
         ``idempotency`` carries the session's replayable-response entries
         (:meth:`~repro.serve.idempotency.IdempotencyIndex.state`). The
@@ -98,17 +97,8 @@ class SessionStore:
         if idempotency:
             document["idempotency"] = idempotency
         with self._lock:
-            try:
-                disk_fault("disk.session_save")
-                write_checksummed_json(path, document)
-            except OSError as error:
+            if write_checksummed_json(path, document, "session") is None:
                 self.save_failures += 1
-                obs.count("durability.degraded", kind="session")
-                obs.event(
-                    "session.save_failed",
-                    session=session_id,
-                    error=f"{type(error).__name__}: {error}",
-                )
                 return False
             self.saved += 1
         return True

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.diskfaults import disarm_disk_faults
 from repro.chaos.scenarios import SCENARIOS, run_scenario
 from repro.cli import main as cli_main
+from repro.durability import disarm_fault_points
 
 
 @pytest.fixture(autouse=True)
 def _disarm():
-    disarm_disk_faults()
+    disarm_fault_points()
     yield
-    disarm_disk_faults()
+    disarm_fault_points()
 
 
 def _assert_clean_report(report: dict, name: str) -> None:

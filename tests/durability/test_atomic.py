@@ -52,13 +52,13 @@ class TestChecksummedJson:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "doc.json"
         payload = {"version": 1, "items": [1, "two", None]}
-        write_checksummed_json(path, payload)
+        write_checksummed_json(path, payload, "test")
         assert read_checksummed_json(path) == payload
 
     def test_equal_payloads_write_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_checksummed_json(a, {"k": [1, 2], "j": "x"})
-        write_checksummed_json(b, {"j": "x", "k": [1, 2]})
+        write_checksummed_json(a, {"k": [1, 2], "j": "x"}, "test")
+        write_checksummed_json(b, {"j": "x", "k": [1, 2]}, "test")
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_file_is_none(self, tmp_path):
@@ -73,7 +73,7 @@ class TestChecksummedJson:
 
     def test_checksum_mismatch_quarantined(self, tmp_path):
         path = tmp_path / "doc.json"
-        write_checksummed_json(path, {"v": 1})
+        write_checksummed_json(path, {"v": 1}, "test")
         document = json.loads(path.read_text())
         document["payload"]["v"] = 2  # bit-rot the payload, keep checksum
         path.write_text(json.dumps(document))
@@ -82,7 +82,7 @@ class TestChecksummedJson:
 
     def test_bytes_that_are_not_utf8_quarantined(self, tmp_path):
         path = tmp_path / "doc.json"
-        write_checksummed_json(path, {"name": "é"})
+        write_checksummed_json(path, {"name": "é"}, "test")
         data = bytearray(path.read_bytes())
         data[data.index("é".encode("utf-8"))] = 0xFF  # rot one byte
         path.write_bytes(bytes(data))
@@ -91,7 +91,7 @@ class TestChecksummedJson:
 
     def test_unknown_algorithm_quarantined(self, tmp_path):
         path = tmp_path / "doc.json"
-        write_checksummed_json(path, {"v": 1})
+        write_checksummed_json(path, {"v": 1}, "test")
         document = json.loads(path.read_text())
         document["algorithm"] = "md5"
         path.write_text(json.dumps(document))
@@ -103,12 +103,6 @@ class TestChecksummedJson:
         path.write_text('{"just": "data"}')
         assert read_checksummed_json(path) is None
         assert (tmp_path / "doc.json.corrupt").exists()
-
-    def test_quarantine_disabled_leaves_file(self, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_text("garbage")
-        assert read_checksummed_json(path, quarantine=False) is None
-        assert path.exists()
 
 
 class TestQuarantine:

@@ -1,10 +1,12 @@
 """Graceful write-degradation: a failing disk costs durability, not the run.
 
 Every persister absorbs the injected ``OSError`` (ENOSPC, EROFS — the
-shim raises real errnos, because a root-owned test process ignores
+fault hook raises real errnos, because a root-owned test process ignores
 ``chmod`` and needs injection to see a read-only filesystem), keeps
 serving from memory, flips its degraded flag, and counts the loss under
-``durability.degraded`` so the run report can say what happened.
+``durability.degraded`` so the run report can say what happened. The
+whole-file persisters get that rule from the atomic writer, so their
+faults are armed at its ``disk.atomic_write`` site.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.chaos.diskfaults import arm_disk_fault, disarm_disk_faults
-from repro.durability import RunJournal
+from repro.durability import RunJournal, arm_fault_point, disarm_fault_points
 from repro.llm.dispatch import Completion, CompletionCache
 from repro.obs.reporting import render_run_report
 from repro.semcache import SemanticAnswerCache, SemcacheLookup
@@ -22,9 +23,9 @@ from repro.serve.persistence import SessionStore
 
 @pytest.fixture(autouse=True)
 def _disarm():
-    disarm_disk_faults()
+    disarm_fault_points()
     yield
-    disarm_disk_faults()
+    disarm_fault_points()
 
 
 @pytest.fixture
@@ -53,8 +54,8 @@ class TestJournalDegradation:
             assert journal.append("k1", "turn", {"n": 1})
             # Arming resets the site's hit counter: the disk fills on
             # the *second* append after this line.
-            arm_disk_fault(
-                "disk.journal_append", on_hit=2, error="enospc", sticky=True
+            arm_fault_point(
+                "disk.journal_append", on_hit=2, action="enospc", sticky=True
             )
             assert journal.append("k2", "turn", {"n": 2})  # still durable
             assert journal.append("k3", "turn", {"n": 3})  # ENOSPC: degrade
@@ -74,10 +75,10 @@ class TestJournalDegradation:
     def test_surviving_records_reload_after_degradation(self, tmp_path):
         journal = RunJournal(tmp_path / "journal")
         journal.append("k1", "turn", {"n": 1})
-        arm_disk_fault("disk.journal_append", error="enospc", sticky=True)
+        arm_fault_point("disk.journal_append", action="enospc", sticky=True)
         journal.append("k2", "turn", {"n": 2})
         journal.close()
-        disarm_disk_faults()
+        disarm_fault_points()
 
         reloaded = RunJournal(tmp_path / "journal")
         try:
@@ -92,7 +93,7 @@ class TestSessionStoreDegradation:
     def test_readonly_store_fails_soft(self, tmp_path, enabled_obs):
         store = SessionStore(tmp_path / "sessions")
         assert store.save("s1", "t", "db", {"turns": [1]}) is True
-        arm_disk_fault("disk.session_save", error="erofs", sticky=True)
+        arm_fault_point("disk.atomic_write", action="erofs", sticky=True)
         assert store.save("s2", "t", "db", {"turns": [2]}) is False
         assert store.save("s3", "t", "db", {"turns": [3]}) is False
         assert store.save_failures == 2
@@ -104,7 +105,7 @@ class TestCompletionCacheDegradation:
     def test_full_disk_costs_warmth_not_the_run(self, tmp_path, enabled_obs):
         cache = CompletionCache()
         cache.put("key", Completion(text="SELECT 1", notes=[]))
-        arm_disk_fault("disk.cache_save", error="enospc")
+        arm_fault_point("disk.atomic_write", action="enospc")
         assert cache.save(tmp_path / "cache") == 0
         assert cache.save_failed
         # The in-memory cache still serves.
@@ -119,11 +120,11 @@ class TestSemcacheDegradation:
         self, tmp_path, enabled_obs
     ):
         cache = SemanticAnswerCache(directory=tmp_path / "semcache")
-        arm_disk_fault("disk.semcache_save", error="erofs")
+        arm_fault_point("disk.replace", action="erofs")
         assert cache.save() is None
         assert cache.save_failed
         assert _degraded_counts(obs.snapshot()).get("semcache") == 1
-        disarm_disk_faults()
+        disarm_fault_points()
         assert cache.save() is not None
 
     def test_log_abandoned_after_first_failure(self, tmp_path, enabled_obs):
@@ -135,9 +136,9 @@ class TestSemcacheDegradation:
             question="How many audiences?",
             fingerprint="fp",
         )
-        arm_disk_fault("disk.semcache_log", on_hit=1, error="enospc")
+        arm_fault_point("disk.semcache_log", on_hit=1, action="enospc")
         cache.log_round(lookup, "ask")
-        disarm_disk_faults()
+        disarm_fault_points()
         # A log with a silent hole audits the wrong history: once
         # degraded, later rounds are not appended either.
         cache.log_round(lookup, "ask")
@@ -151,7 +152,7 @@ class TestRunReportLine:
         self, tmp_path, enabled_obs
     ):
         journal = RunJournal(tmp_path / "journal")
-        arm_disk_fault("disk.journal_append", error="enospc", sticky=True)
+        arm_fault_point("disk.journal_append", action="enospc", sticky=True)
         journal.append("k1", "turn", {"n": 1})
         journal.close()
         report = render_run_report(obs.snapshot())

@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.durability.atomic import checksummed_json, verify_checksummed
-from repro.durability.crashpoints import (
+from repro.durability.faultpoints import (
     SimulatedCrash,
-    arm_crash_point,
-    disarm_crash_points,
+    arm_fault_point,
+    disarm_fault_points,
 )
 from repro.durability.journal import (
     JOURNAL_SCHEMA_VERSION,
@@ -20,7 +20,7 @@ from repro.durability.journal import (
 @pytest.fixture(autouse=True)
 def _disarm_after_each_test():
     yield
-    disarm_crash_points()
+    disarm_fault_points()
 
 
 def _lines(path):
@@ -174,7 +174,7 @@ class TestCrashShapes:
 
     def test_durable_before_crash_point(self, tmp_path):
         """A record is on disk before its crash point can fire."""
-        arm_crash_point("journal.append", on_hit=3, action="raise")
+        arm_fault_point("journal.append", on_hit=3, action="raise")
         journal = RunJournal(tmp_path)
         journal.append("a", "x", 1)
         journal.append("b", "x", 2)
@@ -256,13 +256,24 @@ class TestCrashShapes:
         assert reloaded.skipped_lines == 0
         assert journal_stats(tmp_path)["records"] == 3
 
+    def test_a_lone_surrogate_replays_after_a_reload(self, tmp_path):
+        # JSON carries "\ud800", so a request body or a backend's
+        # response can; UTF-8 cannot encode it raw.
+        value = {"question": "a\ud800b", "low": "\udfff"}
+        journal = RunJournal(tmp_path)
+        journal.append("\ud800", "x", value)
+        journal.close()
+        reloaded = RunJournal(tmp_path)
+        assert reloaded.replay("\ud800")["value"] == value
+        assert reloaded.skipped_lines == 0
+
     def test_a_resumed_crash_leaves_every_line_checksummed(self, tmp_path):
-        arm_crash_point("journal.append", on_hit=4, action="raise")
+        arm_fault_point("journal.append", on_hit=4, action="raise")
         crashed = RunJournal(tmp_path)
         with pytest.raises(SimulatedCrash):
             for index in range(10):
                 crashed.append(f"k{index}", "x", index)
-        disarm_crash_points()
+        disarm_fault_points()
         resumed = RunJournal(tmp_path)
         for index in range(10):
             resumed.append(f"k{index}", "x", index)

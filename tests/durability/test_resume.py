@@ -10,10 +10,10 @@ the CLI.
 import pytest
 
 from repro.durability import RunJournal
-from repro.durability.crashpoints import (
+from repro.durability.faultpoints import (
     SimulatedCrash,
-    arm_crash_point,
-    disarm_crash_points,
+    arm_fault_point,
+    disarm_fault_points,
 )
 from repro.eval.experiments import run_figure2, run_table2
 from repro.eval.harness import build_context
@@ -25,7 +25,7 @@ SEED = 20250325
 @pytest.fixture(autouse=True)
 def _disarm_after_each_test():
     yield
-    disarm_crash_points()
+    disarm_fault_points()
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +59,14 @@ class TestResumeParity:
         assert warm_journal.replayed == cold_journal.appended
 
     def test_crash_mid_run_then_resume(self, tmp_path, figure2_baseline):
-        arm_crash_point("journal.append", on_hit=25, action="raise")
+        arm_fault_point("journal.append", on_hit=25, action="raise")
         crashed_journal = RunJournal(tmp_path)
         crashed_context = build_context(
             scale="small", seed=SEED, journal=crashed_journal
         )
         with pytest.raises(SimulatedCrash):
             run_figure2(crashed_context)
-        disarm_crash_points()
+        disarm_fault_points()
         # No close/seal: the crashed process never got to clean up.
 
         resumed_journal = RunJournal(tmp_path)

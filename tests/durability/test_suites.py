@@ -98,6 +98,7 @@ class TestMisses:
                 "scale": "tiny",
                 "seed": 7,
             },
+            "suite",
         )
         assert load_suites(tmp_path, "tiny", 7) is None
         assert not path.exists()
@@ -114,6 +115,7 @@ class TestMisses:
         write_checksummed_json(
             path,
             {"version": SUITE_SCHEMA_VERSION, "scale": "tiny", "seed": 7},
+            "suite",
         )
         assert load_suites(tmp_path, "tiny", 7) is None
         assert not path.exists()

@@ -1,11 +1,12 @@
 """The replay harness: read-only re-classification plus divergence report."""
 
+from repro.durability.atomic import checksummed_json
 from repro.semcache.replay import (
     read_question_log,
     render_replay_report,
     replay,
 )
-from repro.semcache.store import SemanticAnswerCache
+from repro.semcache.store import SemanticAnswerCache, SemcacheLookup
 from repro.sql.schema import Column, DatabaseSchema, Table
 from repro.sql.types import DataType
 
@@ -91,21 +92,57 @@ class TestReplay:
         assert report["rounds"] == 0
 
 
+def _log(cache, question):
+    lookup = SemcacheLookup(
+        outcome="miss", tenant="t", db="shop", question=question,
+        fingerprint="fp",
+    )
+    cache.log_round(lookup, "ask", served_sql="SELECT 1")
+
+
 class TestQuestionLog:
     def test_missing_log_is_empty(self, tmp_path):
-        assert read_question_log(tmp_path) == []
+        assert read_question_log(tmp_path) == ([], 0)
 
     def test_malformed_lines_are_skipped(self, tmp_path):
         (tmp_path / "questions.jsonl").write_text(
-            '{"question": "q", "db": "shop"}\n'
+            checksummed_json({"question": "q", "db": "shop"}) + "\n"
             "not json\n"
-            "[1, 2, 3]\n"
+            '{"question": "bare", "db": "shop"}\n'
+            + checksummed_json([1, 2, 3]) + "\n"
             "\n"
-            '{"question": "r", "db": "shop"}\n',
+            + checksummed_json({"question": "r", "db": "shop"}) + "\n",
             encoding="utf-8",
         )
-        records = read_question_log(tmp_path)
+        records, skipped = read_question_log(tmp_path)
         assert [record["question"] for record in records] == ["q", "r"]
+        assert skipped == 3
+
+    def test_line_separators_inside_a_question_stay_one_round(
+        self, tmp_path
+    ):
+        cache = SemanticAnswerCache(directory=tmp_path)
+        questions = ["how many items", "items\u2028over 10", "cheap items"]
+        for question in questions:
+            _log(cache, question)
+        records, skipped = read_question_log(tmp_path)
+        assert [record["question"] for record in records] == questions
+        assert skipped == 0
+
+    def test_a_byte_that_is_not_utf8_costs_its_own_line(self, tmp_path):
+        cache = SemanticAnswerCache(directory=tmp_path)
+        for question in ("how many items", "items über 10", "cheap items"):
+            _log(cache, question)
+        path = tmp_path / "questions.jsonl"
+        data = bytearray(path.read_bytes())
+        data[data.index("ü".encode("utf-8"))] = 0xFF  # rot one byte
+        path.write_bytes(bytes(data))
+        records, skipped = read_question_log(tmp_path)
+        assert [record["question"] for record in records] == [
+            "how many items",
+            "cheap items",
+        ]
+        assert skipped == 1
 
 
 class TestRenderReport:
@@ -129,6 +166,7 @@ class TestRenderReport:
         }
         text = render_replay_report(report)
         assert "rounds:        4" in text
+        assert "skipped lines: 0" in text
         assert "hits:          1 (50.0% of answerable)" in text
         assert "divergences:   1" in text
         assert "[shop] count the items" in text

@@ -7,9 +7,11 @@ import time
 import pytest
 
 from repro.errors import TransientLLMError
+from repro.llm.dispatch import CompletionCache
 from repro.llm.interface import KIND_FEEDBACK
 from repro.llm.simulated import SimulatedLLM
 from repro.resilience import CircuitBreaker, ResilientChatModel, RetryPolicy
+from repro.semcache import SemanticAnswerCache
 from repro.serve import (
     ServeApp,
     ServeClient,
@@ -83,6 +85,31 @@ class TestHappyPath:
         assert "# TYPE fisql_serve_requests_total counter" in text
         assert 'fisql_serve_requests_total{route="ask",status="200"} 1' in text
         assert "# TYPE fisql_serve_latency_ms summary" in text
+
+
+class TestLoneSurrogate:
+    """``"\\ud800"`` in a JSON body parses to a string UTF-8 cannot
+    encode; the caches that key or log the question must still answer."""
+
+    @pytest.mark.parametrize(
+        "caches",
+        [
+            lambda tmp_path: {"cache": CompletionCache(max_entries=128)},
+            lambda tmp_path: {"semcache": SemanticAnswerCache(tmp_path)},
+        ],
+        ids=["completion-cache", "semantic-cache-dir"],
+    )
+    def test_ask_answers_200(self, aep_catalog, tmp_path, caches):
+        client = ServeClient.in_process(
+            ServeApp(aep_catalog, **caches(tmp_path))
+        )
+        session = client.create_session(db="aep")
+        status, body = client.request_raw(
+            "POST",
+            f"/sessions/{session['id']}/ask",
+            {"question": "How many audiences\ud800 were created in January?"},
+        )
+        assert status == 200, body
 
 
 class TestStructuredErrors:

@@ -11,6 +11,7 @@ import pytest
 from repro import obs
 from repro.cli import _build_parser
 from repro.cli import main as cli_main
+from repro.durability import disarm_fault_points
 from repro.serve import ServeClient
 from repro.serve.protocol import json_decode
 from repro.util import stable_choice, stable_fraction
@@ -313,6 +314,28 @@ class TestCliDurabilityFlags:
         )
         assert warm == baseline
 
+    def test_full_disk_costs_the_suite_file_not_the_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        suite_dir = tmp_path / "suites"
+        argv = ["run", "figure2", "--scale", "small"]
+        argv += ["--suite-dir", str(suite_dir)]
+        baseline, _ = self._run(capsys, argv[:4])
+        monkeypatch.setenv("FISQL_CRASH_POINT", "disk.atomic_write:1:enospc")
+        try:
+            full, _ = self._run(capsys, argv)
+            assert full == baseline
+            assert not list(suite_dir.glob("*"))
+            disarm_fault_points()  # the next run's save is hit 1 again
+            report, _ = self._run(capsys, [*argv, "--metrics"])
+        finally:
+            disarm_fault_points()
+        assert not list(suite_dir.glob("*"))
+        assert (
+            "degraded writes (disk fault, in-memory fallback): 1 (suite=1)"
+            in report
+        )
+
     def test_cache_subcommand_stats_and_clear(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         self._run(
@@ -477,6 +500,7 @@ class TestCliSemcacheFlags:
         assert "semcache replay" in out
         assert "rounds:" in out
         assert "rounds:        0" not in out
+        assert "skipped lines: 0" in out
         assert "divergences:" in out
 
 
