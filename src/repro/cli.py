@@ -8,7 +8,7 @@ Subcommands::
     fisql-repro serve --port 8080 --scale small     # session server
     fisql-repro top --port 8080                     # live /statusz dashboard
     fisql-repro cache stats --cache-dir /tmp/cache  # cache store ops
-    fisql-repro semcache replay --semantic-cache-dir /tmp/sc  # replay log
+    fisql-repro semcache replay --semantic-cache-dir /tmp/sc  # audit hits
     fisql-repro journal stats --journal /tmp/j      # records, segments
     fisql-repro trace-summary /tmp/t.jsonl          # re-render a trace
 
@@ -24,7 +24,11 @@ with ``--llm-retries``/``--llm-timeout`` tuning the resilient wrapper.
 
 ``serve`` boots the :mod:`repro.serve` session server over the databases
 of an experiment context, instrumented from the start (``/metrics`` is
-live immediately); SIGINT/SIGTERM drain gracefully.
+live immediately); SIGINT/SIGTERM drain gracefully. Its
+``--semantic-cache`` answers chat asks from :mod:`repro.semcache`; ``run``
+has no such flag, so no cached paraphrase answer reaches an artifact.
+``semcache replay`` asks the live model each question the cache served
+and reports where the two differ.
 
 ``trace-summary`` re-renders a saved ``--trace`` file as a flame-style
 rollup with per-round drill-down — no experiment re-run needed.
@@ -227,15 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--cache-max",
-        type=_bounded(int, 1),
-        metavar="N",
-        help=(
-            "cap the completion cache at N entries with LRU eviction "
-            "(requires --cache-dir; default: unbounded)"
-        ),
-    )
-    run.add_argument(
         "--journal",
         metavar="DIR",
         help=(
@@ -259,7 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "the same scale/seed load instead of regenerating"
         ),
     )
-    _add_semcache_arguments(run)
     run.set_defaults(func=_cmd_run)
 
     serve = subparsers.add_parser(
@@ -416,7 +410,32 @@ def _build_parser() -> argparse.ArgumentParser:
             "is over)"
         ),
     )
-    _add_semcache_arguments(serve)
+    serve.add_argument(
+        "--semantic-cache",
+        action="store_true",
+        help=(
+            "serve repeated questions from the cross-request semantic "
+            "answer cache (intent signatures + schema fingerprints); "
+            "feedback rounds and schema changes always bypass"
+        ),
+    )
+    serve.add_argument(
+        "--semantic-cache-dir",
+        metavar="DIR",
+        help=(
+            "persist the semantic store under DIR (semcache.json + a "
+            "questions.jsonl replay log; requires --semantic-cache)"
+        ),
+    )
+    serve.add_argument(
+        "--semantic-cache-max",
+        type=_bounded(int, 1),
+        metavar="N",
+        help=(
+            "cap the semantic store at N entries with LRU eviction "
+            "(requires --semantic-cache; default: 4096)"
+        ),
+    )
     serve.set_defaults(func=_cmd_serve)
 
     top = subparsers.add_parser(
@@ -451,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--semantic-cache-dir",
         metavar="DIR",
-        help="directory holding semcache.json (as passed to run/serve)",
+        help="directory holding semcache.json (as passed to serve)",
     )
     cache.set_defaults(func=_cmd_cache)
 
@@ -568,72 +587,6 @@ def _add_backend_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_semcache_arguments(sub: argparse.ArgumentParser) -> None:
-    """The semantic answer-cache flags, shared by ``run`` and ``serve``."""
-    sub.add_argument(
-        "--semantic-cache",
-        action="store_true",
-        help=(
-            "serve repeated questions from the cross-request semantic "
-            "answer cache (intent signatures + schema fingerprints); "
-            "feedback rounds and schema changes always bypass"
-        ),
-    )
-    sub.add_argument(
-        "--semantic-cache-dir",
-        metavar="DIR",
-        help=(
-            "persist the semantic store under DIR (semcache.json + a "
-            "questions.jsonl replay log; requires --semantic-cache)"
-        ),
-    )
-    sub.add_argument(
-        "--semantic-cache-max",
-        type=_bounded(int, 1),
-        metavar="N",
-        help=(
-            "cap the semantic store at N entries with LRU eviction "
-            "(requires --semantic-cache; default: 4096)"
-        ),
-    )
-    sub.add_argument(
-        "--semantic-cache-ttl-s",
-        type=_bounded(float, 0, strict=True),
-        metavar="SECONDS",
-        help=(
-            "evict semantic-cache entries older than SECONDS on lookup "
-            "(requires --semantic-cache; default: no expiry)"
-        ),
-    )
-
-
-def _check_semcache_arguments(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> None:
-    """Reject semantic-cache options without ``--semantic-cache``."""
-    if args.semantic_cache:
-        return
-    if args.semantic_cache_dir is not None:
-        parser.error("--semantic-cache-dir requires --semantic-cache")
-    if args.semantic_cache_max is not None:
-        parser.error("--semantic-cache-max requires --semantic-cache")
-    if args.semantic_cache_ttl_s is not None:
-        parser.error("--semantic-cache-ttl-s requires --semantic-cache")
-
-
-def _build_semcache(args: argparse.Namespace):
-    """The semantic answer store, or None without ``--semantic-cache``."""
-    if not args.semantic_cache:
-        return None
-    from repro.semcache import SemanticAnswerCache
-
-    return SemanticAnswerCache(
-        directory=args.semantic_cache_dir,
-        max_entries=args.semantic_cache_max,
-        ttl_s=args.semantic_cache_ttl_s,
-    )
-
-
 def _validate_backend_arguments(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> None:
@@ -654,14 +607,10 @@ def _validate_backend_arguments(
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     """Run the requested experiment(s) and print the paper-format output."""
-    if args.cache_max is not None and args.cache_dir is None:
-        parser.error("--cache-max requires --cache-dir")
     if args.resume and args.journal is None:
         parser.error("--resume requires --journal")
     _validate_backend_arguments(args, parser)
     _check_fault_workers(args, parser)
-    _check_semcache_arguments(args, parser)
-    semcache = _build_semcache(args)
     try:
         llm = _build_llm(args)
     except ValueError as error:
@@ -671,7 +620,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.cache_dir is not None:
         from repro.llm.dispatch import CachingChatModel, CompletionCache
 
-        cache = CompletionCache.load(args.cache_dir, max_entries=args.cache_max)
+        cache = CompletionCache.load(args.cache_dir)
         # Cache hits return the deterministic backend's own completions,
         # so the artifact output stays byte-identical to an uncached run.
         llm = CachingChatModel(llm if llm is not None else SimulatedLLM(), cache)
@@ -717,7 +666,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             workers=args.workers,
             journal=journal,
             suite_dir=args.suite_dir,
-            semcache=semcache,
         )
         chart_renderers = {
             "figure2": render_figure2_chart,
@@ -752,16 +700,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 f"{entries} entries saved to {args.cache_dir}",
                 file=sys.stderr,
             )
-        if semcache is not None:
-            stats = semcache.stats()
-            line = (
-                f"[semcache] {stats['hits']} hits, {stats['misses']} misses, "
-                f"{stats['bypasses']} bypasses; {stats['entries']} entries"
-            )
-            if args.semantic_cache_dir is not None:
-                semcache.save()
-                line += f" saved to {args.semantic_cache_dir}"
-            print(line, file=sys.stderr)
         if journal is not None:
             # Report to stderr: stdout (the artifacts) must stay
             # byte-identical across cold and resumed runs.
@@ -897,7 +835,11 @@ def _cmd_serve(
     # Every check that can exit comes first, before anything an exit
     # would leave behind: obs on, an open event log, a journal directory.
     _validate_backend_arguments(args, parser)
-    _check_semcache_arguments(args, parser)
+    if not args.semantic_cache:
+        if args.semantic_cache_dir is not None:
+            parser.error("--semantic-cache-dir requires --semantic-cache")
+        if args.semantic_cache_max is not None:
+            parser.error("--semantic-cache-max requires --semantic-cache")
     pool = None
     if args.backend:
         from repro.llm.router import build_backend_pool, parse_backend_spec
@@ -931,7 +873,14 @@ def _cmd_serve(
         from repro.llm.dispatch import CompletionCache
 
         cache = CompletionCache(max_entries=args.cache_max)
-    semcache = _build_semcache(args)
+    semcache = None
+    if args.semantic_cache:
+        from repro.semcache import SemanticAnswerCache
+
+        semcache = SemanticAnswerCache(
+            directory=args.semantic_cache_dir,
+            max_entries=args.semantic_cache_max,
+        )
     print(
         f"fisql-serve preloading context (scale={args.scale}, "
         f"seed={args.seed})..."
@@ -1086,24 +1035,19 @@ def _cmd_semcache(
         render_replay_report,
         replay,
     )
+    from repro.serve.server import context_catalog
 
     records, skipped = read_question_log(args.semantic_cache_dir)
     if not records and not skipped:
         parser.error(
             f"no question log found under {args.semantic_cache_dir!r} "
-            "(run or serve with --semantic-cache --semantic-cache-dir first)"
+            "(serve with --semantic-cache --semantic-cache-dir first)"
         )
     store = SemanticAnswerCache(directory=args.semantic_cache_dir)
     context = build_context(
         scale=args.scale, seed=args.seed, suite_dir=args.suite_dir
     )
-    schemas = {
-        db_id: database.schema
-        for db_id, database in context.spider.benchmark.databases.items()
-    }
-    for db_id, database in context.aep_benchmark.databases.items():
-        schemas.setdefault(db_id, database.schema)
-    report = replay(store, schemas, records)
+    report = replay(store, context_catalog(context), context.llm, records)
     report["skipped_lines"] = skipped
     print(render_replay_report(report))
     return 0

@@ -50,9 +50,9 @@ class ChatSession:
 
     Asks go through the :class:`Assistant`, feedback through
     :meth:`FisqlPipeline.revise` (the sweep's own round). With a semantic
-    cache attached, the model is wrapped as ``run`` wraps it: a hit
-    answers from the stored SQL with no model call, a miss that parses is
-    stored, and feedback rounds bypass the cache.
+    cache attached, the Assistant's model is wrapped, labelled by
+    ``tenant``: a hit answers from the stored SQL with no model call, a
+    miss that parses is stored, and feedback rounds bypass the cache.
     """
 
     def __init__(

@@ -48,20 +48,28 @@ from repro.durability.faultpoints import fault_point
 CHECKSUM_ALGORITHM = "sha256"
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 def _escape_surrogate(match: "re.Match[str]") -> str:
     return f"\\u{ord(match.group()):04x}"
 
 
+def _join_pair(match: "re.Match[str]") -> str:
+    pair = match.group().encode("utf-16-le", "surrogatepass")
+    return pair.decode("utf-16-le")
+
+
 def canonical_json(payload: object) -> str:
     """The canonical JSON text for a payload (sorted keys, stable bytes).
 
-    Text stays raw UTF-8, except a lone surrogate (``"\\ud800"`` in a
-    request body parses to one), which UTF-8 cannot encode: it is written
-    as its ``\\udXXX`` escape, which reads back as the same string. A high
-    surrogate followed by a low one reads back as the one character the
-    pair encodes, as JSON defines.
+    Text stays raw UTF-8, except surrogates, which UTF-8 cannot encode.
+    A high surrogate followed by a low one (two code points that only
+    concatenation inside the program builds) is written as the one
+    character the pair encodes, as JSON reading joins them. A lone
+    surrogate (``"\\ud800"`` in a request body parses to one) is written
+    as its ``\\udXXX`` escape, which reads back as the same string. So
+    the canonical JSON of what the text reads back as is the same text.
     """
     text = json.dumps(
         payload,
@@ -72,6 +80,11 @@ def canonical_json(payload: object) -> str:
     )
     if text.isascii():  # the usual case, and O(1): nothing to escape
         return text
+    if _SURROGATE_PAIR.search(text):
+        # Read it back as JSON reading would: a joined pair can move its
+        # key in the sort order, so sort the read-back again.
+        joined = _SURROGATE_PAIR.sub(_join_pair, text)
+        return canonical_json(json.loads(joined))
     return _SURROGATE.sub(_escape_surrogate, text)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro import obs
 from repro.core.feedback import Feedback
@@ -37,9 +37,6 @@ from repro.llm.interface import ChatModel
 from repro.llm.simulated import SimulatedLLM
 from repro.sql import ast
 from repro.sql.parser import parse_select
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.semcache.store import SemanticAnswerCache
 
 #: Scales: full reproduces the paper's sizes; small keeps tests fast.
 SCALES = {
@@ -73,9 +70,6 @@ class ExperimentContext:
     workers: int = 1
     #: Write-ahead journal for resumable sweeps (None = not journaling).
     journal: Optional[RunJournal] = None
-    #: Semantic answer cache wrapped over every model the context builds
-    #: (None = off; the default, which keeps artifacts byte-identical).
-    semcache: Optional["SemanticAnswerCache"] = None
     _spider_retriever: Optional[DemonstrationRetriever] = None
     _aep_retriever: Optional[DemonstrationRetriever] = None
     _assistant_reports: dict = field(default_factory=dict)
@@ -86,19 +80,11 @@ class ExperimentContext:
 
     # -- models -----------------------------------------------------------------
 
-    def _wrap(self, model: Nl2SqlModel):
-        """Put the semantic answer cache (when enabled) above the model."""
-        if self.semcache is None:
-            return model
-        from repro.semcache.model import SemanticCachingNl2SqlModel
-
-        return SemanticCachingNl2SqlModel(model, self.semcache, tenant="run")
-
-    def zero_shot_model(self):
+    def zero_shot_model(self) -> Nl2SqlModel:
         """The Figure 1 setup: schema only, no demonstrations."""
-        return self._wrap(Nl2SqlModel(llm=self.llm, retriever=None))
+        return Nl2SqlModel(llm=self.llm, retriever=None)
 
-    def spider_assistant_model(self):
+    def spider_assistant_model(self) -> Nl2SqlModel:
         """The Assistant's RAG pipeline over the SPIDER train pool.
 
         Each context ranks with a retriever of its own, over the suite's
@@ -108,19 +94,15 @@ class ExperimentContext:
             self._spider_retriever = DemonstrationRetriever(
                 self.spider.demos, top_k=4
             )
-        return self._wrap(
-            Nl2SqlModel(llm=self.llm, retriever=self._spider_retriever)
-        )
+        return Nl2SqlModel(llm=self.llm, retriever=self._spider_retriever)
 
-    def aep_assistant_model(self):
+    def aep_assistant_model(self) -> Nl2SqlModel:
         """The Assistant's RAG pipeline over the in-house AEP demos."""
         if self._aep_retriever is None:
             self._aep_retriever = DemonstrationRetriever(self.aep_demos, top_k=4)
-        return self._wrap(
-            Nl2SqlModel(llm=self.llm, retriever=self._aep_retriever)
-        )
+        return Nl2SqlModel(llm=self.llm, retriever=self._aep_retriever)
 
-    def assistant_model(self, dataset: str):
+    def assistant_model(self, dataset: str) -> Nl2SqlModel:
         """The Assistant's RAG pipeline for a dataset."""
         if dataset == "spider":
             return self.spider_assistant_model()
@@ -324,7 +306,6 @@ def build_context(
     workers: int = 1,
     journal: Optional[RunJournal] = None,
     suite_dir: Optional[str] = None,
-    semcache: "Optional[SemanticAnswerCache]" = None,
 ) -> ExperimentContext:
     """Build (or fetch the cached) experiment context.
 
@@ -334,9 +315,7 @@ def build_context(
     must not leak into later fault-free runs. ``workers`` configures
     evaluation parallelism; a non-default value likewise gets a fresh
     (uncached) context so the pristine sequential one stays pristine,
-    and so do a ``journal`` (per-run resume state) and a ``semcache``
-    (cross-request answer store wrapped over every model the context
-    builds).
+    and so does a ``journal`` (per-run resume state).
 
     ``suite_dir`` enables suite persistence: a previously saved
     ``(scale, seed)`` suite loads instead of regenerating (suites are pure
@@ -349,12 +328,7 @@ def build_context(
     if scale not in SCALES:
         valid = ", ".join(sorted(SCALES))
         raise ValueError(f"unknown scale {scale!r}; valid scales: {valid}")
-    pristine = (
-        llm is None
-        and workers == 1
-        and journal is None
-        and semcache is None
-    )
+    pristine = llm is None and workers == 1 and journal is None
     key = (scale, seed)
     if key in _CONTEXT_CACHE:
         cached = _CONTEXT_CACHE[key]
@@ -385,7 +359,6 @@ def build_context(
             llm=llm if llm is not None else cached.llm,
             workers=workers,
             journal=journal,
-            semcache=semcache,
         )
     params = SCALES[scale]
     with obs.span("harness.build_context", scale=scale, seed=seed):
@@ -427,7 +400,6 @@ def build_context(
             context.llm = llm
         context.workers = workers
         context.journal = journal
-        context.semcache = semcache
     if pristine:
         _CONTEXT_CACHE[key] = context
     return context

@@ -14,7 +14,8 @@ This module adds the layer that lets a repeated prompt skip the model:
   ``completions.json`` per cache directory) so predictions and generated
   correction suites survive across processes.
 * :class:`CachingChatModel` — a :class:`ChatModel` wrapper that consults
-  the cache before calling the inner model.
+  the cache before calling the inner model, and makes one call for
+  concurrent misses on one prompt.
 
 Metric names: ``cache.hit`` / ``cache.miss`` (counters, labelled by prompt
 kind; each lookup is also a structured-log event of the same name, which
@@ -175,18 +176,15 @@ class CompletionCache:
     # -- persistence ----------------------------------------------------------
 
     @classmethod
-    def load(
-        cls,
-        directory: Union[str, Path],
-        max_entries: Optional[int] = None,
-    ) -> "CompletionCache":
-        """A cache warmed from ``directory`` (empty when nothing persisted).
+    def load(cls, directory: Union[str, Path]) -> "CompletionCache":
+        """An unbounded cache warmed from ``directory`` (empty when nothing
+        persisted).
 
         A corrupt file (torn write, checksum mismatch, manual edit) is
         quarantined and the cache starts cold; a stale schema version is
         simply ignored. Loading never raises.
         """
-        cache = cls(max_entries=max_entries)
+        cache = cls()
         path = Path(directory) / CACHE_FILENAME
         document = read_checksummed_json(path, kind="completion_cache")
         if (
@@ -209,8 +207,6 @@ class CompletionCache:
                 ):
                     cache._entries[key] = (entry["text"], tuple(notes))
         cache.loaded = len(cache._entries)
-        with cache._lock:
-            cache._evict_over_cap_locked()
         return cache
 
     def save(self, directory: Union[str, Path]) -> int:
@@ -239,12 +235,24 @@ class CompletionCache:
         return len(entries)
 
 
+class _Flight:
+    """One backend call in progress, which callers of its key wait on."""
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        #: The call's completion; stays None when the call raised.
+        self.completion: Optional[Completion] = None
+
+
 class CachingChatModel:
     """A :class:`ChatModel` wrapper that memoizes completions.
 
     Hits are answered from the :class:`CompletionCache` without touching
-    the inner model. Errors are never cached — a failed prompt retries
-    against the backend on the next call.
+    the inner model. Concurrent misses on one prompt make one backend
+    call (single flight): the first caller makes it, and the others wait
+    and get copies of its completion. Errors are never cached — when the
+    call raises, each waiter calls the backend itself, and a failed
+    prompt retries against the backend on the next call.
     """
 
     def __init__(
@@ -258,6 +266,10 @@ class CachingChatModel:
         # Optional live-telemetry hook: called with hit/miss per lookup
         # (the serve layer feeds its TelemetryHub windowed hit rate).
         self._on_lookup = on_lookup
+        # Guards the lookup and the flight table together, so a miss
+        # either joins the call in flight or finds its completion cached.
+        self._flights_lock = threading.Lock()
+        self._flights: dict[str, _Flight] = {}
 
     @property
     def inner(self) -> ChatModel:
@@ -279,11 +291,32 @@ class CachingChatModel:
 
     def complete(self, prompt: Prompt) -> Completion:
         key = canonical_prompt_key(prompt)
-        cached = self._cache.get(key)
+        with self._flights_lock:
+            cached = self._cache.get(key)
+            flight = self._flights.get(key) if cached is None else None
+            leads = cached is None and flight is None
+            if leads:
+                flight = self._flights[key] = _Flight()
+        self._lookup(cached is not None, prompt.kind)
         if cached is not None:
-            self._lookup(True, prompt.kind)
             return cached
-        self._lookup(False, prompt.kind)
+        if leads:
+            try:
+                flight.completion = self._inner.complete(prompt)
+            finally:
+                with self._flights_lock:
+                    if flight.completion is not None:
+                        self._cache.put(key, flight.completion)
+                    del self._flights[key]
+                flight.done.set()
+            return flight.completion
+        flight.done.wait()
+        if flight.completion is not None:
+            return Completion(
+                text=flight.completion.text,
+                notes=list(flight.completion.notes),
+            )
+        # The leader's call raised: this caller asks the backend itself.
         completion = self._inner.complete(prompt)
         self._cache.put(key, completion)
         return completion

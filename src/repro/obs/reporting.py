@@ -87,11 +87,7 @@ def _render_llm(snapshot: dict) -> str:
     calls_by_kind = _counter_by_label(snapshot, "llm.calls", "kind")
     hits = _counter_by_label(snapshot, "cache.hit", "kind")
     misses = _counter_by_label(snapshot, "cache.miss", "kind")
-    sem_hits = _counter_total(snapshot, "semcache.hit")
-    sem_misses = _counter_total(snapshot, "semcache.miss")
-    sem_bypasses = _counter_total(snapshot, "semcache.bypass")
-    sem_total = sem_hits + sem_misses + sem_bypasses
-    if not calls_by_kind and not hits and not misses and not sem_total:
+    if not calls_by_kind and not hits and not misses:
         return "(no LLM calls recorded)"
     lines = []
     if calls_by_kind:
@@ -124,18 +120,6 @@ def _render_llm(snapshot: dict) -> str:
         )
         if hits:
             line += f"; by kind: {_label_summary(hits)}"
-        lines.append(line)
-    if sem_total:
-        # Only semantic-cache runs grow the report (byte-identity off-flag).
-        answered = sem_hits + sem_misses
-        sem_rate = 100.0 * sem_hits / answered if answered else 0.0
-        line = (
-            f"semantic cache: {_int(sem_hits)}/{_int(answered)} hits "
-            f"({sem_rate:.1f}%), {_int(sem_bypasses)} bypassed"
-        )
-        invalidations = _counter_total(snapshot, "semcache.invalidate")
-        if invalidations:
-            line += f", {_int(invalidations)} invalidated"
         lines.append(line)
     return "\n".join(lines)
 

@@ -1,4 +1,4 @@
-"""Cross-request semantic answer cache (``repro.semcache``).
+"""Cross-request semantic answer cache (``repro.semcache``) for ``serve``.
 
 Questions are normalized into canonical :class:`IntentSignature` keys,
 scoped by per-tenant schema fingerprints, and served from a bounded,
@@ -7,6 +7,11 @@ the router, and the backends — a hit never touches the LLM tier at all.
 Guardrails: feedback rounds and schema-fingerprint changes bypass (never
 read, never write), schema mutations invalidate stored entries, and
 errored rounds are never cached.
+
+Only chat asks reach the cache. A paraphrase is served the answer stored
+for its signature, which can differ from what the model would say, so
+the paper's sweeps never consult it; :func:`replay` asks the live model
+each logged hit's question again and reports where the two differ.
 """
 
 from repro.semcache.fingerprint import (

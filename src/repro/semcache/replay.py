@@ -1,23 +1,27 @@
 """Replay a recorded question log against the semantic store.
 
 ``fisql-repro semcache replay`` answers the operator question "if I
-shipped this store, what would it have served?": every recorded round is
-re-classified with :meth:`SemanticAnswerCache.peek` (zero mutation — no
-counters move, no LRU touches, no invalidations), and hits are compared
-against the SQL the live system actually served at record time. A
-mismatch is a **divergence**: the cache would have answered differently
-than the real model did — would-have-been-wrong answers surface *before*
-they reach users, not after.
+shipped this store, what would it serve, and where is it wrong?": every
+recorded round is re-classified with :meth:`SemanticAnswerCache.peek`
+(zero mutation — no counters move, no LRU touches, no invalidations),
+and each hit's question is asked again of the live model, the one
+``serve`` gives that database. A hit whose stored SQL differs from the
+model's answer is a **divergence**: the cache would answer that question
+differently than the model does, so would-have-been-wrong answers
+surface before they reach users, not after.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from repro.durability.atomic import read_checksummed_lines
+from repro.llm.interface import ChatModel
 from repro.semcache.store import LOG_FILENAME, SemanticAnswerCache
-from repro.sql.schema import DatabaseSchema
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.serve.server import CatalogEntry
 
 
 def read_question_log(
@@ -40,10 +44,15 @@ def read_question_log(
 
 def replay(
     cache: SemanticAnswerCache,
-    schemas: dict[str, DatabaseSchema],
+    catalog: Mapping[str, "CatalogEntry"],
+    llm: ChatModel,
     records: list[dict[str, object]],
 ) -> dict[str, object]:
-    """Re-run recorded rounds read-only; report breakdown + divergences."""
+    """Re-run recorded rounds read-only; report breakdown + divergences.
+
+    ``catalog`` maps each database name to its serve catalog entry, whose
+    model over ``llm`` answers each hit again.
+    """
     report: dict[str, object] = {
         "rounds": 0,
         "hits": 0,
@@ -66,28 +75,29 @@ def replay(
             report["feedback_rounds"] = int(report["feedback_rounds"]) + 1
             report["bypasses"] = int(report["bypasses"]) + 1
             continue
-        schema = schemas.get(db)
-        if schema is None:
+        entry = catalog.get(db)
+        if entry is None:
             report["unknown_databases"] = int(report["unknown_databases"]) + 1
             report["bypasses"] = int(report["bypasses"]) + 1
             continue
         lookup = cache.peek(
-            tenant if isinstance(tenant, str) else "replay", schema, question
+            tenant if isinstance(tenant, str) else "replay",
+            entry.database.schema,
+            question,
         )
         if lookup.outcome == "hit":
             report["hits"] = int(report["hits"]) + 1
-            recorded_sql = record.get("sql")
-            if isinstance(recorded_sql, str) and recorded_sql:
-                if lookup.sql != recorded_sql:
-                    divergences.append(
-                        {
-                            "tenant": lookup.tenant,
-                            "db": db,
-                            "question": question,
-                            "recorded_sql": recorded_sql,
-                            "cached_sql": lookup.sql,
-                        }
-                    )
+            model_sql = entry.model(llm).predict(question, entry.database).sql
+            if model_sql != lookup.sql:
+                divergences.append(
+                    {
+                        "tenant": lookup.tenant,
+                        "db": db,
+                        "question": question,
+                        "model_sql": model_sql,
+                        "cached_sql": lookup.sql,
+                    }
+                )
         elif lookup.outcome == "miss":
             report["misses"] = int(report["misses"]) + 1
         else:
@@ -127,7 +137,7 @@ def render_replay_report(
     shown = divergences if limit is None else divergences[:limit]
     for item in shown:
         lines.append(f"    [{item.get('db')}] {item.get('question')}")
-        lines.append(f"      recorded: {item.get('recorded_sql')}")
+        lines.append(f"      model:    {item.get('model_sql')}")
         lines.append(f"      cached:   {item.get('cached_sql')}")
     if limit is not None and len(divergences) > limit:
         lines.append(f"    ... and {len(divergences) - limit} more")

@@ -32,7 +32,6 @@ garbage.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -82,7 +81,6 @@ def _empty_stats() -> dict[str, int]:
         "bypasses": 0,
         "invalidations": 0,
         "evictions": 0,
-        "expirations": 0,
     }
 
 
@@ -99,9 +97,6 @@ class SemanticAnswerCache:
         self,
         directory: Optional[Union[str, Path]] = None,
         max_entries: Optional[int] = None,
-        on_outcome: Optional[Callable[[str], None]] = None,
-        ttl_s: Optional[float] = None,
-        clock: Callable[[], float] = time.time,
     ) -> None:
         self._directory = Path(directory) if directory is not None else None
         self._max_entries = (
@@ -109,11 +104,7 @@ class SemanticAnswerCache:
         )
         if self._max_entries < 1:
             raise ValueError("max_entries must be >= 1")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError(f"ttl_s must be > 0: {ttl_s}")
-        self._ttl_s = ttl_s
-        self._clock = clock
-        self._on_outcome = on_outcome
+        self._on_outcome: Optional[Callable[[str], None]] = None
         self._lock = threading.Lock()
         # The question log gets its own lock: in serve mode the append
         # is disk I/O per round, and it must not serialize lookup/store
@@ -208,24 +199,6 @@ class SemanticAnswerCache:
 
     # -- classification -----------------------------------------------------
 
-    @property
-    def ttl_s(self) -> Optional[float]:
-        return self._ttl_s
-
-    def _expired(self, entry: dict) -> bool:
-        """Whether the TTL bound (when set) has passed for this entry.
-
-        An entry with no ``stored_at`` stamp under an enforced TTL is
-        treated as stale: it predates TTL enforcement, so its age is
-        unknown and unbounded.
-        """
-        if self._ttl_s is None:
-            return False
-        stored_at = entry.get("stored_at")
-        if not isinstance(stored_at, (int, float)):
-            return True
-        return (self._clock() - stored_at) > self._ttl_s
-
     def _tenant(self, tenant: str) -> _TenantView:
         view = self._tenants.get(tenant)
         if view is None:
@@ -312,17 +285,6 @@ class SemanticAnswerCache:
 
         key = f"{fingerprint}:{signature.key()}"
         entry = self._entries.get(key)
-        if entry is not None and self._expired(entry):
-            # Older than the TTL bound: evict on this lookup and fall
-            # through to a miss, so the caller recomputes and re-stores.
-            # The read-only view treats the stale entry as a miss too,
-            # but never deletes.
-            if mutate:
-                del self._entries[key]
-                self._stats["expirations"] += 1
-                self._tenant(tenant).stats["expirations"] += 1
-                obs.count("semcache.expired", tenant=tenant)
-            entry = None
         if entry is not None:
             if mutate:
                 # LRU touch: re-insert so eviction drops the coldest key.
@@ -402,19 +364,15 @@ class SemanticAnswerCache:
                 or view.fingerprints.get(lookup.db) != lookup.fingerprint
             ):
                 return False
-            entry: dict[str, object] = {
+            # Insert at the end, the most recently used place.
+            self._entries.pop(lookup.key, None)
+            self._entries[lookup.key] = {
                 "db": lookup.db,
                 "question": lookup.question,
                 "sql": sql,
                 "notes": list(notes or []),
                 "fingerprint": lookup.fingerprint,
             }
-            if self._ttl_s is not None:
-                # Stamped only under a TTL bound, so stores written
-                # without one stay byte-identical to earlier versions.
-                entry["stored_at"] = self._clock()
-            self._entries[lookup.key] = entry
-            self._entries[lookup.key] = self._entries.pop(lookup.key)
             while len(self._entries) > self._max_entries:
                 oldest = next(iter(self._entries))
                 del self._entries[oldest]
@@ -422,12 +380,7 @@ class SemanticAnswerCache:
                 obs.count("semcache.evictions")
             return True
 
-    def log_round(
-        self,
-        lookup: SemcacheLookup,
-        kind: str,
-        served_sql: Optional[str] = None,
-    ) -> None:
+    def log_round(self, lookup: SemcacheLookup, kind: str) -> None:
         """Append one round to the replay question log (when persistent).
 
         Each round is one checksummed line (the run journal's format), so
@@ -443,7 +396,6 @@ class SemanticAnswerCache:
             "kind": kind,
             "outcome": lookup.outcome,
             "reason": lookup.reason,
-            "sql": served_sql,
         }
         data = (checksummed_json(record) + "\n").encode("utf-8")
         with self._log_lock:
@@ -496,13 +448,11 @@ class SemanticAnswerCache:
             return {
                 "entries": len(self._entries),
                 "max_entries": self._max_entries,
-                "ttl_s": self._ttl_s,
                 "hits": self._stats["hits"],
                 "misses": self._stats["misses"],
                 "bypasses": self._stats["bypasses"],
                 "invalidations": self._stats["invalidations"],
                 "evictions": self._stats["evictions"],
-                "expirations": self._stats["expirations"],
                 "fingerprints": self._fingerprints_by_db(),
                 "tenants": {
                     tenant: {

@@ -157,6 +157,28 @@ class CatalogEntry:
     database: Database
     retriever: Optional[DemonstrationRetriever] = None
 
+    def model(self, llm: ChatModel) -> Nl2SqlModel:
+        """The NL2SQL model a session over this database asks."""
+        return Nl2SqlModel(llm=llm, retriever=self.retriever)
+
+
+def context_catalog(context) -> dict[str, CatalogEntry]:
+    """Every database of an experiment context, as ``serve`` hosts it.
+
+    SPIDER databases share the SPIDER train-pool retriever, AEP
+    databases the in-house demo retriever — the same RAG stacks the
+    batch experiments use, preloaded once and shared read-only by
+    every session.
+    """
+    catalog: dict[str, CatalogEntry] = {}
+    spider_retriever = context.spider_assistant_model().retriever
+    for db_id, database in context.spider.benchmark.databases.items():
+        catalog[db_id] = CatalogEntry(database, spider_retriever)
+    aep_retriever = context.aep_assistant_model().retriever
+    for db_id, database in context.aep_benchmark.databases.items():
+        catalog.setdefault(db_id, CatalogEntry(database, aep_retriever))
+    return catalog
+
 
 class ServeApp:
     """Transport-independent request handling for the session server."""
@@ -222,22 +244,10 @@ class ServeApp:
 
     @classmethod
     def from_context(cls, context, **kwargs) -> "ServeApp":
-        """Host every database of an experiment context.
-
-        SPIDER databases share the SPIDER train-pool retriever, AEP
-        databases the in-house demo retriever — the same RAG stacks the
-        batch experiments use, preloaded once and shared read-only by
-        every session.
-        """
-        catalog: dict[str, CatalogEntry] = {}
-        spider_retriever = context.spider_assistant_model().retriever
-        for db_id, database in context.spider.benchmark.databases.items():
-            catalog[db_id] = CatalogEntry(database, spider_retriever)
-        aep_retriever = context.aep_assistant_model().retriever
-        for db_id, database in context.aep_benchmark.databases.items():
-            catalog.setdefault(db_id, CatalogEntry(database, aep_retriever))
+        """Host every database of an experiment context
+        (:func:`context_catalog`), answering with its model."""
         kwargs.setdefault("llm", context.llm)
-        return cls(catalog, **kwargs)
+        return cls(context_catalog(context), **kwargs)
 
     @property
     def manager(self) -> SessionManager:
@@ -654,10 +664,9 @@ class ServeApp:
         llm = self.llm_for_tenant(request.tenant)
 
         def chat_factory() -> ChatSession:
-            model = Nl2SqlModel(llm=llm, retriever=entry.retriever)
             return ChatSession(
                 entry.database,
-                model,
+                entry.model(llm),
                 llm=llm,
                 routing=request.routing,
                 semcache=self._semcache,

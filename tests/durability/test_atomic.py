@@ -25,6 +25,25 @@ class TestCanonical:
     def test_canonical_key_differs_on_content(self):
         assert canonical_key({"a": 1}) != canonical_key({"a": 2})
 
+    def test_a_split_surrogate_pair_keys_as_its_character(self):
+        split = "a\ud83d" + "\ude00b"
+        joined = "a\U0001f600b"
+        assert canonical_key(split) == canonical_key(joined)
+        assert canonical_json({"q": split}) == '{"q":"a\U0001f600b"}'
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a\ud83d\ude00": 1, "\uffff": 2},  # the pair sorts after
+            ["\udc00\ud800\udc00", "\ud800\ud800", "\u00e9", "x\udfff"],
+        ],
+        ids=["pair-in-a-key", "lone-and-paired"],
+    )
+    def test_canonical_json_of_its_read_back_is_unchanged(self, payload):
+        text = canonical_json(payload)
+        assert canonical_json(json.loads(text)) == text
+        text.encode("utf-8")  # and UTF-8 encodes it
+
 
 class TestAtomicWrite:
     def test_writes_content(self, tmp_path):

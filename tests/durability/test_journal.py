@@ -267,6 +267,18 @@ class TestCrashShapes:
         assert reloaded.replay("\ud800")["value"] == value
         assert reloaded.skipped_lines == 0
 
+    def test_a_split_surrogate_pair_reloads_as_its_character(self, tmp_path):
+        # Concatenation can hold a pair as two code points; JSON reads
+        # the pair back as the one character it encodes.
+        value = {"question": "a\ud83d" + "\ude00b"}
+        journal = RunJournal(tmp_path)
+        journal.append("k", "x", value)
+        journal.close()
+        reloaded = RunJournal(tmp_path)
+        assert len(reloaded) == 1
+        assert reloaded.skipped_lines == 0
+        assert reloaded.replay("k")["value"] == {"question": "a\U0001f600b"}
+
     def test_a_resumed_crash_leaves_every_line_checksummed(self, tmp_path):
         arm_fault_point("journal.append", on_hit=4, action="raise")
         crashed = RunJournal(tmp_path)

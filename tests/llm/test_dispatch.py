@@ -1,6 +1,10 @@
 """The cached dispatch layer: canonical keys, the completion cache and its
 chat-model wrapper."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 import repro.llm
@@ -42,6 +46,27 @@ class FlakyLLM:
         if "bad" in prompt.text:
             raise TransientLLMError(f"flaky: {prompt.text}")
         return Completion(text=prompt.text.upper())
+
+
+class GatedLLM:
+    """Holds every call until ``release`` is set; can fail its first."""
+
+    def __init__(self, fail_first: bool = False) -> None:
+        self.calls = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._fail_first = fail_first
+        self._lock = threading.Lock()
+
+    def complete(self, prompt: Prompt) -> Completion:
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        self.entered.set()
+        assert self.release.wait(timeout=10)
+        if self._fail_first and call == 1:
+            raise TransientLLMError("the first call fails")
+        return Completion(text=f"SQL({prompt.text})", notes=["note"])
 
 
 def _prompt(text: str, kind: str = "nl2sql", **payload) -> Prompt:
@@ -197,15 +222,6 @@ class TestCompletionCacheLRU:
         assert cache.get("a").text == "1*"
         assert cache.get("b") is None
 
-    def test_load_applies_cap(self, tmp_path):
-        full = CompletionCache()
-        for index in range(5):
-            full.put(f"k{index}", Completion(text=str(index)))
-        full.save(tmp_path)
-        capped = CompletionCache.load(tmp_path, max_entries=2)
-        assert len(capped) == 2
-        assert capped.get("k4") is not None  # the most recent survive
-
     def test_clear_reports_dropped(self):
         cache = CompletionCache()
         cache.put("a", Completion(text="1"))
@@ -252,6 +268,102 @@ class TestCachingChatModel:
         assert len(model.cache) == 0
         # A later fixed backend is consulted again, not the error replayed.
         assert model.cache.get(canonical_prompt_key(_prompt("bad"))) is None
+
+
+class TestSingleFlight:
+    """Concurrent misses on one prompt share one backend call."""
+
+    @staticmethod
+    def _two_misses(model, inner):
+        """Start two callers of one prompt, the second once the first is
+        inside the backend; release the backend once both missed."""
+        results: dict = {}
+
+        def call(name):
+            try:
+                results[name] = model.complete(_prompt("q"))
+            except TransientLLMError as error:
+                results[name] = error
+
+        first = threading.Thread(target=call, args=("first",))
+        first.start()
+        assert inner.entered.wait(timeout=10)
+        second = threading.Thread(target=call, args=("second",))
+        second.start()
+        deadline = time.monotonic() + 10
+        while model.cache.stats()["misses"] < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        inner.release.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert not first.is_alive() and not second.is_alive()
+        return results
+
+    def test_concurrent_misses_make_one_backend_call(self):
+        obs.enable()
+        inner = GatedLLM()
+        model = CachingChatModel(inner)
+        results = self._two_misses(model, inner)
+        assert inner.calls == 1
+        first, second = results["first"], results["second"]
+        assert first == second == Completion(text="SQL(q)", notes=["note"])
+        assert first is not second and first.notes is not second.notes
+        # The waiter counts as the miss it was.
+        stats = model.cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 2)
+        metrics = obs.get_metrics()
+        assert metrics.counter_value("cache.miss", kind="nl2sql") == 2
+
+    def test_a_waiter_calls_the_backend_when_the_leader_raises(self):
+        inner = GatedLLM(fail_first=True)
+        model = CachingChatModel(inner)
+        results = self._two_misses(model, inner)
+        assert isinstance(results["first"], TransientLLMError)
+        assert results["second"] == Completion(text="SQL(q)", notes=["note"])
+        assert inner.calls == 2
+        # The waiter's own answer is cached; the error never was.
+        assert model.complete(_prompt("q")) == results["second"]
+        assert inner.calls == 2
+
+    def test_many_threads_call_the_backend_once_per_prompt(self):
+        """More threads than cores, switching often: every prompt is
+        answered by exactly one backend call, and every lookup counts."""
+        calls: dict = {}
+        lock = threading.Lock()
+
+        class CountingLLM:
+            def complete(self, prompt: Prompt) -> Completion:
+                with lock:
+                    calls[prompt.text] = calls.get(prompt.text, 0) + 1
+                time.sleep(0.001)  # a backend that waits
+                return Completion(text=f"SQL({prompt.text})")
+
+        model = CachingChatModel(CountingLLM())
+        texts = [f"q{index}" for index in range(5)]
+        wrong: list = []
+
+        def worker():
+            for _ in range(20):
+                for text in texts:
+                    if model.complete(_prompt(text)).text != f"SQL({text})":
+                        wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert calls == {text: 1 for text in texts}
+        stats = model.cache.stats()
+        assert stats["hits"] + stats["misses"] == 8 * 20 * len(texts)
 
 
 def test_batch_names_are_not_exported():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.durability.atomic import read_checksummed_json
 from repro.semcache.fingerprint import (
     DISPLAY_DIGITS,
     display_fingerprint,
@@ -310,7 +311,7 @@ class TestPersistence:
 
         cache = SemanticAnswerCache(directory=tmp_path)
         lookup = cache.lookup("t", schema, "how many items")
-        cache.log_round(lookup, kind="ask", served_sql="SELECT 1")
+        cache.log_round(lookup, kind="ask")
         cache.log_round(lookup, kind="feedback")
         lines = (
             (tmp_path / LOG_FILENAME)
@@ -320,68 +321,9 @@ class TestPersistence:
         assert len(lines) == 2
         assert '"kind": "ask"' in lines[0] or '"kind":"ask"' in lines[0]
 
-
-class TestTtl:
-    """Age-bounded entries: evict-on-lookup, byte-stable when unset."""
-
-    def _cache(self, now: dict, ttl_s=60.0, **kwargs):
-        return SemanticAnswerCache(
-            ttl_s=ttl_s, clock=lambda: now["t"], **kwargs
-        )
-
-    def test_ttl_validation(self):
-        with pytest.raises(ValueError):
-            SemanticAnswerCache(ttl_s=0)
-        with pytest.raises(ValueError):
-            SemanticAnswerCache(ttl_s=-5)
-
-    def test_fresh_entry_still_hits(self):
-        now = {"t": 1000.0}
-        cache = self._cache(now)
-        schema = make_schema()
-        cache.store(
-            cache.lookup("t", schema, "show the 5 cheapest items"),
-            "SELECT 1",
-        )
-        now["t"] += 59.0
-        assert cache.lookup("t", schema, "show the 5 cheapest items").outcome == "hit"
-        assert cache.stats()["expirations"] == 0
-
-    def test_stale_entry_expires_on_lookup(self):
-        now = {"t": 1000.0}
-        cache = self._cache(now)
-        schema = make_schema()
-        miss = cache.lookup("t", schema, "show the 5 cheapest items")
-        cache.store(miss, "SELECT 1")
-        now["t"] += 61.0
-        again = cache.lookup("t", schema, "show the 5 cheapest items")
-        assert again.outcome == "miss"
-        assert cache.stats()["expirations"] == 1
-        assert cache.stats()["hits"] == 0
-        # The caller recomputes and re-stores; the fresh entry hits.
-        assert cache.store(again, "SELECT 2")
-        hit = cache.lookup("t", schema, "show the 5 cheapest items")
-        assert hit.outcome == "hit"
-        assert hit.sql == "SELECT 2"
-
-    def test_peek_reports_stale_as_miss_without_evicting(self):
-        now = {"t": 1000.0}
-        cache = self._cache(now)
-        schema = make_schema()
-        cache.store(
-            cache.lookup("t", schema, "show the 5 cheapest items"),
-            "SELECT 1",
-        )
-        now["t"] += 61.0
-        assert cache.peek("t", schema, "show the 5 cheapest items").outcome == "miss"
-        assert cache.stats()["expirations"] == 0
-        # The entry is still resident: rolling the clock back proves it.
-        now["t"] -= 61.0
-        assert cache.lookup("t", schema, "show the 5 cheapest items").outcome == "hit"
-
-    def test_no_ttl_keeps_store_bytes_identical(self, tmp_path):
-        """Without a TTL, entries carry no timestamp — so the persisted
-        store stays byte-for-byte reproducible across runs."""
+    def test_store_bytes_are_reproducible(self, tmp_path):
+        """Entries carry no timestamp, so two stores that learned the same
+        answers persist byte for byte the same file."""
 
         def build(directory):
             cache = SemanticAnswerCache(directory=directory)
@@ -392,30 +334,6 @@ class TestTtl:
         first = build(tmp_path / "a")
         second = build(tmp_path / "b")
         assert first.read_bytes() == second.read_bytes()
-        from repro.durability import read_checksummed_json
-
         payload = read_checksummed_json(first, kind="semcache")
         (entry,) = payload["entries"].values()
-        assert "stored_at" not in entry
-
-    def test_unstamped_entry_is_stale_under_enforced_ttl(self, tmp_path):
-        """A store written before TTL enforcement has no stamps; turning a
-        TTL on treats those entries as already expired, never as immortal."""
-        legacy = SemanticAnswerCache(directory=tmp_path)
-        legacy.store(
-            legacy.lookup("t", make_schema(), "show the 5 cheapest items"),
-            "SELECT 1",
-        )
-        legacy.save()
-        now = {"t": 1000.0}
-        cache = self._cache(now, directory=tmp_path)
-        result = cache.lookup("t", make_schema(), "show the 5 cheapest items")
-        assert result.outcome == "miss"
-        assert cache.stats()["expirations"] == 1
-
-    def test_statusz_reports_ttl_and_expirations(self):
-        now = {"t": 1000.0}
-        cache = self._cache(now, ttl_s=30.0)
-        view = cache.statusz_view()
-        assert view["ttl_s"] == 30.0
-        assert view["expirations"] == 0
+        assert sorted(entry) == ["db", "fingerprint", "notes", "question", "sql"]

@@ -1,14 +1,23 @@
-"""The replay harness: read-only re-classification plus divergence report."""
+"""The replay harness: read-only re-classification, and each hit's stored
+SQL checked against the live model's answer."""
 
+from repro.core.nl2sql import Nl2SqlModel
 from repro.durability.atomic import checksummed_json
+from repro.llm.interface import Completion
+from repro.semcache.model import SemanticCachingNl2SqlModel
 from repro.semcache.replay import (
     read_question_log,
     render_replay_report,
     replay,
 )
 from repro.semcache.store import SemanticAnswerCache, SemcacheLookup
+from repro.serve import CatalogEntry
+from repro.sql.engine import Database
 from repro.sql.schema import Column, DatabaseSchema, Table
 from repro.sql.types import DataType
+
+COUNT = "SELECT COUNT(*) FROM items"
+LIST = "SELECT item_id FROM items"
 
 
 def make_schema(name="shop"):
@@ -26,7 +35,21 @@ def make_schema(name="shop"):
     )
 
 
-def ask(question, sql, db="shop", tenant="t", kind="ask"):
+class AnswerBook:
+    """A chat model that answers each NL2SQL question from a fixed book."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.asked = []
+
+    def complete(self, prompt):
+        question = prompt.payload["question"]
+        self.asked.append(question)
+        return Completion(text=self.answers[question])
+
+
+def ask(question, db="shop", tenant="t", kind="ask"):
+    """A round as ``SemcacheLookup``'s log line holds it."""
     return {
         "tenant": tenant,
         "db": db,
@@ -34,25 +57,26 @@ def ask(question, sql, db="shop", tenant="t", kind="ask"):
         "kind": kind,
         "outcome": "miss",
         "reason": None,
-        "sql": sql,
     }
 
 
 class TestReplay:
     def test_breakdown_and_divergences(self):
         schema = make_schema()
+        catalog = {"shop": CatalogEntry(Database(schema))}
+        # Both questions share one signature; the model answers the
+        # second with a listing, so the stored COUNT would be wrong there.
+        book = AnswerBook({"how many items": COUNT, "count the items": LIST})
         cache = SemanticAnswerCache()
-        cache.store(
-            cache.lookup("t", schema, "how many items"), "SELECT COUNT(*)"
-        )
+        cache.store(cache.lookup("t", schema, "how many items"), COUNT)
         records = [
-            ask("how many items", "SELECT COUNT(*)"),  # agreeing hit
-            ask("count the items", "SELECT 'other'"),  # diverging hit
-            ask("items over 10", "SELECT 1"),  # miss
-            ask("anything", None, kind="feedback"),  # guardrail bypass
-            ask("how many rows", "SELECT 2", db="mystery"),  # unknown db
+            ask("how many items"),  # a hit the model agrees with
+            ask("count the items"),  # a hit the model answers otherwise
+            ask("items over 10"),  # miss
+            ask("anything", kind="feedback"),  # guardrail bypass
+            ask("how many rows", db="mystery"),  # unknown db
         ]
-        report = replay(cache, {"shop": schema}, records)
+        report = replay(cache, catalog, book, records)
 
         assert report["rounds"] == 5
         assert report["hits"] == 2
@@ -60,33 +84,60 @@ class TestReplay:
         assert report["bypasses"] == 2
         assert report["feedback_rounds"] == 1
         assert report["unknown_databases"] == 1
+        # Only hits ask the model again.
+        assert book.asked == ["how many items", "count the items"]
         assert report["divergence_count"] == 1
         divergence = report["divergences"][0]
         assert divergence["question"] == "count the items"
-        assert divergence["recorded_sql"] == "SELECT 'other'"
-        assert divergence["cached_sql"] == "SELECT COUNT(*)"
+        assert divergence["model_sql"] == LIST
+        assert divergence["cached_sql"] == COUNT
+
+    def test_a_served_wrong_answer_is_a_divergence(self, tmp_path):
+        """The log of a hit that served a wrong answer: replay asks the
+        model and finds the one divergence."""
+        schema = make_schema()
+        database = Database(schema)
+        book = AnswerBook({"count the items": LIST})
+        cache = SemanticAnswerCache(directory=tmp_path)
+        cache.store(cache.lookup("t", schema, "how many items"), COUNT)
+        served = SemanticCachingNl2SqlModel(
+            Nl2SqlModel(llm=book), cache, tenant="t"
+        ).predict("count the items", database)
+        assert served.sql == COUNT and book.asked == []
+        cache.save()
+
+        records, skipped = read_question_log(tmp_path)
+        assert skipped == 0
+        assert [record["outcome"] for record in records] == ["hit"]
+        assert "sql" not in records[0]
+        report = replay(
+            SemanticAnswerCache(directory=tmp_path),
+            {"shop": CatalogEntry(database)},
+            book,
+            records,
+        )
+        assert report["hits"] == 1
+        assert report["divergence_count"] == 1
+        assert report["divergences"][0]["model_sql"] == LIST
 
     def test_replay_never_mutates_the_store(self):
         schema = make_schema()
         cache = SemanticAnswerCache()
-        cache.store(
-            cache.lookup("t", schema, "how many items"), "SELECT COUNT(*)"
-        )
+        cache.store(cache.lookup("t", schema, "how many items"), COUNT)
         before = cache.stats()
         replay(
             cache,
-            {"shop": schema},
-            [
-                ask("how many items", "SELECT COUNT(*)"),
-                ask("items over 10", "SELECT 1"),
-            ],
+            {"shop": CatalogEntry(Database(schema))},
+            AnswerBook({"how many items": COUNT}),
+            [ask("how many items"), ask("items over 10")],
         )
         assert cache.stats() == before
 
     def test_malformed_records_are_skipped(self):
         report = replay(
             SemanticAnswerCache(),
-            {"shop": make_schema()},
+            {"shop": CatalogEntry(Database(make_schema()))},
+            AnswerBook({}),
             [{"db": "shop"}, {"question": 42, "db": "shop"}, {}],
         )
         assert report["rounds"] == 0
@@ -97,7 +148,7 @@ def _log(cache, question):
         outcome="miss", tenant="t", db="shop", question=question,
         fingerprint="fp",
     )
-    cache.log_round(lookup, "ask", served_sql="SELECT 1")
+    cache.log_round(lookup, "ask")
 
 
 class TestQuestionLog:
@@ -158,7 +209,7 @@ class TestRenderReport:
                 {
                     "db": "shop",
                     "question": "count the items",
-                    "recorded_sql": "SELECT 'other'",
+                    "model_sql": "SELECT 'other'",
                     "cached_sql": "SELECT COUNT(*)",
                 }
             ],
@@ -170,14 +221,15 @@ class TestRenderReport:
         assert "hits:          1 (50.0% of answerable)" in text
         assert "divergences:   1" in text
         assert "[shop] count the items" in text
-        assert "recorded: SELECT 'other'" in text
+        assert "model:    SELECT 'other'" in text
+        assert "cached:   SELECT COUNT(*)" in text
 
     def test_render_truncates_past_the_limit(self):
         divergences = [
             {
                 "db": "shop",
                 "question": f"q{i}",
-                "recorded_sql": "a",
+                "model_sql": "a",
                 "cached_sql": "b",
             }
             for i in range(5)

@@ -293,12 +293,6 @@ class TestCliDurabilityFlags:
         )
         assert "--resume requires --journal" in err
 
-    def test_cache_max_requires_cache_dir(self, capsys):
-        err = _rejected(
-            capsys, ["run", "figure2", "--scale", "small", "--cache-max", "5"]
-        )
-        assert "--cache-max requires --cache-dir" in err
-
     def test_suite_dir_warm_start_stdout_identical(self, capsys, tmp_path):
         suite_dir = str(tmp_path / "suites")
         baseline, _ = self._run(capsys, ["run", "figure2", "--scale", "small"])
@@ -384,112 +378,111 @@ class TestCliDurabilityFlags:
         assert not journal.exists() and not log_dir.exists()
 
 
+#: The asks of CI's semcache-smoke job: one canonical question, then three
+#: count-intent paraphrases, one from a second tenant on the same schema.
+SEMCACHE_ASKS = [
+    ("team-a", "How many audiences were created in January?"),
+    ("team-a", "Count the audiences created in January"),
+    ("team-a", "what is the number of audiences created in january"),
+    ("team-b", "What is the total number of audiences created in January?"),
+]
+
+
 class TestCliSemcacheFlags:
-    """--semantic-cache wiring: validation, stats, replay, clean stdout."""
+    """serve's --semantic-cache wiring, and the stats and replay commands
+    over the store a serve leaves behind."""
 
     def _run(self, capsys, argv):
         assert cli_main(argv) == 0
         captured = capsys.readouterr()
         return captured.out, captured.err
 
-    def test_flag_validation(self, capsys):
-        assert "--semantic-cache-dir requires --semantic-cache" in _rejected(
-            capsys, ["run", "figure2", "--semantic-cache-dir", "/tmp/x"]
-        )
-        assert "--semantic-cache-max requires --semantic-cache" in _rejected(
-            capsys, ["run", "figure2", "--semantic-cache-max", "5"]
-        )
-        assert "argument --semantic-cache-max: must be >= 1: 0" in _rejected(
+    def _serve(self, capsys, monkeypatch, semcache_dir):
+        """``serve --semantic-cache --semantic-cache-dir``, its app driven
+        in process: the four asks, then a feedback round."""
+
+        def fake_run_server(app, **kwargs) -> int:
+            client = ServeClient.in_process(app)
+            sessions = {
+                tenant: client.create_session(
+                    db="experience_platform", tenant=tenant
+                )["id"]
+                for tenant in ("team-a", "team-b")
+            }
+            answers = [
+                client.ask(sessions[tenant], question)["answer"]["sql"]
+                for tenant, question in SEMCACHE_ASKS
+            ]
+            # Every paraphrase is served the first ask's answer.
+            assert answers == answers[:1] * len(SEMCACHE_ASKS)
+            client.feedback(sessions["team-a"], "we are in 2024")
+            return 0
+
+        monkeypatch.setattr("repro.serve.run_server", fake_run_server)
+        self._run(
             capsys,
-            ["run", "figure2", "--semantic-cache",
-             "--semantic-cache-max", "0"],
+            [
+                "serve", "--scale", "small", "--port", "0",
+                "--semantic-cache", "--semantic-cache-dir", semcache_dir,
+            ],
+        )
+
+    def test_flag_validation(self, capsys, no_build_context):
+        assert "unrecognized arguments: --semantic-cache" in _rejected(
+            capsys, ["run", "figure2", "--semantic-cache"]
         )
         assert "--semantic-cache-dir requires --semantic-cache" in _rejected(
             capsys, ["serve", "--semantic-cache-dir", "/tmp/x"]
+        )
+        assert "--semantic-cache-max requires --semantic-cache" in _rejected(
+            capsys, ["serve", "--semantic-cache-max", "5"]
         )
         assert "pass --cache-dir and/or --semantic-cache-dir" in _rejected(
             capsys, ["cache", "stats"]
         )
 
-    def test_flag_off_stays_byte_identical(self, capsys, tmp_path):
-        """The load-bearing guarantee: runs WITHOUT the flag are unchanged
-        by a semantic-cached run in between; runs WITH the flag are
-        deterministic against the same store (paraphrase collisions may
-        legitimately change which answer is served — that is what
-        ``semcache replay`` reports as divergences)."""
+    def test_flag_off_stays_byte_identical(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """The paper's artifacts never pass through the semantic cache:
+        ``run`` prints the same bytes before and after a semantic-cached
+        serve in the same process, whose app hosts the run's cached
+        context."""
+        baseline, _ = self._run(capsys, ["run", "figure2", "--scale", "small"])
+        self._serve(capsys, monkeypatch, str(tmp_path / "semcache"))
+        after, _ = self._run(capsys, ["run", "figure2", "--scale", "small"])
+        assert after == baseline
+
+    def test_cache_subcommand_covers_semantic_store(
+        self, capsys, monkeypatch, tmp_path
+    ):
         semcache_dir = str(tmp_path / "semcache")
-        baseline, baseline_err = self._run(
-            capsys, ["run", "figure2", "--scale", "small"]
-        )
-        assert "[semcache]" not in baseline_err
-
-        cached, cached_err = self._run(
-            capsys,
-            [
-                "run", "figure2", "--scale", "small",
-                "--semantic-cache", "--semantic-cache-dir", semcache_dir,
-            ],
-        )
-        assert "[semcache]" in cached_err
-        assert f"saved to {semcache_dir}" in cached_err
-        assert (tmp_path / "semcache" / "semcache.json").exists()
-        assert (tmp_path / "semcache" / "questions.jsonl").exists()
-
-        warm, warm_err = self._run(
-            capsys,
-            [
-                "run", "figure2", "--scale", "small",
-                "--semantic-cache", "--semantic-cache-dir", semcache_dir,
-            ],
-        )
-        assert warm == cached
-        assert "[semcache]" in warm_err
-
-        plain_again, plain_err = self._run(
-            capsys, ["run", "figure2", "--scale", "small"]
-        )
-        assert plain_again == baseline
-        assert "[semcache]" not in plain_err
-
-    def test_cache_subcommand_covers_semantic_store(self, capsys, tmp_path):
-        semcache_dir = str(tmp_path / "semcache")
-        self._run(
-            capsys,
-            [
-                "run", "figure2", "--scale", "small",
-                "--semantic-cache", "--semantic-cache-dir", semcache_dir,
-            ],
-        )
+        self._serve(capsys, monkeypatch, semcache_dir)
         stats_out, _ = self._run(
             capsys, ["cache", "stats", "--semantic-cache-dir", semcache_dir]
         )
         assert "semcache" in stats_out
-        assert "entries:       0" not in stats_out
-        assert "bypasses:" in stats_out
-        assert "fingerprints:" in stats_out
+        assert "entries:       1" in stats_out
+        assert "hits:          3" in stats_out
+        assert "bypasses:      1" in stats_out
+        assert "fingerprints:  1" in stats_out
 
         clear_out, _ = self._run(
             capsys, ["cache", "clear", "--semantic-cache-dir", semcache_dir]
         )
-        assert "cleared" in clear_out
+        assert "cleared 1 entries" in clear_out
         stats_out, _ = self._run(
             capsys, ["cache", "stats", "--semantic-cache-dir", semcache_dir]
         )
         assert "entries:       0" in stats_out
 
-    def test_semcache_replay_subcommand(self, capsys, tmp_path):
+    def test_semcache_replay_subcommand(self, capsys, monkeypatch, tmp_path):
         semcache_dir = str(tmp_path / "semcache")
         with pytest.raises(SystemExit):
             cli_main(
                 ["semcache", "replay", "--semantic-cache-dir", semcache_dir]
             )
-        self._run(
-            capsys,
-            [
-                "run", "figure2", "--scale", "small",
-                "--semantic-cache", "--semantic-cache-dir", semcache_dir,
-            ],
-        )
+        self._serve(capsys, monkeypatch, semcache_dir)
         out, _ = self._run(
             capsys,
             [
@@ -498,31 +491,22 @@ class TestCliSemcacheFlags:
             ],
         )
         assert "semcache replay" in out
-        assert "rounds:" in out
-        assert "rounds:        0" not in out
+        assert "rounds:        5" in out
         assert "skipped lines: 0" in out
-        assert "divergences:" in out
+        assert "hits:          4 (100.0% of answerable)" in out
+        # The live model answers each paraphrase with a dataset listing,
+        # while the cache served the first ask's COUNT: three divergences.
+        assert "divergences:   3" in out
+        assert out.count("model:    SELECT datasetname FROM hkg_dim_dataset") == 3
 
 
 class TestCliConcurrencyFlags:
-    """The semantic-cache TTL flag and the journal subcommand."""
+    """The journal subcommand."""
 
     def _run(self, capsys, argv):
         assert cli_main(argv) == 0
         captured = capsys.readouterr()
         return captured.out, captured.err
-
-    def test_semcache_ttl_flag_validation(self, capsys):
-        assert "--semantic-cache-ttl-s requires --semantic-cache" in _rejected(
-            capsys, ["run", "figure2", "--semantic-cache-ttl-s", "60"]
-        )
-        assert "argument --semantic-cache-ttl-s: must be > 0: 0.0" in (
-            _rejected(
-                capsys,
-                ["run", "figure2", "--semantic-cache",
-                 "--semantic-cache-ttl-s", "0"],
-            )
-        )
 
     def test_journal_subcommand_stats_and_compact(self, capsys, tmp_path):
         journal_dir = str(tmp_path / "journal")
@@ -569,9 +553,6 @@ BOUND_CASES = [
     (["run", "figure2", "--llm-retries", "-1"], "must be >= 0: -1"),
     (["run", "figure2", "--llm-timeout", "0"], "must be > 0: 0.0"),
     (["run", "figure2", "--workers", "0"], "must be >= 1: 0"),
-    (["run", "figure2", "--cache-max", "0"], "must be >= 1: 0"),
-    (["run", "figure2", "--semantic-cache-max", "0"], "must be >= 1: 0"),
-    (["run", "figure2", "--semantic-cache-ttl-s", "0"], "must be > 0: 0.0"),
     (["serve", "--max-sessions", "0"], "must be >= 1: 0"),
     (["serve", "--llm-retries", "-1"], "must be >= 0: -1"),
     (["serve", "--llm-timeout", "0"], "must be > 0: 0.0"),
@@ -586,7 +567,6 @@ BOUND_CASES = [
     (["serve", "--max-body-bytes", "0"], "must be >= 1: 0"),
     (["serve", "--probe-interval-ms", "0"], "must be > 0: 0.0"),
     (["serve", "--semantic-cache-max", "0"], "must be >= 1: 0"),
-    (["serve", "--semantic-cache-ttl-s", "0"], "must be > 0: 0.0"),
 ]
 
 
@@ -643,6 +623,11 @@ class TestCliFlagBounds:
             ["run", "figure2", "--hedge-after-ms", "50"],
             ["serve", "--hedge-after-ms", "50"],
             ["run", "figure2", "--probe-interval-ms", "200"],
+            ["run", "figure2", "--cache-max", "128"],
+            ["run", "figure2", "--semantic-cache-dir", "semcache"],
+            ["run", "figure2", "--semantic-cache-max", "128"],
+            ["run", "figure2", "--semantic-cache-ttl-s", "60"],
+            ["serve", "--semantic-cache-ttl-s", "60"],
         ],
     )
     def test_deleted_flags_are_unrecognized(
